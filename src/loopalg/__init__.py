@@ -33,7 +33,7 @@ from .enveloping import (
     uea_presentation,
 )
 from .families import LieFamily
-from .gca import Derivation, GcaElement, GradedAlgebra, gca_multiply, koszul_sign
+from .gca import Derivation, GcaElement, GradedAlgebra, koszul_sign
 from .homotopy_lie import (
     HomotopyLieAlgebra,
     LieBasisElement,

@@ -8,9 +8,7 @@ Lie group:
 * the exponents, which place the loop-space generators in degrees 2k - 2;
 * the expected rational and integral Pontrjagin presentations, with tensor
   factors encoded as explicit centrality relations;
-* the expected Lie bracket table on the degree-1 classes;
-* the presentation of the loop homology of the group itself (commentary
-  data, kept for serialization).
+* the expected Lie bracket table on the degree-1 classes.
 
 Type B integral presentations use the uniform relation set over the full
 generator list ``y_1 .. y_{2n-1}`` (which spells out every sign), the
@@ -44,14 +42,7 @@ class CatalogEntry:
     dual_names: dict[str, str]
     expected_rational: RingPresentation
     expected_integral: RingPresentation
-    expected_integral_anticommute: RingPresentation | None
-    loop_group: RingPresentation | None
     expected_brackets: dict[tuple[str, str], dict[str, int]]
-    notes: tuple[str, ...] = ()
-
-    @property
-    def loop_group_relations(self) -> tuple[NcElement, ...]:
-        return self.loop_group.relations if self.loop_group else ()
 
 
 # ranks exercised by the default verification sweep; word counts at the
@@ -444,88 +435,9 @@ def expected_integral_presentation(
     return RingPresentation(alg, rels, domain="integer")
 
 
-def loop_group_presentation(family: LieFamily, rank: int) -> RingPresentation | None:
-    """H_*(Omega_0 G; Z) as recorded alongside the flag presentations."""
-    validate_rank(family, rank)
-    if family is LieFamily.SU:
-        y = [(f"y{i}", 2 * i) for i in range(1, rank + 1)]
-        alg = FreeGradedAlgebra(y)
-        return RingPresentation(alg, _pairwise_commutators(alg, [n for n, _ in y]), domain="integer")
-    if family is LieFamily.SP:
-        y = [(f"y{i}", 4 * i - 2) for i in range(1, rank + 1)]
-        alg = FreeGradedAlgebra(y)
-        return RingPresentation(alg, _pairwise_commutators(alg, [n for n, _ in y]), domain="integer")
-    if family is LieFamily.SO_ODD:
-        n = rank
-        y = [(f"y{i}", 2 * i) for i in range(1, 2 * n)]
-        alg = FreeGradedAlgebra(y)
-        rels = [_so_odd_y_relation(alg, i, n) for i in range(1, n)]
-        rels += _pairwise_commutators(alg, [m for m, _ in y])
-        return RingPresentation(alg, rels, domain="integer")
-    if family is LieFamily.SO_EVEN:
-        # reuse the flag presentation's even part
-        flag = expected_integral_presentation(family, rank)
-        evens = [(n, d) for n, d in flag.generators if d > 1]
-        alg = FreeGradedAlgebra(evens)
-        names = {n for n, _ in evens}
-        rebuilt = [
-            alg.element(rel.terms)
-            for rel in flag.relations
-            if all(all(letter in names for letter in w) for w in rel.terms)
-        ]
-        return RingPresentation(alg, rebuilt, domain="integer")
-    if family is LieFamily.G2:
-        alg = FreeGradedAlgebra([("y1", 2), ("y2", 4), ("y5", 10)])
-        g = alg.gen
-        rels = [2 * g("y2") - g("y1") * g("y1")]
-        rels += _pairwise_commutators(alg, ["y1", "y2", "y5"])
-        return RingPresentation(alg, rels, domain="integer")
-    if family is LieFamily.F4:
-        names = ["y1", "y2", "y3", "y5", "y7", "y11"]
-        degrees = [2, 4, 6, 10, 14, 22]
-        alg = FreeGradedAlgebra(list(zip(names, degrees)))
-        g = alg.gen
-        rels = [g("y1") * g("y1") - 2 * g("y2"), g("y1") * g("y2") - 3 * g("y3")]
-        rels += _pairwise_commutators(alg, names)
-        return RingPresentation(alg, rels, domain="integer")
-    names = ["y1", "y2", "y3", "y4", "y5", "y7", "y8", "y11"]
-    degrees = [2, 4, 6, 8, 10, 14, 16, 22]
-    alg = FreeGradedAlgebra(list(zip(names, degrees)))
-    g = alg.gen
-    rels = [g("y1") * g("y1") - 2 * g("y2"), g("y1") * g("y2") - 3 * g("y3")]
-    rels += _pairwise_commutators(alg, names)
-    return RingPresentation(alg, rels, domain="integer")
-
-
 @lru_cache(maxsize=None)
 def catalog_entry(family: LieFamily, rank: int) -> CatalogEntry:
     validate_rank(family, rank)
-    notes: tuple[str, ...] = ()
-    if family is LieFamily.SO_ODD:
-        notes = (
-            "display form: T(x) (x) Z[y_1..y_{n-1}, 2y_n..2y_{2n-1}]; the stored "
-            "relations use the uniform all-integral generator set instead",
-        )
-    if family is LieFamily.SO_EVEN:
-        notes = (
-            "wp/wm encode the two independent degree-2(n-1) classes; Y{j} encodes "
-            "the doubled class 2 y_j for j >= n",
-        )
-    if family is LieFamily.G2:
-        notes = (
-            "integral relations carry the saturation y2 = 2 y1^2; the displayed "
-            "2 y2 = x1^4 only pins the class up to 2-torsion",
-        )
-    if family is LieFamily.F4:
-        notes = (
-            "the default integral presentation commutes the degree-1 classes while "
-            "the rational ring anticommutes them; both variants are kept and compared",
-            "integral relations carry the saturation y3 = y1 y2",
-        )
-    if family is LieFamily.E6:
-        notes = (
-            "integral relations carry the saturations y2 = 72 y1^2 and y3 = 4 y1 y2",
-        )
     return CatalogEntry(
         family=family,
         rank=rank,
@@ -536,12 +448,5 @@ def catalog_entry(family: LieFamily, rank: int) -> CatalogEntry:
         dual_names=_dual_names(family, rank),
         expected_rational=expected_rational_presentation(family, rank),
         expected_integral=expected_integral_presentation(family, rank),
-        expected_integral_anticommute=(
-            expected_integral_presentation(family, rank, anticommute=True)
-            if family is LieFamily.F4
-            else None
-        ),
-        loop_group=loop_group_presentation(family, rank),
         expected_brackets=_expected_brackets(family, rank),
-        notes=notes,
     )

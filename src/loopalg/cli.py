@@ -11,6 +11,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -32,11 +33,7 @@ from .enveloping import (
 )
 from .families import FIXED_RANK, LieFamily, validate_rank
 from .homotopy_lie import graded_lie_axioms_check
-from .minimal_model import (
-    derivation_square_check,
-    quotient_dimensions,
-    regular_sequence_check,
-)
+from .minimal_model import derivation_square_check, is_regular, quotient_dimensions
 from .pipeline import rational_pipeline
 
 SCHEMA_VERSION = 1
@@ -180,8 +177,10 @@ def build_verify_report(cfg: RunConfig) -> dict:
         checks["regular_sequence_check"] = "skipped"
         checks["cohomology_weyl_order"] = "skipped"
     else:
-        record("regular_sequence_check", regular_sequence_check(entry.cohomology))
-        total = quotient_dimensions(entry.cohomology, entry.cohomology.socle_degree()).total()
+        socle = entry.cohomology.socle_degree()
+        dims = quotient_dimensions(entry.cohomology, socle + 2)
+        record("regular_sequence_check", is_regular(entry.cohomology, dims))
+        total = sum(dims.prefix(socle))
         record(
             "cohomology_weyl_order",
             total == entry.weyl_order,
@@ -342,18 +341,33 @@ def cache_directory(cfg: RunConfig) -> Path:
 
 
 def cache_store(cfg: RunConfig, doc: dict) -> Path:
+    """Write the entry through a temporary file, so readers never see half of it."""
     directory = cache_directory(cfg)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"{cfg.cache_key()}.json"
-    path.write_text(render_json(doc))
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(render_json(doc))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 
 def cache_load(cfg: RunConfig) -> dict | None:
+    """The cached report, or None on a miss; an unreadable entry counts as a miss."""
     path = cache_directory(cfg) / f"{cfg.cache_key()}.json"
     if not path.exists():
         return None
-    return json.loads(path.read_text())
+    try:
+        doc = json.loads(path.read_text())
+        if isinstance(doc, dict):
+            return doc
+        problem = "not a JSON object"
+    except (OSError, ValueError) as err:
+        problem = str(err)
+    print(f"warning: ignoring cache entry {path}: {problem}", file=sys.stderr)
+    return None
 
 
 def emit(cfg: RunConfig, doc: dict) -> None:
@@ -369,6 +383,7 @@ def emit(cfg: RunConfig, doc: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loopalg",

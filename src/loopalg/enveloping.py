@@ -1,14 +1,13 @@
 """Finitely presented graded associative algebras and their graded sizes.
 
 The main objects are :class:`RingPresentation` (generators plus homogeneous
-noncommutative relations, over exact rationals or integers) and the two
-degreewise engines that measure the quotient algebra:
+noncommutative relations, over exact rationals or integers) and the one
+degreewise engine that measures the quotient algebra, :class:`GradedQuotient`.
+Over Q it yields the graded dimension of each degree component, over Z the
+rank and the Smith invariant factors (torsion); the two differ only in the
+relation coefficients and in how one degree's rows are eliminated.
 
-* over Q, the graded dimension of each degree component;
-* over Z, the rank and the Smith invariant factors (torsion) of each degree
-  component.
-
-Both engines work degree by degree.  Writing ``A = T(G)/I`` and letting
+The engine works degree by degree.  Writing ``A = T(G)/I`` and letting
 ``A_e`` denote the already-computed lower components, every element of
 ``A_d`` is a combination of symbols ``g * w`` with ``g`` a generator and
 ``w`` a basis element of ``A_{d - deg g}``; the kernel of that covering is
@@ -24,13 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from . import linalg, series
+from .gca import Scalar, _as_fraction
 from .series import PoincareSeries
 
 Word = tuple[str, ...]
-Scalar = Union[int, Fraction]
 
 DEFAULT_WORD_BUDGET = 200_000
 
@@ -45,14 +44,6 @@ class BudgetExceededError(RuntimeError):
         self.degree = degree
         self.size = size
         self.budget = budget
-
-
-def _as_fraction(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
 class FreeGradedAlgebra:
@@ -70,9 +61,6 @@ class FreeGradedAlgebra:
 
     def degree_of_word(self, word: Word) -> int:
         return sum(self._degree[name] for name in word)
-
-    def degree_of(self, name: str) -> int:
-        return self._degree[name]
 
     def zero(self) -> "NcElement":
         return NcElement(self, {})
@@ -235,142 +223,26 @@ class RingPresentation:
         self.algebra = algebra
         self.relations = rels
         self.domain = domain
-        self._engines: dict[tuple[str, int | None], object] = {}
+        self._engines: dict[int | None, GradedQuotient] = {}
 
     @property
     def generators(self) -> tuple[tuple[str, int], ...]:
         return self.algebra.generators
 
-    def engine(self, budget: int | None = DEFAULT_WORD_BUDGET):
-        key = (self.domain, budget)
-        if key not in self._engines:
-            if self.domain == "rational":
-                self._engines[key] = RationalQuotient(self, budget)
-            else:
-                self._engines[key] = IntegerQuotient(self, budget)
-        return self._engines[key]
+    def engine(self, budget: int | None = DEFAULT_WORD_BUDGET) -> "GradedQuotient":
+        if budget not in self._engines:
+            self._engines[budget] = GradedQuotient(self, budget)
+        return self._engines[budget]
 
 
 # ---------------------------------------------------------------------------
-# graded quotient engines
+# the graded quotient engine
 # ---------------------------------------------------------------------------
-
-
-class _QuotientBase:
-    def __init__(self, presentation: RingPresentation, budget: int | None):
-        self.presentation = presentation
-        self.budget = budget
-        alg = presentation.algebra
-        self._gen_names = [n for n, _ in alg.generators]
-        self._gen_index = {n: i for i, n in enumerate(self._gen_names)}
-        self._gen_degrees = [d for _, d in alg.generators]
-        self._relations = [
-            (r.degree(), list(r.terms.items())) for r in presentation.relations
-        ]
-
-    def _check_budget(self, degree: int, size: int) -> None:
-        if self.budget is not None and size > self.budget:
-            raise BudgetExceededError(degree, size, self.budget)
-
-
-class RationalQuotient(_QuotientBase):
-    """Graded dimensions of T(G)/I over Q, one exact RREF per degree."""
-
-    def __init__(self, presentation: RingPresentation, budget: int | None = None):
-        super().__init__(presentation, budget)
-        self._dims: list[int] = [1]
-        # per degree: offsets[g] of the symbol block (g, w); expansion of each
-        # symbol over the chosen basis of that degree
-        self._offsets: list[dict[int, int]] = [{}]
-        self._expand: list[list[dict[int, Fraction]]] = [[]]
-
-    def dimension(self, degree: int) -> int:
-        if degree < 0:
-            raise ValueError("negative degree")
-        self._ensure(degree)
-        return self._dims[degree]
-
-    def dimensions(self, max_degree: int) -> PoincareSeries:
-        self._ensure(max_degree)
-        return PoincareSeries(tuple(self._dims[: max_degree + 1]))
-
-    def _ensure(self, degree: int) -> None:
-        while len(self._dims) <= degree:
-            self._build(len(self._dims))
-
-    def _leftmul(self, gen_index: int, vec: dict[int, Fraction], src_degree: int):
-        """Image of a basis vector of A_src under left multiplication."""
-        target = src_degree + self._gen_degrees[gen_index]
-        offset = self._offsets[target][gen_index]
-        out: dict[int, Fraction] = {}
-        for w, c in vec.items():
-            for b, v in self._expand[target][offset + w].items():
-                nv = out.get(b, Fraction(0)) + c * v
-                if nv:
-                    out[b] = nv
-                else:
-                    out.pop(b, None)
-        return out
-
-    def _build(self, degree: int) -> None:
-        offsets: dict[int, int] = {}
-        nsym = 0
-        for g, d in enumerate(self._gen_degrees):
-            lower = degree - d
-            if lower >= 0 and self._dims[lower] > 0:
-                offsets[g] = nsym
-                nsym += self._dims[lower]
-        self._check_budget(degree, nsym)
-
-        rref = linalg.FractionRREF()
-        nrows = 0
-        for rel_degree, terms in self._relations:
-            lower = degree - rel_degree
-            if lower < 0 or self._dims[lower] == 0:
-                continue
-            for w in range(self._dims[lower]):
-                row: dict[int, Fraction] = {}
-                for word, coeff in terms:
-                    vec = {w: coeff}
-                    deg = lower
-                    for name in reversed(word[1:]):
-                        g = self._gen_index[name]
-                        vec = self._leftmul(g, vec, deg)
-                        deg += self._gen_degrees[g]
-                        if not vec:
-                            break
-                    if not vec:
-                        continue
-                    g0 = self._gen_index[word[0]]
-                    base = offsets[g0]
-                    for pos, c in vec.items():
-                        col = base + pos
-                        nv = row.get(col, Fraction(0)) + c
-                        if nv:
-                            row[col] = nv
-                        else:
-                            row.pop(col, None)
-                nrows += 1
-                self._check_budget(degree, nrows)
-                rref.add_row(row)
-
-        pivots = rref.pivot_columns
-        basis_pos: dict[int, int] = {}
-        for sym in range(nsym):
-            if sym not in pivots:
-                basis_pos[sym] = len(basis_pos)
-        expand: list[dict[int, Fraction]] = []
-        for sym in range(nsym):
-            raw = rref.expansion(sym)
-            expand.append({basis_pos[c]: v for c, v in raw.items()})
-        self._dims.append(len(basis_pos))
-        self._offsets.append(offsets)
-        self._expand.append(expand)
 
 
 @dataclass(frozen=True)
 class SmithEntry:
-    """Degree component of an integer quotient: free rank + invariant factors."""
+    """Degree component of a quotient: free rank + invariant factors (none over Q)."""
 
     degree: int
     rank: int
@@ -391,64 +263,86 @@ class GradedSmithReport:
         return all(not e.torsion for e in self.entries)
 
 
-class IntegerQuotient(_QuotientBase):
-    """Ranks and torsion of T(G)/I over Z, degreewise Smith normal form."""
+def _integer_eliminate(rows: Iterable[dict[int, int]], ncols: int) -> linalg.CokerResult:
+    return linalg.coker_normalize([row for row in rows if row], ncols)
+
+
+class GradedQuotient:
+    """Degree components of T(G)/I over the presentation's domain, Q or Z.
+
+    Each computed degree keeps the invariants of its chosen generators (0 for
+    a free summand, ``s >= 2`` for Z/s; over Q every invariant is 0), the
+    offsets of the symbol blocks ``(g, w)`` and the expansion of each symbol
+    over the generators.  The domain fixes the relation coefficients and the
+    elimination of one degree's rows: :func:`linalg.rref_normalize` over Q,
+    :func:`linalg.coker_normalize` over Z.  The budget caps the symbols and
+    the rows of each degree: every relation row, zero or not, and the
+    diagonal torsion rows.
+    """
 
     def __init__(self, presentation: RingPresentation, budget: int | None = None):
-        if presentation.domain != "integer":
-            raise ValueError("integer engine requires an integer presentation")
-        super().__init__(presentation, budget)
-        self._int_relations = [
-            (deg, [(w, int(c)) for w, c in terms])
-            for deg, terms in self._relations
+        self.presentation = presentation
+        self.budget = budget
+        alg = presentation.algebra
+        self._gen_index = {n: i for i, (n, _) in enumerate(alg.generators)}
+        self._gen_degrees = [d for _, d in alg.generators]
+        integer = presentation.domain == "integer"
+        self._relations = [
+            (r.degree(), [(w, int(c) if integer else c) for w, c in r.terms.items()])
+            for r in presentation.relations
         ]
-        # per degree: invariants of the chosen generators (0 free, s>=2 torsion),
-        # symbol block offsets, expansion of each symbol over the generators
+        self._eliminate = _integer_eliminate if integer else linalg.rref_normalize
         self._invariants: list[list[int]] = [[0]]
+        self._torsion: list[dict[int, int]] = [{}]
         self._offsets: list[dict[int, int]] = [{}]
-        self._expand: list[list[dict[int, int]]] = [[]]
+        self._expand: list[list[dict[int, Scalar]]] = [[]]
 
     def entry(self, degree: int) -> SmithEntry:
         if degree < 0:
             raise ValueError("negative degree")
-        self._ensure(degree)
+        while len(self._invariants) <= degree:
+            self._build(len(self._invariants))
         inv = self._invariants[degree]
         return SmithEntry(
             degree=degree,
-            rank=sum(1 for s in inv if s == 0),
+            rank=inv.count(0),
             torsion=tuple(s for s in inv if s > 1),
         )
 
     def report(self, max_degree: int) -> GradedSmithReport:
-        self._ensure(max_degree)
         return GradedSmithReport(tuple(self.entry(d) for d in range(max_degree + 1)))
 
-    def _ensure(self, degree: int) -> None:
-        while len(self._invariants) <= degree:
-            self._build(len(self._invariants))
+    def dimension(self, degree: int) -> int:
+        return self.entry(degree).rank
 
-    def _leftmul(self, gen_index: int, vec: dict[int, int], src_degree: int):
+    def dimensions(self, max_degree: int) -> PoincareSeries:
+        return PoincareSeries(self.report(max_degree).ranks())
+
+    def _check_budget(self, degree: int, size: int) -> None:
+        if self.budget is not None and size > self.budget:
+            raise BudgetExceededError(degree, size, self.budget)
+
+    def _leftmul(self, gen_index: int, vec: dict[int, Scalar], src_degree: int):
+        """Image of a vector of A_src under left multiplication."""
         target = src_degree + self._gen_degrees[gen_index]
         offset = self._offsets[target][gen_index]
-        out: dict[int, int] = {}
+        expand = self._expand[target]
+        out: dict[int, Scalar] = {}
         for w, c in vec.items():
-            for b, v in self._expand[target][offset + w].items():
+            for b, v in expand[offset + w].items():
                 nv = out.get(b, 0) + c * v
                 if nv:
                     out[b] = nv
                 else:
                     out.pop(b, None)
-        return self._normalize(out, target)
-
-    def _normalize(self, vec: dict[int, int], degree: int) -> dict[int, int]:
-        inv = self._invariants[degree]
-        out: dict[int, int] = {}
-        for g, v in vec.items():
-            s = inv[g]
-            if s > 1:
+        for g, s in self._torsion[target].items():
+            v = out.get(g)
+            if v is not None:
                 v %= s
-            if v:
-                out[g] = v
+                if v:
+                    out[g] = v
+                else:
+                    del out[g]
         return out
 
     def _build(self, degree: int) -> None:
@@ -460,20 +354,27 @@ class IntegerQuotient(_QuotientBase):
                 offsets[g] = nsym
                 nsym += len(self._invariants[lower])
         self._check_budget(degree, nsym)
+        result = self._eliminate(self._rows(degree, offsets), nsym)
+        self._invariants.append(result.invariants)
+        self._torsion.append({g: s for g, s in enumerate(result.invariants) if s > 1})
+        self._offsets.append(offsets)
+        self._expand.append(result.expansions)
 
-        rows: list[dict[int, int]] = []
+    def _rows(self, degree: int, offsets: dict[int, int]):
+        """The presentation rows of one degree, counted against the budget."""
+        count = 0
         # torsion of the lower components becomes diagonal presentation rows
         for g, base in offsets.items():
-            lower = degree - self._gen_degrees[g]
-            for w, s in enumerate(self._invariants[lower]):
-                if s > 1:
-                    rows.append({base + w: s})
-        for rel_degree, terms in self._int_relations:
+            for w, s in self._torsion[degree - self._gen_degrees[g]].items():
+                count += 1
+                self._check_budget(degree, count)
+                yield {base + w: s}
+        for rel_degree, terms in self._relations:
             lower = degree - rel_degree
-            if lower < 0 or not self._invariants[lower]:
+            if lower < 0:
                 continue
             for w in range(len(self._invariants[lower])):
-                row: dict[int, int] = {}
+                row: dict[int, Scalar] = {}
                 for word, coeff in terms:
                     vec = {w: coeff}
                     deg = lower
@@ -485,8 +386,7 @@ class IntegerQuotient(_QuotientBase):
                             break
                     if not vec:
                         continue
-                    g0 = self._gen_index[word[0]]
-                    base = offsets[g0]
+                    base = offsets[self._gen_index[word[0]]]
                     for pos, c in vec.items():
                         col = base + pos
                         nv = row.get(col, 0) + c
@@ -494,14 +394,9 @@ class IntegerQuotient(_QuotientBase):
                             row[col] = nv
                         else:
                             row.pop(col, None)
-                if row:
-                    rows.append(row)
-        self._check_budget(degree, len(rows))
-
-        result = linalg.coker_normalize(rows, nsym)
-        self._invariants.append(result.invariants)
-        self._offsets.append(offsets)
-        self._expand.append(result.expansions)
+                count += 1
+                self._check_budget(degree, count)
+                yield row
 
 
 # ---------------------------------------------------------------------------

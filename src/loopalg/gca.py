@@ -92,12 +92,6 @@ class GradedAlgebra:
         except KeyError:
             raise KeyError(f"unknown generator {name!r}") from None
 
-    def degree_of(self, name: str) -> int:
-        return self._degrees[self.index(name)]
-
-    def is_odd(self, i: int) -> bool:
-        return self._degrees[i] % 2 == 1
-
     def same_generators(self, other: "GradedAlgebra") -> bool:
         return self is other or self._gens == other._gens
 
@@ -252,12 +246,6 @@ class GcaElement:
             raise ValueError("element is not homogeneous")
         return degrees.pop()
 
-    def homogeneous_component(self, degree: int) -> "GcaElement":
-        return GcaElement(
-            self.algebra,
-            {m: c for m, c in self.terms.items() if self.algebra.monomial_degree(m) == degree},
-        )
-
     def word_length_component(self, length: int) -> "GcaElement":
         return GcaElement(
             self.algebra, {m: c for m, c in self.terms.items() if sum(m) == length}
@@ -286,11 +274,6 @@ class GcaElement:
             body = "*".join(factors) if factors else "1"
             parts.append(f"({c})*{body}")
         return " + ".join(parts)
-
-
-def gca_multiply(p: GcaElement, q: GcaElement) -> GcaElement:
-    """Product in the graded-commutative algebra (canonical form, exact)."""
-    return p * q
 
 
 class Derivation:
@@ -357,8 +340,3 @@ def _monomial_from_letters(alg: GradedAlgebra, letters: Sequence[int]) -> GcaEle
     for g in letters:
         mono[g] += 1
     return GcaElement(alg, {tuple(mono): Fraction(1)})
-
-
-def derivation_apply(d: Derivation, e: GcaElement) -> GcaElement:
-    """Apply a derivation to an element (graded Leibniz extension)."""
-    return d(e)

@@ -3,8 +3,9 @@
 Two workhorses live here:
 
 * :class:`FractionRREF` -- an incremental reduced row echelon form over
-  exact rationals, used to compute graded dimensions and to express
-  dependent basis symbols in terms of independent ones.
+  exact rationals; :func:`rref_normalize` uses it to describe a quotient of
+  Q^n by its non-pivot columns, expressing dependent basis symbols in terms
+  of independent ones.
 
 * :func:`coker_normalize` -- given integer relation rows inside Z^n, compute
   the cokernel Z^n / rowspan as an explicit abelian group: free and torsion
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Row = dict[int, int]
 QRow = dict[int, Fraction]
@@ -81,13 +82,6 @@ class FractionRREF:
         return {c: -v for c, v in row.items() if c != column}
 
 
-def rational_rank(rows: Sequence[Mapping[int, Fraction]]) -> int:
-    rref = FractionRREF()
-    for row in rows:
-        rref.add_row(row)
-    return rref.rank
-
-
 def _content_reduced(row: Row) -> Row:
     g = 0
     for v in row.values():
@@ -136,39 +130,41 @@ class FractionFreeEliminator:
         return False
 
 
-def fraction_free_rank(rows: Sequence[Mapping[int, int]]) -> int:
-    elim = FractionFreeEliminator()
+@dataclass
+class CokerResult:
+    """Normal form of Z^ncols / rowspan(rows), or of Q^ncols / rowspan(rows).
+
+    ``invariants[k]`` describes new generator ``k``: 0 for a free summand,
+    ``s >= 2`` for a Z/s summand (never over Q).  ``expansions[c]`` writes
+    the image of the original basis vector ``e_c`` over the new generators.
+    ``matrix_rank`` is the rank of the input matrix over Q.
+    """
+
+    invariants: list[int]
+    expansions: list[dict[int, int | Fraction]]
+    matrix_rank: int
+
+
+def rref_normalize(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> CokerResult:
+    """Describe Q^ncols modulo the span of the given rows.
+
+    The new generators are the non-pivot columns of the reduced echelon
+    form, in column order; each basis vector expands over them.
+    """
+    rref = FractionRREF()
     for row in rows:
-        elim.add_row(row)
-    return elim.rank
+        rref.add_row(row)
+    pivots = rref.pivot_columns
+    basis = {c: k for k, c in enumerate(c for c in range(ncols) if c not in pivots)}
+    expansions = [
+        {basis[c]: v for c, v in rref.expansion(col).items()} for col in range(ncols)
+    ]
+    return CokerResult(invariants=[0] * len(basis), expansions=expansions, matrix_rank=rref.rank)
 
 
 # ---------------------------------------------------------------------------
 # integer side
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class CokerResult:
-    """Normal form of Z^ncols / rowspan(rows).
-
-    ``invariants[k]`` describes new generator ``k``: 0 for a free Z summand,
-    ``s >= 2`` for a Z/s summand.  ``expansions[c]`` writes the image of the
-    original basis vector ``e_c`` over the new generators.  ``matrix_rank``
-    is the rank of the input matrix over Q.
-    """
-
-    invariants: list[int]
-    expansions: list[Row]
-    matrix_rank: int
-
-    @property
-    def free_rank(self) -> int:
-        return sum(1 for s in self.invariants if s == 0)
-
-    @property
-    def torsion(self) -> list[int]:
-        return [s for s in self.invariants if s > 1]
 
 
 def _reduce_against(pivot_rows: dict[int, Row], row: Row) -> Row:
@@ -372,7 +368,3 @@ def coker_normalize(rows: Sequence[Mapping[int, int]], ncols: int) -> CokerResul
 
     matrix_rank = len(pivot_rows) + sum(1 for d in diag if d != 0)
     return CokerResult(invariants=invariants, expansions=expansions, matrix_rank=matrix_rank)
-
-
-def integer_rank(rows: Sequence[Mapping[int, int]], ncols: int) -> int:
-    return coker_normalize(rows, ncols).matrix_rank

@@ -91,7 +91,12 @@ def quotient_dimensions(c: CohomologyPresentation, max_degree: int) -> PoincareS
 
 
 def regular_sequence_check(c: CohomologyPresentation) -> bool:
-    """Finite-dimensionality test for n relations in n variables.
+    """Finite-dimensionality test for n relations in n variables."""
+    return is_regular(c, quotient_dimensions(c, c.socle_degree() + 2))
+
+
+def is_regular(c: CohomologyPresentation, dims: PoincareSeries) -> bool:
+    """Regular-sequence test read from quotient dimensions up to socle + 2.
 
     The quotient is generated in degree 2, so one vanishing even degree past
     the socle bound sum(deg P_j - 2) kills everything above it.
@@ -99,7 +104,6 @@ def regular_sequence_check(c: CohomologyPresentation) -> bool:
     if len(c.relations) != len(c.algebra):
         raise ValueError("relation count differs from variable count")
     socle = c.socle_degree()
-    dims = quotient_dimensions(c, socle + 2)
     return dims.coefficient(socle + 1) == 0 and dims.coefficient(socle + 2) == 0
 
 

@@ -41,10 +41,6 @@ class PoincareSeries:
         return iter(self.coefficients)
 
 
-def from_list(coefficients: Iterable[int]) -> PoincareSeries:
-    return PoincareSeries(tuple(int(c) for c in coefficients))
-
-
 def poly_mul_trunc(a: Sequence[int], b: Sequence[int], max_degree: int) -> list[int]:
     out = [0] * (max_degree + 1)
     for i, ai in enumerate(a):

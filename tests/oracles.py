@@ -3,16 +3,17 @@
 Graded dimensions and Smith data are recomputed here over the full word
 basis of the tensor algebra (rows are all two-sided multiples
 left-word * relation * right-word), with a self-contained dense Smith
-normal form.  This is deliberately different machinery from the package's
-incremental quotient engines, so the two routes check each other.
+normal form; over Q it runs on the rows with their denominators cleared.
+This is deliberately different machinery from the package's incremental
+quotient engine, so the two routes check each other.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from loopalg.enveloping import RingPresentation
-from loopalg.linalg import FractionRREF
 
 
 def words_of_degree(presentation: RingPresentation, degree: int) -> list[tuple[str, ...]]:
@@ -51,12 +52,20 @@ def ideal_rows(presentation: RingPresentation, degree: int):
     return rows, len(index)
 
 
+def _dense_integer(rows, ncols: int) -> list[list[int]]:
+    """Rows as a dense integer matrix, each scaled by its denominators' lcm."""
+    dense = [[0] * ncols for _ in rows]
+    for i, row in enumerate(rows):
+        scale = lcm(*(Fraction(v).denominator for v in row.values()))
+        for c, v in row.items():
+            dense[i][c] = int(v * scale)
+    return dense
+
+
 def brute_graded_dimension(presentation: RingPresentation, degree: int) -> int:
+    """Rank over Q: the count of nonzero invariant factors of the scaled rows."""
     rows, ncols = ideal_rows(presentation, degree)
-    rref = FractionRREF()
-    for row in rows:
-        rref.add_row(row)
-    return ncols - rref.rank
+    return ncols - len(dense_smith_invariants(_dense_integer(rows, ncols)))
 
 
 def dense_smith_invariants(matrix: list[list[int]]) -> list[int]:
@@ -128,11 +137,7 @@ def dense_smith_invariants(matrix: list[list[int]]) -> list[int]:
 def brute_smith(presentation: RingPresentation, degree: int):
     """(free rank, sorted invariant factors > 1) of the degree component."""
     rows, ncols = ideal_rows(presentation, degree)
-    dense = [[0] * ncols for _ in rows]
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            dense[i][c] = int(v)
-    invariants = dense_smith_invariants(dense) if rows else []
+    invariants = dense_smith_invariants(_dense_integer(rows, ncols))
     rank = ncols - len(invariants)
     torsion = [d for d in invariants if d > 1]
     return rank, torsion

@@ -178,3 +178,18 @@ def test_out_file(cache_dir, tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["family"] == "su"
+
+
+def test_corrupt_cache_entry_is_recomputed(cache_dir, capsys):
+    _, fresh, _ = run(capsys, "compute", "--family", "su", "--rank", "2", "--format", "json")
+    (entry,) = cache_dir.glob("*.json")
+    for damaged in (fresh[: len(fresh) // 2], "[1, 2]\n"):
+        entry.write_text(damaged)
+        code, _, err = run(capsys, "report", "--family", "su", "--rank", "2")
+        assert code == 2 and "ignoring cache entry" in err
+        code, out, err = run(
+            capsys, "report", "--family", "su", "--rank", "2", "--compute-missing", "--format", "json"
+        )
+        assert code == 0 and "ignoring cache entry" in err
+        assert out == fresh and entry.read_text() == fresh
+    assert [p.name for p in cache_dir.iterdir()] == [entry.name]

@@ -9,7 +9,12 @@ from fractions import Fraction
 
 import pytest
 
-from loopalg.catalog import catalog_entry, expected_integral_presentation
+from loopalg.catalog import (
+    DEFAULT_CHECKED_RANKS,
+    catalog_entry,
+    default_max_degree,
+    expected_integral_presentation,
+)
 from loopalg.enveloping import (
     BudgetExceededError,
     FreeGradedAlgebra,
@@ -17,6 +22,7 @@ from loopalg.enveloping import (
     graded_dimension,
     graded_dimensions,
     graded_smith,
+    graded_smith_report,
     pbw_series,
     relation_string,
     series_equal,
@@ -231,3 +237,13 @@ def test_integral_catalog_cases_match_brute_force():
             entry = graded_smith(p, d)
             rank_, torsion = brute_smith(p, d)
             assert (entry.rank, list(entry.torsion)) == (rank_, torsion)
+
+
+def test_integral_ranks_equal_rational_dimensions_of_the_same_relations():
+    for family, checked in DEFAULT_CHECKED_RANKS.items():
+        for rank in checked:
+            n = default_max_degree(family)
+            p = expected_integral_presentation(family, rank)
+            as_rational = RingPresentation(p.algebra, p.relations, domain="rational")
+            ranks = graded_smith_report(p, n).ranks()
+            assert ranks == graded_dimensions(as_rational, n).coefficients, (family, rank)
