@@ -41,7 +41,6 @@ class CatalogEntry:
     odd_names: tuple[str, ...]
     dual_names: dict[str, str]
     expected_rational: RingPresentation
-    expected_integral: RingPresentation
     expected_brackets: dict[tuple[str, str], dict[str, int]]
 
 
@@ -447,6 +446,5 @@ def catalog_entry(family: LieFamily, rank: int) -> CatalogEntry:
         odd_names=_odd_names(family, rank),
         dual_names=_dual_names(family, rank),
         expected_rational=expected_rational_presentation(family, rank),
-        expected_integral=expected_integral_presentation(family, rank),
         expected_brackets=_expected_brackets(family, rank),
     )

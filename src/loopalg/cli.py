@@ -38,9 +38,6 @@ from .pipeline import rational_pipeline
 
 SCHEMA_VERSION = 1
 
-# checks that may be skipped without failing verify (expensive quotients)
-OPTIONAL_CHECKS = ("regular_sequence_check", "cohomology_weyl_order")
-
 
 @dataclass
 class RunConfig:
@@ -82,11 +79,8 @@ class UsageError(Exception):
     pass
 
 
-def _integral_presentation(cfg: RunConfig, anticommute: bool | None = None) -> RingPresentation:
-    anti = cfg.f4_anticommute if anticommute is None else anticommute
-    if anti and cfg.family is not LieFamily.F4:
-        raise UsageError("--f4-anticommute only applies to --family f4")
-    p = cat.expected_integral_presentation(cfg.family, cfg.rank, anticommute=anti)
+def _integral_presentation(cfg: RunConfig) -> RingPresentation:
+    p = cat.expected_integral_presentation(cfg.family, cfg.rank, anticommute=cfg.f4_anticommute)
     if cfg.inject_torsion:
         doubled = [2 * p.relations[0]] + list(p.relations[1:])
         p = RingPresentation(p.algebra, doubled, domain="integer")
@@ -192,6 +186,7 @@ def build_verify_report(cfg: RunConfig) -> dict:
     ranks: list[int] = []
     torsion: list[list[int]] = []
     f4_variants: dict[str, dict] | None = None
+    shown = entry.expected_rational
 
     if run_rational:
         uea_dims = graded_dimensions(pipe.presentation, n, cfg.budget)
@@ -215,8 +210,8 @@ def build_verify_report(cfg: RunConfig) -> dict:
         poincare = list(uea_dims)
 
     if run_integer:
-        integral = _integral_presentation(cfg)
-        report = graded_smith_report(integral, n, cfg.budget)
+        shown = _integral_presentation(cfg)
+        report = graded_smith_report(shown, n, cfg.budget)
         ranks = list(report.ranks())
         torsion = [list(t) for t in report.torsion_lists()]
         record(
@@ -234,8 +229,11 @@ def build_verify_report(cfg: RunConfig) -> dict:
             cap = min(n, 8)
             matched_any = False
             for label, anti in (("commuting", False), ("anticommuting", True)):
-                p = cat.expected_integral_presentation(cfg.family, cfg.rank, anticommute=anti)
-                rep = graded_smith_report(p, n, cfg.budget)
+                if anti == cfg.f4_anticommute and not cfg.inject_torsion:
+                    rep = report  # the variant reported above
+                else:
+                    p = cat.expected_integral_presentation(cfg.family, cfg.rank, anticommute=anti)
+                    rep = graded_smith_report(p, n, cfg.budget)
                 matches = list(rep.ranks())[: cap + 1] == list(pbw.prefix(cap))
                 matched_any = matched_any or matches
                 f4_variants[label] = {
@@ -249,7 +247,6 @@ def build_verify_report(cfg: RunConfig) -> dict:
                 "neither commutation variant matches the rational dimensions",
             )
 
-    shown = entry.expected_rational if not run_integer else _integral_presentation(cfg)
     gens, rels = _presentation_json(shown)
     doc = {
         "family": cfg.family.slug,
@@ -501,21 +498,12 @@ def main(argv: list[str] | None = None) -> int:
         # verify
         doc = build_verify_report(cfg)
         emit(cfg, doc)
-        executed_ok = all(
-            value is True or value == "skipped" for value in doc["checks"].values()
-        )
-        mandatory_skipped = any(
-            value == "skipped" and name not in OPTIONAL_CHECKS
-            for name, value in doc["checks"].items()
-        )
-        return 0 if executed_ok and not mandatory_skipped else 1
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return 1 if doc["failures"] else 0
     except BudgetExceededError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except ValueError as err:
+    except (UsageError, ValueError, OSError) as err:
+        # an unusable --out or --cache-dir is a configuration error too
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -1,5 +1,9 @@
 """Finitely presented graded associative algebras and their graded sizes.
 
+The free associative algebra :class:`FreeGradedAlgebra` (elements
+:class:`NcElement`, keyed by words of generator names, multiplied by
+concatenation) shares its generator set, linear structure and grading with
+the graded-commutative algebra through the core in :mod:`loopalg.gca`.
 The main objects are :class:`RingPresentation` (generators plus homogeneous
 noncommutative relations, over exact rationals or integers) and the one
 degreewise engine that measures the quotient algebra, :class:`GradedQuotient`.
@@ -22,11 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from . import linalg, series
-from .gca import Scalar, _as_fraction
+from .gca import GeneratorSet, Polynomial, Scalar
 from .series import PoincareSeries
 
 Word = tuple[str, ...]
@@ -46,71 +49,15 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-class FreeGradedAlgebra:
-    """Free associative algebra on named generators with positive degrees."""
-
-    def __init__(self, generators: Iterable[tuple[str, int]]):
-        gens = tuple((str(n), int(d)) for n, d in generators)
-        names = [n for n, _ in gens]
-        if len(set(names)) != len(names):
-            raise ValueError("generator names must be unique")
-        if any(d <= 0 for _, d in gens):
-            raise ValueError("generator degrees must be positive")
-        self.generators = gens
-        self._degree = dict(gens)
-
-    def degree_of_word(self, word: Word) -> int:
-        return sum(self._degree[name] for name in word)
-
-    def zero(self) -> "NcElement":
-        return NcElement(self, {})
-
-    def one(self) -> "NcElement":
-        return NcElement(self, {(): Fraction(1)})
-
-    def gen(self, name: str) -> "NcElement":
-        if name not in self._degree:
-            raise KeyError(f"unknown generator {name!r}")
-        return NcElement(self, {(name,): Fraction(1)})
-
-    def element(self, terms: Mapping[Word, Scalar]) -> "NcElement":
-        return NcElement(self, {tuple(w): _as_fraction(c) for w, c in terms.items()})
-
-    def same_generators(self, other: "FreeGradedAlgebra") -> bool:
-        return self is other or self.generators == other.generators
-
-
-class NcElement:
+class NcElement(Polynomial):
     """A noncommutative polynomial: word -> coefficient, zeros dropped."""
 
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: FreeGradedAlgebra, terms: Mapping[Word, Fraction]):
-        self.algebra = algebra
-        self.terms = {w: c for w, c in terms.items() if c != 0}
-
-    def _check(self, other: "NcElement") -> None:
-        if not self.algebra.same_generators(other.algebra):
-            raise ValueError("mismatched generator sets")
-
-    def __add__(self, other: "NcElement") -> "NcElement":
-        self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, Fraction(0)) + c
-        return NcElement(self.algebra, terms)
-
-    def __sub__(self, other: "NcElement") -> "NcElement":
-        return self + (-other)
-
-    def __neg__(self) -> "NcElement":
-        return NcElement(self.algebra, {w: -c for w, c in self.terms.items()})
+    __slots__ = ()
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return NcElement(self.algebra, {w: v * c for w, v in self.terms.items()})
-        self._check(other)
+            return self._scaled(other)
+        self._check_compatible(other)
         acc: dict[Word, Fraction] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -118,62 +65,21 @@ class NcElement:
                 acc[w] = acc.get(w, Fraction(0)) + c1 * c2
         return NcElement(self.algebra, acc)
 
-    def __rmul__(self, scalar: Scalar) -> "NcElement":
-        return self * scalar
-
-    def __pow__(self, n: int) -> "NcElement":
-        out = self.algebra.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, NcElement)
-            and self.algebra.same_generators(other.algebra)
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_homogeneous(self) -> bool:
-        return len({self.algebra.degree_of_word(w) for w in self.terms}) <= 1
-
-    def degree(self):
-        degrees = {self.algebra.degree_of_word(w) for w in self.terms}
-        if not degrees:
-            return None
-        if len(degrees) > 1:
-            raise ValueError("element is not homogeneous")
-        return degrees.pop()
-
-    def content_normalized(self) -> "NcElement":
-        """Scale to primitive integer coefficients with positive leading term."""
-        if not self.terms:
-            return self
-        denominators = [c.denominator for c in self.terms.values()]
-        lcm = 1
-        for d in denominators:
-            lcm = lcm * d // gcd(lcm, d)
-        numerators = [abs(c.numerator * (lcm // c.denominator)) for c in self.terms.values()]
-        g = 0
-        for n in numerators:
-            g = gcd(g, n)
-        scale = Fraction(lcm, g if g else 1)
-        lead = min(self.terms)
-        if self.terms[lead] * scale < 0:
-            scale = -scale
-        return NcElement(self.algebra, {w: c * scale for w, c in self.terms.items()})
-
     def __repr__(self) -> str:
         return relation_string(self) if self.terms else "0"
+
+
+class FreeGradedAlgebra(GeneratorSet):
+    """Free associative algebra on named generators; monomials are words of names."""
+
+    __slots__ = ()
+    element_class = NcElement
+
+    def key_of(self, letters) -> Word:
+        return tuple(self._gens[g][0] for g in letters)
+
+    def key_degree(self, word: Word) -> int:
+        return sum(self._degrees[self._index[name]] for name in word)
 
 
 def relation_string(element: NcElement) -> str:
@@ -182,7 +88,7 @@ def relation_string(element: NcElement) -> str:
     if not norm.terms:
         return "0"
     parts = []
-    for word in sorted(norm.terms, key=lambda w: (norm.algebra.degree_of_word(w), w)):
+    for word in sorted(norm.terms, key=lambda w: (norm.algebra.key_degree(w), w)):
         c = norm.terms[word]
         body = ".".join(word) if word else "1"
         text = f"{abs(int(c))}*{body}"

@@ -1,22 +1,29 @@
-"""Exact graded-commutative polynomial algebra with Koszul signs.
+"""Exact graded polynomial algebras on named generators.
 
-Elements live in a free graded-commutative algebra on a fixed, ordered list
-of generators.  Even-degree generators commute and carry arbitrary
-exponents; odd-degree generators square to zero and anticommute among
-themselves.  Coefficients are exact rationals (`fractions.Fraction`); no
-floating point appears anywhere in this package.
+Two algebras share one core here.  A :class:`GeneratorSet` holds the
+ordered ``(name, degree)`` generators; a :class:`Polynomial` is a map from
+keys to exact rational coefficients (`fractions.Fraction`; no floating
+point appears anywhere in this package) with the linear structure and the
+grading.  A concrete algebra fixes only its keys and how two keys multiply:
 
-A monomial is stored as an exponent tuple over the generator list.  The
-declaration order of the generators fixes the canonical monomial form, so
-every operation is deterministic and elements can be compared literally.
+* :class:`GradedAlgebra` / :class:`GcaElement` -- the free graded-commutative
+  algebra.  A key is an exponent tuple over the generator list; even-degree
+  generators commute and carry arbitrary exponents, odd-degree generators
+  square to zero and anticommute among themselves (Koszul signs).
+* the free associative algebra of :mod:`loopalg.enveloping`, whose keys are
+  words of generator names and whose product is concatenation.
+
+The declaration order of the generators fixes the canonical key of every
+monomial, so every operation is deterministic and elements can be compared
+literally.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from math import gcd, lcm
+from typing import Hashable, Iterable, Mapping, Sequence, Union
 
-Coefficient = Fraction
 Monomial = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
@@ -52,15 +59,112 @@ def koszul_sign(permutation: Sequence[int], degrees: Sequence[int]) -> int:
     return sign
 
 
-class GradedAlgebra:
-    """A free graded-commutative algebra on named generators.
+# ---------------------------------------------------------------------------
+# the shared core
+# ---------------------------------------------------------------------------
 
-    Generators are ``(name, degree)`` pairs with positive integer degrees;
-    names must be unique.  The instance only carries the generator data --
-    elements are :class:`GcaElement` objects pointing back at it.
+
+class Polynomial:
+    """A key-to-coefficient map over a :class:`GeneratorSet`.
+
+    Immutable by convention; all operations return fresh elements of the same
+    class.  Zero coefficients are never stored.  Subclasses define the
+    product of two elements in ``__mul__``, which hands scalars to
+    :meth:`_scaled`.
     """
 
-    __slots__ = ("_gens", "_index", "_degrees", "_odd")
+    __slots__ = ("algebra", "terms")
+
+    def __init__(self, algebra: "GeneratorSet", terms: Mapping[Hashable, Fraction]):
+        self.algebra = algebra
+        self.terms = {k: c for k, c in terms.items() if c != 0}
+
+    def _check_compatible(self, other: "Polynomial") -> None:
+        if not self.algebra.same_generators(other.algebra):
+            raise ValueError("mismatched generator sets")
+
+    # -- linear structure ------------------------------------------------------
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            terms[k] = terms.get(k, Fraction(0)) + c
+        return type(self)(self.algebra, terms)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)(self.algebra, {k: -c for k, c in self.terms.items()})
+
+    def _scaled(self, scalar: Scalar):
+        c = _as_fraction(scalar)
+        return type(self)(self.algebra, {k: v * c for k, v in self.terms.items()})
+
+    def __rmul__(self, scalar: Scalar):
+        return self * scalar
+
+    def __pow__(self, exponent: int):
+        if exponent < 0:
+            raise ValueError("negative powers are not defined here")
+        out = self.algebra.one()
+        for _ in range(exponent):
+            out = out * self
+        return out
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.algebra.same_generators(other.algebra)
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    # -- grading ---------------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def is_homogeneous(self) -> bool:
+        return len({self.algebra.key_degree(k) for k in self.terms}) <= 1
+
+    def degree(self):
+        """Degree of a homogeneous element; None for zero."""
+        degrees = {self.algebra.key_degree(k) for k in self.terms}
+        if not degrees:
+            return None
+        if len(degrees) > 1:
+            raise ValueError("element is not homogeneous")
+        return degrees.pop()
+
+    def content_normalized(self):
+        """Scale to primitive integer coefficients with a positive leading term."""
+        if not self.terms:
+            return self
+        coeffs = self.terms.values()
+        scale = Fraction(lcm(*(c.denominator for c in coeffs)))
+        scale /= gcd(*((c * scale).numerator for c in coeffs))
+        if self.terms[min(self.terms)] < 0:
+            scale = -scale
+        return type(self)(self.algebra, {k: c * scale for k, c in self.terms.items()})
+
+
+class GeneratorSet:
+    """Named generators with positive integer degrees; names must be unique.
+
+    The instance only carries the generator data -- elements are instances of
+    ``element_class`` pointing back at it.  Subclasses fix the keys through
+    :meth:`key_of` and their degrees through :meth:`key_degree`.
+    """
+
+    __slots__ = ("_gens", "_index", "_degrees")
+    element_class: type[Polynomial]
 
     def __init__(self, generators: Iterable[tuple[str, int]]):
         gens = tuple((str(name), int(degree)) for name, degree in generators)
@@ -73,7 +177,6 @@ class GradedAlgebra:
         self._gens = gens
         self._index = {name: i for i, (name, _) in enumerate(gens)}
         self._degrees = tuple(d for _, d in gens)
-        self._odd = tuple(i for i, d in enumerate(self._degrees) if d % 2 == 1)
 
     @property
     def generators(self) -> tuple[tuple[str, int], ...]:
@@ -92,33 +195,99 @@ class GradedAlgebra:
         except KeyError:
             raise KeyError(f"unknown generator {name!r}") from None
 
-    def same_generators(self, other: "GradedAlgebra") -> bool:
-        return self is other or self._gens == other._gens
+    def same_generators(self, other: "GeneratorSet") -> bool:
+        return self is other or (type(self) is type(other) and self._gens == other._gens)
+
+    def key_of(self, letters: Sequence[int]) -> Hashable:
+        """Key of the monomial with the given generator indices, in order."""
+        raise NotImplementedError
+
+    def key_degree(self, key: Hashable) -> int:
+        raise NotImplementedError
 
     # -- element constructors ------------------------------------------------
 
-    def zero(self) -> "GcaElement":
-        return GcaElement(self, {})
+    def zero(self):
+        return self.element_class(self, {})
 
-    def one(self) -> "GcaElement":
-        return GcaElement(self, {(0,) * len(self._gens): Fraction(1)})
+    def one(self):
+        return self.element_class(self, {self.key_of(()): Fraction(1)})
 
-    def gen(self, name: str) -> "GcaElement":
-        mono = [0] * len(self._gens)
-        mono[self.index(name)] = 1
-        return GcaElement(self, {tuple(mono): Fraction(1)})
+    def gen(self, name: str):
+        return self.element_class(self, {self.key_of((self.index(name),)): Fraction(1)})
 
-    def element(self, terms: Mapping[Monomial, Scalar]) -> "GcaElement":
-        return GcaElement(self, {tuple(m): _as_fraction(c) for m, c in terms.items()})
+    def element(self, terms: Mapping[Hashable, Scalar]):
+        return self.element_class(self, {tuple(k): _as_fraction(c) for k, c in terms.items()})
 
-    def monomial(self, letters: Sequence[str]) -> "GcaElement":
-        """Product of the named generators, in the given order (with sign)."""
-        out = self.one()
-        for name in letters:
-            out = out * self.gen(name)
+
+# ---------------------------------------------------------------------------
+# the graded-commutative algebra
+# ---------------------------------------------------------------------------
+
+
+class GcaElement(Polynomial):
+    """An element of a :class:`GradedAlgebra`: a monomial-to-coefficient map."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other)
+        self._check_compatible(other)
+        acc: dict[Monomial, Fraction] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                hit = self.algebra._mul_monomials(m1, m2)
+                if hit is None:
+                    continue
+                sign, mono = hit
+                acc[mono] = acc.get(mono, Fraction(0)) + sign * c1 * c2
+        return GcaElement(self.algebra, acc)
+
+    def word_length_component(self, length: int) -> "GcaElement":
+        return GcaElement(
+            self.algebra, {m: c for m, c in self.terms.items() if sum(m) == length}
+        )
+
+    def letters(self, mono: Monomial) -> list[int]:
+        """Expand a monomial into its generator indices, canonical order."""
+        out: list[int] = []
+        for i, e in enumerate(mono):
+            out.extend([i] * e)
         return out
 
-    def monomial_degree(self, mono: Monomial) -> int:
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "0"
+        names = self.algebra.names
+        parts = []
+        for mono in sorted(self.terms):
+            c = self.terms[mono]
+            factors = [
+                f"{names[i]}^{e}" if e > 1 else names[i] for i, e in enumerate(mono) if e
+            ]
+            body = "*".join(factors) if factors else "1"
+            parts.append(f"({c})*{body}")
+        return " + ".join(parts)
+
+
+class GradedAlgebra(GeneratorSet):
+    """A free graded-commutative algebra; monomials are exponent tuples."""
+
+    __slots__ = ("_odd",)
+    element_class = GcaElement
+
+    def __init__(self, generators: Iterable[tuple[str, int]]):
+        super().__init__(generators)
+        self._odd = tuple(i for i, d in enumerate(self._degrees) if d % 2 == 1)
+
+    def key_of(self, letters: Sequence[int]) -> Monomial:
+        mono = [0] * len(self._gens)
+        for g in letters:
+            mono[g] += 1
+        return tuple(mono)
+
+    def key_degree(self, mono: Monomial) -> int:
         return sum(e * d for e, d in zip(mono, self._degrees))
 
     def monomials_of_degree(self, degree: int) -> list[Monomial]:
@@ -155,125 +324,6 @@ class GradedAlgebra:
                 if crossings % 2:
                     sign = -sign
         return sign, tuple(a + b for a, b in zip(m1, m2))
-
-
-class GcaElement:
-    """An element of a :class:`GradedAlgebra`: a monomial-to-coefficient map.
-
-    Immutable by convention; all operations return fresh elements.  Zero
-    coefficients are never stored.
-    """
-
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: GradedAlgebra, terms: Mapping[Monomial, Fraction]):
-        self.algebra = algebra
-        self.terms = {m: c for m, c in terms.items() if c != 0}
-
-    # -- ring structure -------------------------------------------------------
-
-    def _check_compatible(self, other: "GcaElement") -> None:
-        if not self.algebra.same_generators(other.algebra):
-            raise ValueError("mismatched generator sets")
-
-    def __add__(self, other: "GcaElement") -> "GcaElement":
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return GcaElement(self.algebra, terms)
-
-    def __sub__(self, other: "GcaElement") -> "GcaElement":
-        return self + (-other)
-
-    def __neg__(self) -> "GcaElement":
-        return GcaElement(self.algebra, {m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return GcaElement(self.algebra, {m: v * c for m, v in self.terms.items()})
-        self._check_compatible(other)
-        acc: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                hit = self.algebra._mul_monomials(m1, m2)
-                if hit is None:
-                    continue
-                sign, mono = hit
-                acc[mono] = acc.get(mono, Fraction(0)) + sign * c1 * c2
-        return GcaElement(self.algebra, acc)
-
-    def __rmul__(self, scalar: Scalar) -> "GcaElement":
-        return self * scalar
-
-    def __pow__(self, exponent: int) -> "GcaElement":
-        if exponent < 0:
-            raise ValueError("negative powers are not defined here")
-        out = self.algebra.one()
-        for _ in range(exponent):
-            out = out * self
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GcaElement)
-            and self.algebra.same_generators(other.algebra)
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    # -- grading ---------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_homogeneous(self) -> bool:
-        degrees = {self.algebra.monomial_degree(m) for m in self.terms}
-        return len(degrees) <= 1
-
-    def degree(self):
-        """Degree of a homogeneous element; None for zero."""
-        degrees = {self.algebra.monomial_degree(m) for m in self.terms}
-        if not degrees:
-            return None
-        if len(degrees) > 1:
-            raise ValueError("element is not homogeneous")
-        return degrees.pop()
-
-    def word_length_component(self, length: int) -> "GcaElement":
-        return GcaElement(
-            self.algebra, {m: c for m, c in self.terms.items() if sum(m) == length}
-        )
-
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
-
-    def letters(self, mono: Monomial) -> list[int]:
-        """Expand a monomial into its generator indices, canonical order."""
-        out: list[int] = []
-        for i, e in enumerate(mono):
-            out.extend([i] * e)
-        return out
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        names = self.algebra.names
-        parts = []
-        for mono in sorted(self.terms):
-            c = self.terms[mono]
-            factors = [
-                f"{names[i]}^{e}" if e > 1 else names[i] for i, e in enumerate(mono) if e
-            ]
-            body = "*".join(factors) if factors else "1"
-            parts.append(f"({c})*{body}")
-        return " + ".join(parts)
 
 
 class Derivation:
@@ -325,18 +375,11 @@ class Derivation:
                 image = self._images[g]
                 if not image.is_zero():
                     sign = -1 if prefix_degree % 2 else 1
-                    left = _monomial_from_letters(alg, letters[:pos])
-                    right = _monomial_from_letters(alg, letters[pos + 1 :])
+                    left = GcaElement(alg, {alg.key_of(letters[:pos]): Fraction(1)})
+                    right = GcaElement(alg, {alg.key_of(letters[pos + 1 :]): Fraction(1)})
                     result = result + left * image * right * (sign * coeff)
                 prefix_degree += degrees[g]
         return result
 
     def squares_to_zero(self) -> bool:
         return all(self(self._images[i]).is_zero() for i in range(len(self.algebra)))
-
-
-def _monomial_from_letters(alg: GradedAlgebra, letters: Sequence[int]) -> GcaElement:
-    mono = [0] * len(alg)
-    for g in letters:
-        mono[g] += 1
-    return GcaElement(alg, {tuple(mono): Fraction(1)})

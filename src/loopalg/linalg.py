@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 Row = dict[int, int]
@@ -85,19 +86,12 @@ class FractionRREF:
 def _content_reduced(row: Row) -> Row:
     g = 0
     for v in row.values():
-        g = _gcd(g, v)
+        g = gcd(g, v)
         if g == 1:
             return row
     if g > 1:
         return {c: v // g for c, v in row.items()}
     return row
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class FractionFreeEliminator:
@@ -119,7 +113,7 @@ class FractionFreeEliminator:
                 self._pivots[col] = _content_reduced(r)
                 return True
             a, b = pivot[col], r[col]
-            g = _gcd(a, b)
+            g = gcd(a, b)
             ma, mb = a // g, b // g
             merged: Row = {}
             for c in set(r) | set(pivot):

@@ -11,8 +11,6 @@ cohomology.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 
 from . import linalg
 from .gca import Derivation, GcaElement, GradedAlgebra
@@ -63,6 +61,8 @@ def quotient_dimensions(c: CohomologyPresentation, max_degree: int) -> PoincareS
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     alg = c.algebra
+    # primitive integer relations make every row m * P_j integral
+    relations = [rel.content_normalized() for rel in c.relations]
     dims = []
     for d in range(max_degree + 1):
         monomials = alg.monomials_of_degree(d)
@@ -71,20 +71,14 @@ def quotient_dimensions(c: CohomologyPresentation, max_degree: int) -> PoincareS
             continue
         index = {m: i for i, m in enumerate(monomials)}
         elim = linalg.FractionFreeEliminator()
-        for rel in c.relations:
+        for rel in relations:
             e = rel.degree()
             if e > d:
                 continue
             for m in alg.monomials_of_degree(d - e):
-                shifted = alg.element({m: Fraction(1)}) * rel
-                scale = 1
-                for coeff in shifted.terms.values():
-                    scale = scale * coeff.denominator // gcd(scale, coeff.denominator)
+                shifted = alg.element({m: 1}) * rel
                 elim.add_row(
-                    {
-                        index[mono]: int(coeff * scale)
-                        for mono, coeff in shifted.terms.items()
-                    }
+                    {index[mono]: coeff.numerator for mono, coeff in shifted.terms.items()}
                 )
         dims.append(len(monomials) - elim.rank)
     return PoincareSeries(tuple(dims))

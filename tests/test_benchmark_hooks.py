@@ -4,18 +4,39 @@ import importlib
 import weakref
 from pathlib import Path
 
-from loopalg.catalog import expected_rational_presentation
+from loopalg import enveloping, minimal_model
+from loopalg.catalog import cohomology_presentation, expected_rational_presentation
 from loopalg.families import LieFamily
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_traced_names_resolve(monkeypatch):
+def _tracing(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    tracing = importlib.import_module("tracing")
+    return importlib.import_module("tracing")
+
+
+def test_traced_names_resolve(monkeypatch):
+    tracing = _tracing(monkeypatch)
     for module, function in tracing.SPAN_FUNCTIONS:
         assert callable(getattr(importlib.import_module(f"loopalg.{module}"), function))
     for module, cls, method in tracing.LEAF_METHODS:
         assert method in vars(getattr(importlib.import_module(f"loopalg.{module}"), cls))
     # the tracer remembers presentations weakly
     weakref.ref(expected_rational_presentation(LieFamily.SU, 2))
+
+
+def test_traced_row_counts_match_the_rows_eliminated(monkeypatch):
+    """The eliminators see exactly the rows the tracer derives from the results."""
+    tracer = _tracing(monkeypatch).Tracer()
+    cohomology = cohomology_presentation(LieFamily.SU, 3)
+    presentation = expected_rational_presentation(LieFamily.SU, 3)
+    tracer.install()
+    try:
+        minimal_model.quotient_dimensions(cohomology, cohomology.socle_degree() + 2)
+        enveloping.graded_dimensions(presentation, 8)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics(entries_built=0)
+    assert metrics["linalg.ffe_rows"] == metrics["minimal_model.rows"] > 0
+    assert metrics["linalg.rref_rows"] == metrics["enveloping.rational_rows"] > 0

@@ -193,3 +193,20 @@ def test_corrupt_cache_entry_is_recomputed(cache_dir, capsys):
         assert code == 0 and "ignoring cache entry" in err
         assert out == fresh and entry.read_text() == fresh
     assert [p.name for p in cache_dir.iterdir()] == [entry.name]
+
+
+def test_unusable_cache_dir_is_a_config_error(cache_dir, tmp_path, capsys):
+    blocker = tmp_path / "regular-file"
+    blocker.write_text("")
+    code, out, err = run(
+        capsys, "compute", "--family", "su", "--rank", "1", "--cache-dir", str(blocker / "c")
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_unwritable_out_is_a_config_error(cache_dir, tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, "compute", "--family", "su", "--rank", "1", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and not target.exists()

@@ -1,10 +1,12 @@
-"""Graded-commutative algebra core: signs, Leibniz, exactness."""
+"""Polynomial core: graded-commutative signs, Leibniz, the free algebra, exactness."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loopalg.enveloping import FreeGradedAlgebra
 from loopalg.gca import Derivation, GradedAlgebra, koszul_sign
 
 
@@ -46,6 +48,20 @@ def test_mismatched_generator_sets():
     b = algebra(("w", 2))
     with pytest.raises(ValueError):
         a.gen("u") * b.gen("w")
+
+
+def test_negative_powers_rejected():
+    for alg in (algebra(("u", 2)), FreeGradedAlgebra([("u", 2)])):
+        with pytest.raises(ValueError):
+            alg.gen("u") ** -1
+
+
+def test_algebras_of_different_kinds_do_not_mix():
+    commutative = algebra(("u", 2))
+    free = FreeGradedAlgebra([("u", 2)])
+    assert commutative.gen("u") != free.gen("u")
+    with pytest.raises(ValueError):
+        commutative.gen("u") + free.gen("u")
 
 
 def test_koszul_sign_identity_and_swaps():
@@ -175,3 +191,61 @@ def test_integer_inputs_stay_integral(p, q):
     product = p * q
     for coeff in product.terms.values():
         assert coeff.denominator == 1
+
+
+# -- the free associative algebra on the same core ------------------------------
+
+FREE = FreeGradedAlgebra((("x", 1), ("y", 2), ("z", 3)))
+
+
+@st.composite
+def free_elements(draw):
+    words = st.lists(st.sampled_from(FREE.names), max_size=3).map(tuple)
+    picked = draw(st.lists(words, min_size=1, max_size=3, unique=True))
+    coeffs = draw(
+        st.lists(
+            st.integers(min_value=-4, max_value=4).filter(lambda c: c != 0),
+            min_size=len(picked),
+            max_size=len(picked),
+        )
+    )
+    return FREE.element(dict(zip(picked, coeffs)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(free_elements(), free_elements(), free_elements())
+def test_free_associativity(p, q, r):
+    assert (p * q) * r == p * (q * r)
+
+
+@settings(max_examples=120, deadline=None)
+@given(free_elements(), free_elements(), free_elements())
+def test_free_distributivity(p, q, r):
+    assert p * (q + r) == p * q + p * r
+    assert (p + q) * r == p * r + q * r
+
+
+@settings(max_examples=120, deadline=None)
+@given(free_elements(), free_elements())
+def test_free_integer_inputs_stay_integral(p, q):
+    for coeff in (p * q - 3 * q).terms.values():
+        assert coeff.denominator == 1
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(homogeneous_elements(), free_elements()),
+    st.integers(min_value=-6, max_value=6).filter(lambda c: c != 0),
+    st.integers(min_value=1, max_value=6),
+)
+def test_content_normalized_is_primitive_and_idempotent(p, numerator, denominator):
+    scaled = p * Fraction(numerator, denominator)
+    norm = scaled.content_normalized()
+    assert norm.content_normalized() == norm
+    assert all(c.denominator == 1 for c in norm.terms.values())
+    assert gcd(*(c.numerator for c in norm.terms.values())) == 1
+    lead = min(norm.terms)
+    assert norm.terms[lead] > 0
+    # a nonzero rational multiple of the input
+    assert norm == p * (norm.terms[lead] / p.terms[lead])
+    assert p.algebra.zero().content_normalized().is_zero()

@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from loopalg.linalg import coker_normalize, rref_normalize
+from loopalg.linalg import FractionFreeEliminator, coker_normalize, rref_normalize
 
 from oracles import dense_smith_invariants
 
@@ -42,3 +42,12 @@ def test_coker_normalize_matches_dense_smith(case):
         image = _image(result, row)
         assert all(x % s == 0 if s else x == 0 for x, s in zip(image, result.invariants))
         assert not any(_image(rational, row))
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices())
+def test_fraction_free_rank_matches_dense_smith(case):
+    dense, _ = case
+    elim = FractionFreeEliminator()
+    raised = [elim.add_row({c: v for c, v in enumerate(r) if v}) for r in dense]
+    assert elim.rank == len(dense_smith_invariants(dense)) == sum(raised)
