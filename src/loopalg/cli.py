@@ -60,19 +60,19 @@ class RunConfig:
             return self.max_degree
         return cat.default_max_degree(self.family)
 
+    def identity(self) -> dict:
+        """The fields that name a report: they lead the report and key its cache entry."""
+        return {
+            "family": self.family.slug,
+            "rank": self.rank,
+            "coeffs": self.coeffs,
+            "max_degree": self.degree,
+            "schema_version": SCHEMA_VERSION,
+        }
+
     def cache_key(self) -> str:
-        payload = json.dumps(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "family": self.family.slug,
-                "rank": self.rank,
-                "coeffs": self.coeffs,
-                "max_degree": self.degree,
-                "f4_anticommute": self.f4_anticommute,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:24]
+        payload = {**self.identity(), "f4_anticommute": self.f4_anticommute}
+        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:24]
 
 
 class UsageError(Exception):
@@ -87,189 +87,136 @@ def _integral_presentation(cfg: RunConfig) -> RingPresentation:
     return p
 
 
-def _presentation_json(p: RingPresentation) -> tuple[list[dict], list[str]]:
-    gens = [{"name": n, "degree": d} for n, d in p.generators]
-    rels = [relation_string(r) for r in p.relations]
-    return gens, rels
+def build_report(cfg: RunConfig, verify: bool = False) -> dict:
+    """The compute report; ``verify`` adds the cross-checks and their ``failures``.
 
-
-def build_compute_report(cfg: RunConfig) -> dict:
-    entry = cat.catalog_entry(cfg.family, cfg.rank)
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    pipe = rational_pipeline(entry, check_regular=False)
-    timings["pipeline"] = time.perf_counter() - t0
-    checks: dict[str, object] = {
-        "derivation_square_check": derivation_square_check(pipe.model),
-        "graded_lie_axioms_check": graded_lie_axioms_check(pipe.lie_algebra),
-    }
-    n = cfg.degree
-    if cfg.coeffs == "rational":
-        shown = entry.expected_rational
-        t0 = time.perf_counter()
-        poincare = list(graded_dimensions(pipe.presentation, n, cfg.budget))
-        timings["graded_dimension"] = time.perf_counter() - t0
-        ranks: list[int] = []
-        torsion: list[list[int]] = []
-    else:
-        shown = _integral_presentation(cfg)
-        t0 = time.perf_counter()
-        report = graded_smith_report(shown, n, cfg.budget)
-        timings["graded_smith"] = time.perf_counter() - t0
-        poincare = list(pbw_series(pipe.lie_algebra, n))
-        ranks = list(report.ranks())
-        torsion = [list(t) for t in report.torsion_lists()]
-        checks["torsion_free_check"] = report.torsion_free()
-    if cfg.verbose:
-        for stage, seconds in timings.items():
-            print(f"timing {stage}: {seconds:.3f}s", file=sys.stderr)
-    gens, rels = _presentation_json(shown)
-    doc = {
-        "family": cfg.family.slug,
-        "rank": cfg.rank,
-        "coeffs": cfg.coeffs,
-        "max_degree": n,
-        "generators": gens,
-        "relations": rels,
-        "poincare": poincare,
-        "ranks": ranks,
-        "torsion": torsion,
-        "checks": checks,
-        "schema_version": SCHEMA_VERSION,
-    }
-    return doc
-
-
-def build_verify_report(cfg: RunConfig) -> dict:
+    The rational dimensions are computed unless ``coeffs`` is integer and the
+    integral Smith report unless it is rational, so verify's default ``both``
+    runs the two.  ``poincare`` holds the rational dimensions when they were
+    computed and the PBW series otherwise.
+    """
     entry = cat.catalog_entry(cfg.family, cfg.rank)
     n = cfg.degree
     checks: dict[str, object] = {}
     failures: dict[str, str] = {}
+    timings: dict[str, float] = {}
 
     def record(name: str, ok: bool, detail: str = "") -> None:
         checks[name] = bool(ok)
         if not ok:
             failures[name] = detail or "mismatch"
 
-    run_rational = cfg.coeffs in ("rational", "both")
-    run_integer = cfg.coeffs in ("integer", "both")
+    def timed(stage: str, run, *args):
+        t0 = time.perf_counter()
+        result = run(*args)
+        timings[stage] = time.perf_counter() - t0
+        return result
 
-    pipe = rational_pipeline(entry, check_regular=False)
+    pipe = timed("pipeline", rational_pipeline, entry)
     record("derivation_square_check", derivation_square_check(pipe.model))
     record("graded_lie_axioms_check", graded_lie_axioms_check(pipe.lie_algebra))
-
-    got = {k: dict(v) for k, v in pipe.lie_algebra.brackets.items()}
-    want = {k: {z: c for z, c in v.items()} for k, v in entry.expected_brackets.items()}
-    record(
-        "brackets_match_expected",
-        got == want,
-        "computed bracket table differs from the catalog table",
-    )
-
-    slow = cfg.family in cat.SLOW_COHOMOLOGY_FAMILIES and not cfg.check_cohomology
-    if slow:
-        checks["regular_sequence_check"] = "skipped"
-        checks["cohomology_weyl_order"] = "skipped"
-    else:
-        socle = entry.cohomology.socle_degree()
-        dims = quotient_dimensions(entry.cohomology, socle + 2)
-        record("regular_sequence_check", is_regular(entry.cohomology, dims))
-        total = sum(dims.prefix(socle))
+    if verify:
+        got = {k: dict(v) for k, v in pipe.lie_algebra.brackets.items()}
+        want = {k: dict(v) for k, v in entry.expected_brackets.items()}
         record(
-            "cohomology_weyl_order",
-            total == entry.weyl_order,
-            f"quotient total {total} != weyl order {entry.weyl_order}",
+            "brackets_match_expected",
+            got == want,
+            "computed bracket table differs from the catalog table",
         )
+        if cfg.family in cat.SLOW_COHOMOLOGY_FAMILIES and not cfg.check_cohomology:
+            checks["regular_sequence_check"] = checks["cohomology_weyl_order"] = "skipped"
+        else:
+            socle = entry.cohomology.socle_degree()
+            dims = quotient_dimensions(entry.cohomology, socle + 2)
+            record("regular_sequence_check", is_regular(entry.cohomology, dims))
+            total = sum(dims.prefix(socle))
+            record(
+                "cohomology_weyl_order",
+                total == entry.weyl_order,
+                f"quotient total {total} != weyl order {entry.weyl_order}",
+            )
 
     pbw = pbw_series(pipe.lie_algebra, n)
     poincare = list(pbw)
+    if cfg.coeffs != "integer":
+        uea_dims = timed("graded_dimension", graded_dimensions, pipe.presentation, n, cfg.budget)
+        poincare = list(uea_dims)
+        if verify:
+            expected_dims = graded_dimensions(entry.expected_rational, n, cfg.budget)
+            split = cat.splitting_series(cfg.family, cfg.rank, n)
+            record(
+                "uea_matches_expected_rational",
+                series_equal(uea_dims, expected_dims, n),
+                f"pipeline {list(uea_dims)} vs expected {list(expected_dims)}",
+            )
+            record(
+                "pbw_matches_uea",
+                series_equal(pbw, uea_dims, n),
+                f"pbw {list(pbw)} vs linear algebra {list(uea_dims)}",
+            )
+            record(
+                "pbw_matches_splitting",
+                series_equal(pbw, split, n),
+                f"pbw {list(pbw)} vs splitting {list(split)}",
+            )
+
+    shown = entry.expected_rational
     ranks: list[int] = []
     torsion: list[list[int]] = []
-    f4_variants: dict[str, dict] | None = None
-    shown = entry.expected_rational
-
-    if run_rational:
-        uea_dims = graded_dimensions(pipe.presentation, n, cfg.budget)
-        expected_dims = graded_dimensions(entry.expected_rational, n, cfg.budget)
-        split = cat.splitting_series(cfg.family, cfg.rank, n)
-        record(
-            "uea_matches_expected_rational",
-            series_equal(uea_dims, expected_dims, n),
-            f"pipeline {list(uea_dims)} vs expected {list(expected_dims)}",
-        )
-        record(
-            "pbw_matches_uea",
-            series_equal(pbw, uea_dims, n),
-            f"pbw {list(pbw)} vs linear algebra {list(uea_dims)}",
-        )
-        record(
-            "pbw_matches_splitting",
-            series_equal(pbw, split, n),
-            f"pbw {list(pbw)} vs splitting {list(split)}",
-        )
-        poincare = list(uea_dims)
-
-    if run_integer:
+    f4_variants: dict[str, dict] = {}
+    if cfg.coeffs != "rational":
         shown = _integral_presentation(cfg)
-        report = graded_smith_report(shown, n, cfg.budget)
+        report = timed("graded_smith", graded_smith_report, shown, n, cfg.budget)
         ranks = list(report.ranks())
         torsion = [list(t) for t in report.torsion_lists()]
-        record(
-            "torsion_free_check",
-            report.torsion_free(),
-            f"torsion {torsion}",
-        )
-        record(
-            "smith_ranks_match_rational",
-            ranks == list(pbw.prefix(n)),
-            f"ranks {ranks} vs rational {list(pbw.prefix(n))}",
-        )
-        if cfg.family is LieFamily.F4:
-            f4_variants = {}
+        record("torsion_free_check", report.torsion_free(), f"torsion {torsion}")
+        if verify:
+            record(
+                "smith_ranks_match_rational",
+                ranks == list(pbw.prefix(n)),
+                f"ranks {ranks} vs rational {list(pbw.prefix(n))}",
+            )
+        if verify and cfg.family is LieFamily.F4:
             cap = min(n, 8)
-            matched_any = False
             for label, anti in (("commuting", False), ("anticommuting", True)):
                 if anti == cfg.f4_anticommute and not cfg.inject_torsion:
                     rep = report  # the variant reported above
                 else:
                     p = cat.expected_integral_presentation(cfg.family, cfg.rank, anticommute=anti)
                     rep = graded_smith_report(p, n, cfg.budget)
-                matches = list(rep.ranks())[: cap + 1] == list(pbw.prefix(cap))
-                matched_any = matched_any or matches
                 f4_variants[label] = {
                     "ranks": list(rep.ranks()),
                     "torsion": [list(t) for t in rep.torsion_lists()],
-                    "matches_rational": matches,
+                    "matches_rational": list(rep.ranks())[: cap + 1] == list(pbw.prefix(cap)),
                 }
             record(
                 "f4_variant_agreement",
-                matched_any,
+                any(v["matches_rational"] for v in f4_variants.values()),
                 "neither commutation variant matches the rational dimensions",
             )
 
-    gens, rels = _presentation_json(shown)
+    if cfg.verbose:
+        for stage, seconds in timings.items():
+            print(f"timing {stage}: {seconds:.3f}s", file=sys.stderr)
     doc = {
-        "family": cfg.family.slug,
-        "rank": cfg.rank,
-        "coeffs": cfg.coeffs,
-        "max_degree": n,
-        "generators": gens,
-        "relations": rels,
+        **cfg.identity(),
+        "generators": [{"name": name, "degree": d} for name, d in shown.generators],
+        "relations": [relation_string(r) for r in shown.relations],
         "poincare": poincare,
         "ranks": ranks,
         "torsion": torsion,
         "checks": checks,
-        "failures": failures,
-        "schema_version": SCHEMA_VERSION,
     }
-    if f4_variants is not None:
+    if verify:
+        doc["failures"] = failures
+    if f4_variants:
         doc["f4_variants"] = f4_variants
     return doc
 
 
 def build_series_report(cfg: RunConfig) -> dict:
     entry = cat.catalog_entry(cfg.family, cfg.rank)
-    pipe = rational_pipeline(entry, check_regular=False)
+    pipe = rational_pipeline(entry)
     n = cfg.degree
     return {
         "family": cfg.family.slug,
@@ -338,10 +285,9 @@ def cache_directory(cfg: RunConfig) -> Path:
 
 
 def cache_store(cfg: RunConfig, doc: dict) -> Path:
-    """Write the entry through a temporary file, so readers never see half of it."""
-    directory = cache_directory(cfg)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{cfg.cache_key()}.json"
+    """Write the entry into the existing cache directory through a temporary
+    file, so readers never see half of it."""
+    path = cache_directory(cfg) / f"{cfg.cache_key()}.json"
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(render_json(doc))
@@ -352,15 +298,22 @@ def cache_store(cfg: RunConfig, doc: dict) -> Path:
 
 
 def cache_load(cfg: RunConfig) -> dict | None:
-    """The cached report, or None on a miss; an unreadable entry counts as a miss."""
+    """The cached report, or None on a miss.
+
+    An entry that cannot be read, or that names another configuration than
+    ``cfg``, counts as a miss.
+    """
     path = cache_directory(cfg) / f"{cfg.cache_key()}.json"
     if not path.exists():
         return None
     try:
         doc = json.loads(path.read_text())
-        if isinstance(doc, dict):
+        if not isinstance(doc, dict):
+            problem = "not a JSON object"
+        elif any(doc.get(k) != v for k, v in cfg.identity().items()):
+            problem = "written for another configuration"
+        else:
             return doc
-        problem = "not a JSON object"
     except (OSError, ValueError) as err:
         problem = str(err)
     print(f"warning: ignoring cache entry {path}: {problem}", file=sys.stderr)
@@ -444,7 +397,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         raise UsageError("--max-degree must be >= 0")
     if args.budget <= 0:
         raise UsageError("--budget must be positive")
-    if getattr(args, "f4_anticommute", False) and family is not LieFamily.F4:
+    if args.f4_anticommute and family is not LieFamily.F4:
         raise UsageError("--f4-anticommute only applies to --family f4")
     coeffs = args.coeffs
     if args.command == "verify":
@@ -459,11 +412,11 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         fmt=args.fmt,
         out=args.out,
         budget=args.budget,
-        f4_anticommute=getattr(args, "f4_anticommute", False),
+        f4_anticommute=args.f4_anticommute,
         check_cohomology=getattr(args, "check_cohomology", False),
         inject_torsion=getattr(args, "inject_torsion", False),
         cache_dir=args.cache_dir,
-        verbose=getattr(args, "verbose", False),
+        verbose=args.verbose,
     )
 
 
@@ -475,30 +428,31 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if err.code not in (0, None) else 0
     try:
         cfg = _config_from(args)
-        if args.command == "compute":
-            doc = build_compute_report(cfg)
-            cache_store(cfg, doc)
-            emit(cfg, doc)
-            return 0
         if args.command == "series":
             emit(cfg, build_series_report(cfg))
             return 0
+        if args.command == "verify":
+            doc = build_report(cfg, verify=True)
+            emit(cfg, doc)
+            return 1 if doc["failures"] else 0
         if args.command == "report":
             doc = cache_load(cfg)
-            if doc is None:
-                if not args.compute_missing:
-                    raise UsageError(
-                        "no cached result for this configuration; run compute first "
-                        "or pass --compute-missing"
-                    )
-                doc = build_compute_report(cfg)
-                cache_store(cfg, doc)
-            emit(cfg, doc)
-            return 0
-        # verify
-        doc = build_verify_report(cfg)
+            if doc is not None:
+                emit(cfg, doc)
+                return 0
+            if not args.compute_missing:
+                raise UsageError(
+                    "no cached result for this configuration; run compute first "
+                    "or pass --compute-missing"
+                )
+        # compute, or report --compute-missing on a miss: an unusable cache
+        # directory fails before the work, and the entry is written only once
+        # the report was delivered
+        cache_directory(cfg).mkdir(parents=True, exist_ok=True)
+        doc = build_report(cfg)
         emit(cfg, doc)
-        return 1 if doc["failures"] else 0
+        cache_store(cfg, doc)
+        return 0
     except BudgetExceededError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

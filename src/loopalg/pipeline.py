@@ -1,9 +1,11 @@
 """The full rational pipeline for one catalog entry.
 
 cohomology presentation -> minimal model -> quadratic part -> homotopy Lie
-algebra -> enveloping presentation.  The regular-sequence precondition is
-checked by default except for the two families whose commutative quotient
-is expensive (their verification is flag-gated at the command line).
+algebra -> enveloping presentation.  The regular-sequence precondition of
+the cohomology presentation is not checked here: ``verify`` checks it from
+the commutative quotient it builds anyway (flag-gated for the two families
+whose quotient is expensive), and ``build_minimal_model`` checks it when
+called on its own.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .catalog import SLOW_COHOMOLOGY_FAMILIES, CatalogEntry, catalog_entry
+from .catalog import CatalogEntry, catalog_entry
 from .enveloping import RingPresentation, uea_presentation
 from .families import LieFamily
 from .homotopy_lie import HomotopyLieAlgebra, brackets_from_d1
@@ -26,13 +28,9 @@ class PipelineResult:
     presentation: RingPresentation
 
 
-def rational_pipeline(
-    entry: CatalogEntry, check_regular: bool | None = None
-) -> PipelineResult:
-    if check_regular is None:
-        check_regular = entry.family not in SLOW_COHOMOLOGY_FAMILIES
+def rational_pipeline(entry: CatalogEntry) -> PipelineResult:
     model = build_minimal_model(
-        entry.cohomology, odd_names=list(entry.odd_names), check_regular=check_regular
+        entry.cohomology, odd_names=list(entry.odd_names), check_regular=False
     )
     lie = brackets_from_d1(model, entry.dual_names)
     return PipelineResult(
@@ -44,5 +42,5 @@ def rational_pipeline(
 
 
 @lru_cache(maxsize=None)
-def pipeline_for(family: LieFamily, rank: int, check_regular: bool | None = None) -> PipelineResult:
-    return rational_pipeline(catalog_entry(family, rank), check_regular)
+def pipeline_for(family: LieFamily, rank: int) -> PipelineResult:
+    return rational_pipeline(catalog_entry(family, rank))

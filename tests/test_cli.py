@@ -46,9 +46,19 @@ def test_compute_json_schema(cache_dir, capsys):
 
 
 def test_compute_is_byte_identical(cache_dir, capsys):
-    _, first, _ = run(capsys, "compute", "--family", "sp", "--rank", "2", "--format", "json")
-    _, second, _ = run(capsys, "compute", "--family", "sp", "--rank", "2", "--format", "json")
-    assert first == second
+    config = ("--family", "sp", "--rank", "2", "--format", "json")
+    for command in (
+        ("compute", "--coeffs", "rational"),
+        ("compute", "--coeffs", "integer"),
+        ("verify",),
+        ("series",),
+        ("report", "--compute-missing"),
+    ):
+        for entry in cache_dir.glob("*.json"):
+            entry.unlink()  # so report --compute-missing computes once, then hits
+        first = run(capsys, *command, *config)
+        second = run(capsys, *command, *config)
+        assert first[0] == 0 and first == second, command
 
 
 def test_report_requires_cache_or_permission(cache_dir, capsys):
@@ -183,7 +193,12 @@ def test_out_file(cache_dir, tmp_path, capsys):
 def test_corrupt_cache_entry_is_recomputed(cache_dir, capsys):
     _, fresh, _ = run(capsys, "compute", "--family", "su", "--rank", "2", "--format", "json")
     (entry,) = cache_dir.glob("*.json")
-    for damaged in (fresh[: len(fresh) // 2], "[1, 2]\n"):
+    # another configuration's valid report, stored under this one's key
+    run(capsys, "compute", "--family", "su", "--rank", "3", "--format", "json")
+    (other,) = (p for p in cache_dir.glob("*.json") if p != entry)
+    other_report = other.read_text()
+    other.unlink()
+    for damaged in (fresh[: len(fresh) // 2], "[1, 2]\n", other_report):
         entry.write_text(damaged)
         code, _, err = run(capsys, "report", "--family", "su", "--rank", "2")
         assert code == 2 and "ignoring cache entry" in err
@@ -210,3 +225,41 @@ def test_unwritable_out_is_a_config_error(cache_dir, tmp_path, capsys):
     code, out, err = run(capsys, "compute", "--family", "su", "--rank", "1", "--out", str(target))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and not target.exists()
+
+
+def test_failed_out_leaves_no_cache_entry(cache_dir, tmp_path, capsys):
+    code, out, err = run(
+        capsys, "compute", "--family", "su", "--rank", "2", "--out", str(tmp_path)
+    )
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert list(cache_dir.glob("*.json")) == []
+    code, _, err = run(capsys, "report", "--family", "su", "--rank", "2")
+    assert code == 2 and "cached" in err
+
+
+VERIFY_ONLY_CHECKS = {
+    "brackets_match_expected",
+    "regular_sequence_check",
+    "cohomology_weyl_order",
+    "uea_matches_expected_rational",
+    "pbw_matches_uea",
+    "pbw_matches_splitting",
+    "smith_ranks_match_rational",
+    "f4_variant_agreement",
+}
+
+
+@pytest.mark.parametrize("coeffs", ["rational", "integer"])
+@pytest.mark.parametrize("config", [("--family", "su", "--rank", "3"), ("--family", "g2")])
+def test_verify_is_compute_plus_checks(cache_dir, capsys, config, coeffs):
+    args = (*config, "--coeffs", coeffs, "--format", "json")
+    code, out, _ = run(capsys, "verify", *args)
+    assert code == 0
+    verified = json.loads(out)
+    del verified["failures"]
+    verified.pop("f4_variants", None)
+    verified["checks"] = {
+        k: v for k, v in verified["checks"].items() if k not in VERIFY_ONLY_CHECKS
+    }
+    code, out, _ = run(capsys, "compute", *args)
+    assert code == 0 and verified == json.loads(out)
