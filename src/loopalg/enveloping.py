@@ -8,8 +8,8 @@ The main objects are :class:`RingPresentation` (generators plus homogeneous
 noncommutative relations, over exact rationals or integers) and the one
 degreewise engine that measures the quotient algebra, :class:`GradedQuotient`.
 Over Q it yields the graded dimension of each degree component, over Z the
-rank and the Smith invariant factors (torsion); the two differ only in the
-relation coefficients and in how one degree's rows are eliminated.
+rank and the Smith invariant factors (torsion); the two differ only in how
+one degree's rows are eliminated.
 
 The engine works degree by degree.  Writing ``A = T(G)/I`` and letting
 ``A_e`` denote the already-computed lower components, every element of
@@ -179,22 +179,24 @@ class GradedQuotient:
     Each computed degree keeps the invariants of its chosen generators (0 for
     a free summand, ``s >= 2`` for Z/s; over Q every invariant is 0), the
     offsets of the symbol blocks ``(g, w)`` and the expansion of each symbol
-    over the generators.  The domain fixes the relation coefficients and the
-    elimination of one degree's rows: :func:`linalg.rref_normalize` over Q,
-    :func:`linalg.coker_normalize` over Z.  The budget caps the symbols and
-    the rows of each degree: every relation row, zero or not, and the
-    diagonal torsion rows.
+    over the generators.  The domain fixes the elimination of one degree's
+    rows: :func:`linalg.rref_normalize` over Q, :func:`linalg.coker_normalize`
+    over Z.  The budget caps the symbols and the rows of each degree: every
+    relation row, zero or not, and the diagonal torsion rows.
     """
 
     def __init__(self, presentation: RingPresentation, budget: int | None = None):
-        self.presentation = presentation
         self.budget = budget
         alg = presentation.algebra
         self._gen_index = {n: i for i, (n, _) in enumerate(alg.generators)}
         self._gen_degrees = [d for _, d in alg.generators]
         integer = presentation.domain == "integer"
+        # integral coefficients as ints, so both domains do int arithmetic
         self._relations = [
-            (r.degree(), [(w, int(c) if integer else c) for w, c in r.terms.items()])
+            (
+                r.degree(),
+                [(w, c.numerator if c.denominator == 1 else c) for w, c in r.terms.items()],
+            )
             for r in presentation.relations
         ]
         self._eliminate = _integer_eliminate if integer else linalg.rref_normalize

@@ -1,5 +1,9 @@
 """Exact sparse linear algebra over Q and Z.
 
+Every scalar is an ``int`` while it is integral and a ``fractions.Fraction``
+only where a non-unit pivot or a non-integral input forces one; no float
+ever appears.
+
 Two workhorses live here:
 
 * :class:`FractionRREF` -- an incremental reduced row echelon form over
@@ -23,11 +27,24 @@ from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 Row = dict[int, int]
-QRow = dict[int, Fraction]
+Scalar = int | Fraction
+QRow = dict[int, Scalar]
+
+
+def _exact(value: Scalar) -> Scalar:
+    """An integral Fraction as an int; any other value unchanged."""
+    if type(value) is Fraction and value.denominator == 1:
+        return value.numerator
+    return value
 
 
 class FractionRREF:
-    """Incremental sparse RREF over Fraction, deterministic pivot choice."""
+    """Incremental sparse RREF over Q, deterministic pivot choice.
+
+    Entries stay ``int`` while they are integral: a pivot of 1 or -1 scales
+    its row by itself, any other pivot by an exact ``Fraction``, and every
+    integral ``Fraction`` turns back into an int.
+    """
 
     def __init__(self):
         self._pivot_rows: dict[int, QRow] = {}
@@ -40,36 +57,38 @@ class FractionRREF:
     def pivot_columns(self) -> set[int]:
         return set(self._pivot_rows)
 
-    def reduce(self, row: Mapping[int, Fraction]) -> QRow:
+    def reduce(self, row: Mapping[int, Scalar]) -> QRow:
         """Reduce a vector against the current pivots (returns a new dict)."""
-        out: QRow = {c: Fraction(v) for c, v in row.items() if v}
+        out: QRow = {c: v for c, v in row.items() if v}
         for col in sorted(set(out) & set(self._pivot_rows)):
             coeff = out.get(col)
             if not coeff:
                 continue
             for c, v in self._pivot_rows[col].items():
-                nv = out.get(c, Fraction(0)) - coeff * v
+                nv = out.get(c, 0) - coeff * v
                 if nv:
                     out[c] = nv
                 else:
                     out.pop(c, None)
         return out
 
-    def add_row(self, row: Mapping[int, Fraction]) -> bool:
+    def add_row(self, row: Mapping[int, Scalar]) -> bool:
         """Insert a row; returns True when it increased the rank."""
         reduced = self.reduce(row)
         if not reduced:
             return False
         pivot = min(reduced)
-        inv = 1 / reduced[pivot]
-        normalized = {c: v * inv for c, v in reduced.items()}
+        lead = reduced[pivot]
+        # a unit pivot is its own inverse, so its row stays integral
+        inv = lead if lead in (1, -1) else Fraction(1) / lead
+        normalized = {c: _exact(v * inv) for c, v in reduced.items()}
         for other in self._pivot_rows.values():
             coeff = other.get(pivot)
             if coeff:
                 for c, v in normalized.items():
-                    nv = other.get(c, Fraction(0)) - coeff * v
+                    nv = other.get(c, 0) - coeff * v
                     if nv:
-                        other[c] = nv
+                        other[c] = _exact(nv)
                     else:
                         other.pop(c, None)
         self._pivot_rows[pivot] = normalized
@@ -79,7 +98,7 @@ class FractionRREF:
         """Expansion of a basis vector over the non-pivot columns."""
         row = self._pivot_rows.get(column)
         if row is None:
-            return {column: Fraction(1)}
+            return {column: 1}
         return {c: -v for c, v in row.items() if c != column}
 
 
@@ -139,7 +158,7 @@ class CokerResult:
     matrix_rank: int
 
 
-def rref_normalize(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> CokerResult:
+def rref_normalize(rows: Iterable[Mapping[int, Scalar]], ncols: int) -> CokerResult:
     """Describe Q^ncols modulo the span of the given rows.
 
     The new generators are the non-pivot columns of the reduced echelon

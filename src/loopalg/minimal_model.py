@@ -11,6 +11,7 @@ cohomology.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from . import linalg
 from .gca import Derivation, GcaElement, GradedAlgebra
@@ -61,8 +62,13 @@ def quotient_dimensions(c: CohomologyPresentation, max_degree: int) -> PoincareS
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     alg = c.algebra
-    # primitive integer relations make every row m * P_j integral
-    relations = [rel.content_normalized() for rel in c.relations]
+    # primitive integer relations make every row m * P_j integral; with all
+    # generators of degree 2 there are no Koszul signs, so m * P_j just adds
+    # the exponents of m to each term of P_j
+    relations = []
+    for rel in c.relations:
+        terms = rel.content_normalized().terms
+        relations.append((rel.degree(), [(k, v.numerator) for k, v in terms.items()]))
     dims = []
     for d in range(max_degree + 1):
         monomials = alg.monomials_of_degree(d)
@@ -71,15 +77,11 @@ def quotient_dimensions(c: CohomologyPresentation, max_degree: int) -> PoincareS
             continue
         index = {m: i for i, m in enumerate(monomials)}
         elim = linalg.FractionFreeEliminator()
-        for rel in relations:
-            e = rel.degree()
+        for e, terms in relations:
             if e > d:
                 continue
             for m in alg.monomials_of_degree(d - e):
-                shifted = alg.element({m: 1}) * rel
-                elim.add_row(
-                    {index[mono]: coeff.numerator for mono, coeff in shifted.terms.items()}
-                )
+                elim.add_row({index[tuple(map(add, m, k))]: v for k, v in terms})
         dims.append(len(monomials) - elim.rank)
     return PoincareSeries(tuple(dims))
 

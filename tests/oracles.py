@@ -5,15 +5,19 @@ basis of the tensor algebra (rows are all two-sided multiples
 left-word * relation * right-word), with a self-contained dense Smith
 normal form; over Q it runs on the rows with their denominators cleared.
 This is deliberately different machinery from the package's incremental
-quotient engine, so the two routes check each other.
+quotient engine, so the two routes check each other.  The commutative
+quotient is recounted from ``GcaElement`` products over a basis of
+exponent tuples enumerated here, with a dense rank over Q.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 from loopalg.enveloping import RingPresentation
+from loopalg.minimal_model import CohomologyPresentation
 
 
 def words_of_degree(presentation: RingPresentation, degree: int) -> list[tuple[str, ...]]:
@@ -52,7 +56,7 @@ def ideal_rows(presentation: RingPresentation, degree: int):
     return rows, len(index)
 
 
-def _dense_integer(rows, ncols: int) -> list[list[int]]:
+def dense_integer(rows, ncols: int) -> list[list[int]]:
     """Rows as a dense integer matrix, each scaled by its denominators' lcm."""
     dense = [[0] * ncols for _ in rows]
     for i, row in enumerate(rows):
@@ -65,7 +69,7 @@ def _dense_integer(rows, ncols: int) -> list[list[int]]:
 def brute_graded_dimension(presentation: RingPresentation, degree: int) -> int:
     """Rank over Q: the count of nonzero invariant factors of the scaled rows."""
     rows, ncols = ideal_rows(presentation, degree)
-    return ncols - len(dense_smith_invariants(_dense_integer(rows, ncols)))
+    return ncols - len(dense_smith_invariants(dense_integer(rows, ncols)))
 
 
 def dense_smith_invariants(matrix: list[list[int]]) -> list[int]:
@@ -137,7 +141,54 @@ def dense_smith_invariants(matrix: list[list[int]]) -> list[int]:
 def brute_smith(presentation: RingPresentation, degree: int):
     """(free rank, sorted invariant factors > 1) of the degree component."""
     rows, ncols = ideal_rows(presentation, degree)
-    invariants = dense_smith_invariants(_dense_integer(rows, ncols))
+    invariants = dense_smith_invariants(dense_integer(rows, ncols))
     rank = ncols - len(invariants)
     torsion = [d for d in invariants if d > 1]
     return rank, torsion
+
+
+def dense_rank(rows, ncols: int) -> int:
+    """Rank over Q by Gaussian elimination on dense Fraction rows.
+
+    Used where the matrices outgrow :func:`dense_smith_invariants`, whose
+    integer entries can grow exponentially with the matrix size.
+    """
+    mat = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
+    rank = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for i in range(rank + 1, len(mat)):
+            factor = mat[i][col] / mat[rank][col]
+            if factor:
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+def exponent_tuples(degrees: list[int], total: int) -> list[tuple[int, ...]]:
+    """Every exponent tuple whose weighted degree is ``total``."""
+    ranges = [range(total // d + 1) for d in degrees]
+    return [e for e in product(*ranges) if sum(x * d for x, d in zip(e, degrees)) == total]
+
+
+def brute_commutative_dimension(c: CohomologyPresentation, degree: int) -> int:
+    """Degree component of the commutative quotient, by products and a dense rank.
+
+    The rows are the products ``monomial * relation`` of ``GcaElement``s over
+    every exponent tuple of the right degree, ranked by :func:`dense_rank`.
+    """
+    alg = c.algebra
+    degrees = [d for _, d in alg.generators]
+    index = {m: i for i, m in enumerate(exponent_tuples(degrees, degree))}
+    rows = []
+    for rel in c.relations:
+        e = rel.degree()
+        if e > degree:
+            continue
+        for m in exponent_tuples(degrees, degree - e):
+            shifted = alg.element({m: 1}) * rel
+            rows.append({index[k]: v for k, v in shifted.terms.items()})
+    return len(index) - dense_rank(rows, len(index))

@@ -1,6 +1,7 @@
 """Command line contract: subcommands, exit codes, determinism, cache."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -263,3 +264,23 @@ def test_verify_is_compute_plus_checks(cache_dir, capsys, config, coeffs):
     }
     code, out, _ = run(capsys, "compute", *args)
     assert code == 0 and verified == json.loads(out)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_REPORTS = {
+    "compute-su3-rational": "compute --family su --rank 3 --coeffs rational",
+    "compute-su3-integer": "compute --family su --rank 3 --coeffs integer",
+    "compute-sp2-rational": "compute --family sp --rank 2 --coeffs rational",
+    "compute-sp2-integer": "compute --family sp --rank 2 --coeffs integer",
+    "compute-g2-rational": "compute --family g2 --coeffs rational",
+    "compute-g2-integer": "compute --family g2 --coeffs integer",
+    "verify-su3": "verify --family su --rank 3",
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_REPORTS)
+def test_report_matches_golden_bytes(cache_dir, capsys, name):
+    """Reports stay byte-for-byte what the stored fixtures recorded."""
+    code, out, err = run(capsys, *GOLDEN_REPORTS[name].split(), "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{name}.json").read_text()

@@ -4,7 +4,9 @@ The incremental engines are cross-checked against the full word-basis
 elimination in ``oracles.py`` on every instance small enough to enumerate.
 """
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from loopalg.catalog import (
     catalog_entry,
     default_max_degree,
     expected_integral_presentation,
+    expected_rational_presentation,
 )
 from loopalg.enveloping import (
     BudgetExceededError,
@@ -247,3 +250,16 @@ def test_integral_ranks_equal_rational_dimensions_of_the_same_relations():
             as_rational = RingPresentation(p.algebra, p.relations, domain="rational")
             ranks = graded_smith_report(p, n).ranks()
             assert ranks == graded_dimensions(as_rational, n).coefficients, (family, rank)
+
+
+def test_presentation_is_freed_without_the_cyclic_collector():
+    """The memoized engine holds no reference back to its presentation."""
+    gc.disable()
+    try:
+        p = expected_rational_presentation(LieFamily.SU, 3)
+        graded_dimensions(p, 6)
+        ref = weakref.ref(p)
+        del p
+        assert ref() is None
+    finally:
+        gc.enable()

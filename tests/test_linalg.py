@@ -1,10 +1,12 @@
 """Degreewise elimination against the oracles' dense Smith normal form."""
 
-from hypothesis import given, settings, strategies as st
+from fractions import Fraction
 
-from loopalg.linalg import FractionFreeEliminator, coker_normalize, rref_normalize
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import dense_smith_invariants
+from loopalg.linalg import FractionFreeEliminator, FractionRREF, coker_normalize, rref_normalize
+
+from oracles import dense_integer, dense_smith_invariants
 
 
 @st.composite
@@ -51,3 +53,38 @@ def test_fraction_free_rank_matches_dense_smith(case):
     elim = FractionFreeEliminator()
     raised = [elim.add_row({c: v for c, v in enumerate(r) if v}) for r in dense]
     assert elim.rank == len(dense_smith_invariants(dense)) == sum(raised)
+
+
+@st.composite
+def rational_rows(draw):
+    """Sparse rows mixing ints with Fractions, so pivots need not be units."""
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    entry = st.one_of(
+        st.integers(min_value=-6, max_value=6),
+        st.fractions(min_value=-6, max_value=6, max_denominator=5),
+    )
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    dense = draw(st.lists(row, min_size=0, max_size=5))
+    return [{c: v for c, v in enumerate(r) if v} for r in dense], ncols
+
+
+def _exact_scalar(value):
+    """An int, or a Fraction that is not an integer; never a float."""
+    return type(value) is int or (type(value) is Fraction and value.denominator != 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_rows())
+@example(([{0: 2, 1: 3}, {0: Fraction(1, 2), 1: 1, 2: Fraction(4, 3)}], 3))
+def test_fraction_rref_matches_dense_smith_on_rational_rows(case):
+    rows, ncols = case
+    rank = len(dense_smith_invariants(dense_integer(rows, ncols)))
+    rref = FractionRREF()
+    raised = [rref.add_row(row) for row in rows]
+    assert rref.rank == sum(raised) == rank
+    result = rref_normalize(rows, ncols)
+    assert result.matrix_rank == rank
+    assert result.invariants == [0] * (ncols - rank)
+    assert all(_exact_scalar(v) for e in result.expansions for v in e.values())
+    for row in rows:
+        assert not any(_image(result, row))

@@ -1,6 +1,9 @@
 """Minimal models, quadratic parts, and the commutative quotient counts."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopalg.catalog import SLOW_COHOMOLOGY_FAMILIES, catalog_entry
 from loopalg.families import LieFamily
@@ -14,6 +17,7 @@ from loopalg.minimal_model import (
     regular_sequence_check,
 )
 from loopalg.series import complete_intersection_coefficients
+from oracles import brute_commutative_dimension, exponent_tuples
 from test_acceptance import FAMILIES
 
 
@@ -158,3 +162,47 @@ def test_complete_intersection_series_matches_types_a_bc_g2():
         assert list(quotient_dimensions(coh, n)) == complete_intersection_coefficients(
             list(coh.relation_degrees), len(coh.algebra), n
         )
+
+
+@st.composite
+def degree_two_presentations(draw):
+    """Random relations of degree 4 or 6 in 1-3 degree-2 variables.
+
+    With a nonzero ``shift`` every relation is multiplied by one linear form, so the
+    relations share a factor and never form a regular sequence.
+    """
+    n = draw(st.integers(min_value=1, max_value=3))
+    alg = GradedAlgebra([(f"u{i}", 2) for i in range(1, n + 1)])
+    coefficient = st.one_of(
+        st.integers(min_value=-3, max_value=3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    )
+
+    def form(degree):
+        monomials = exponent_tuples([2] * n, degree)
+        coeffs = draw(st.lists(coefficient, min_size=len(monomials), max_size=len(monomials)))
+        element = alg.element(dict(zip(monomials, coeffs)))
+        return element if element else alg.element({monomials[0]: 1})
+
+    shift = 2 if draw(st.booleans()) else 0
+    shared = form(shift) if shift else alg.one()
+    degrees = draw(st.lists(st.sampled_from([4, 6]), min_size=1, max_size=n + 1))
+    relations = [form(d - shift) * shared for d in degrees]
+    return CohomologyPresentation(alg, relations)
+
+
+@settings(max_examples=60, deadline=None)
+@given(degree_two_presentations())
+def test_quotient_dimensions_match_product_oracle(c):
+    dims = quotient_dimensions(c, 10)
+    assert list(dims) == [brute_commutative_dimension(c, d) for d in range(11)]
+
+
+def test_quotient_dimensions_of_a_non_regular_presentation():
+    alg = GradedAlgebra([("u1", 2), ("u2", 2)])
+    u1, u2 = alg.gen("u1"), alg.gen("u2")
+    c = CohomologyPresentation(alg, [u1 * u1, Fraction(2, 3) * u1 * u2])
+    dims = list(quotient_dimensions(c, 8))
+    assert dims == [brute_commutative_dimension(c, d) for d in range(9)]
+    assert dims == [1, 0, 2, 0, 1, 0, 1, 0, 1]
+    assert dims != complete_intersection_coefficients([4, 4], 2, 8)
