@@ -51,7 +51,7 @@ from .minimal_model import (
     quotient_dimensions,
     regular_sequence_check,
 )
-from .pipeline import PipelineResult, pipeline_for, rational_pipeline
+from .pipeline import PipelineResult, rational_pipeline
 from .symmetric import (
     elementary_symmetric,
     invariant_polynomials,

@@ -10,6 +10,10 @@ Lie group:
   factors encoded as explicit centrality relations;
 * the expected Lie bracket table on the degree-1 classes.
 
+Every expected presentation is built by ``_presentation``: the family's core
+relations on the degree-1 classes, then the commutators that make each even
+class central.
+
 Type B integral presentations use the uniform relation set over the full
 generator list ``y_1 .. y_{2n-1}`` (which spells out every sign), the
 doubled-generator form being display metadata only.  Type D encodes the two
@@ -22,10 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from typing import Callable
 
 from . import series as series_mod
 from .enveloping import FreeGradedAlgebra, NcElement, RingPresentation
-from .families import LieFamily, validate_rank
+from .families import EXCEPTIONAL_EXPONENTS, LieFamily, validate_rank
 from .minimal_model import CohomologyPresentation
 from .series import PoincareSeries
 from .symmetric import invariant_indices, invariant_polynomials, variable_algebra
@@ -72,11 +77,7 @@ def exponents(family: LieFamily, rank: int) -> tuple[int, ...]:
         return tuple(range(2, 2 * rank + 1, 2))
     if family is LieFamily.SO_EVEN:
         return tuple(range(2, 2 * rank - 1, 2)) + (rank,)
-    if family is LieFamily.G2:
-        return (2, 6)
-    if family is LieFamily.F4:
-        return (2, 6, 8, 12)
-    return (2, 5, 6, 8, 9, 12)
+    return EXCEPTIONAL_EXPONENTS[family]
 
 
 def weyl_order(family: LieFamily, rank: int) -> int:
@@ -125,46 +126,25 @@ def _dual_names(family: LieFamily, rank: int) -> dict[str, str]:
     names: dict[str, str] = {}
     for u in variable_algebra(family, rank).names:
         names[u] = "a" + u[1:] if len(u) > 1 else "a"
-    if family in (LieFamily.G2, LieFamily.F4, LieFamily.E6):
-        for k in invariant_indices(family, rank):
-            names[f"v{k}"] = f"b{k - 1}"
-    else:
-        for k in invariant_indices(family, rank):
-            names[f"v{k}"] = f"b{k}"
+    shift = 1 if family in EXCEPTIONAL_EXPONENTS else 0
+    for k in invariant_indices(family, rank):
+        names[f"v{k}"] = f"b{k - shift}"
     return names
 
 
+def _type_a_pairing(names: list[str], c: int) -> dict[tuple[str, str], dict[str, int]]:
+    """[x, x] = 2c b1 and [x, y] = c b1 for distinct x, y."""
+    return {(x, y): {"b1": 2 * c if x == y else c} for x in names for y in names}
+
+
 def _expected_brackets(family: LieFamily, rank: int) -> dict[tuple[str, str], dict[str, int]]:
-    table: dict[tuple[str, str], dict[str, int]] = {}
-    if family is LieFamily.SU:
-        a = [f"a{i}" for i in range(1, rank + 1)]
-        for x in a:
-            table[(x, x)] = {"b1": 4}
-        for x in a:
-            for y in a:
-                if x != y:
-                    table[(x, y)] = {"b1": 2}
-    elif family in (LieFamily.SP, LieFamily.SO_ODD, LieFamily.SO_EVEN):
-        for i in range(1, rank + 1):
-            table[(f"a{i}", f"a{i}")] = {"b1": 2}
-    elif family is LieFamily.G2:
-        table[("a1", "a1")] = {"b1": 4}
-        table[("a2", "a2")] = {"b1": 4}
-        table[("a1", "a2")] = {"b1": 2}
-        table[("a2", "a1")] = {"b1": 2}
-    elif family is LieFamily.F4:
-        for i in range(1, 5):
-            table[(f"a{i}", f"a{i}")] = {"b1": 6}
-    else:  # E6
-        a = [f"a{i}" for i in range(1, 6)]
-        for x in a:
-            table[(x, x)] = {"b1": 24}
-        table[("a", "a")] = {"b1": 24}
-        for x in a:
-            for y in a:
-                if x != y:
-                    table[(x, y)] = {"b1": 12}
-    return table
+    a = [f"a{i}" for i in range(1, rank + 1)]
+    if family in (LieFamily.SU, LieFamily.G2):
+        return _type_a_pairing(a, 2)
+    if family is LieFamily.E6:
+        # a1..a5 pair like type A; the sixth class a brackets only with itself
+        return {**_type_a_pairing(a[:5], 12), ("a", "a"): {"b1": 24}}
+    return {(x, x): {"b1": 6 if family is LieFamily.F4 else 2} for x in a}
 
 
 # ---------------------------------------------------------------------------
@@ -172,94 +152,99 @@ def _expected_brackets(family: LieFamily, rank: int) -> dict[tuple[str, str], di
 # ---------------------------------------------------------------------------
 
 
-def _centrality(alg: FreeGradedAlgebra, left: list[str], right: list[str]) -> list[NcElement]:
-    """Commutators making the tensor factors commute."""
-    out = []
-    for x in left:
-        for y in right:
-            out.append(alg.gen(x) * alg.gen(y) - alg.gen(y) * alg.gen(x))
-    return out
+def _presentation(
+    odd: list[str],
+    even: list[tuple[str, int]],
+    core: Callable[[FreeGradedAlgebra], list[NcElement]],
+    domain: str,
+) -> RingPresentation:
+    """The core ring on the degree-1 classes ``odd``, tensored with a
+    polynomial ring on the central classes ``even``.
 
-
-def _pairwise_commutators(alg: FreeGradedAlgebra, names: list[str]) -> list[NcElement]:
-    out = []
+    ``core(alg)`` gives the family's own relations; the commutators making
+    each even class central follow, first with every odd class, then
+    pairwise among the even classes.
+    """
+    alg = FreeGradedAlgebra([(x, 1) for x in odd] + even)
+    g = alg.gen
+    rels = core(alg)
+    names = [n for n, _ in even]
+    for x in odd:
+        for z in names:
+            rels.append(g(x) * g(z) - g(z) * g(x))
     for i, x in enumerate(names):
         for y in names[i + 1 :]:
-            out.append(alg.gen(x) * alg.gen(y) - alg.gen(y) * alg.gen(x))
-    return out
+            rels.append(g(x) * g(y) - g(y) * g(x))
+    return RingPresentation(alg, rels, domain=domain)
+
+
+def _pairs(alg: FreeGradedAlgebra, names: list[str], sign: int = 1) -> list[NcElement]:
+    """p q + sign q p for every pair p before q."""
+    g = alg.gen
+    return [g(p) * g(q) + sign * (g(q) * g(p)) for i, p in enumerate(names) for q in names[i + 1 :]]
+
+
+def _clifford(alg: FreeGradedAlgebra, names: list[str], target: NcElement) -> list[NcElement]:
+    """Every square and every anticommutator of the named classes equals ``target``."""
+    g = alg.gen
+    return [g(x) * g(x) - target for x in names] + [e - target for e in _pairs(alg, names)]
+
+
+def _equal_squares(alg: FreeGradedAlgebra, names: list[str]) -> list[NcElement]:
+    """The named classes anticommute and share one square."""
+    g = alg.gen
+    first = g(names[0]) * g(names[0])
+    return [first - g(x) * g(x) for x in names[1:]] + _pairs(alg, names)
+
+
+def _type_bd(alg: FreeGradedAlgebra, names: list[str]) -> list[NcElement]:
+    """x1^2 = y1, consecutive squares equal, and the classes anticommute."""
+    g = alg.gen
+    rels = [g("x1") * g("x1") - g("y1")]
+    for p, q in zip(names, names[1:]):
+        rels.append(g(p) * g(p) - g(q) * g(q))
+    return rels + _pairs(alg, names)
 
 
 def expected_rational_presentation(family: LieFamily, rank: int) -> RingPresentation:
     validate_rank(family, rank)
+    a = [f"a{i}" for i in range(1, rank + 1)]
     if family is LieFamily.SU:
-        a = [f"a{i}" for i in range(1, rank + 1)]
         b = [(f"b{k}", 2 * k) for k in range(2, rank + 1)]
-        alg = FreeGradedAlgebra([(x, 1) for x in a] + b)
-        exprs = [alg.gen(x) * alg.gen(x) for x in a]
-        for i, x in enumerate(a):
-            for y in a[i + 1 :]:
-                exprs.append(alg.gen(x) * alg.gen(y) + alg.gen(y) * alg.gen(x))
-        rels = [e - exprs[0] for e in exprs[1:]]
-        rels += _centrality(alg, a, [n for n, _ in b])
-        rels += _pairwise_commutators(alg, [n for n, _ in b])
-        return RingPresentation(alg, rels, domain="rational")
-
-    if family in (LieFamily.SP, LieFamily.SO_ODD, LieFamily.SO_EVEN):
-        a = [f"a{i}" for i in range(1, rank + 1)]
-        if family is LieFamily.SO_EVEN:
-            b = [(f"b{k}", 4 * k - 2) for k in range(2, rank)] + [(f"b{rank}", 2 * rank - 2)]
-        else:
-            b = [(f"b{k}", 4 * k - 2) for k in range(2, rank + 1)]
-        alg = FreeGradedAlgebra([(x, 1) for x in a] + b)
-        rels = []
-        for x in a[1:]:
-            rels.append(alg.gen(a[0]) * alg.gen(a[0]) - alg.gen(x) * alg.gen(x))
-        for i, x in enumerate(a):
-            for y in a[i + 1 :]:
-                rels.append(alg.gen(x) * alg.gen(y) + alg.gen(y) * alg.gen(x))
-        rels += _centrality(alg, a, [n for n, _ in b])
-        rels += _pairwise_commutators(alg, [n for n, _ in b])
-        return RingPresentation(alg, rels, domain="rational")
+        # everything equals a1^2; the first relation, a1^2 = a1^2, is dropped
+        return _presentation(
+            a, b, lambda alg: _clifford(alg, a, alg.gen("a1") ** 2)[1:], "rational"
+        )
 
     if family is LieFamily.G2:
-        alg = FreeGradedAlgebra([("a1", 1), ("a2", 1), ("b5", 10)])
-        g = alg.gen
-        rels = [
-            g("a1") * g("a1") - g("a2") * g("a2"),
-            g("a1") * g("a2") + g("a2") * g("a1") - g("a1") * g("a1"),
-        ]
-        rels += _centrality(alg, ["a1", "a2"], ["b5"])
-        return RingPresentation(alg, rels, domain="rational")
 
-    if family is LieFamily.F4:
-        a = [f"a{i}" for i in range(1, 5)]
+        def g2_core(alg: FreeGradedAlgebra) -> list[NcElement]:
+            g = alg.gen
+            return [
+                g("a1") * g("a1") - g("a2") * g("a2"),
+                g("a1") * g("a2") + g("a2") * g("a1") - g("a1") * g("a1"),
+            ]
+
+        return _presentation(a, [("b5", 10)], g2_core, "rational")
+
+    if family is LieFamily.E6:
+        # five classes a1..a5 pairing like type A, one class a anticommuting
+        a = a[:5]
+        b = [("b4", 8), ("b5", 10), ("b7", 14), ("b8", 16), ("b11", 22)]
+
+        def e6_core(alg: FreeGradedAlgebra) -> list[NcElement]:
+            g = alg.gen
+            return _clifford(alg, a, g("a") * g("a")) + [g("a") * g(x) + g(x) * g("a") for x in a]
+
+        return _presentation(a + ["a"], b, e6_core, "rational")
+
+    if family is LieFamily.SO_EVEN:
+        b = [(f"b{k}", 4 * k - 2) for k in range(2, rank)] + [(f"b{rank}", 2 * rank - 2)]
+    elif family is LieFamily.F4:
         b = [("b5", 10), ("b7", 14), ("b11", 22)]
-        alg = FreeGradedAlgebra([(x, 1) for x in a] + b)
-        rels = []
-        for x in a[1:]:
-            rels.append(alg.gen(a[0]) * alg.gen(a[0]) - alg.gen(x) * alg.gen(x))
-        for i, x in enumerate(a):
-            for y in a[i + 1 :]:
-                rels.append(alg.gen(x) * alg.gen(y) + alg.gen(y) * alg.gen(x))
-        rels += _centrality(alg, a, [n for n, _ in b])
-        rels += _pairwise_commutators(alg, [n for n, _ in b])
-        return RingPresentation(alg, rels, domain="rational")
-
-    # E6: five classes a1..a5 pairing like type A, one class a anticommuting
-    a = [f"a{i}" for i in range(1, 6)]
-    b = [("b4", 8), ("b5", 10), ("b7", 14), ("b8", 16), ("b11", 22)]
-    alg = FreeGradedAlgebra([(x, 1) for x in a] + [("a", 1)] + b)
-    g = alg.gen
-    exprs = [g("a") * g("a")] + [g(x) * g(x) for x in a]
-    for i, x in enumerate(a):
-        for y in a[i + 1 :]:
-            exprs.append(g(x) * g(y) + g(y) * g(x))
-    rels = [e - exprs[0] for e in exprs[1:]]
-    for x in a:
-        rels.append(g("a") * g(x) + g(x) * g("a"))
-    rels += _centrality(alg, a + ["a"], [n for n, _ in b])
-    rels += _pairwise_commutators(alg, [n for n, _ in b])
-    return RingPresentation(alg, rels, domain="rational")
+    else:
+        b = [(f"b{k}", 4 * k - 2) for k in range(2, rank + 1)]
+    return _presentation(a, b, lambda alg: _equal_squares(alg, a), "rational")
 
 
 def _so_odd_y_relation(alg: FreeGradedAlgebra, i: int, n: int) -> NcElement:
@@ -279,159 +264,109 @@ def _so_odd_y_relation(alg: FreeGradedAlgebra, i: int, n: int) -> NcElement:
     return rel
 
 
+def _so_even_core(alg: FreeGradedAlgebra, x: list[str], n: int) -> list[NcElement]:
+    g = alg.gen
+
+    def two_y(j: int) -> NcElement:
+        # the class 2 y_j written in the chosen generators
+        if j == 0:
+            return 2 * alg.one()
+        if j <= n - 2:
+            return 2 * g(f"y{j}")
+        if j == n - 1:
+            return g("wp") + g("wm")
+        return g(f"Y{j}")
+
+    def y_plain(j: int) -> NcElement:
+        return alg.one() if j == 0 else g(f"y{j}")
+
+    rels = _type_bd(alg, x)
+    for i in range(1, n - 1):
+        rel = y_plain(i) * y_plain(i)
+        for k in range(1, i + 1):
+            sign = -1 if k % 2 else 1
+            rel = rel + sign * (y_plain(i - k) * two_y(i + k))
+        rels.append(rel)
+    final = g("wp") * g("wm")
+    for k in range(1, n):
+        sign = -1 if k % 2 else 1
+        final = final + sign * (y_plain(n - 1 - k) * two_y(n - 1 + k))
+    rels.append(final)
+    return rels
+
+
 def expected_integral_presentation(
     family: LieFamily, rank: int, anticommute: bool = False
 ) -> RingPresentation:
     if anticommute and family is not LieFamily.F4:
         raise ValueError("the commutation variant switch only applies to f4")
     validate_rank(family, rank)
+    n = rank
+    x = [f"x{i}" for i in range(1, n + 1)]
 
     if family is LieFamily.SU:
-        x = [f"x{i}" for i in range(1, rank + 1)]
-        y = [(f"y{i}", 2 * i) for i in range(1, rank + 1)]
-        alg = FreeGradedAlgebra([(n, 1) for n in x] + y)
-        g = alg.gen
-        target = 2 * g("y1")
-        rels = [g(n) * g(n) - target for n in x]
-        for i, p in enumerate(x):
-            for q in x[i + 1 :]:
-                rels.append(g(p) * g(q) + g(q) * g(p) - target)
-        rels += _centrality(alg, x, [n for n, _ in y])
-        rels += _pairwise_commutators(alg, [n for n, _ in y])
-        return RingPresentation(alg, rels, domain="integer")
+        y = [(f"y{i}", 2 * i) for i in range(1, n + 1)]
+        return _presentation(x, y, lambda alg: _clifford(alg, x, 2 * alg.gen("y1")), "integer")
 
     if family is LieFamily.SP:
-        x = [f"x{i}" for i in range(1, rank + 1)]
-        y = [(f"y{i}", 4 * i - 2) for i in range(2, rank + 1)]
-        alg = FreeGradedAlgebra([(n, 1) for n in x] + y)
-        g = alg.gen
-        rels = [g(x[0]) * g(x[0]) - g(n) * g(n) for n in x[1:]]
-        for i, p in enumerate(x):
-            for q in x[i + 1 :]:
-                rels.append(g(p) * g(q) + g(q) * g(p))
-        rels += _centrality(alg, x, [n for n, _ in y])
-        rels += _pairwise_commutators(alg, [n for n, _ in y])
-        return RingPresentation(alg, rels, domain="integer")
+        y = [(f"y{i}", 4 * i - 2) for i in range(2, n + 1)]
+        return _presentation(x, y, lambda alg: _equal_squares(alg, x), "integer")
 
     if family is LieFamily.SO_ODD:
-        n = rank
-        x = [f"x{i}" for i in range(1, n + 1)]
-        y = [(f"y{i}", 2 * i) for i in range(1, 2 * n)]
-        alg = FreeGradedAlgebra([(m, 1) for m in x] + y)
-        g = alg.gen
-        rels = [g("x1") * g("x1") - g("y1")]
-        for i in range(1, n):
-            rels.append(g(f"x{i}") * g(f"x{i}") - g(f"x{i + 1}") * g(f"x{i + 1}"))
-        for i, p in enumerate(x):
-            for q in x[i + 1 :]:
-                rels.append(g(p) * g(q) + g(q) * g(p))
-        for i in range(1, n):
-            rels.append(_so_odd_y_relation(alg, i, n))
-        rels += _centrality(alg, x, [m for m, _ in y])
-        rels += _pairwise_commutators(alg, [m for m, _ in y])
-        return RingPresentation(alg, rels, domain="integer")
+
+        def so_odd_core(alg: FreeGradedAlgebra) -> list[NcElement]:
+            return _type_bd(alg, x) + [_so_odd_y_relation(alg, i, n) for i in range(1, n)]
+
+        return _presentation(x, [(f"y{i}", 2 * i) for i in range(1, 2 * n)], so_odd_core, "integer")
 
     if family is LieFamily.SO_EVEN:
-        n = rank
-        x = [f"x{i}" for i in range(1, n + 1)]
-        plain = [(f"y{i}", 2 * i) for i in range(1, n - 1)]
-        doubled = [("wp", 2 * (n - 1)), ("wm", 2 * (n - 1))]
-        doubled += [(f"Y{j}", 2 * j) for j in range(n, 2 * n - 1)]
-        alg = FreeGradedAlgebra([(m, 1) for m in x] + plain + doubled)
-        g = alg.gen
-
-        def two_y(j: int) -> NcElement:
-            # the class 2 y_j written in the chosen generators
-            if j == 0:
-                return 2 * alg.one()
-            if j <= n - 2:
-                return 2 * g(f"y{j}")
-            if j == n - 1:
-                return g("wp") + g("wm")
-            return g(f"Y{j}")
-
-        def y_plain(j: int) -> NcElement:
-            return alg.one() if j == 0 else g(f"y{j}")
-
-        rels = [g("x1") * g("x1") - g("y1")]
-        for i in range(1, n):
-            rels.append(g(f"x{i}") * g(f"x{i}") - g(f"x{i + 1}") * g(f"x{i + 1}"))
-        for i, p in enumerate(x):
-            for q in x[i + 1 :]:
-                rels.append(g(p) * g(q) + g(q) * g(p))
-        for i in range(1, n - 1):
-            rel = y_plain(i) * y_plain(i)
-            for k in range(1, i + 1):
-                sign = -1 if k % 2 else 1
-                rel = rel + sign * (y_plain(i - k) * two_y(i + k))
-            rels.append(rel)
-        final = g("wp") * g("wm")
-        for k in range(1, n):
-            sign = -1 if k % 2 else 1
-            final = final + sign * (y_plain(n - 1 - k) * two_y(n - 1 + k))
-        rels.append(final)
-        evens = [m for m, _ in plain + doubled]
-        rels += _centrality(alg, x, evens)
-        rels += _pairwise_commutators(alg, evens)
-        return RingPresentation(alg, rels, domain="integer")
+        y = [(f"y{i}", 2 * i) for i in range(1, n - 1)]
+        y += [("wp", 2 * (n - 1)), ("wm", 2 * (n - 1))]
+        y += [(f"Y{j}", 2 * j) for j in range(n, 2 * n - 1)]
+        return _presentation(x, y, lambda alg: _so_even_core(alg, x, n), "integer")
 
     if family is LieFamily.G2:
-        alg = FreeGradedAlgebra(
-            [("x1", 1), ("x2", 1), ("y1", 2), ("y2", 4), ("y5", 10)]
-        )
-        g = alg.gen
-        target = 2 * g("y1")
-        rels = [
-            g("x1") * g("x1") - target,
-            g("x2") * g("x2") - target,
-            g("x1") * g("x2") + g("x2") * g("x1") - target,
-            g("x1") ** 4 - 2 * g("y2"),
-            # torsion saturation: the displayed relation only gives
-            # 2(y2 - 2 y1^2) = 0; the torsion-free ring satisfies the half
-            g("y2") - 2 * g("y1") * g("y1"),
-        ]
-        rels += _centrality(alg, ["x1", "x2"], ["y1", "y2", "y5"])
-        rels += _pairwise_commutators(alg, ["y1", "y2", "y5"])
-        return RingPresentation(alg, rels, domain="integer")
+
+        def g2_core(alg: FreeGradedAlgebra) -> list[NcElement]:
+            g = alg.gen
+            return _clifford(alg, x, 2 * g("y1")) + [
+                g("x1") ** 4 - 2 * g("y2"),
+                # torsion saturation: the displayed relation only gives
+                # 2(y2 - 2 y1^2) = 0; the torsion-free ring satisfies the half
+                g("y2") - 2 * g("y1") * g("y1"),
+            ]
+
+        return _presentation(x, [("y1", 2), ("y2", 4), ("y5", 10)], g2_core, "integer")
 
     if family is LieFamily.F4:
-        x = [f"x{i}" for i in range(1, 5)]
+
+        def f4_core(alg: FreeGradedAlgebra) -> list[NcElement]:
+            g = alg.gen
+            # commuting by default; anticommuting variant on demand
+            rels = [g(p) * g(p) - 3 * g("y1") for p in x] + _pairs(alg, x, 1 if anticommute else -1)
+            rels.append(2 * g("y2") - g("x1") ** 4)
+            rels.append(3 * g("y3") - g("x1") * g("x1") * g("y2"))
+            # torsion saturation: x1^2 y2 = 3 y1 y2 makes 3(y3 - y1 y2) = 0
+            rels.append(g("y3") - g("y1") * g("y2"))
+            return rels
+
         y = [("y1", 2), ("y2", 4), ("y3", 6), ("y5", 10), ("y7", 14), ("y11", 22)]
-        alg = FreeGradedAlgebra([(n, 1) for n in x] + y)
+        return _presentation(x, y, f4_core, "integer")
+
+    def e6_core(alg: FreeGradedAlgebra) -> list[NcElement]:
         g = alg.gen
-        rels = [g(n) * g(n) - 3 * g("y1") for n in x]
-        sign = 1 if anticommute else -1
-        for i, p in enumerate(x):
-            for q in x[i + 1 :]:
-                # commuting by default; anticommuting variant on demand
-                rels.append(g(p) * g(q) + sign * (g(q) * g(p)))
+        rels = _clifford(alg, x, 12 * g("y1"))
         rels.append(2 * g("y2") - g("x1") ** 4)
         rels.append(3 * g("y3") - g("x1") * g("x1") * g("y2"))
-        # torsion saturation: x1^2 y2 = 3 y1 y2 makes 3(y3 - y1 y2) = 0
-        rels.append(g("y3") - g("y1") * g("y2"))
-        rels += _centrality(alg, x, [n for n, _ in y])
-        rels += _pairwise_commutators(alg, [n for n, _ in y])
-        return RingPresentation(alg, rels, domain="integer")
+        # torsion saturation: x1^4 = 144 y1^2 and x1^2 y2 = 12 y1 y2 leave
+        # 2(y2 - 72 y1^2) = 0 and 3(y3 - 4 y1 y2) = 0 in the displayed ideal
+        rels.append(g("y2") - 72 * g("y1") * g("y1"))
+        rels.append(g("y3") - 4 * g("y1") * g("y2"))
+        return rels
 
-    # E6
-    x = [f"x{i}" for i in range(1, 7)]
-    y = [("y1", 2), ("y2", 4), ("y3", 6), ("y4", 8), ("y5", 10), ("y7", 14), ("y8", 16), ("y11", 22)]
-    alg = FreeGradedAlgebra([(n, 1) for n in x] + y)
-    g = alg.gen
-    target = 12 * g("y1")
-    rels = [g(n) * g(n) - target for n in x]
-    for i, p in enumerate(x):
-        for q in x[i + 1 :]:
-            rels.append(g(p) * g(q) + g(q) * g(p) - target)
-    rels.append(2 * g("y2") - g("x1") ** 4)
-    rels.append(3 * g("y3") - g("x1") * g("x1") * g("y2"))
-    # torsion saturation: x1^4 = 144 y1^2 and x1^2 y2 = 12 y1 y2 leave
-    # 2(y2 - 72 y1^2) = 0 and 3(y3 - 4 y1 y2) = 0 in the displayed ideal
-    rels.append(g("y2") - 72 * g("y1") * g("y1"))
-    rels.append(g("y3") - 4 * g("y1") * g("y2"))
-    rels += _centrality(alg, x, [n for n, _ in y])
-    rels += _pairwise_commutators(alg, [n for n, _ in y])
-    return RingPresentation(alg, rels, domain="integer")
+    y = [("y1", 2), ("y2", 4), ("y3", 6), ("y4", 8)]
+    y += [("y5", 10), ("y7", 14), ("y8", 16), ("y11", 22)]
+    return _presentation(x, y, e6_core, "integer")
 
 
 @lru_cache(maxsize=None)

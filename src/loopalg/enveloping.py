@@ -390,6 +390,4 @@ def torsion_free_check(
 
 
 def series_equal(a: PoincareSeries, b: PoincareSeries, max_degree: int) -> bool:
-    if a.max_degree < max_degree or b.max_degree < max_degree:
-        raise ValueError("insufficient truncation for the requested comparison")
     return a.prefix(max_degree) == b.prefix(max_degree)

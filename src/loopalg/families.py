@@ -26,7 +26,13 @@ class LieFamily(Enum):
         raise ValueError(f"unknown family {slug!r}")
 
 
-FIXED_RANK = {LieFamily.G2: 2, LieFamily.F4: 4, LieFamily.E6: 6}
+# the exponents of the exceptional groups; the rank is their number
+EXCEPTIONAL_EXPONENTS = {
+    LieFamily.G2: (2, 6),
+    LieFamily.F4: (2, 6, 8, 12),
+    LieFamily.E6: (2, 5, 6, 8, 9, 12),
+}
+FIXED_RANK = {family: len(e) for family, e in EXCEPTIONAL_EXPONENTS.items()}
 
 
 def validate_rank(family: LieFamily, rank: int) -> None:

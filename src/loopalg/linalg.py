@@ -81,18 +81,21 @@ class FractionRREF:
         lead = reduced[pivot]
         # a unit pivot is its own inverse, so its row stays integral
         inv = lead if lead in (1, -1) else Fraction(1) / lead
-        normalized = {c: _exact(v * inv) for c, v in reduced.items()}
+        self._insert(pivot, {c: _exact(v * inv) for c, v in reduced.items()})
+        return True
+
+    def _insert(self, pivot: int, row: QRow) -> None:
+        """Store a reduced row that is 1 at ``pivot``; clear that column elsewhere."""
         for other in self._pivot_rows.values():
             coeff = other.get(pivot)
             if coeff:
-                for c, v in normalized.items():
+                for c, v in row.items():
                     nv = other.get(c, 0) - coeff * v
                     if nv:
                         other[c] = _exact(nv)
                     else:
                         other.pop(c, None)
-        self._pivot_rows[pivot] = normalized
-        return True
+        self._pivot_rows[pivot] = row
 
     def expansion(self, column: int) -> QRow:
         """Expansion of a basis vector over the non-pivot columns."""
@@ -178,21 +181,6 @@ def rref_normalize(rows: Iterable[Mapping[int, Scalar]], ncols: int) -> CokerRes
 # ---------------------------------------------------------------------------
 # integer side
 # ---------------------------------------------------------------------------
-
-
-def _reduce_against(pivot_rows: dict[int, Row], row: Row) -> Row:
-    out = dict(row)
-    for col in sorted(set(out) & set(pivot_rows)):
-        coeff = out.get(col, 0)
-        if not coeff:
-            continue
-        for c, v in pivot_rows[col].items():
-            nv = out.get(c, 0) - coeff * v
-            if nv:
-                out[c] = nv
-            else:
-                out.pop(c, None)
-    return {c: v for c, v in out.items() if v}
 
 
 def _smith_with_column_ops(matrix: list[list[int]], ncols: int):
@@ -290,7 +278,8 @@ def _smith_with_column_ops(matrix: list[list[int]], ncols: int):
 
 def coker_normalize(rows: Sequence[Mapping[int, int]], ncols: int) -> CokerResult:
     """Describe Z^ncols modulo the integer span of the given rows."""
-    pivot_rows: dict[int, Row] = {}
+    # unit pivots; integer rows reduced by them stay integral
+    units = FractionRREF()
     pending: list[Row] = [
         {c: int(v) for c, v in row.items() if v} for row in rows
     ]
@@ -300,7 +289,7 @@ def coker_normalize(rows: Sequence[Mapping[int, int]], ncols: int) -> CokerResul
         changed = False
         leftovers: list[Row] = []
         for raw in pending:
-            row = _reduce_against(pivot_rows, raw)
+            row = units.reduce(raw)
             if not row:
                 continue
             unit_cols = [c for c, v in row.items() if v in (1, -1)]
@@ -308,16 +297,7 @@ def coker_normalize(rows: Sequence[Mapping[int, int]], ncols: int) -> CokerResul
                 col = min(unit_cols)
                 if row[col] == -1:
                     row = {c: -v for c, v in row.items()}
-                for other in pivot_rows.values():
-                    coeff = other.get(col)
-                    if coeff:
-                        for c, v in row.items():
-                            nv = other.get(c, 0) - coeff * v
-                            if nv:
-                                other[c] = nv
-                            else:
-                                other.pop(c, None)
-                pivot_rows[col] = row
+                units._insert(col, row)
                 changed = True
             else:
                 leftovers.append(row)
@@ -325,9 +305,10 @@ def coker_normalize(rows: Sequence[Mapping[int, int]], ncols: int) -> CokerResul
 
     residual = []
     for raw in pending:
-        row = _reduce_against(pivot_rows, raw)
+        row = units.reduce(raw)
         if row:
             residual.append(row)
+    pivot_cols = units.pivot_columns
 
     res_cols = sorted({c for row in residual for c in row})
     res_pos = {c: k for k, c in enumerate(res_cols)}
@@ -338,7 +319,7 @@ def coker_normalize(rows: Sequence[Mapping[int, int]], ncols: int) -> CokerResul
     invariants: list[int] = []
     gen_of_free_col: dict[int, int] = {}
     for c in range(ncols):
-        if c not in pivot_rows and c not in res_pos:
+        if c not in pivot_cols and c not in res_pos:
             gen_of_free_col[c] = len(invariants)
             invariants.append(0)
     res_gen_ids: list[int | None] = []
@@ -370,14 +351,12 @@ def coker_normalize(rows: Sequence[Mapping[int, int]], ncols: int) -> CokerResul
             if gid is not None and V[k][j]:
                 vec[gid] = vec.get(gid, 0) + V[k][j]
         expansions[c] = normalize(vec)
-    for c, row in pivot_rows.items():
+    for c in pivot_cols:
         vec: Row = {}
-        for other, coeff in row.items():
-            if other == c:
-                continue
+        for other, coeff in units.expansion(c).items():
             for g, v in expansions[other].items():
-                vec[g] = vec.get(g, 0) - coeff * v
+                vec[g] = vec.get(g, 0) + coeff * v
         expansions[c] = normalize(vec)
 
-    matrix_rank = len(pivot_rows) + sum(1 for d in diag if d != 0)
+    matrix_rank = units.rank + sum(1 for d in diag if d != 0)
     return CokerResult(invariants=invariants, expansions=expansions, matrix_rank=matrix_rank)

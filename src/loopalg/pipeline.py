@@ -11,11 +11,9 @@ called on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .catalog import CatalogEntry, catalog_entry
+from .catalog import CatalogEntry
 from .enveloping import RingPresentation, uea_presentation
-from .families import LieFamily
 from .homotopy_lie import HomotopyLieAlgebra, brackets_from_d1
 from .minimal_model import MinimalModel, build_minimal_model
 
@@ -39,8 +37,3 @@ def rational_pipeline(entry: CatalogEntry) -> PipelineResult:
         lie_algebra=lie,
         presentation=uea_presentation(lie),
     )
-
-
-@lru_cache(maxsize=None)
-def pipeline_for(family: LieFamily, rank: int) -> PipelineResult:
-    return rational_pipeline(catalog_entry(family, rank))

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
 
-from .families import LieFamily, validate_rank
+from .families import EXCEPTIONAL_EXPONENTS, LieFamily, validate_rank
 from .gca import GcaElement, GradedAlgebra
 
 
@@ -126,17 +126,9 @@ def variable_algebra(family: LieFamily, rank: int) -> GradedAlgebra:
 
 def invariant_indices(family: LieFamily, rank: int) -> tuple[int, ...]:
     validate_rank(family, rank)
-    if family is LieFamily.SU:
-        return tuple(range(1, rank + 1))
-    if family in (LieFamily.SP, LieFamily.SO_ODD):
-        return tuple(range(1, rank + 1))
-    if family is LieFamily.SO_EVEN:
-        return tuple(range(1, rank + 1))
-    if family is LieFamily.G2:
-        return (2, 6)
-    if family is LieFamily.F4:
-        return (2, 6, 8, 12)
-    return (2, 5, 6, 8, 9, 12)
+    if family in EXCEPTIONAL_EXPONENTS:
+        return EXCEPTIONAL_EXPONENTS[family]
+    return tuple(range(1, rank + 1))
 
 
 def invariant_polynomials(

@@ -35,7 +35,7 @@ from loopalg.minimal_model import (
     derivation_square_check,
     quotient_dimensions,
 )
-from loopalg.pipeline import pipeline_for
+from loopalg.pipeline import rational_pipeline
 from loopalg.symmetric import (
     elementary_symmetric,
     invariant_polynomials,
@@ -100,7 +100,7 @@ def test_criterion_2_rational_presentation_equivalence():
         for family, rank in FAMILIES:
             n = default_max_degree(family)
             entry = catalog_entry(family, rank)
-            result = pipeline_for(family, rank)
+            result = rational_pipeline(catalog_entry(family, rank))
             uea = graded_dimensions(result.presentation, n)
             expected = graded_dimensions(entry.expected_rational, n)
             pbw = pbw_series(result.lie_algebra, n)
@@ -108,7 +108,7 @@ def test_criterion_2_rational_presentation_equivalence():
             assert series_equal(uea, expected, n), (family, rank)
             assert series_equal(uea, pbw, n), (family, rank)
             assert series_equal(pbw, split, n), (family, rank)
-        su3 = pipeline_for(LieFamily.SU, 2)
+        su3 = rational_pipeline(catalog_entry(LieFamily.SU, 2))
         assert list(graded_dimensions(su3.presentation, 5)) == [1, 2, 2, 2, 3, 4]
         assert time.perf_counter() - start < 60.0
 
@@ -148,13 +148,13 @@ def test_criterion_5_integral_ranks_match_rational_dimensions():
         for family, rank in FAMILIES:
             n = default_max_degree(family)
             entry = catalog_entry(family, rank)
-            result = pipeline_for(family, rank)
+            result = rational_pipeline(catalog_entry(family, rank))
             report = graded_smith_report(expected_integral_presentation(family, rank), n)
             assert list(report.ranks()) == list(pbw_series(result.lie_algebra, n)), (
                 family,
                 rank,
             )
-        g2 = pipeline_for(LieFamily.G2, 2)
+        g2 = rational_pipeline(catalog_entry(LieFamily.G2, 2))
         series = pbw_series(g2.lie_algebra, 12)
         assert series.coefficient(10) == 3
         assert series.coefficient(11) == 4
@@ -214,7 +214,7 @@ def test_criterion_8_structural_property_suite():
     with criterion(8, "structural properties (d^2, axioms, signs, invariances)"):
         # d^2 = 0 and graded Lie axioms on every catalog model
         for family, rank in FAMILIES:
-            result = pipeline_for(family, rank)
+            result = rational_pipeline(catalog_entry(family, rank))
             assert derivation_square_check(result.model), (family, rank)
             assert graded_lie_axioms_check(result.lie_algebra), (family, rank)
 
@@ -292,7 +292,8 @@ def test_criterion_9_f4_commutation_variant_report(tmp_path, monkeypatch, capsys
         assert set(variants) == {"commuting", "anticommuting"}
         for data in variants.values():
             assert "ranks" in data and "torsion" in data
-        rational = list(pbw_series(pipeline_for(LieFamily.F4, 4).lie_algebra, 8))
+        f4 = rational_pipeline(catalog_entry(LieFamily.F4, 4))
+        rational = list(pbw_series(f4.lie_algebra, 8))
         matches = [
             label
             for label, data in variants.items()

@@ -14,7 +14,7 @@ from loopalg.catalog import (
 )
 from loopalg.enveloping import graded_dimensions, pbw_series, relation_string, series_equal
 from loopalg.families import LieFamily
-from loopalg.pipeline import pipeline_for
+from loopalg.pipeline import rational_pipeline
 
 
 def loop_degrees(family, rank):
@@ -124,7 +124,7 @@ def test_pbw_equals_splitting_for_all_default_entries():
     for family, ranks in DEFAULT_CHECKED_RANKS.items():
         for rank in ranks:
             n = default_max_degree(family)
-            result = pipeline_for(family, rank)
+            result = rational_pipeline(catalog_entry(family, rank))
             assert series_equal(
                 pbw_series(result.lie_algebra, n),
                 splitting_series(family, rank, n),
@@ -136,7 +136,7 @@ def test_expected_rational_matches_pipeline_dimensions():
     for family, rank in [(LieFamily.SU, 2), (LieFamily.SO_EVEN, 3), (LieFamily.G2, 2)]:
         n = default_max_degree(family)
         entry = catalog_entry(family, rank)
-        result = pipeline_for(family, rank)
+        result = rational_pipeline(catalog_entry(family, rank))
         assert series_equal(
             graded_dimensions(result.presentation, n),
             graded_dimensions(entry.expected_rational, n),

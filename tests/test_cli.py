@@ -274,7 +274,17 @@ GOLDEN_REPORTS = {
     "compute-sp2-integer": "compute --family sp --rank 2 --coeffs integer",
     "compute-g2-rational": "compute --family g2 --coeffs rational",
     "compute-g2-integer": "compute --family g2 --coeffs integer",
+    "compute-so-odd3-rational": "compute --family so-odd --rank 3 --coeffs rational",
+    "compute-so-odd3-integer": "compute --family so-odd --rank 3 --coeffs integer",
+    "compute-so-even4-rational": "compute --family so-even --rank 4 --coeffs rational",
+    "compute-so-even4-integer": "compute --family so-even --rank 4 --coeffs integer",
+    "compute-f4-rational": "compute --family f4 --coeffs rational",
+    "compute-f4-integer": "compute --family f4 --coeffs integer",
+    "compute-f4-integer-anticommute": "compute --family f4 --coeffs integer --f4-anticommute",
+    "compute-e6-rational": "compute --family e6 --coeffs rational",
+    "compute-e6-integer": "compute --family e6 --coeffs integer",
     "verify-su3": "verify --family su --rank 3",
+    "verify-f4": "verify --family f4",
 }
 
 

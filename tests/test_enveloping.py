@@ -34,7 +34,7 @@ from loopalg.enveloping import (
 )
 from loopalg.families import LieFamily
 from loopalg.homotopy_lie import HomotopyLieAlgebra, LieBasisElement
-from loopalg.pipeline import pipeline_for
+from loopalg.pipeline import rational_pipeline
 from loopalg.series import PoincareSeries
 
 from oracles import brute_graded_dimension, brute_smith
@@ -54,7 +54,7 @@ def test_integer_domain_rejects_fractions():
 
 
 def test_uea_presentation_su3_relations():
-    result = pipeline_for(LieFamily.SU, 2)
+    result = rational_pipeline(catalog_entry(LieFamily.SU, 2))
     rendered = {relation_string(r) for r in result.presentation.relations}
     assert "1*a1.a1 - 2*b1" in rendered
     assert "1*a1.a2 + 1*a2.a1 - 2*b1" in rendered
@@ -88,7 +88,7 @@ def test_su3_dimensions_match_pbw_enumeration():
                             count += 1
         expected.append(count)
     assert expected[:6] == [1, 2, 2, 2, 3, 4]
-    result = pipeline_for(LieFamily.SU, 2)
+    result = rational_pipeline(catalog_entry(LieFamily.SU, 2))
     assert list(graded_dimensions(result.presentation, 10)) == expected
     assert list(pbw_series(result.lie_algebra, 10)) == expected
 
@@ -116,7 +116,7 @@ def test_engine_matches_word_basis_oracle_on_catalog_cases():
 
 
 def test_pbw_series_g2_and_empty():
-    result = pipeline_for(LieFamily.G2, 2)
+    result = rational_pipeline(catalog_entry(LieFamily.G2, 2))
     series = pbw_series(result.lie_algebra, 12)
     assert series.coefficient(4) == 2  # b1^2 and a1.a2.b1
     empty = HomotopyLieAlgebra([], {})
@@ -158,8 +158,8 @@ def test_series_equal_contract():
 
 
 def test_su3_and_sp2_series_differ_in_degree_4():
-    su = pipeline_for(LieFamily.SU, 2)
-    sp = pipeline_for(LieFamily.SP, 2)
+    su = rational_pipeline(catalog_entry(LieFamily.SU, 2))
+    sp = rational_pipeline(catalog_entry(LieFamily.SP, 2))
     a = pbw_series(su.lie_algebra, 10)
     b = pbw_series(sp.lie_algebra, 10)
     assert not series_equal(a, b, 10)

@@ -16,7 +16,7 @@ from loopalg.homotopy_lie import (
     pairing,
 )
 from loopalg.minimal_model import build_minimal_model
-from loopalg.pipeline import pipeline_for
+from loopalg.pipeline import rational_pipeline
 
 
 def model_for(family, rank):
@@ -72,7 +72,7 @@ def test_pairing_length_mismatch():
 
 
 def bracket_table(family, rank):
-    result = pipeline_for(family, rank)
+    result = rational_pipeline(catalog_entry(family, rank))
     return {k: dict(v) for k, v in result.lie_algebra.brackets.items()}
 
 
@@ -113,7 +113,7 @@ def test_axioms_hold_for_catalog_algebras():
         (LieFamily.F4, 4),
         (LieFamily.E6, 6),
     ]:
-        assert graded_lie_axioms_check(pipeline_for(family, rank).lie_algebra)
+        assert graded_lie_axioms_check(rational_pipeline(catalog_entry(family, rank)).lie_algebra)
 
 
 def test_abelian_algebra_passes_axioms():
