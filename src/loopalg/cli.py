@@ -2,7 +2,8 @@
 
 Reports serialize deterministically (sorted keys, fixed layout), so a given
 configuration always produces byte-identical output.  Completed compute
-results are cached on disk keyed by a content hash of the configuration.
+results are cached on disk keyed by a content hash of the configuration and
+the package version.
 
 Exit codes: 0 pass, 1 check failure, 2 usage/config error, 3 budget
 exceeded.
@@ -20,7 +21,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import catalog as cat
+from . import __version__, catalog as cat
 from .enveloping import (
     BudgetExceededError,
     DEFAULT_WORD_BUDGET,
@@ -71,7 +72,7 @@ class RunConfig:
         }
 
     def cache_key(self) -> str:
-        payload = {**self.identity(), "f4_anticommute": self.f4_anticommute}
+        payload = {**self.identity(), "f4_anticommute": self.f4_anticommute, "version": __version__}
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:24]
 
 

@@ -4,7 +4,7 @@ Every scalar is an ``int`` while it is integral and a ``fractions.Fraction``
 only where a non-unit pivot or a non-integral input forces one; no float
 ever appears.
 
-Two workhorses live here:
+Three workhorses live here:
 
 * :class:`FractionRREF` -- an incremental reduced row echelon form over
   exact rationals; :func:`rref_normalize` uses it to describe a quotient of
@@ -17,6 +17,10 @@ Two workhorses live here:
   basis vector over the new generators.  Elimination prefers unit pivots and
   falls back to a dense Smith normal form on the small residual block, so
   entries stay small on the structured matrices this package produces.
+
+* :class:`FractionFreeEliminator` -- the rank of integer rows by two-row
+  cross elimination without fractions; the commutative-quotient dimensions
+  of :mod:`loopalg.minimal_model` come from it.
 """
 
 from __future__ import annotations
@@ -302,12 +306,8 @@ def coker_normalize(rows: Sequence[Mapping[int, int]], ncols: int) -> CokerResul
             else:
                 leftovers.append(row)
         pending = leftovers
-
-    residual = []
-    for raw in pending:
-        row = units.reduce(raw)
-        if row:
-            residual.append(row)
+    # the last pass inserted no pivot, so every leftover is already reduced
+    residual = pending
     pivot_cols = units.pivot_columns
 
     res_cols = sorted({c for row in residual for c in row})

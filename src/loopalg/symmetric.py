@@ -4,20 +4,23 @@
 power sums to elementary symmetric functions; under the substitution
 ``y_i = e_i(t_1..t_m)`` both produce the power sum ``t_1^k + ... + t_m^k``.
 
-``invariant_polynomials`` transcribes, for each Lie family, the invariant
-forms whose vanishing presents the rational cohomology of the complete flag
+``invariant_polynomials`` gives, for each Lie family, the invariant forms
+whose vanishing presents the rational cohomology of the complete flag
 manifold (in the reduced variable set, after eliminating the linear
-relation where one exists).
+relation where one exists).  Every form but type D's Euler class is a
+weighted power sum ``sum of w * l^e`` over one Weyl orbit of linear forms:
+a per-family table lists the ``(w, l)``, and one kernel expands the sum by
+the multinomial theorem on int coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial
+from math import factorial, lcm
 
 from .families import EXCEPTIONAL_EXPONENTS, LieFamily, validate_rank
-from .gca import GcaElement, GradedAlgebra
+from .gca import GcaElement, GradedAlgebra, Monomial, Scalar
 
 
 def elementary_symmetric(k: int, variables: list[GcaElement]) -> GcaElement:
@@ -78,40 +81,6 @@ def recursion_p(k: int, y: list[GcaElement]) -> GcaElement:
     return p[k]
 
 
-def linear_form_power(
-    algebra: GradedAlgebra, coefficients: dict[str, int], k: int
-) -> GcaElement:
-    """(sum c_i u_i)^k expanded by the multinomial theorem (all u_i even)."""
-    names = [n for n, c in coefficients.items() if c]
-    coeffs = [coefficients[n] for n in names]
-    terms: dict[tuple[int, ...], Fraction] = {}
-    n = len(names)
-    if n == 0:
-        return algebra.zero() if k > 0 else algebra.one()
-
-    def compositions(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for tail in compositions(total - head, parts - 1):
-                yield (head,) + tail
-
-    base = factorial(k)
-    for expo in compositions(k, n):
-        coeff = base
-        for e in expo:
-            coeff //= factorial(e)
-        for c, e in zip(coeffs, expo):
-            coeff *= c**e
-        mono = [0] * len(algebra)
-        for name, e in zip(names, expo):
-            mono[algebra.index(name)] = e
-        key = tuple(mono)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return algebra.element(terms)
-
-
 def variable_algebra(family: LieFamily, rank: int) -> GradedAlgebra:
     """The degree-2 variable set of the reduced cohomology presentation."""
     validate_rank(family, rank)
@@ -144,62 +113,55 @@ def invariant_polynomials(
     if k not in invariant_indices(family, rank):
         raise ValueError(f"invalid invariant index {k} for {family.slug} rank {rank}")
     alg = algebra if algebra is not None else variable_algebra(family, rank)
-
-    if family is LieFamily.SU:
-        # power sum of u_1..u_n, u_{n+1} with u_{n+1} = -(u_1 + ... + u_n)
-        total = alg.zero()
-        for i in range(1, rank + 1):
-            total = total + alg.gen(f"u{i}") ** (k + 1)
-        everything = linear_form_power(alg, {f"u{i}": 1 for i in range(1, rank + 1)}, k + 1)
-        sign = 1 if (k + 1) % 2 == 0 else -1
-        return total + sign * everything
-
-    if family in (LieFamily.SP, LieFamily.SO_ODD) or (
-        family is LieFamily.SO_EVEN and k <= rank - 1
-    ):
-        total = alg.zero()
-        for i in range(1, rank + 1):
-            total = total + alg.gen(f"u{i}") ** (2 * k)
-        return total
-
-    if family is LieFamily.SO_EVEN:  # k == rank
+    if family is LieFamily.SO_EVEN and k == rank:
         return elementary_symmetric(rank, [alg.gen(f"u{i}") for i in range(1, rank + 1)])
+    return _power_sum(alg, *_weights(family, rank, k))
 
+
+# (weight, {variable: coefficient}) pairs
+WeightedForms = list[tuple[Scalar, dict[str, int]]]
+
+
+def _weights(family: LieFamily, rank: int, k: int) -> tuple[int, WeightedForms]:
+    """``(e, [(w, l), ...])`` with ``P_k = sum of w * l^e``, the l one Weyl orbit of weights."""
+    units = [{f"u{i}": 1} for i in range(1, rank + 1)]
+    if family is LieFamily.SU:
+        # the n+1 weights of the standard representation, u_{n+1} = -(u_1 + ... + u_n)
+        return k + 1, [(1, u) for u in units + [{n: -1 for u in units for n in u}]]
     if family is LieFamily.G2:
-        # three-variable power sum with u3 = -(u1 + u2); k is even
-        return (
-            alg.gen("u1") ** k
-            + alg.gen("u2") ** k
-            + linear_form_power(alg, {"u1": 1, "u2": 1}, k)
-        )
-
+        return k, [(1, {"u1": 1}), (1, {"u2": 1}), (1, {"u1": 1, "u2": 1})]
     if family is LieFamily.F4:
-        total = alg.zero()
-        for i in range(1, 5):
-            total = total + alg.gen(f"u{i}") ** k
-        signed = alg.zero()
-        for signs in product((1, -1), repeat=4):
-            signed = signed + linear_form_power(
-                alg, {f"u{i}": s for i, s in zip(range(1, 5), signs)}, k
-            )
-        return total + Fraction(1, 2 ** (k + 1)) * signed
+        signed = [dict(zip(("u1", "u2", "u3", "u4"), s)) for s in product((1, -1), repeat=4)]
+        return k, [(1, u) for u in units] + [(Fraction(1, 2 ** (k + 1)), s) for s in signed]
+    if family is LieFamily.E6:
+        # the 27 minuscule weights in u1..u5, u with u6 = -(u1 + ... + u5)
+        coords = units[:5] + [{n: -1 for u in units[:5] for n in u}]
+        forms = [{**c, "u": s} for c in coords for s in (1, -1)]
+        for a, b in combinations(coords, 2):
+            forms.append({n: -a.get(n, 0) - b.get(n, 0) for n in {**a, **b}})
+        return k, [(1, form) for form in forms]
+    # sp, so-odd, and so-even below its top index
+    return 2 * k, [(1, u) for u in units]
 
-    # E6: variables u1..u5, u with u6 = -(u1 + ... + u5) substituted
-    u6 = {f"u{i}": -1 for i in range(1, 6)}
-    total = alg.zero()
-    for i in range(1, 7):
-        base = {f"u{i}": 1} if i <= 5 else dict(u6)
-        for s in (1, -1):
-            form = dict(base)
-            form["u"] = form.get("u", 0) + s
-            total = total + linear_form_power(alg, form, k)
-    pair_sign = 1 if k % 2 == 0 else -1
-    for i in range(1, 7):
-        for j in range(i + 1, 7):
-            form: dict[str, int] = {}
-            for idx in (i, j):
-                base = {f"u{idx}": 1} if idx <= 5 else dict(u6)
-                for name, c in base.items():
-                    form[name] = form.get(name, 0) + c
-            total = total + pair_sign * linear_form_power(alg, form, k)
-    return total
+
+def _power_sum(algebra: GradedAlgebra, exponent: int, forms: WeightedForms) -> GcaElement:
+    """The sum of ``w * l^exponent``, each power expanded by the multinomial theorem.
+
+    The variables have degree 2.  The weights are brought to one denominator,
+    so the expansion adds ints and divides once, when the element is built.
+    """
+    scale = lcm(*(Fraction(w).denominator for w, _ in forms))
+    terms: dict[Monomial, int] = {}
+    for weight, form in forms:
+        support = sorted((algebra.index(n), c) for n, c in form.items() if c)
+        local = GradedAlgebra([algebra.generators[i] for i, _ in support])
+        top = int(weight * scale) * factorial(exponent)
+        for expo in local.monomials_of_degree(2 * exponent):
+            coeff = top
+            mono = [0] * len(algebra)
+            for (i, c), e in zip(support, expo):
+                coeff = coeff // factorial(e) * c**e
+                mono[i] = e
+            key = tuple(mono)
+            terms[key] = terms.get(key, 0) + coeff
+    return algebra.element({m: Fraction(c, scale) for m, c in terms.items()})

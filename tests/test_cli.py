@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import loopalg
+from loopalg import cli
 from loopalg.cli import main
 
 
@@ -209,6 +211,21 @@ def test_corrupt_cache_entry_is_recomputed(cache_dir, capsys):
         assert code == 0 and "ignoring cache entry" in err
         assert out == fresh and entry.read_text() == fresh
     assert [p.name for p in cache_dir.iterdir()] == [entry.name]
+
+
+def test_entry_of_another_package_version_is_a_miss(cache_dir, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "__version__", "0.0.0")
+    _, fresh, _ = run(capsys, "compute", "--family", "su", "--rank", "2", "--format", "json")
+    (stale,) = cache_dir.glob("*.json")
+    monkeypatch.setattr(cli, "__version__", loopalg.__version__)
+    code, _, err = run(capsys, "report", "--family", "su", "--rank", "2")
+    assert code == 2 and "cached" in err
+    code, out, _ = run(
+        capsys, "report", "--family", "su", "--rank", "2", "--compute-missing", "--format", "json"
+    )
+    assert code == 0 and out == fresh
+    (entry,) = (p for p in cache_dir.glob("*.json") if p != stale)
+    assert entry.read_text() == stale.read_text() == fresh
 
 
 def test_unusable_cache_dir_is_a_config_error(cache_dir, tmp_path, capsys):

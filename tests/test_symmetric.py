@@ -1,5 +1,9 @@
 """Newton/recursion identities and the per-family invariant forms."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from loopalg.families import LieFamily
@@ -149,6 +153,8 @@ def substitute_permutation(element, perm):
         (LieFamily.SO_ODD, 3, 3),
         (LieFamily.SO_EVEN, 3, 3),
         (LieFamily.F4, 4, 6),
+        (LieFamily.SU, 3, 3),
+        (LieFamily.G2, 2, 6),
     ],
 )
 def test_invariants_symmetric_under_variable_permutations(family, rank, k):
@@ -171,3 +177,41 @@ def test_invariant_indices_per_family():
     assert invariant_indices(LieFamily.SU, 3) == (1, 2, 3)
     assert invariant_indices(LieFamily.SO_EVEN, 4) == (1, 2, 3, 4)
     assert invariant_indices(LieFamily.E6, 6) == (2, 5, 6, 8, 9, 12)
+
+
+FORMS_FIXTURE = Path(__file__).resolve().parent / "golden" / "invariant-forms.json"
+PINNED_RANKS = {
+    LieFamily.SU: range(1, 9),
+    LieFamily.SP: range(1, 6),
+    LieFamily.SO_ODD: range(1, 6),
+    LieFamily.SO_EVEN: range(3, 7),
+    LieFamily.G2: (2,),
+    LieFamily.F4: (4,),
+    LieFamily.E6: (6,),
+}
+
+
+def form_fingerprint(p):
+    """Term count and SHA-256 of the sorted (exponents, numerator, denominator) triples."""
+    triples = sorted((list(m), c.numerator, c.denominator) for m, c in p.terms.items())
+    return {
+        "terms": len(triples),
+        "sha256": hashlib.sha256(json.dumps(triples).encode()).hexdigest(),
+    }
+
+
+def pinned_fingerprints():
+    return {
+        f"{family.slug}/{rank}/{k}": form_fingerprint(invariant_polynomials(family, rank, k))
+        for family, ranks in PINNED_RANKS.items()
+        for rank in ranks
+        for k in invariant_indices(family, rank)
+    }
+
+
+def test_every_invariant_form_matches_its_pinned_fingerprint():
+    """Each form keeps the exact terms recorded in the fixture, index by index.
+
+    The fixture was written with ``json.dumps(pinned_fingerprints(), indent=1)``.
+    """
+    assert pinned_fingerprints() == json.loads(FORMS_FIXTURE.read_text())
