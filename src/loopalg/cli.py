@@ -128,7 +128,7 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
             checks["regular_sequence_check"] = checks["cohomology_weyl_order"] = "skipped"
         else:
             socle = entry.cohomology.socle_degree()
-            dims = quotient_dimensions(entry.cohomology, socle + 2)
+            dims = quotient_dimensions(entry.cohomology, socle + 2, cfg.budget)
             record("regular_sequence_check", is_regular(entry.cohomology, dims))
             total = sum(dims.prefix(socle))
             record(

@@ -18,9 +18,13 @@ Three workhorses live here:
   falls back to a dense Smith normal form on the small residual block, so
   entries stay small on the structured matrices this package produces.
 
-* :class:`FractionFreeEliminator` -- the rank of integer rows by two-row
-  cross elimination without fractions; the commutative-quotient dimensions
-  of :mod:`loopalg.minimal_model` come from it.
+* :class:`FractionFreeEliminator` -- the rank of integer rows, over Q by
+  two-row cross elimination without fractions, or over F_p when built with a
+  ``prime``: then entries are residues mod p and every pivot row leads with
+  1.  On both routes a row is reduced at its largest column first.  The
+  commutative-quotient dimensions of :mod:`loopalg.minimal_model` come from
+  it: a rank mod p never exceeds the rank over Q, which is what the
+  quotient's certificate uses.
 """
 
 from __future__ import annotations
@@ -121,19 +125,45 @@ def _content_reduced(row: Row) -> Row:
 
 
 class FractionFreeEliminator:
-    """Row-echelon rank over Z by two-row cross elimination, content-reduced."""
+    """Row-echelon rank of integer rows, pivoting on the largest column.
 
-    def __init__(self):
+    Without a ``prime`` the rank is over Q, by two-row cross elimination with
+    content-reduced rows.  With a ``prime`` p it is over F_p: entries are
+    residues mod p and every pivot row is scaled to lead with 1.
+    """
+
+    def __init__(self, prime: int | None = None):
         self._pivots: dict[int, Row] = {}
+        self._prime = prime
 
     @property
     def rank(self) -> int:
         return len(self._pivots)
 
     def add_row(self, row: Mapping[int, int]) -> bool:
+        """Insert a row; returns True when it increased the rank."""
+        p = self._prime
+        if p is not None:
+            r = {c: v % p for c, v in row.items() if v % p}
+            while r:
+                col = max(r)
+                pivot = self._pivots.get(col)
+                if pivot is None:
+                    inv = pow(r[col], -1, p)
+                    self._pivots[col] = {c: v * inv % p for c, v in r.items()}
+                    return True
+                f = r[col]
+                for c, v in pivot.items():
+                    # f * v is a unit mod p, so a zero means c was in r
+                    nv = (r.get(c, 0) - f * v) % p
+                    if nv:
+                        r[c] = nv
+                    else:
+                        del r[c]
+            return False
         r = {c: int(v) for c, v in row.items() if v}
         while r:
-            col = min(r)
+            col = max(r)
             pivot = self._pivots.get(col)
             if pivot is None:
                 self._pivots[col] = _content_reduced(r)

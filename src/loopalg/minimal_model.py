@@ -6,16 +6,34 @@ and differential ``d(u_i) = 0``, ``d(v_j) = P_j``.  The regular-sequence
 property itself is checked by degreewise dimension counting of the
 commutative quotient, which also yields the graded dimensions of the
 cohomology.
+
+Each degree of the quotient is first ranked over F_p and kept only under an
+exact certificate.  For as many relations as variables, every degree d has
+
+    CI_d <= dim_Q A_d <= dim_{F_p} A_d,
+
+where CI_d is the coefficient of prod (1 - t^{deg P_j}) / (1 - t^2)^n: the
+left bound because the rank of the multiplication map is largest for
+generic forms, which form a regular sequence; the right one because a rank
+mod p never exceeds the rank over Q.  So ``dim_{F_p} A_d == CI_d`` proves
+``dim_Q A_d == CI_d``.  A degree where the two differ (an unlucky prime, a
+non-regular presentation), and every degree when the relation count differs
+from the variable count, is eliminated again over Z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from operator import mul
 
 from . import linalg
+from .enveloping import DEFAULT_WORD_BUDGET, BudgetExceededError
 from .gca import Derivation, GcaElement, GradedAlgebra
-from .series import PoincareSeries
+from .series import PoincareSeries, complete_intersection_coefficients
+
+# the prime of the rank pass that the certificate checks; below 2**30, so
+# every product of two residues stays a small int
+CERTIFICATE_PRIME = 1_073_741_789
 
 
 class CohomologyPresentation:
@@ -53,37 +71,75 @@ class MinimalModel:
     presentation: CohomologyPresentation
 
 
-def quotient_dimensions(c: CohomologyPresentation, max_degree: int) -> PoincareSeries:
+def quotient_dimensions(
+    c: CohomologyPresentation, max_degree: int, budget: int | None = DEFAULT_WORD_BUDGET
+) -> PoincareSeries:
     """Graded dimensions of the commutative quotient, by exact rank counts.
 
     Degree d of the quotient = (number of degree-d monomials) minus the rank
     of the matrix whose rows expand monomial * P_j over the degree-d basis.
+    With as many relations as variables that rank is taken over F_p, and a
+    degree's answer is kept only where it equals the complete-intersection
+    coefficient, which certifies it over Q (see the module docstring); any
+    other degree is ranked again over Z.  A degree with more monomials or
+    rows than ``budget`` raises :class:`BudgetExceededError` before any
+    elimination.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     alg = c.algebra
-    # primitive integer relations make every row m * P_j integral; with all
-    # generators of degree 2 there are no Koszul signs, so m * P_j just adds
-    # the exponents of m to each term of P_j
+    n = len(alg)
+    degrees = c.relation_degrees
+    # monomials per degree: the coefficients of 1 / (1 - t^2)^n
+    sizes = complete_intersection_coefficients((), n, max_degree)
+    if budget is not None:
+        for d in range(max_degree + 1):
+            rows = sum(sizes[d - e] for e in degrees if e <= d)
+            for size in (sizes[d], rows):
+                if size > budget:
+                    raise BudgetExceededError(d, size, budget)
+    certified = None
+    if len(degrees) == n:
+        certified = complete_intersection_coefficients(degrees, n, max_degree)
+    # a monomial u^a is coded as the int sum a_i * radix^i; the exponents of a
+    # monomial of degree <= max_degree are below radix, so the code of the
+    # term m * k of m * P_j is code(m) + code(k).  Primitive integer
+    # relations make every row integral; with all generators of degree 2
+    # there are no Koszul signs.
+    weights = [(max_degree // 2 + 1) ** i for i in range(n)]
+
+    def code(monomial) -> int:
+        return sum(map(mul, monomial, weights))
+
     relations = []
     for rel in c.relations:
         terms = rel.content_normalized().terms
-        relations.append((rel.degree(), [(k, v.numerator) for k, v in terms.items()]))
+        relations.append((rel.degree(), [(code(k), v.numerator) for k, v in terms.items()]))
+    basis = [[code(m) for m in alg.monomials_of_degree(d)] for d in range(max_degree + 1)]
     dims = []
-    for d in range(max_degree + 1):
-        monomials = alg.monomials_of_degree(d)
+    for d, monomials in enumerate(basis):
         if not monomials:
             dims.append(0)
             continue
-        index = {m: i for i, m in enumerate(monomials)}
-        elim = linalg.FractionFreeEliminator()
-        for e, terms in relations:
-            if e > d:
+        if certified is not None:
+            dim = len(monomials) - _rank(basis, relations, d, CERTIFICATE_PRIME)
+            if dim == certified[d]:
+                dims.append(dim)
                 continue
-            for m in alg.monomials_of_degree(d - e):
-                elim.add_row({index[tuple(map(add, m, k))]: v for k, v in terms})
-        dims.append(len(monomials) - elim.rank)
+        dims.append(len(monomials) - _rank(basis, relations, d, None))
     return PoincareSeries(tuple(dims))
+
+
+def _rank(basis, relations, d: int, prime: int | None) -> int:
+    """Rank of the degree-d rows m * P_j over F_prime, or over Q without a prime."""
+    index = {m: i for i, m in enumerate(basis[d])}
+    elim = linalg.FractionFreeEliminator(prime)
+    for e, terms in relations:
+        if e > d:
+            continue
+        for m in basis[d - e]:
+            elim.add_row({index[m + k]: v for k, v in terms})
+    return elim.rank
 
 
 def regular_sequence_check(c: CohomologyPresentation) -> bool:

@@ -7,7 +7,8 @@ normal form; over Q it runs on the rows with their denominators cleared.
 This is deliberately different machinery from the package's incremental
 quotient engine, so the two routes check each other.  The commutative
 quotient is recounted from ``GcaElement`` products over a basis of
-exponent tuples enumerated here, with a dense rank over Q.
+exponent tuples enumerated here, with a dense rank over Q; ranks over F_p
+come from a dense elimination on residues.
 """
 
 from __future__ import annotations
@@ -164,6 +165,24 @@ def dense_rank(rows, ncols: int) -> int:
             factor = mat[i][col] / mat[rank][col]
             if factor:
                 mat[i] = [a - factor * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+def dense_rank_mod_p(rows, ncols: int, p: int) -> int:
+    """Rank over F_p of integer rows, by Gaussian elimination on dense residues."""
+    mat = [[row.get(c, 0) % p for c in range(ncols)] for row in rows]
+    rank = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][col], p - 2, p)
+        for i in range(rank + 1, len(mat)):
+            factor = mat[i][col] * inv % p
+            if factor:
+                mat[i] = [(a - factor * b) % p for a, b in zip(mat[i], mat[rank])]
         rank += 1
     return rank
 

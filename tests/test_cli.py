@@ -148,6 +148,18 @@ def test_budget_exceeded_exit_code(cache_dir, capsys):
     assert "degree" in err
 
 
+def test_verify_bounds_the_commutative_quotient_by_the_budget(cache_dir, capsys):
+    # both quotients are over the default budget long before their socle
+    for args in (("--family", "so-even", "--rank", "6"), ("--family", "e6", "--check-cohomology")):
+        code, out, err = run(capsys, "verify", *args)
+        assert (code, out) == (3, ""), args
+        assert "over the budget of 200000" in err
+    # su3's quotient fits in 20 rows a degree; the enveloping algebra does not
+    code, out, err = run(capsys, "verify", "--family", "su", "--rank", "2", "--budget", "20")
+    assert (code, out) == (3, "")
+    assert err == "error: degree 7 needs 21 basis symbols/rows, over the budget of 20\n"
+
+
 def test_integer_compute_reports_ranks_and_torsion(cache_dir, capsys):
     code, out, _ = run(
         capsys,

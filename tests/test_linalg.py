@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from loopalg.linalg import FractionFreeEliminator, FractionRREF, coker_normalize, rref_normalize
 
-from oracles import dense_integer, dense_smith_invariants
+from oracles import dense_integer, dense_rank_mod_p, dense_smith_invariants
 
 
 @st.composite
@@ -53,6 +53,18 @@ def test_fraction_free_rank_matches_dense_smith(case):
     elim = FractionFreeEliminator()
     raised = [elim.add_row({c: v for c, v in enumerate(r) if v}) for r in dense]
     assert elim.rank == len(dense_smith_invariants(dense)) == sum(raised)
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices(), st.sampled_from([2, 3, 5, 7, 1_073_741_789]))
+def test_fraction_free_rank_mod_p_matches_dense_rank(case, prime):
+    dense, ncols = case
+    rows = [{c: v for c, v in enumerate(r) if v} for r in dense]
+    elim = FractionFreeEliminator(prime)
+    raised = [elim.add_row(row) for row in rows]
+    assert elim.rank == dense_rank_mod_p(rows, ncols, prime) == sum(raised)
+    # a rank mod p never exceeds the rank over Q
+    assert elim.rank <= len(dense_smith_invariants(dense))
 
 
 @st.composite

@@ -5,13 +5,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopalg.catalog import SLOW_COHOMOLOGY_FAMILIES, catalog_entry
+from loopalg import linalg, minimal_model
+from loopalg.catalog import catalog_entry
+from loopalg.enveloping import BudgetExceededError
 from loopalg.families import LieFamily
 from loopalg.gca import GradedAlgebra
 from loopalg.minimal_model import (
     CohomologyPresentation,
     build_minimal_model,
     derivation_square_check,
+    is_regular,
     quadratic_part,
     quotient_dimensions,
     regular_sequence_check,
@@ -110,10 +113,88 @@ def test_quotient_dimensions_g2_total():
 
 def test_regular_sequence_on_catalog_families():
     # the pipeline does not check regularity, so every configuration the
-    # acceptance tests build is checked here, but for the slow f4 and e6
+    # acceptance tests build is checked here, but for e6, whose quotient is
+    # over the default budget
     for family, rank in FAMILIES:
-        if family not in SLOW_COHOMOLOGY_FAMILIES:
-            assert regular_sequence_check(presentation(family, rank)), (family, rank)
+        if family is LieFamily.E6:
+            continue
+        coh = presentation(family, rank)
+        dims = quotient_dimensions(coh, coh.socle_degree() + 2)
+        assert is_regular(coh, dims), (family, rank)
+        if family is LieFamily.F4:
+            assert sum(dims.prefix(coh.socle_degree())) == 1152
+
+
+class EliminatorSpy:
+    """Stands in for the eliminator class and records the prime of each instance."""
+
+    def __init__(self):
+        self.primes = []
+        self._eliminator = linalg.FractionFreeEliminator
+
+    def __call__(self, prime=None):
+        self.primes.append(prime)
+        return self._eliminator(prime)
+
+
+CERTIFIED = [
+    (LieFamily.SU, 1),
+    (LieFamily.SU, 2),
+    (LieFamily.SU, 3),
+    (LieFamily.SU, 4),
+    (LieFamily.SP, 2),
+    (LieFamily.SP, 3),
+    (LieFamily.SP, 4),
+    (LieFamily.SO_ODD, 2),
+    (LieFamily.SO_ODD, 3),
+    (LieFamily.SO_ODD, 4),
+    (LieFamily.SO_EVEN, 3),
+    (LieFamily.SO_EVEN, 4),
+    (LieFamily.G2, 2),
+]
+
+
+def test_classical_quotients_are_certified_without_an_exact_fallback(monkeypatch):
+    spy = EliminatorSpy()
+    monkeypatch.setattr(linalg, "FractionFreeEliminator", spy)
+    for family, rank in CERTIFIED:
+        coh = presentation(family, rank)
+        n = coh.socle_degree() + 2
+        spy.primes.clear()
+        dims = quotient_dimensions(coh, n)
+        assert list(dims) == complete_intersection_coefficients(
+            list(coh.relation_degrees), len(coh.algebra), n
+        ), (family, rank)
+        # one eliminator per nonzero degree, each over F_p
+        assert spy.primes == [minimal_model.CERTIFICATE_PRIME] * (n // 2 + 1), (family, rank)
+
+
+def test_uncertified_degrees_fall_back_to_the_exact_route(monkeypatch):
+    spy = EliminatorSpy()
+    monkeypatch.setattr(linalg, "FractionFreeEliminator", spy)
+    alg = GradedAlgebra([("u1", 2), ("u2", 2)])
+    u1, u2 = alg.gen("u1"), alg.gen("u2")
+    # a regular sequence over Q whose two relations agree mod 3
+    good = CohomologyPresentation(alg, [u1 * u1 + u2 * u2, u1 * u1 + 4 * u2 * u2])
+    monkeypatch.setattr(minimal_model, "CERTIFICATE_PRIME", 3)
+    assert list(quotient_dimensions(good, 6)) == [1, 0, 2, 0, 1, 0, 0]
+    assert spy.primes == [3, 3, 3, None, 3, None]
+    # with fewer relations than variables there is no certificate
+    spy.primes.clear()
+    assert list(quotient_dimensions(CohomologyPresentation(alg, [u1 * u2]), 4)) == [1, 0, 2, 0, 2]
+    assert spy.primes == [None] * 3
+
+
+def test_quotient_budget_is_checked_before_any_elimination(monkeypatch):
+    spy = EliminatorSpy()
+    monkeypatch.setattr(linalg, "FractionFreeEliminator", spy)
+    # 286 monomials and 425 rows in degree 20, 364 and 589 in degree 22
+    coh = presentation(LieFamily.SU, 4)
+    with pytest.raises(BudgetExceededError) as err:
+        quotient_dimensions(coh, coh.socle_degree() + 2, budget=500)
+    assert spy.primes == []
+    assert (err.value.degree, err.value.size, err.value.budget) == (22, 589, 500)
+    assert list(quotient_dimensions(coh, coh.socle_degree() + 2, budget=None))[-1] == 0
 
 
 def test_regular_sequence_counterexample():
@@ -194,8 +275,12 @@ def degree_two_presentations(draw):
 @settings(max_examples=60, deadline=None)
 @given(degree_two_presentations())
 def test_quotient_dimensions_match_product_oracle(c):
-    dims = quotient_dimensions(c, 10)
-    assert list(dims) == [brute_commutative_dimension(c, d) for d in range(11)]
+    oracle = [brute_commutative_dimension(c, d) for d in range(11)]
+    assert list(quotient_dimensions(c, 10)) == oracle
+    # a prime as small as 3 makes many degrees fall back to the exact route
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minimal_model, "CERTIFICATE_PRIME", 3)
+        assert list(quotient_dimensions(c, 10)) == oracle
 
 
 def test_quotient_dimensions_of_a_non_regular_presentation():
