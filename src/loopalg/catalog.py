@@ -61,8 +61,6 @@ DEFAULT_CHECKED_RANKS: dict[LieFamily, tuple[int, ...]] = {
     LieFamily.E6: (6,),
 }
 
-SLOW_COHOMOLOGY_FAMILIES = (LieFamily.F4, LieFamily.E6)
-
 
 def default_max_degree(family: LieFamily) -> int:
     # G2 runs to 12 so its degree-10 generator takes part in the checks

@@ -6,7 +6,9 @@ results are cached on disk keyed by a content hash of the configuration and
 the package version.
 
 Exit codes: 0 pass, 1 check failure, 2 usage/config error, 3 budget
-exceeded.
+exceeded by the enveloping or integral engine.  ``--budget`` alone bounds
+``verify``'s commutative quotient too: over it, both quotient checks are
+``"skipped"``.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ class RunConfig:
     out: str | None = None
     budget: int = DEFAULT_WORD_BUDGET
     f4_anticommute: bool = False
-    check_cohomology: bool = False
     inject_torsion: bool = False
     cache_dir: str | None = None
     verbose: bool = False
@@ -124,11 +125,13 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
             got == want,
             "computed bracket table differs from the catalog table",
         )
-        if cfg.family in cat.SLOW_COHOMOLOGY_FAMILIES and not cfg.check_cohomology:
+        socle = entry.cohomology.socle_degree()
+        try:
+            dims = quotient_dimensions(entry.cohomology, socle + 2, cfg.budget)
+        except BudgetExceededError:
+            # refused before any elimination: the quotient is over the budget
             checks["regular_sequence_check"] = checks["cohomology_weyl_order"] = "skipped"
         else:
-            socle = entry.cohomology.socle_degree()
-            dims = quotient_dimensions(entry.cohomology, socle + 2, cfg.budget)
             record("regular_sequence_check", is_regular(entry.cohomology, dims))
             total = sum(dims.prefix(socle))
             record(
@@ -364,11 +367,6 @@ def _parser() -> argparse.ArgumentParser:
         )
         if name == "verify":
             p.add_argument(
-                "--check-cohomology",
-                action="store_true",
-                help="run the commutative quotient checks for f4/e6 too (slow)",
-            )
-            p.add_argument(
                 "--inject-torsion",
                 action="store_true",
                 help="self-test hook: double one integral relation so torsion appears",
@@ -414,7 +412,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         out=args.out,
         budget=args.budget,
         f4_anticommute=args.f4_anticommute,
-        check_cohomology=getattr(args, "check_cohomology", False),
         inject_torsion=getattr(args, "inject_torsion", False),
         cache_dir=args.cache_dir,
         verbose=args.verbose,

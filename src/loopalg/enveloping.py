@@ -49,6 +49,14 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
+def check_budget(degree: int, budget: int | None, *sizes: int) -> None:
+    """Raise :class:`BudgetExceededError` at the first size over ``budget`` (None: no cap)."""
+    if budget is not None:
+        for size in sizes:
+            if size > budget:
+                raise BudgetExceededError(degree, size, budget)
+
+
 class NcElement(Polynomial):
     """A noncommutative polynomial: word -> coefficient, zeros dropped."""
 
@@ -181,8 +189,9 @@ class GradedQuotient:
     offsets of the symbol blocks ``(g, w)`` and the expansion of each symbol
     over the generators.  The domain fixes the elimination of one degree's
     rows: :func:`linalg.rref_normalize` over Q, :func:`linalg.coker_normalize`
-    over Z.  The budget caps the symbols and the rows of each degree: every
-    relation row, zero or not, and the diagonal torsion rows.
+    over Z.  The budget caps the symbols and the rows of each degree, counted
+    from the lower components before any row is built: every relation row,
+    zero or not, and the diagonal torsion rows.
     """
 
     def __init__(self, presentation: RingPresentation, budget: int | None = None):
@@ -226,10 +235,6 @@ class GradedQuotient:
     def dimensions(self, max_degree: int) -> PoincareSeries:
         return PoincareSeries(self.report(max_degree).ranks())
 
-    def _check_budget(self, degree: int, size: int) -> None:
-        if self.budget is not None and size > self.budget:
-            raise BudgetExceededError(degree, size, self.budget)
-
     def _leftmul(self, gen_index: int, vec: dict[int, Scalar], src_degree: int):
         """Image of a vector of A_src under left multiplication."""
         target = src_degree + self._gen_degrees[gen_index]
@@ -255,13 +260,17 @@ class GradedQuotient:
 
     def _build(self, degree: int) -> None:
         offsets: dict[int, int] = {}
-        nsym = 0
+        nsym = nrows = 0
         for g, d in enumerate(self._gen_degrees):
             lower = degree - d
             if lower >= 0 and self._invariants[lower]:
                 offsets[g] = nsym
                 nsym += len(self._invariants[lower])
-        self._check_budget(degree, nsym)
+                nrows += len(self._torsion[lower])
+        for rel_degree, _ in self._relations:
+            if rel_degree <= degree:
+                nrows += len(self._invariants[degree - rel_degree])
+        check_budget(degree, self.budget, nsym, nrows)
         result = self._eliminate(self._rows(degree, offsets), nsym)
         self._invariants.append(result.invariants)
         self._torsion.append({g: s for g, s in enumerate(result.invariants) if s > 1})
@@ -269,13 +278,10 @@ class GradedQuotient:
         self._expand.append(result.expansions)
 
     def _rows(self, degree: int, offsets: dict[int, int]):
-        """The presentation rows of one degree, counted against the budget."""
-        count = 0
+        """The presentation rows of one degree, zero rows included."""
         # torsion of the lower components becomes diagonal presentation rows
         for g, base in offsets.items():
             for w, s in self._torsion[degree - self._gen_degrees[g]].items():
-                count += 1
-                self._check_budget(degree, count)
                 yield {base + w: s}
         for rel_degree, terms in self._relations:
             lower = degree - rel_degree
@@ -302,8 +308,6 @@ class GradedQuotient:
                             row[col] = nv
                         else:
                             row.pop(col, None)
-                count += 1
-                self._check_budget(degree, count)
                 yield row
 
 

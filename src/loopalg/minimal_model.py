@@ -18,7 +18,8 @@ generic forms, which form a regular sequence; the right one because a rank
 mod p never exceeds the rank over Q.  So ``dim_{F_p} A_d == CI_d`` proves
 ``dim_Q A_d == CI_d``.  A degree where the two differ (an unlucky prime, a
 non-regular presentation), and every degree when the relation count differs
-from the variable count, is eliminated again over Z.
+from the variable count, is ranked again over Q by fraction-free cross
+elimination.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from . import linalg
-from .enveloping import DEFAULT_WORD_BUDGET, BudgetExceededError
+from .enveloping import DEFAULT_WORD_BUDGET, check_budget
 from .gca import Derivation, GcaElement, GradedAlgebra
 from .series import PoincareSeries, complete_intersection_coefficients
 
@@ -81,9 +82,9 @@ def quotient_dimensions(
     With as many relations as variables that rank is taken over F_p, and a
     degree's answer is kept only where it equals the complete-intersection
     coefficient, which certifies it over Q (see the module docstring); any
-    other degree is ranked again over Z.  A degree with more monomials or
-    rows than ``budget`` raises :class:`BudgetExceededError` before any
-    elimination.
+    other degree is ranked again over Q by fraction-free cross elimination.
+    A degree with more monomials or rows than ``budget`` raises
+    :class:`~loopalg.enveloping.BudgetExceededError` before any elimination.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
@@ -92,12 +93,8 @@ def quotient_dimensions(
     degrees = c.relation_degrees
     # monomials per degree: the coefficients of 1 / (1 - t^2)^n
     sizes = complete_intersection_coefficients((), n, max_degree)
-    if budget is not None:
-        for d in range(max_degree + 1):
-            rows = sum(sizes[d - e] for e in degrees if e <= d)
-            for size in (sizes[d], rows):
-                if size > budget:
-                    raise BudgetExceededError(d, size, budget)
+    for d in range(max_degree + 1):
+        check_budget(d, budget, sizes[d], sum(sizes[d - e] for e in degrees if e <= d))
     certified = None
     if len(degrees) == n:
         certified = complete_intersection_coefficients(degrees, n, max_degree)

@@ -3,9 +3,8 @@
 cohomology presentation -> minimal model -> quadratic part -> homotopy Lie
 algebra -> enveloping presentation.  The regular-sequence precondition of
 the cohomology presentation is not checked here: ``verify`` checks it from
-the commutative quotient it builds anyway (flag-gated for the two families
-whose quotient is expensive), and ``build_minimal_model`` checks it when
-called on its own.
+the commutative quotient it builds anyway (when that quotient fits the
+budget), and ``build_minimal_model`` checks it when called on its own.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from loopalg import linalg
 from loopalg.catalog import (
     DEFAULT_CHECKED_RANKS,
     catalog_entry,
@@ -171,6 +172,48 @@ def test_budget_cap_raises_with_degree():
     with pytest.raises(BudgetExceededError) as err:
         graded_dimensions(entry.expected_rational, 10, budget=3)
     assert err.value.degree >= 1
+
+
+def _refusal_presentation(domain):
+    """su3's pipeline presentation, or its integral one with a doubled relation."""
+    if domain == "rational":
+        return rational_pipeline(catalog_entry(LieFamily.SU, 2)).presentation
+    p = expected_integral_presentation(LieFamily.SU, 2)
+    return RingPresentation(p.algebra, [2 * p.relations[0], *p.relations[1:]], "integer")
+
+
+@pytest.mark.parametrize(
+    "domain, eliminator, budget, degree, rows",
+    [("rational", "rref_normalize", 20, 7, 24), ("integer", "coker_normalize", 40, 6, 43)],
+)
+def test_budget_refuses_a_degree_before_building_its_rows(
+    monkeypatch, domain, eliminator, budget, degree, rows
+):
+    calls = []
+    original = getattr(linalg, eliminator)
+
+    def spy(matrix, ncols):
+        calls.append(ncols)
+        return original(matrix, ncols)
+
+    monkeypatch.setattr(linalg, eliminator, spy)
+    p = _refusal_presentation(domain)
+    with pytest.raises(BudgetExceededError) as err:
+        p.engine(budget).report(10)
+    # degrees 1 .. degree - 1 were eliminated, the refused one was not touched
+    assert len(calls) == degree - 1
+    assert (err.value.degree, err.value.size, err.value.budget) == (degree, rows, budget)
+    # the refusal names the degree's true row count: one row per relation and
+    # basis element of the complementary degree, plus one diagonal row per
+    # torsion generator one generator degree down
+    lower = p.engine(None).report(degree - 1).entries
+    sizes = [e.rank + len(e.torsion) for e in lower]
+    torsion = [len(e.torsion) for e in lower]
+    gens = [d for _, d in p.generators]
+    assert rows == sum(
+        sizes[degree - r.degree()] for r in p.relations if r.degree() <= degree
+    ) + sum(torsion[degree - g] for g in gens if g <= degree)
+    assert any(torsion) == (domain == "integer")
 
 
 def _random_presentation(rng, domain):
