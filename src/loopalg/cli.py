@@ -142,7 +142,9 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
 
     pbw = pbw_series(pipe.lie_algebra, n)
     poincare = list(pbw)
+    engines: list[tuple[str, RingPresentation]] = []
     if cfg.coeffs != "integer":
+        engines.append(("rational", pipe.presentation))
         uea_dims = timed("graded_dimension", graded_dimensions, pipe.presentation, n, cfg.budget)
         poincare = list(uea_dims)
         if verify:
@@ -170,6 +172,7 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
     f4_variants: dict[str, dict] = {}
     if cfg.coeffs != "rational":
         shown = _integral_presentation(cfg)
+        engines.append(("integer", shown))
         report = timed("graded_smith", graded_smith_report, shown, n, cfg.budget)
         ranks = list(report.ranks())
         torsion = [list(t) for t in report.torsion_lists()]
@@ -202,6 +205,14 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
     if cfg.verbose:
         for stage, seconds in timings.items():
             print(f"timing {stage}: {seconds:.3f}s", file=sys.stderr)
+        for domain, presentation in engines:
+            work = presentation.engine(cfg.budget).work
+            for d in range(1, n + 1):
+                w = work[d]
+                print(
+                    f"engine {domain} degree {d}: symbols {w.symbols} rows {w.rows} rank {w.rank}",
+                    file=sys.stderr,
+                )
     doc = {
         **cfg.identity(),
         "generators": [{"name": name, "degree": d} for name, d in shown.generators],
@@ -363,7 +374,9 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--f4-anticommute", action="store_true")
         p.add_argument("--cache-dir", default=None)
         p.add_argument(
-            "--verbose", action="store_true", help="print stage timings to stderr"
+            "--verbose",
+            action="store_true",
+            help="print stage timings and per-degree engine work to stderr",
         )
         if name == "verify":
             p.add_argument(

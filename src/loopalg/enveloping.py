@@ -177,6 +177,15 @@ class GradedSmithReport:
         return all(not e.torsion for e in self.entries)
 
 
+@dataclass(frozen=True)
+class DegreeWork:
+    """One degree's elimination: its symbols, its rows (zero rows included) and their rank."""
+
+    symbols: int
+    rows: int
+    rank: int
+
+
 def _integer_eliminate(rows: Iterable[dict[int, int]], ncols: int) -> linalg.CokerResult:
     return linalg.coker_normalize([row for row in rows if row], ncols)
 
@@ -191,7 +200,8 @@ class GradedQuotient:
     rows: :func:`linalg.rref_normalize` over Q, :func:`linalg.coker_normalize`
     over Z.  The budget caps the symbols and the rows of each degree, counted
     from the lower components before any row is built: every relation row,
-    zero or not, and the diagonal torsion rows.
+    zero or not, and the diagonal torsion rows.  ``work[d]`` records what
+    eliminating degree ``d`` cost (degree 0 costs nothing).
     """
 
     def __init__(self, presentation: RingPresentation, budget: int | None = None):
@@ -213,6 +223,7 @@ class GradedQuotient:
         self._torsion: list[dict[int, int]] = [{}]
         self._offsets: list[dict[int, int]] = [{}]
         self._expand: list[list[dict[int, Scalar]]] = [[]]
+        self.work: list[DegreeWork] = [DegreeWork(0, 0, 0)]
 
     def entry(self, degree: int) -> SmithEntry:
         if degree < 0:
@@ -276,6 +287,7 @@ class GradedQuotient:
         self._torsion.append({g: s for g, s in enumerate(result.invariants) if s > 1})
         self._offsets.append(offsets)
         self._expand.append(result.expansions)
+        self.work.append(DegreeWork(nsym, nrows, result.matrix_rank))
 
     def _rows(self, degree: int, offsets: dict[int, int]):
         """The presentation rows of one degree, zero rows included."""

@@ -9,7 +9,10 @@ Three workhorses live here:
 * :class:`FractionRREF` -- an incremental reduced row echelon form over
   exact rationals; :func:`rref_normalize` uses it to describe a quotient of
   Q^n by its non-pivot columns, expressing dependent basis symbols in terms
-  of independent ones.
+  of independent ones.  Its cost follows the rows, not the stored pivots:
+  reducing a row costs in proportion to the row and its fill, and a new
+  pivot is substituted back only into the rows that hold its column, found
+  through a column index.
 
 * :func:`coker_normalize` -- given integer relation rows inside Z^n, compute
   the cokernel Z^n / rowspan as an explicit abelian group: free and torsion
@@ -52,10 +55,18 @@ class FractionRREF:
     Entries stay ``int`` while they are integral: a pivot of 1 or -1 scales
     its row by itself, any other pivot by an exact ``Fraction``, and every
     integral ``Fraction`` turns back into an int.
+
+    The cost follows the rows handled, not the number of stored pivots.
+    :meth:`reduce` visits only the pivots among the row's own columns and
+    then its fill.  A private column index lists, for every non-pivot
+    column, the stored rows nonzero there, so back-substitution of a new
+    pivot touches only the rows that hold its column.
     """
 
     def __init__(self):
         self._pivot_rows: dict[int, QRow] = {}
+        # non-pivot column -> pivots of the stored rows nonzero in it
+        self._holders: dict[int, set[int]] = {}
 
     @property
     def rank(self) -> int:
@@ -68,16 +79,17 @@ class FractionRREF:
     def reduce(self, row: Mapping[int, Scalar]) -> QRow:
         """Reduce a vector against the current pivots (returns a new dict)."""
         out: QRow = {c: v for c, v in row.items() if v}
-        for col in sorted(set(out) & set(self._pivot_rows)):
-            coeff = out.get(col)
-            if not coeff:
-                continue
+        # a pivot row is zero at every other pivot, so the row keeps its
+        # entries there and no fill adds a pivot column
+        for col in sorted(out.keys() & self._pivot_rows.keys()):
+            coeff = out[col]
             for c, v in self._pivot_rows[col].items():
+                # stored entries are nonzero, so a zero means c was in out
                 nv = out.get(c, 0) - coeff * v
                 if nv:
                     out[c] = nv
                 else:
-                    out.pop(c, None)
+                    del out[c]
         return out
 
     def add_row(self, row: Mapping[int, Scalar]) -> bool:
@@ -94,15 +106,26 @@ class FractionRREF:
 
     def _insert(self, pivot: int, row: QRow) -> None:
         """Store a reduced row that is 1 at ``pivot``; clear that column elsewhere."""
-        for other in self._pivot_rows.values():
-            coeff = other.get(pivot)
-            if coeff:
-                for c, v in row.items():
-                    nv = other.get(c, 0) - coeff * v
-                    if nv:
-                        other[c] = _exact(nv)
-                    else:
-                        other.pop(c, None)
+        holders = self._holders
+        touched = holders.pop(pivot, ())
+        for c in row:
+            if c != pivot:
+                holders.setdefault(c, set()).add(pivot)
+        for p in touched:
+            other = self._pivot_rows[p]
+            coeff = other.pop(pivot)
+            for c, v in row.items():
+                if c == pivot:
+                    continue
+                nv = other.get(c, 0) - coeff * v
+                if nv:
+                    if c not in other:
+                        holders[c].add(p)
+                    other[c] = _exact(nv)
+                else:
+                    # coeff and v are nonzero, so c was in other
+                    del other[c]
+                    holders[c].discard(p)
         self._pivot_rows[pivot] = row
 
     def expansion(self, column: int) -> QRow:

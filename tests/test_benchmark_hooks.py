@@ -5,7 +5,11 @@ import weakref
 from pathlib import Path
 
 from loopalg import enveloping, minimal_model
-from loopalg.catalog import cohomology_presentation, expected_rational_presentation
+from loopalg.catalog import (
+    cohomology_presentation,
+    expected_integral_presentation,
+    expected_rational_presentation,
+)
 from loopalg.families import LieFamily
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -46,3 +50,18 @@ def test_traced_row_counts_match_the_rows_eliminated(monkeypatch):
     metrics = tracer.metrics(entries_built=0)
     assert metrics["linalg.ffe_rows"] == metrics["minimal_model.rows"] > 0
     assert metrics["linalg.rref_rows"] == metrics["enveloping.rational_rows"] > 0
+
+
+def test_traced_coker_counts_stay_within_the_integer_engine(monkeypatch):
+    """The integer rows reach ``coker_normalize`` once per degree built, zero rows dropped."""
+    tracer = _tracing(monkeypatch).Tracer()
+    presentation = expected_integral_presentation(LieFamily.SU, 3)
+    tracer.install()
+    try:
+        enveloping.graded_smith_report(presentation, 8)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics(entries_built=0)
+    assert 0 < metrics["linalg.coker_rows"] <= metrics["enveloping.integer_rows"]
+    # degree 0 is the ground ring, so degrees 1 .. 8 are built
+    assert metrics["linalg.coker_calls"] == 8

@@ -1,13 +1,16 @@
 """Command line contract: subcommands, exit codes, determinism, cache."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 import loopalg
-from loopalg import cli
+from loopalg import cli, linalg
+from loopalg.catalog import default_max_degree
 from loopalg.cli import main
+from loopalg.families import LieFamily
 
 
 @pytest.fixture()
@@ -62,6 +65,34 @@ def test_compute_is_byte_identical(cache_dir, capsys):
         first = run(capsys, *command, *config)
         second = run(capsys, *command, *config)
         assert first[0] == 0 and first == second, command
+
+
+def test_verbose_names_each_degree_of_the_engine_after_the_timings(
+    cache_dir, capsys, monkeypatch
+):
+    raised = []
+    add_row = linalg.FractionRREF.add_row
+
+    def spy(self, row):
+        raised.append(add_row(self, row))
+        return raised[-1]
+
+    monkeypatch.setattr(linalg.FractionRREF, "add_row", spy)
+    args = ("compute", "--family", "su", "--rank", "2", "--format", "json")
+    code, out, err = run(capsys, *args, "--verbose")
+    assert code == 0
+    lines = err.splitlines()
+    timings = [line for line in lines if line.startswith("timing ")]
+    assert timings and lines[: len(timings)] == timings
+    pattern = re.compile(r"engine rational degree (\d+): symbols (\d+) rows (\d+) rank (\d+)")
+    work = [pattern.fullmatch(line) for line in lines[len(timings) :]]
+    assert all(work)
+    assert [int(m[1]) for m in work] == list(range(1, default_max_degree(LieFamily.SU) + 1))
+    # every row of every degree went through the eliminator, and the ranks add up
+    assert sum(int(m[3]) for m in work) == len(raised)
+    assert sum(int(m[4]) for m in work) == sum(raised)
+    # the report itself does not change
+    assert run(capsys, *args) == (0, out, "")
 
 
 def test_report_requires_cache_or_permission(cache_dir, capsys):

@@ -5,9 +5,12 @@ elimination in ``oracles.py`` on every instance small enough to enumerate.
 """
 
 import gc
+import hashlib
+import json
 import random
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -306,3 +309,52 @@ def test_presentation_is_freed_without_the_cyclic_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+NORMAL_FORMS_FIXTURE = Path(__file__).resolve().parent / "golden" / "normal-forms.json"
+
+
+def _pinned_presentations():
+    """Label, presentation and top degree of every pinned normal form.
+
+    su4's pipeline presentation meets non-unit pivots over Q, g2's integral
+    one has relations with coefficient 2 (``x1.x1 - 2*y1``), and the doubled
+    relation gives torsion rows and a Smith residual block in every degree
+    from 2 on.
+    """
+    su4 = rational_pipeline(catalog_entry(LieFamily.SU, 4)).presentation
+    g2 = expected_integral_presentation(LieFamily.G2, 2)
+    e6 = expected_rational_presentation(LieFamily.E6, 6)
+    doubled = _refusal_presentation("integer")
+    return [
+        ("su4-rational", su4, 10),
+        ("g2-integer", g2, 12),
+        ("e6-rational", e6, 12),
+        ("su2-integer-doubled", doubled, 10),
+    ]
+
+
+def normal_form_fingerprints():
+    """Per degree, the SHA-256 of the engine's invariants and expansions.
+
+    Each expansion is its sorted ``(generator, numerator, denominator)``
+    triples, so the fingerprint pins the pivot choice and the basis, not only
+    the ranks.
+    """
+    out = {}
+    for label, presentation, top in _pinned_presentations():
+        engine = presentation.engine(None)
+        engine.report(top)
+        for degree in range(top + 1):
+            expansions = [
+                sorted((g, Fraction(v).numerator, Fraction(v).denominator) for g, v in e.items())
+                for e in engine._expand[degree]
+            ]
+            payload = json.dumps([engine._invariants[degree], expansions])
+            out[f"{label}/{degree}"] = hashlib.sha256(payload.encode()).hexdigest()
+    return out
+
+
+def test_every_normal_form_matches_its_pinned_fingerprint():
+    """The fixture was written with ``json.dumps(normal_form_fingerprints(), indent=1)``."""
+    assert normal_form_fingerprints() == json.loads(NORMAL_FORMS_FIXTURE.read_text())

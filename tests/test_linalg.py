@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from loopalg.linalg import FractionFreeEliminator, FractionRREF, coker_normalize, rref_normalize
 
-from oracles import dense_integer, dense_rank_mod_p, dense_smith_invariants
+from oracles import dense_integer, dense_rank, dense_rank_mod_p, dense_smith_invariants
 
 
 @st.composite
@@ -100,3 +100,51 @@ def test_fraction_rref_matches_dense_smith_on_rational_rows(case):
     assert all(_exact_scalar(v) for e in result.expansions for v in e.values())
     for row in rows:
         assert not any(_image(result, row))
+
+
+@st.composite
+def sparse_rows(draw):
+    """Up to 20 sparse rows in up to 12 columns, ints and Fractions mixed.
+
+    Leads are often not units, and some rows are combinations of earlier
+    ones, so back-substitution fills rows in and cancels entries.
+    """
+    ncols = draw(st.integers(min_value=1, max_value=12))
+    entry = st.one_of(
+        st.integers(min_value=-4, max_value=4),
+        st.fractions(min_value=-4, max_value=4, max_denominator=4),
+    ).filter(bool)
+    fresh = st.dictionaries(st.integers(min_value=0, max_value=ncols - 1), entry, max_size=5)
+    rows: list[dict] = []
+    for _ in range(draw(st.integers(min_value=0, max_value=20))):
+        if rows and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(entry), draw(entry)
+            combined = {c: s * a.get(c, 0) + t * b.get(c, 0) for c in a.keys() | b.keys()}
+            rows.append({c: v for c, v in combined.items() if v})
+        else:
+            rows.append(draw(fresh))
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_rows())
+def test_fraction_rref_keeps_reduced_rows_and_its_column_index(case):
+    rows, ncols = case
+    rref = FractionRREF()
+    for k, row in enumerate(rows):
+        rref.add_row(row)
+        stored = rref._pivot_rows
+        holders: dict[int, set[int]] = {}
+        for pivot, r in stored.items():
+            assert r[pivot] == 1
+            assert all(v and _exact_scalar(v) for v in r.values())
+            assert not (r.keys() & stored.keys()) - {pivot}
+            for c in r.keys() - {pivot}:
+                holders.setdefault(c, set()).add(pivot)
+        assert {c: h for c, h in rref._holders.items() if h} == holders
+        assert all(rref.reduce(r) == {} for r in rows[: k + 1])
+    assert rref.rank == dense_rank(rows, ncols)
+    # the integer cokernel of the same rows, denominators cleared, has that rank too
+    scaled = [{c: v for c, v in enumerate(r) if v} for r in dense_integer(rows, ncols)]
+    assert coker_normalize(scaled, ncols).matrix_rank == rref.rank
