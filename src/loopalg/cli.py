@@ -28,16 +28,18 @@ from .enveloping import (
     BudgetExceededError,
     DEFAULT_WORD_BUDGET,
     RingPresentation,
+    central_split,
     graded_dimensions,
-    graded_smith_report,
     pbw_series,
     relation_string,
     series_equal,
+    split_report,
 )
 from .families import FIXED_RANK, LieFamily, validate_rank
 from .homotopy_lie import graded_lie_axioms_check
 from .minimal_model import derivation_square_check, is_regular, quotient_dimensions
 from .pipeline import rational_pipeline
+from .series import PoincareSeries
 
 SCHEMA_VERSION = 1
 
@@ -145,9 +147,11 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
     engines: list[tuple[str, RingPresentation]] = []
     if cfg.coeffs != "integer":
         engines.append(("rational", pipe.presentation))
-        uea_dims = timed("graded_dimension", graded_dimensions, pipe.presentation, n, cfg.budget)
+        uea_report = timed("graded_dimension", split_report, pipe.presentation, n, cfg.budget)
+        uea_dims = PoincareSeries(uea_report.ranks())
         poincare = list(uea_dims)
         if verify:
+            # the unsplit engine, so the split route has an independent check
             expected_dims = graded_dimensions(entry.expected_rational, n, cfg.budget)
             split = cat.splitting_series(cfg.family, cfg.rank, n)
             record(
@@ -173,7 +177,7 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
     if cfg.coeffs != "rational":
         shown = _integral_presentation(cfg)
         engines.append(("integer", shown))
-        report = timed("graded_smith", graded_smith_report, shown, n, cfg.budget)
+        report = timed("graded_smith", split_report, shown, n, cfg.budget)
         ranks = list(report.ranks())
         torsion = [list(t) for t in report.torsion_lists()]
         record("torsion_free_check", report.torsion_free(), f"torsion {torsion}")
@@ -190,7 +194,7 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
                     rep = report  # the variant reported above
                 else:
                     p = cat.expected_integral_presentation(cfg.family, cfg.rank, anticommute=anti)
-                    rep = graded_smith_report(p, n, cfg.budget)
+                    rep = split_report(p, n, cfg.budget)
                 f4_variants[label] = {
                     "ranks": list(rep.ranks()),
                     "torsion": [list(t) for t in rep.torsion_lists()],
@@ -206,7 +210,8 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
         for stage, seconds in timings.items():
             print(f"timing {stage}: {seconds:.3f}s", file=sys.stderr)
         for domain, presentation in engines:
-            work = presentation.engine(cfg.budget).work
+            # the split route eliminates the core only, uncapped
+            work = central_split(presentation)[0].engine(None).work
             for d in range(1, n + 1):
                 w = work[d]
                 print(

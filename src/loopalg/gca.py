@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Hashable, Iterable, Mapping, Sequence, Union
 
 Monomial = tuple[int, ...]
@@ -288,7 +289,7 @@ class GradedAlgebra(GeneratorSet):
         return tuple(mono)
 
     def key_degree(self, mono: Monomial) -> int:
-        return sum(e * d for e, d in zip(mono, self._degrees))
+        return sum(map(mul, mono, self._degrees))
 
     def monomials_of_degree(self, degree: int) -> list[Monomial]:
         """All canonical monomials of the given total degree (lex order)."""
@@ -344,13 +345,13 @@ class Derivation:
             if not algebra.same_generators(image.algebra):
                 raise ValueError("mismatched generator sets")
             if not image.is_zero():
-                if not image.is_homogeneous():
-                    raise ValueError(f"image of {name!r} is not homogeneous")
+                try:
+                    degree = image.degree()
+                except ValueError:
+                    raise ValueError(f"image of {name!r} is not homogeneous") from None
                 expected = algebra.generators[i][1] + self.degree_shift
-                if image.degree() != expected:
-                    raise ValueError(
-                        f"image of {name!r} has degree {image.degree()}, expected {expected}"
-                    )
+                if degree != expected:
+                    raise ValueError(f"image of {name!r} has degree {degree}, expected {expected}")
             table[i] = image
         self._images = table
 

@@ -4,13 +4,18 @@ import importlib
 import weakref
 from pathlib import Path
 
-from loopalg import enveloping, minimal_model
+import pytest
+
+from loopalg import cli, enveloping, minimal_model
 from loopalg.catalog import (
+    catalog_entry,
     cohomology_presentation,
+    default_max_degree,
     expected_integral_presentation,
     expected_rational_presentation,
 )
 from loopalg.families import LieFamily
+from loopalg.pipeline import rational_pipeline
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -65,3 +70,36 @@ def test_traced_coker_counts_stay_within_the_integer_engine(monkeypatch):
     assert 0 < metrics["linalg.coker_rows"] <= metrics["enveloping.integer_rows"]
     # degree 0 is the ground ring, so degrees 1 .. 8 are built
     assert metrics["linalg.coker_calls"] == 8
+
+
+@pytest.mark.parametrize("coeffs", ["rational", "integer"])
+def test_traced_cli_compute_eliminates_the_core_through_the_traced_engines(
+    monkeypatch, tmp_path, coeffs
+):
+    """``compute`` reaches the engine only through the traced functions, on the core.
+
+    The identities hold for the rows really eliminated, and those are fewer
+    than the unsplit presentation's.
+    """
+    tracer = _tracing(monkeypatch).Tracer()
+    argv = ["compute", "--family", "su", "--rank", "3", "--coeffs", coeffs]
+    argv += ["--cache-dir", str(tmp_path), "--out", str(tmp_path / "out")]
+    tracer.install()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics(entries_built=0)
+    if coeffs == "rational":
+        unsplit = rational_pipeline(catalog_entry(LieFamily.SU, 3)).presentation
+    else:
+        unsplit = expected_integral_presentation(LieFamily.SU, 3)
+    engine = unsplit.engine(None)
+    engine.report(default_max_degree(LieFamily.SU))
+    unsplit_rows = sum(w.rows for w in engine.work[1:])
+    rows = metrics[f"enveloping.{coeffs}_rows"]
+    assert 0 < rows < unsplit_rows
+    if coeffs == "rational":
+        assert metrics["linalg.rref_rows"] == rows
+    else:
+        assert 0 < metrics["linalg.coker_rows"] <= rows

@@ -22,17 +22,21 @@ from loopalg.catalog import (
     expected_integral_presentation,
     expected_rational_presentation,
 )
+from loopalg.cli import RunConfig, _integral_presentation
 from loopalg.enveloping import (
     BudgetExceededError,
     FreeGradedAlgebra,
     RingPresentation,
+    central_split,
     graded_dimension,
     graded_dimensions,
     graded_smith,
     graded_smith_report,
+    invariant_factors,
     pbw_series,
     relation_string,
     series_equal,
+    split_report,
     torsion_free_check,
     uea_presentation,
 )
@@ -41,7 +45,7 @@ from loopalg.homotopy_lie import HomotopyLieAlgebra, LieBasisElement
 from loopalg.pipeline import rational_pipeline
 from loopalg.series import PoincareSeries
 
-from oracles import brute_graded_dimension, brute_smith
+from oracles import brute_graded_dimension, brute_smith, dense_smith_invariants
 
 
 def test_relation_homogeneity_enforced():
@@ -358,3 +362,124 @@ def normal_form_fingerprints():
 def test_every_normal_form_matches_its_pinned_fingerprint():
     """The fixture was written with ``json.dumps(normal_form_fingerprints(), indent=1)``."""
     assert normal_form_fingerprints() == json.loads(NORMAL_FORMS_FIXTURE.read_text())
+
+
+# ---------------------------------------------------------------------------
+# the central split against the unsplit engine
+# ---------------------------------------------------------------------------
+
+
+def test_invariant_factors_match_the_smith_form_of_the_diagonal():
+    rng = random.Random(5501)
+    assert invariant_factors([2, 3]) == (6,)
+    assert invariant_factors([]) == ()
+    for _ in range(200):
+        count = rng.randint(1, 6)
+        orders = [rng.choice([1, 2, 3, 4, 5, 6, 8, 9, 12, 25, 36]) for _ in range(count)]
+        diagonal = [[s if i == j else 0 for j in range(len(orders))] for i, s in enumerate(orders)]
+        want = tuple(s for s in dense_smith_invariants(diagonal) if s > 1)
+        assert invariant_factors(orders) == want, orders
+
+
+def _with_central(p, degrees, rng, doubled=False):
+    """``p`` tensored with a polynomial ring on new even generators of the given degrees.
+
+    Each commutator gets a random sign; ``doubled`` makes the last new
+    generator's commutator with the first old one ``2 (c g - g c)``, so that
+    generator no longer splits off.
+    """
+    names = [f"c{k}" for k in range(len(degrees))]
+    alg = FreeGradedAlgebra([*p.generators, *zip(names, degrees)])
+    g = alg.gen
+    relations = [alg.element(r.terms) for r in p.relations]
+    for k, c in enumerate(names):
+        for other, _ in alg.generators[: len(p.generators) + k]:
+            scale = rng.choice([1, -1])
+            if doubled and c == names[-1] and other == alg.names[0]:
+                scale *= 2
+            relations.append(scale * (g(c) * g(other) - g(other) * g(c)))
+    return RingPresentation(alg, relations, domain=p.domain)
+
+
+@pytest.mark.parametrize("domain, seed", [("rational", 6113), ("integer", 6114)])
+def test_split_route_matches_the_unsplit_engine_on_random_presentations(domain, seed):
+    rng = random.Random(seed)
+    torsion_seen = 0
+    for _ in range(30):
+        degrees = rng.choice([[2], [4], [2, 4], [4, 6]])
+        doubled = domain == "integer" and rng.random() < 0.2
+        p = _with_central(_random_presentation(rng, domain), degrees, rng, doubled)
+        kept = central_split(p)[0].algebra.names
+        added = [f"c{k}" for k in range(len(degrees))]
+        assert [c for c in added if c in kept] == (added[-1:] if doubled else [])
+        got = split_report(p, 6, None)
+        assert got == p.engine(None).report(6)
+        torsion_seen += not got.torsion_free()
+    assert torsion_seen > 0 or domain == "rational"
+
+
+def test_split_route_merges_torsion_from_different_core_degrees():
+    """Z/2 in core degree 1 and Z/3 in core degree 3 meet in degree 3 as Z/6."""
+    alg = FreeGradedAlgebra([("x", 1), ("y", 3)])
+    x, y = alg.gen("x"), alg.gen("y")
+    core = RingPresentation(alg, [2 * x, x * x, 3 * y, x * y, y * x], domain="integer")
+    p = _with_central(core, [2], random.Random(1))
+    got = split_report(p, 7, None)
+    assert got == p.engine(None).report(7)
+    assert got.entries[3].torsion == (6,)
+
+
+def _routed_presentations():
+    """Every presentation the CLI hands the split route at a checked rank."""
+    for family, checked in DEFAULT_CHECKED_RANKS.items():
+        for rank in checked:
+            n = default_max_degree(family)
+            yield f"{family.slug}{rank}-rational", rational_pipeline(
+                catalog_entry(family, rank)
+            ).presentation, n
+            yield f"{family.slug}{rank}-integer", expected_integral_presentation(family, rank), n
+    yield "f4-integer-anticommute", expected_integral_presentation(
+        LieFamily.F4, 4, anticommute=True
+    ), default_max_degree(LieFamily.F4)
+
+
+def test_split_route_matches_the_unsplit_engine_at_every_checked_rank():
+    for label, p, n in _routed_presentations():
+        assert split_report(p, n, None) == p.engine(None).report(n), label
+
+
+@pytest.mark.parametrize("family, rank", [(LieFamily.SU, 2), (LieFamily.G2, 2), (LieFamily.F4, 4)])
+def test_split_route_matches_the_unsplit_engine_with_injected_torsion(family, rank):
+    p = _integral_presentation(RunConfig(family, rank, coeffs="integer", inject_torsion=True))
+    n = default_max_degree(family)
+    got = split_report(p, n, None)
+    assert got == p.engine(None).report(n)
+    assert not got.torsion_free()
+
+
+def _budget_presentations():
+    for family, rank in [(LieFamily.SU, 2), (LieFamily.SU, 3), (LieFamily.G2, 2)]:
+        yield rational_pipeline(catalog_entry(family, rank)).presentation
+        yield expected_integral_presentation(family, rank)
+    yield _refusal_presentation("integer")
+
+
+def test_split_route_refuses_exactly_where_the_unsplit_engine_does():
+    refusals = 0
+    for p in _budget_presentations():
+        for budget in [1, 2, 3, 5, 8, 13, 20, 30, 40, 60, 90, 130, 200, 300, 450]:
+            try:
+                want = p.engine(budget).report(10)
+            except BudgetExceededError as err:
+                with pytest.raises(BudgetExceededError) as got:
+                    split_report(p, 10, budget)
+                assert (got.value.degree, got.value.size, got.value.budget) == (
+                    err.degree,
+                    err.size,
+                    err.budget,
+                )
+                assert str(got.value) == str(err)
+                refusals += 1
+            else:
+                assert split_report(p, 10, budget) == want
+    assert refusals > 0
