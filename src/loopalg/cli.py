@@ -43,6 +43,11 @@ from .series import PoincareSeries
 
 SCHEMA_VERSION = 1
 
+# the largest --max-degree served: a request allocates its series tables up
+# front, and su1 and su2 never reach the per-degree budget, so without this
+# bound an absurd degree would exhaust memory instead of exiting 2
+MAX_DEGREE = 1000
+
 
 @dataclass
 class RunConfig:
@@ -412,6 +417,8 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         raise UsageError(str(err)) from None
     if args.max_degree is not None and args.max_degree < 0:
         raise UsageError("--max-degree must be >= 0")
+    if args.max_degree is not None and args.max_degree > MAX_DEGREE:
+        raise UsageError(f"--max-degree must be <= {MAX_DEGREE}")
     if args.budget <= 0:
         raise UsageError("--budget must be positive")
     if args.f4_anticommute and family is not LieFamily.F4:

@@ -1,4 +1,4 @@
-"""Exact sparse linear algebra over Q and Z.
+"""Exact sparse linear algebra over Q, Z and F_p.
 
 Every scalar is an ``int`` while it is integral and a ``fractions.Fraction``
 only where a non-unit pivot or a non-integral input forces one; no float
@@ -21,20 +21,21 @@ Three workhorses live here:
   falls back to a dense Smith normal form on the small residual block, so
   entries stay small on the structured matrices this package produces.
 
-* :class:`FractionFreeEliminator` -- the rank of integer rows, over Q by
-  two-row cross elimination without fractions, or over F_p when built with a
-  ``prime``: then entries are residues mod p and every pivot row leads with
-  1.  On both routes a row is reduced at its largest column first.  The
-  commutative-quotient dimensions of :mod:`loopalg.minimal_model` come from
-  it: a rank mod p never exceeds the rank over Q, which is what the
-  quotient's certificate uses.
+* :class:`FractionFreeEliminator` -- the rank of integer rows over F_p:
+  entries are residues mod p, every pivot row leads with 1, and a row is
+  reduced at its largest column first.  The commutative-quotient dimensions
+  of :mod:`loopalg.minimal_model` come from it: a rank mod p never exceeds
+  the rank over Q, which is what the quotient's certificate uses.  A degree
+  the certificate does not cover is ranked over Q by :class:`FractionRREF`.
+
+So each ring has one elimination: Q :class:`FractionRREF`, F_p
+:class:`FractionFreeEliminator`, Z :func:`coker_normalize`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 Row = dict[int, int]
@@ -136,26 +137,14 @@ class FractionRREF:
         return {c: -v for c, v in row.items() if c != column}
 
 
-def _content_reduced(row: Row) -> Row:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row
-    if g > 1:
-        return {c: v // g for c, v in row.items()}
-    return row
-
-
 class FractionFreeEliminator:
-    """Row-echelon rank of integer rows, pivoting on the largest column.
+    """Row-echelon rank of integer rows over F_p, pivoting on the largest column.
 
-    Without a ``prime`` the rank is over Q, by two-row cross elimination with
-    content-reduced rows.  With a ``prime`` p it is over F_p: entries are
-    residues mod p and every pivot row is scaled to lead with 1.
+    Entries are residues mod ``prime`` and every pivot row is scaled to lead
+    with 1.
     """
 
-    def __init__(self, prime: int | None = None):
+    def __init__(self, prime: int):
         self._pivots: dict[int, Row] = {}
         self._prime = prime
 
@@ -166,40 +155,22 @@ class FractionFreeEliminator:
     def add_row(self, row: Mapping[int, int]) -> bool:
         """Insert a row; returns True when it increased the rank."""
         p = self._prime
-        if p is not None:
-            r = {c: v % p for c, v in row.items() if v % p}
-            while r:
-                col = max(r)
-                pivot = self._pivots.get(col)
-                if pivot is None:
-                    inv = pow(r[col], -1, p)
-                    self._pivots[col] = {c: v * inv % p for c, v in r.items()}
-                    return True
-                f = r[col]
-                for c, v in pivot.items():
-                    # f * v is a unit mod p, so a zero means c was in r
-                    nv = (r.get(c, 0) - f * v) % p
-                    if nv:
-                        r[c] = nv
-                    else:
-                        del r[c]
-            return False
-        r = {c: int(v) for c, v in row.items() if v}
+        r = {c: v % p for c, v in row.items() if v % p}
         while r:
             col = max(r)
             pivot = self._pivots.get(col)
             if pivot is None:
-                self._pivots[col] = _content_reduced(r)
+                inv = pow(r[col], -1, p)
+                self._pivots[col] = {c: v * inv % p for c, v in r.items()}
                 return True
-            a, b = pivot[col], r[col]
-            g = gcd(a, b)
-            ma, mb = a // g, b // g
-            merged: Row = {}
-            for c in set(r) | set(pivot):
-                v = ma * r.get(c, 0) - mb * pivot.get(c, 0)
-                if v:
-                    merged[c] = v
-            r = _content_reduced(merged)
+            f = r[col]
+            for c, v in pivot.items():
+                # f * v is a unit mod p, so a zero means c was in r
+                nv = (r.get(c, 0) - f * v) % p
+                if nv:
+                    r[c] = nv
+                else:
+                    del r[c]
         return False
 
 

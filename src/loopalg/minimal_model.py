@@ -18,8 +18,9 @@ generic forms, which form a regular sequence; the right one because a rank
 mod p never exceeds the rank over Q.  So ``dim_{F_p} A_d == CI_d`` proves
 ``dim_Q A_d == CI_d``.  A degree where the two differ (an unlucky prime, a
 non-regular presentation), and every degree when the relation count differs
-from the variable count, is ranked again over Q by fraction-free cross
-elimination.
+from the variable count, is ranked again over Q by the package's one exact
+elimination, :class:`~loopalg.linalg.FractionRREF`.  The F_p rank is
+:class:`~loopalg.linalg.FractionFreeEliminator`.
 """
 
 from __future__ import annotations
@@ -79,10 +80,11 @@ def quotient_dimensions(
 
     Degree d of the quotient = (number of degree-d monomials) minus the rank
     of the matrix whose rows expand monomial * P_j over the degree-d basis.
-    With as many relations as variables that rank is taken over F_p, and a
-    degree's answer is kept only where it equals the complete-intersection
-    coefficient, which certifies it over Q (see the module docstring); any
-    other degree is ranked again over Q by fraction-free cross elimination.
+    With as many relations as variables that rank is taken over F_p by
+    :class:`~loopalg.linalg.FractionFreeEliminator`, and a degree's answer is
+    kept only where it equals the complete-intersection coefficient, which
+    certifies it over Q (see the module docstring); any other degree is
+    ranked again over Q by :class:`~loopalg.linalg.FractionRREF`.
     A degree with more monomials or rows than ``budget`` raises
     :class:`~loopalg.enveloping.BudgetExceededError` before any elimination.
     """
@@ -129,8 +131,16 @@ def quotient_dimensions(
 
 def _rank(basis, relations, d: int, prime: int | None) -> int:
     """Rank of the degree-d rows m * P_j over F_prime, or over Q without a prime."""
-    index = {m: i for i, m in enumerate(basis[d])}
-    elim = linalg.FractionFreeEliminator(prime)
+    monomials = basis[d]
+    if prime is None:
+        # the RREF pivots on a row's smallest column, the F_p route on its
+        # largest: numbering the columns from the largest monomial down makes
+        # both pivot on the same monomial
+        monomials = monomials[::-1]
+        elim = linalg.FractionRREF()
+    else:
+        elim = linalg.FractionFreeEliminator(prime)
+    index = {m: i for i, m in enumerate(monomials)}
     for e, terms in relations:
         if e > d:
             continue

@@ -170,6 +170,11 @@ def test_usage_errors(cache_dir, capsys):
     assert code == 2
     code, _, _ = run(capsys, "compute", "--family", "su", "--rank", "2", "--budget", "-1")
     assert code == 2
+    # refused before any series table is allocated
+    code, _, err = run(
+        capsys, "compute", "--family", "su", "--rank", "1", "--max-degree", "10000000000000"
+    )
+    assert code == 2 and "--max-degree" in err
 
 
 def test_budget_exceeded_exit_code(cache_dir, capsys):

@@ -47,15 +47,6 @@ def test_coker_normalize_matches_dense_smith(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(integer_matrices())
-def test_fraction_free_rank_matches_dense_smith(case):
-    dense, _ = case
-    elim = FractionFreeEliminator()
-    raised = [elim.add_row({c: v for c, v in enumerate(r) if v}) for r in dense]
-    assert elim.rank == len(dense_smith_invariants(dense)) == sum(raised)
-
-
-@settings(max_examples=200, deadline=None)
 @given(integer_matrices(), st.sampled_from([2, 3, 5, 7, 1_073_741_789]))
 def test_fraction_free_rank_mod_p_matches_dense_rank(case, prime):
     dense, ncols = case

@@ -111,30 +111,45 @@ def test_quotient_dimensions_g2_total():
     )
 
 
-def test_regular_sequence_on_catalog_families():
+class EliminatorSpy:
+    """Patches in both eliminators and records each degree's route.
+
+    A route is the prime of an F_p eliminator, or ``"exact"`` for the
+    :class:`~loopalg.linalg.FractionRREF` that ranks a degree over Q.
+    """
+
+    def __init__(self, monkeypatch):
+        self.routes = []
+        over_f_p, over_q = linalg.FractionFreeEliminator, linalg.FractionRREF
+
+        def modular(prime):
+            self.routes.append(prime)
+            return over_f_p(prime)
+
+        def exact():
+            self.routes.append("exact")
+            return over_q()
+
+        monkeypatch.setattr(linalg, "FractionFreeEliminator", modular)
+        monkeypatch.setattr(linalg, "FractionRREF", exact)
+
+
+def test_regular_sequence_on_catalog_families(monkeypatch):
     # the pipeline does not check regularity, so every configuration the
     # acceptance tests build is checked here, but for e6, whose quotient is
-    # over the default budget
+    # over the default budget; each one is certified degree by degree, so
+    # none takes the exact route
+    spy = EliminatorSpy(monkeypatch)
     for family, rank in FAMILIES:
         if family is LieFamily.E6:
             continue
         coh = presentation(family, rank)
+        spy.routes.clear()
         dims = quotient_dimensions(coh, coh.socle_degree() + 2)
         assert is_regular(coh, dims), (family, rank)
+        assert "exact" not in spy.routes, (family, rank)
         if family is LieFamily.F4:
             assert sum(dims.prefix(coh.socle_degree())) == 1152
-
-
-class EliminatorSpy:
-    """Stands in for the eliminator class and records the prime of each instance."""
-
-    def __init__(self):
-        self.primes = []
-        self._eliminator = linalg.FractionFreeEliminator
-
-    def __call__(self, prime=None):
-        self.primes.append(prime)
-        return self._eliminator(prime)
 
 
 CERTIFIED = [
@@ -155,44 +170,57 @@ CERTIFIED = [
 
 
 def test_classical_quotients_are_certified_without_an_exact_fallback(monkeypatch):
-    spy = EliminatorSpy()
-    monkeypatch.setattr(linalg, "FractionFreeEliminator", spy)
+    spy = EliminatorSpy(monkeypatch)
     for family, rank in CERTIFIED:
         coh = presentation(family, rank)
         n = coh.socle_degree() + 2
-        spy.primes.clear()
+        spy.routes.clear()
         dims = quotient_dimensions(coh, n)
         assert list(dims) == complete_intersection_coefficients(
             list(coh.relation_degrees), len(coh.algebra), n
         ), (family, rank)
         # one eliminator per nonzero degree, each over F_p
-        assert spy.primes == [minimal_model.CERTIFICATE_PRIME] * (n // 2 + 1), (family, rank)
+        assert spy.routes == [minimal_model.CERTIFICATE_PRIME] * (n // 2 + 1), (family, rank)
 
 
 def test_uncertified_degrees_fall_back_to_the_exact_route(monkeypatch):
-    spy = EliminatorSpy()
-    monkeypatch.setattr(linalg, "FractionFreeEliminator", spy)
+    spy = EliminatorSpy(monkeypatch)
     alg = GradedAlgebra([("u1", 2), ("u2", 2)])
     u1, u2 = alg.gen("u1"), alg.gen("u2")
     # a regular sequence over Q whose two relations agree mod 3
     good = CohomologyPresentation(alg, [u1 * u1 + u2 * u2, u1 * u1 + 4 * u2 * u2])
     monkeypatch.setattr(minimal_model, "CERTIFICATE_PRIME", 3)
     assert list(quotient_dimensions(good, 6)) == [1, 0, 2, 0, 1, 0, 0]
-    assert spy.primes == [3, 3, 3, None, 3, None]
+    assert spy.routes == [3, 3, 3, "exact", 3, "exact"]
     # with fewer relations than variables there is no certificate
-    spy.primes.clear()
+    spy.routes.clear()
     assert list(quotient_dimensions(CohomologyPresentation(alg, [u1 * u2]), 4)) == [1, 0, 2, 0, 2]
-    assert spy.primes == [None] * 3
+    assert spy.routes == ["exact"] * 3
+
+
+@pytest.mark.parametrize(
+    "family, rank, exact_degrees", [(LieFamily.SU, 4, 8), (LieFamily.SO_EVEN, 4, 10)]
+)
+def test_the_exact_route_ranks_catalog_quotients(monkeypatch, family, rank, exact_degrees):
+    # mod 2 most degrees miss their certificate and are ranked again over Q
+    spy = EliminatorSpy(monkeypatch)
+    monkeypatch.setattr(minimal_model, "CERTIFICATE_PRIME", 2)
+    coh = presentation(family, rank)
+    n = coh.socle_degree() + 2
+    spy.routes.clear()
+    assert list(quotient_dimensions(coh, n)) == complete_intersection_coefficients(
+        list(coh.relation_degrees), len(coh.algebra), n
+    )
+    assert spy.routes.count("exact") == exact_degrees
 
 
 def test_quotient_budget_is_checked_before_any_elimination(monkeypatch):
-    spy = EliminatorSpy()
-    monkeypatch.setattr(linalg, "FractionFreeEliminator", spy)
+    spy = EliminatorSpy(monkeypatch)
     # 286 monomials and 425 rows in degree 20, 364 and 589 in degree 22
     coh = presentation(LieFamily.SU, 4)
     with pytest.raises(BudgetExceededError) as err:
         quotient_dimensions(coh, coh.socle_degree() + 2, budget=500)
-    assert spy.primes == []
+    assert spy.routes == []
     assert (err.value.degree, err.value.size, err.value.budget) == (22, 589, 500)
     assert list(quotient_dimensions(coh, coh.socle_degree() + 2, budget=None))[-1] == 0
 

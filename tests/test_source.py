@@ -1,7 +1,9 @@
 """Properties of the source tree itself rather than of its computations."""
 
 import argparse
+import ast
 import re
+import sys
 from pathlib import Path
 
 import loopalg
@@ -9,6 +11,11 @@ from loopalg import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 MAX_LINE = 100
+
+
+def _package_trees():
+    for path in sorted((ROOT / "src" / "loopalg").rglob("*.py")):
+        yield path.relative_to(ROOT), ast.parse(path.read_text(), filename=str(path))
 
 
 def test_no_source_line_is_longer_than_the_limit():
@@ -43,3 +50,33 @@ def test_readme_command_line_names_every_option_of_the_parser():
         if option.startswith("--")
     }
     assert documented == options - {"--help"}
+
+
+def test_package_imports_only_the_standard_library():
+    outside = []
+    for path, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path}:{node.lineno} {name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []
+
+
+def test_package_has_no_float_arithmetic():
+    floats = [
+        f"{path}:{node.lineno}"
+        for path, tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, float)
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "float"
+    ]
+    assert floats == []
