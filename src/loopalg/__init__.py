@@ -24,12 +24,10 @@ from .enveloping import (
     SmithEntry,
     graded_dimension,
     graded_dimensions,
-    graded_smith,
     graded_smith_report,
     pbw_series,
     relation_string,
     series_equal,
-    torsion_free_check,
     uea_presentation,
 )
 from .families import LieFamily

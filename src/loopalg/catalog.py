@@ -40,7 +40,6 @@ from .symmetric import invariant_indices, invariant_polynomials, variable_algebr
 class CatalogEntry:
     family: LieFamily
     rank: int
-    exponents: tuple[int, ...]
     weyl_order: int
     cohomology: CohomologyPresentation
     odd_names: tuple[str, ...]
@@ -373,7 +372,6 @@ def catalog_entry(family: LieFamily, rank: int) -> CatalogEntry:
     return CatalogEntry(
         family=family,
         rank=rank,
-        exponents=exponents(family, rank),
         weyl_order=weyl_order(family, rank),
         cohomology=cohomology_presentation(family, rank),
         odd_names=_odd_names(family, rank),

@@ -216,7 +216,7 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
             print(f"timing {stage}: {seconds:.3f}s", file=sys.stderr)
         for domain, presentation in engines:
             # the split route eliminates the core only, uncapped
-            work = central_split(presentation)[0].engine(None).work
+            work = central_split(presentation)[0].engine().work
             for d in range(1, n + 1):
                 w = work[d]
                 print(
@@ -423,6 +423,8 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         raise UsageError("--budget must be positive")
     if args.f4_anticommute and family is not LieFamily.F4:
         raise UsageError("--f4-anticommute only applies to --family f4")
+    if getattr(args, "inject_torsion", False) and args.coeffs == "rational":
+        raise UsageError("--inject-torsion needs the integral check: --coeffs integer or both")
     coeffs = args.coeffs
     if args.command == "verify":
         coeffs = coeffs or "both"

@@ -28,10 +28,13 @@ commutators ``±(z g - g z)``, one with every other generator.
 :func:`split_report` eliminates the core only, then convolves each degree
 with the polynomial factor.  The split is exact over Z as over Q because
 the polynomial factor is a free module, so ranks convolve and torsion
-summands repeat.  The budget still counts the full presentation's symbols
-and rows, so a request is refused exactly where the unsplit engine would
-refuse it.  ``verify`` keeps the unsplit engine on the catalog's expected
-rational presentation, an independent check of the split route.
+summands repeat.  One size rule, :func:`degree_size`, counts each degree for
+the engine and for the split route, which counts the full presentation, so a
+request is refused exactly where the unsplit engine would refuse it.
+``verify`` keeps the unsplit engine on the catalog's expected rational
+presentation, an independent check of the split route.  A presentation keeps
+one engine, and each read names its budget: a degree already built is
+checked again, so a smaller budget refuses as a fresh engine would.
 """
 
 from __future__ import annotations
@@ -68,6 +71,21 @@ def check_budget(degree: int, budget: int | None, *sizes: int) -> None:
         for size in sizes:
             if size > budget:
                 raise BudgetExceededError(degree, size, budget)
+
+
+def degree_size(
+    degree: int, gens: list[int], rels: list[int], sizes: list[int], torsion: list[int]
+) -> tuple[int, int]:
+    """The symbols and rows of one degree of the quotient engine.
+
+    ``gens`` and ``rels`` are the generator and relation degrees, ``sizes[e]``
+    counts the generators of the lower component ``A_e`` and ``torsion[e]``
+    its torsion generators: symbols = Σ_g |A_{d-g}| and rows = Σ_g
+    torsion_{d-g} + Σ_r |A_{d-r}|, every relation row counted, zero or not.
+    """
+    lower = [degree - g for g in gens if g <= degree]
+    rows = sum(torsion[e] for e in lower) + sum(sizes[degree - r] for r in rels if r <= degree)
+    return sum(sizes[e] for e in lower), rows
 
 
 class NcElement(Polynomial):
@@ -150,7 +168,7 @@ class RingPresentation:
         self.algebra = algebra
         self.relations = rels
         self.domain = domain
-        self._engines: dict[int | None, GradedQuotient] = {}
+        self._engine: GradedQuotient | None = None
         # (core, central degrees) once central_split has run; core None: nothing splits
         self._split: tuple[RingPresentation | None, tuple[int, ...]] | None = None
 
@@ -158,10 +176,11 @@ class RingPresentation:
     def generators(self) -> tuple[tuple[str, int], ...]:
         return self.algebra.generators
 
-    def engine(self, budget: int | None = DEFAULT_WORD_BUDGET) -> "GradedQuotient":
-        if budget not in self._engines:
-            self._engines[budget] = GradedQuotient(self, budget)
-        return self._engines[budget]
+    def engine(self) -> "GradedQuotient":
+        """The presentation's one quotient engine, memoized; reads name their budget."""
+        if self._engine is None:
+            self._engine = GradedQuotient(self)
+        return self._engine
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +232,11 @@ class GradedQuotient:
     offsets of the symbol blocks ``(g, w)`` and the expansion of each symbol
     over the generators.  The domain fixes the elimination of one degree's
     rows: :func:`linalg.rref_normalize` over Q, :func:`linalg.coker_normalize`
-    over Z.  The budget caps the symbols and the rows of each degree, counted
-    from the lower components before any row is built: every relation row,
-    zero or not, and the diagonal torsion rows.  ``work[d]`` records what
-    eliminating degree ``d`` cost (degree 0 costs nothing).
+    over Z.  ``work[d]`` records what eliminating degree ``d`` cost (degree 0
+    costs nothing): its symbols and rows by :func:`degree_size`, and the rank.
     """
 
-    def __init__(self, presentation: RingPresentation, budget: int | None = None):
-        self.budget = budget
+    def __init__(self, presentation: RingPresentation):
         alg = presentation.algebra
         self._gen_index = {n: i for i, (n, _) in enumerate(alg.generators)}
         self._gen_degrees = [d for _, d in alg.generators]
@@ -233,6 +249,7 @@ class GradedQuotient:
             )
             for r in presentation.relations
         ]
+        self._rel_degrees = [d for d, _ in self._relations]
         self._eliminate = _integer_eliminate if integer else linalg.rref_normalize
         self._invariants: list[list[int]] = [[0]]
         self._torsion: list[dict[int, int]] = [{}]
@@ -240,26 +257,23 @@ class GradedQuotient:
         self._expand: list[list[dict[int, Scalar]]] = [[]]
         self.work: list[DegreeWork] = [DegreeWork(0, 0, 0)]
 
-    def entry(self, degree: int) -> SmithEntry:
-        if degree < 0:
-            raise ValueError("negative degree")
-        while len(self._invariants) <= degree:
-            self._build(len(self._invariants))
-        inv = self._invariants[degree]
-        return SmithEntry(
-            degree=degree,
-            rank=inv.count(0),
-            torsion=tuple(s for s in inv if s > 1),
+    def report(self, max_degree: int, budget: int | None = None) -> GradedSmithReport:
+        """Degrees 0 .. ``max_degree``, each checked against ``budget`` (None: no cap).
+
+        A built degree is checked from ``work``, a new one before any of its
+        rows is built, so a refusal names what a fresh engine would.
+        """
+        for degree in range(1, max_degree + 1):
+            if degree < len(self.work):
+                check_budget(degree, budget, self.work[degree].symbols, self.work[degree].rows)
+            else:
+                self._build(degree, budget)
+        return GradedSmithReport(
+            tuple(
+                SmithEntry(degree, inv.count(0), tuple(s for s in inv if s > 1))
+                for degree, inv in enumerate(self._invariants[: max_degree + 1])
+            )
         )
-
-    def report(self, max_degree: int) -> GradedSmithReport:
-        return GradedSmithReport(tuple(self.entry(d) for d in range(max_degree + 1)))
-
-    def dimension(self, degree: int) -> int:
-        return self.entry(degree).rank
-
-    def dimensions(self, max_degree: int) -> PoincareSeries:
-        return PoincareSeries(self.report(max_degree).ranks())
 
     def _leftmul(self, gen_index: int, vec: dict[int, Scalar], src_degree: int):
         """Image of a vector of A_src under left multiplication."""
@@ -284,25 +298,24 @@ class GradedQuotient:
                     del out[g]
         return out
 
-    def _build(self, degree: int) -> None:
+    def _build(self, degree: int, budget: int | None) -> None:
+        sizes = [len(inv) for inv in self._invariants]
+        torsion = [len(t) for t in self._torsion]
+        symbols, rows = degree_size(degree, self._gen_degrees, self._rel_degrees, sizes, torsion)
+        check_budget(degree, budget, symbols, rows)
         offsets: dict[int, int] = {}
-        nsym = nrows = 0
+        nsym = 0
         for g, d in enumerate(self._gen_degrees):
             lower = degree - d
-            if lower >= 0 and self._invariants[lower]:
+            if lower >= 0 and sizes[lower]:
                 offsets[g] = nsym
-                nsym += len(self._invariants[lower])
-                nrows += len(self._torsion[lower])
-        for rel_degree, _ in self._relations:
-            if rel_degree <= degree:
-                nrows += len(self._invariants[degree - rel_degree])
-        check_budget(degree, self.budget, nsym, nrows)
-        result = self._eliminate(self._rows(degree, offsets), nsym)
+                nsym += sizes[lower]
+        result = self._eliminate(self._rows(degree, offsets), symbols)
         self._invariants.append(result.invariants)
         self._torsion.append({g: s for g, s in enumerate(result.invariants) if s > 1})
         self._offsets.append(offsets)
         self._expand.append(result.expansions)
-        self.work.append(DegreeWork(nsym, nrows, result.matrix_rank))
+        self.work.append(DegreeWork(symbols, rows, result.matrix_rank))
 
     def _rows(self, degree: int, offsets: dict[int, int]):
         """The presentation rows of one degree, zero rows included."""
@@ -376,9 +389,7 @@ def graded_dimension(
     p: RingPresentation, d: int, budget: int | None = DEFAULT_WORD_BUDGET
 ) -> int:
     """Dimension over Q of the degree-d component of the quotient algebra."""
-    if p.domain != "rational":
-        raise ValueError("graded_dimension expects a rational presentation")
-    return p.engine(budget).dimension(d)
+    return graded_dimensions(p, d, budget).coefficient(d)
 
 
 def graded_dimensions(
@@ -386,7 +397,7 @@ def graded_dimensions(
 ) -> PoincareSeries:
     if p.domain != "rational":
         raise ValueError("graded_dimensions expects a rational presentation")
-    return p.engine(budget).dimensions(max_degree)
+    return PoincareSeries(p.engine().report(max_degree, budget).ranks())
 
 
 def pbw_series(L, max_degree: int) -> PoincareSeries:
@@ -396,28 +407,12 @@ def pbw_series(L, max_degree: int) -> PoincareSeries:
     return PoincareSeries(tuple(series.pbw_coefficients(odd, even, max_degree)))
 
 
-def graded_smith(
-    p: RingPresentation, d: int, budget: int | None = DEFAULT_WORD_BUDGET
-) -> SmithEntry:
-    """Rank and invariant factors of the degree-d component over Z."""
-    if p.domain != "integer":
-        raise ValueError("graded_smith expects an integer presentation")
-    return p.engine(budget).entry(d)
-
-
 def graded_smith_report(
     p: RingPresentation, max_degree: int, budget: int | None = DEFAULT_WORD_BUDGET
 ) -> GradedSmithReport:
     if p.domain != "integer":
         raise ValueError("graded_smith_report expects an integer presentation")
-    return p.engine(budget).report(max_degree)
-
-
-def torsion_free_check(
-    p: RingPresentation, max_degree: int, budget: int | None = DEFAULT_WORD_BUDGET
-) -> bool:
-    """True iff no degree component up to max_degree has torsion."""
-    return graded_smith_report(p, max_degree, budget).torsion_free()
+    return p.engine().report(max_degree, budget)
 
 
 def series_equal(a: PoincareSeries, b: PoincareSeries, max_degree: int) -> bool:
@@ -474,7 +469,7 @@ def central_split(p: RingPresentation) -> tuple[RingPresentation, tuple[int, ...
     and ``T(G)/I = core ⊗ k[z, ...]`` over Q and over Z: the central
     generators commute with everything and meet no other relation, and the
     polynomial factor is a free module.  With nothing to split, the core is
-    ``p`` itself.  The result is memoized on ``p``, so the core's engines stay
+    ``p`` itself.  The result is memoized on ``p``, so the core's engine stays
     warm as long as ``p`` lives.
     """
     if p._split is None:
@@ -502,27 +497,26 @@ def split_report(
 
     Degree ``d`` is ``A_d = ⊕_m C_{d-m}`` over the monomials of degree ``m``
     in the central generators (:func:`central_split`), so ranks convolve and
-    torsion merges into invariant factors, as ``p.engine(budget).report``
-    gives them.  The core is reached through :func:`graded_dimensions` or
+    torsion merges into invariant factors, as ``p.engine().report`` gives
+    them.  The core is reached through :func:`graded_dimensions` or
     :func:`graded_smith_report`, one degree at a time and uncapped, because
-    the budget counts ``p``: before each core degree is built, the symbols
-    and rows the unsplit engine would need there are computed from the lower
-    components, so :class:`BudgetExceededError` names the same degree, size
-    and budget as the unsplit engine.  Over Q the torsion is always empty.
+    the budget counts ``p``: before each core degree is built,
+    :func:`degree_size` counts the symbols and rows the unsplit engine would
+    need there from the convolved lower components, so
+    :class:`BudgetExceededError` names the same degree, size and budget as
+    the unsplit engine.  Over Q the torsion is always empty.
     """
     core, central = central_split(p)
     monomials = series.pbw_coefficients((), central, max_degree)
-    gen_degrees = [d for _, d in p.generators]
-    rel_degrees = [r.degree() for r in p.relations]
+    gens = [d for _, d in p.generators]
+    rels = [r.degree() for r in p.relations]
     core_entries: list[SmithEntry] = []
     entries: list[SmithEntry] = []
     sizes: list[int] = []
+    torsion_counts: list[int] = []
     for d in range(max_degree + 1):
         if d:
-            symbols = sum(sizes[d - g] for g in gen_degrees if g <= d)
-            rows = sum(len(entries[d - g].torsion) for g in gen_degrees if g <= d)
-            rows += sum(sizes[d - e] for e in rel_degrees if e <= d)
-            check_budget(d, budget, symbols, rows)
+            check_budget(d, budget, *degree_size(d, gens, rels, sizes, torsion_counts))
         if p.domain == "rational":
             rank = graded_dimensions(core, d, None).coefficient(d)
             core_entries.append(SmithEntry(d, rank, ()))
@@ -532,4 +526,5 @@ def split_report(
         torsion = invariant_factors(s for n, e in parts for s in e.torsion * n)
         entries.append(SmithEntry(d, sum(n * e.rank for n, e in parts), torsion))
         sizes.append(entries[-1].rank + len(torsion))
+        torsion_counts.append(len(torsion))
     return GradedSmithReport(tuple(entries))

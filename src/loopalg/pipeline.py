@@ -19,7 +19,6 @@ from .minimal_model import MinimalModel, build_minimal_model
 
 @dataclass(frozen=True)
 class PipelineResult:
-    entry: CatalogEntry
     model: MinimalModel
     lie_algebra: HomotopyLieAlgebra
     presentation: RingPresentation
@@ -31,7 +30,6 @@ def rational_pipeline(entry: CatalogEntry) -> PipelineResult:
     )
     lie = brackets_from_d1(model, entry.dual_names)
     return PipelineResult(
-        entry=entry,
         model=model,
         lie_algebra=lie,
         presentation=uea_presentation(lie),

@@ -57,6 +57,19 @@ def test_traced_row_counts_match_the_rows_eliminated(monkeypatch):
     assert metrics["linalg.rref_rows"] == metrics["enveloping.rational_rows"] > 0
 
 
+def test_traced_graded_dimension_counts_the_rows_it_eliminates(monkeypatch):
+    """``graded_dimension`` reaches the engine through the traced ``graded_dimensions``."""
+    tracer = _tracing(monkeypatch).Tracer()
+    presentation = expected_rational_presentation(LieFamily.SU, 3)
+    tracer.install()
+    try:
+        assert enveloping.graded_dimension(presentation, 8) > 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics(entries_built=0)
+    assert metrics["linalg.rref_rows"] == metrics["enveloping.rational_rows"] > 0
+
+
 def test_traced_coker_counts_stay_within_the_integer_engine(monkeypatch):
     """The integer rows reach ``coker_normalize`` once per degree built, zero rows dropped."""
     tracer = _tracing(monkeypatch).Tracer()
@@ -94,7 +107,7 @@ def test_traced_cli_compute_eliminates_the_core_through_the_traced_engines(
         unsplit = rational_pipeline(catalog_entry(LieFamily.SU, 3)).presentation
     else:
         unsplit = expected_integral_presentation(LieFamily.SU, 3)
-    engine = unsplit.engine(None)
+    engine = unsplit.engine()
     engine.report(default_max_degree(LieFamily.SU))
     unsplit_rows = sum(w.rows for w in engine.work[1:])
     rows = metrics[f"enveloping.{coeffs}_rows"]

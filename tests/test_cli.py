@@ -175,6 +175,12 @@ def test_usage_errors(cache_dir, capsys):
         capsys, "compute", "--family", "su", "--rank", "1", "--max-degree", "10000000000000"
     )
     assert code == 2 and "--max-degree" in err
+    # the torsion hook needs the integral check it is meant to fail
+    code, out, err = run(
+        capsys, "verify", "--family", "g2", "--inject-torsion", "--coeffs", "rational",
+        "--max-degree", "2",
+    )
+    assert (code, out) == (2, "") and "--inject-torsion" in err
 
 
 def test_budget_exceeded_exit_code(cache_dir, capsys):

@@ -30,14 +30,12 @@ from loopalg.enveloping import (
     central_split,
     graded_dimension,
     graded_dimensions,
-    graded_smith,
     graded_smith_report,
     invariant_factors,
     pbw_series,
     relation_string,
     series_equal,
     split_report,
-    torsion_free_check,
     uea_presentation,
 )
 from loopalg.families import LieFamily
@@ -133,19 +131,19 @@ def test_pbw_series_g2_and_empty():
 
 def test_graded_smith_su2_example():
     p = expected_integral_presentation(LieFamily.SU, 1)
-    entry = graded_smith(p, 2)
+    entry = graded_smith_report(p, 2).entries[2]
     assert entry.rank == 1 and entry.torsion == ()
     rank, torsion = brute_smith(p, 2)
     assert (rank, torsion) == (1, [])
-    assert graded_smith(p, 0).rank == 1
+    assert graded_smith_report(p, 0).entries[0].rank == 1
 
 
 def test_fabricated_doubled_relation_shows_torsion():
     alg = FreeGradedAlgebra([("w", 2)])
     p = RingPresentation(alg, [2 * alg.gen("w")], domain="integer")
-    entry = graded_smith(p, 2)
+    entry = graded_smith_report(p, 2).entries[2]
     assert entry.torsion == (2,)
-    assert not torsion_free_check(p, 2)
+    assert not graded_smith_report(p, 2).torsion_free()
     rank, torsion = brute_smith(p, 2)
     assert (rank, torsion) == (0, [2])
 
@@ -153,7 +151,7 @@ def test_fabricated_doubled_relation_shows_torsion():
 def test_free_module_torsion_free():
     alg = FreeGradedAlgebra([("x", 1), ("y", 2)])
     p = RingPresentation(alg, [], domain="integer")
-    assert torsion_free_check(p, 6)
+    assert graded_smith_report(p, 6).torsion_free()
 
 
 def test_series_equal_contract():
@@ -206,14 +204,14 @@ def test_budget_refuses_a_degree_before_building_its_rows(
     monkeypatch.setattr(linalg, eliminator, spy)
     p = _refusal_presentation(domain)
     with pytest.raises(BudgetExceededError) as err:
-        p.engine(budget).report(10)
+        p.engine().report(10, budget)
     # degrees 1 .. degree - 1 were eliminated, the refused one was not touched
     assert len(calls) == degree - 1
     assert (err.value.degree, err.value.size, err.value.budget) == (degree, rows, budget)
     # the refusal names the degree's true row count: one row per relation and
     # basis element of the complementary degree, plus one diagonal row per
     # torsion generator one generator degree down
-    lower = p.engine(None).report(degree - 1).entries
+    lower = p.engine().report(degree - 1).entries
     sizes = [e.rank + len(e.torsion) for e in lower]
     torsion = [len(e.torsion) for e in lower]
     gens = [d for _, d in p.generators]
@@ -221,6 +219,48 @@ def test_budget_refuses_a_degree_before_building_its_rows(
         sizes[degree - r.degree()] for r in p.relations if r.degree() <= degree
     ) + sum(torsion[degree - g] for g in gens if g <= degree)
     assert any(torsion) == (domain == "integer")
+
+
+@pytest.mark.parametrize(
+    "domain, eliminator, budget",
+    [("rational", "rref_normalize", 20), ("integer", "coker_normalize", 40)],
+)
+def test_one_engine_per_presentation_checks_each_read_against_its_budget(
+    monkeypatch, domain, eliminator, budget
+):
+    """A smaller budget refuses a degree already built as a fresh presentation would.
+
+    The presentation keeps one engine, so the refused read eliminates
+    nothing again, and a later uncapped read still answers.
+    """
+    calls = []
+    original = getattr(linalg, eliminator)
+
+    def spy(matrix, ncols):
+        calls.append(ncols)
+        return original(matrix, ncols)
+
+    monkeypatch.setattr(linalg, eliminator, spy)
+    read = graded_dimensions if domain == "rational" else graded_smith_report
+    p = _refusal_presentation(domain)
+    assert p.engine() is p.engine()
+    full = read(p, 8)
+    with pytest.raises(BudgetExceededError) as err:
+        read(p, 8, budget=budget)
+    # degrees 1 .. 8, each eliminated once
+    assert len(calls) == 8
+    fresh = RingPresentation(p.algebra, p.relations, p.domain)
+    with pytest.raises(BudgetExceededError) as want:
+        read(fresh, 8, budget=budget)
+    assert (err.value.degree, err.value.size, err.value.budget) == (
+        want.value.degree,
+        want.value.size,
+        want.value.budget,
+    )
+    assert str(err.value) == str(want.value)
+    assert err.value.degree <= 8
+    assert read(p, 8) == full
+    assert len(calls) == 8 + want.value.degree - 1
 
 
 def _random_presentation(rng, domain):
@@ -263,7 +303,7 @@ def test_random_presentations_match_brute_force_integrally():
     for _ in range(25):
         p = _random_presentation(rng, "integer")
         for d in range(5):
-            entry = graded_smith(p, d)
+            entry = graded_smith_report(p, d).entries[d]
             rank, torsion = brute_smith(p, d)
             assert (entry.rank, list(entry.torsion)) == (rank, torsion)
 
@@ -287,7 +327,7 @@ def test_integral_catalog_cases_match_brute_force():
     for family, rank, top in [(LieFamily.SU, 1, 6), (LieFamily.SP, 2, 5), (LieFamily.G2, 2, 5)]:
         p = expected_integral_presentation(family, rank)
         for d in range(top + 1):
-            entry = graded_smith(p, d)
+            entry = graded_smith_report(p, d).entries[d]
             rank_, torsion = brute_smith(p, d)
             assert (entry.rank, list(entry.torsion)) == (rank_, torsion)
 
@@ -347,7 +387,7 @@ def normal_form_fingerprints():
     """
     out = {}
     for label, presentation, top in _pinned_presentations():
-        engine = presentation.engine(None)
+        engine = presentation.engine()
         engine.report(top)
         for degree in range(top + 1):
             expansions = [
@@ -413,7 +453,7 @@ def test_split_route_matches_the_unsplit_engine_on_random_presentations(domain, 
         added = [f"c{k}" for k in range(len(degrees))]
         assert [c for c in added if c in kept] == (added[-1:] if doubled else [])
         got = split_report(p, 6, None)
-        assert got == p.engine(None).report(6)
+        assert got == p.engine().report(6)
         torsion_seen += not got.torsion_free()
     assert torsion_seen > 0 or domain == "rational"
 
@@ -425,7 +465,7 @@ def test_split_route_merges_torsion_from_different_core_degrees():
     core = RingPresentation(alg, [2 * x, x * x, 3 * y, x * y, y * x], domain="integer")
     p = _with_central(core, [2], random.Random(1))
     got = split_report(p, 7, None)
-    assert got == p.engine(None).report(7)
+    assert got == p.engine().report(7)
     assert got.entries[3].torsion == (6,)
 
 
@@ -445,7 +485,7 @@ def _routed_presentations():
 
 def test_split_route_matches_the_unsplit_engine_at_every_checked_rank():
     for label, p, n in _routed_presentations():
-        assert split_report(p, n, None) == p.engine(None).report(n), label
+        assert split_report(p, n, None) == p.engine().report(n), label
 
 
 @pytest.mark.parametrize("family, rank", [(LieFamily.SU, 2), (LieFamily.G2, 2), (LieFamily.F4, 4)])
@@ -453,7 +493,7 @@ def test_split_route_matches_the_unsplit_engine_with_injected_torsion(family, ra
     p = _integral_presentation(RunConfig(family, rank, coeffs="integer", inject_torsion=True))
     n = default_max_degree(family)
     got = split_report(p, n, None)
-    assert got == p.engine(None).report(n)
+    assert got == p.engine().report(n)
     assert not got.torsion_free()
 
 
@@ -469,7 +509,7 @@ def test_split_route_refuses_exactly_where_the_unsplit_engine_does():
     for p in _budget_presentations():
         for budget in [1, 2, 3, 5, 8, 13, 20, 30, 40, 60, 90, 130, 200, 300, 450]:
             try:
-                want = p.engine(budget).report(10)
+                want = p.engine().report(10, budget)
             except BudgetExceededError as err:
                 with pytest.raises(BudgetExceededError) as got:
                     split_report(p, 10, budget)
