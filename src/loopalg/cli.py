@@ -5,6 +5,10 @@ configuration always produces byte-identical output.  Completed compute
 results are cached on disk keyed by a content hash of the configuration and
 the package version.
 
+``compute`` and ``report`` answer from certified normal words
+(:mod:`loopalg.normal_words`) and eliminate only where the certificate
+fails; ``verify`` eliminates in both domains, its independent route.
+
 Exit codes: 0 pass, 1 check failure, 2 usage/config error, 3 budget
 exceeded by the enveloping or integral engine.  ``--budget`` alone bounds
 ``verify``'s commutative quotient too: over it, both quotient checks are
@@ -23,7 +27,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import __version__, catalog as cat
+from . import __version__, catalog as cat, normal_words
 from .enveloping import (
     BudgetExceededError,
     DEFAULT_WORD_BUDGET,
@@ -149,10 +153,13 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
 
     pbw = pbw_series(pipe.lie_algebra, n)
     poincare = list(pbw)
+    # verify eliminates, its independent route; compute answers from
+    # certified normal words where the certificate holds
+    answer = split_report if verify else normal_words.report
     engines: list[tuple[str, RingPresentation]] = []
     if cfg.coeffs != "integer":
         engines.append(("rational", pipe.presentation))
-        uea_report = timed("graded_dimension", split_report, pipe.presentation, n, cfg.budget)
+        uea_report = timed("graded_dimension", answer, pipe.presentation, n, cfg.budget)
         uea_dims = PoincareSeries(uea_report.ranks())
         poincare = list(uea_dims)
         if verify:
@@ -182,7 +189,7 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
     if cfg.coeffs != "rational":
         shown = _integral_presentation(cfg)
         engines.append(("integer", shown))
-        report = timed("graded_smith", split_report, shown, n, cfg.budget)
+        report = timed("graded_smith", answer, shown, n, cfg.budget)
         ranks = list(report.ranks())
         torsion = [list(t) for t in report.torsion_lists()]
         record("torsion_free_check", report.torsion_free(), f"torsion {torsion}")
@@ -215,6 +222,16 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
         for stage, seconds in timings.items():
             print(f"timing {stage}: {seconds:.3f}s", file=sys.stderr)
         for domain, presentation in engines:
+            cert = None if verify else normal_words.certificate(presentation)
+            if cert is not None and cert.failure is None:
+                print(
+                    f"route {domain}: normal words, {len(cert.leading)} rules,"
+                    f" {cert.overlaps} overlaps resolved",
+                    file=sys.stderr,
+                )
+                continue
+            reason = "verify eliminates" if cert is None else cert.failure
+            print(f"route {domain}: engine ({reason})", file=sys.stderr)
             # the split route eliminates the core only, uncapped
             work = central_split(presentation)[0].engine().work
             for d in range(1, n + 1):

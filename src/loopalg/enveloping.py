@@ -35,6 +35,10 @@ request is refused exactly where the unsplit engine would refuse it.
 presentation, an independent check of the split route.  A presentation keeps
 one engine, and each read names its budget: a degree already built is
 checked again, so a smaller budget refuses as a fresh engine would.
+
+``compute`` reaches these engines only where :mod:`loopalg.normal_words`
+cannot certify the presentation's normal words; ``verify`` always
+eliminates.
 """
 
 from __future__ import annotations
@@ -171,6 +175,8 @@ class RingPresentation:
         self._engine: GradedQuotient | None = None
         # (core, central degrees) once central_split has run; core None: nothing splits
         self._split: tuple[RingPresentation | None, tuple[int, ...]] | None = None
+        # the normal_words certificate once it has been checked
+        self._certificate = None
 
     @property
     def generators(self) -> tuple[tuple[str, int], ...]:
@@ -255,25 +261,23 @@ class GradedQuotient:
         self._torsion: list[dict[int, int]] = [{}]
         self._offsets: list[dict[int, int]] = [{}]
         self._expand: list[list[dict[int, Scalar]]] = [[]]
+        self._entries: list[SmithEntry] = [SmithEntry(0, 1, ())]
         self.work: list[DegreeWork] = [DegreeWork(0, 0, 0)]
 
     def report(self, max_degree: int, budget: int | None = None) -> GradedSmithReport:
         """Degrees 0 .. ``max_degree``, each checked against ``budget`` (None: no cap).
 
         A built degree is checked from ``work``, a new one before any of its
-        rows is built, so a refusal names what a fresh engine would.
+        rows is built, so a refusal names what a fresh engine would.  Each
+        degree's :class:`SmithEntry` is built once, with the degree, and a
+        read slices them.
         """
-        for degree in range(1, max_degree + 1):
-            if degree < len(self.work):
+        if budget is not None:
+            for degree in range(1, min(max_degree + 1, len(self.work))):
                 check_budget(degree, budget, self.work[degree].symbols, self.work[degree].rows)
-            else:
-                self._build(degree, budget)
-        return GradedSmithReport(
-            tuple(
-                SmithEntry(degree, inv.count(0), tuple(s for s in inv if s > 1))
-                for degree, inv in enumerate(self._invariants[: max_degree + 1])
-            )
-        )
+        for degree in range(len(self.work), max_degree + 1):
+            self._build(degree, budget)
+        return GradedSmithReport(tuple(self._entries[: max_degree + 1]))
 
     def _leftmul(self, gen_index: int, vec: dict[int, Scalar], src_degree: int):
         """Image of a vector of A_src under left multiplication."""
@@ -315,6 +319,8 @@ class GradedQuotient:
         self._torsion.append({g: s for g, s in enumerate(result.invariants) if s > 1})
         self._offsets.append(offsets)
         self._expand.append(result.expansions)
+        inv = result.invariants
+        self._entries.append(SmithEntry(degree, inv.count(0), tuple(s for s in inv if s > 1)))
         self.work.append(DegreeWork(symbols, rows, result.matrix_rank))
 
     def _rows(self, degree: int, offsets: dict[int, int]):

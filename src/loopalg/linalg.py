@@ -317,7 +317,10 @@ def coker_normalize(rows: Sequence[Mapping[int, int]], ncols: int) -> CokerResul
         changed = False
         leftovers: list[Row] = []
         for raw in pending:
-            row = units.reduce(raw)
+            # a row that meets no pivot column is already reduced: rows come
+            # in without zeros, and a leftover was reduced against every
+            # pivot it could meet, so only a newer pivot can touch it
+            row = raw if units._pivot_rows.keys().isdisjoint(raw) else units.reduce(raw)
             if not row:
                 continue
             unit_cols = [c for c, v in row.items() if v in (1, -1)]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from loopalg import cli, enveloping, minimal_model
+from loopalg import cli, enveloping, minimal_model, normal_words
 from loopalg.catalog import (
     catalog_entry,
     cohomology_presentation,
@@ -92,8 +92,11 @@ def test_traced_cli_compute_eliminates_the_core_through_the_traced_engines(
     """``compute`` reaches the engine only through the traced functions, on the core.
 
     The identities hold for the rows really eliminated, and those are fewer
-    than the unsplit presentation's.
+    than the unsplit presentation's.  su3 certifies its normal words, so the
+    certificate is forced to fail and ``compute`` falls back to the engines.
     """
+    forced = normal_words.Certificate((), 0, "forced")
+    monkeypatch.setattr(normal_words, "certificate", lambda p: forced)
     tracer = _tracing(monkeypatch).Tracer()
     argv = ["compute", "--family", "su", "--rank", "3", "--coeffs", coeffs]
     argv += ["--cache-dir", str(tmp_path), "--out", str(tmp_path / "out")]

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import loopalg
-from loopalg import cli, linalg
+from loopalg import cli, linalg, normal_words
 from loopalg.catalog import default_max_degree
 from loopalg.cli import main
 from loopalg.families import LieFamily
@@ -78,14 +78,19 @@ def test_verbose_names_each_degree_of_the_engine_after_the_timings(
         return raised[-1]
 
     monkeypatch.setattr(linalg.FractionRREF, "add_row", spy)
+    # su3 certifies, so force the engine route whose lines this test reads
+    forced = normal_words.Certificate((), 0, "forced")
+    monkeypatch.setattr(normal_words, "certificate", lambda p: forced)
     args = ("compute", "--family", "su", "--rank", "2", "--format", "json")
     code, out, err = run(capsys, *args, "--verbose")
     assert code == 0
     lines = err.splitlines()
     timings = [line for line in lines if line.startswith("timing ")]
     assert timings and lines[: len(timings)] == timings
+    # the route comes first, then its engine lines
+    assert lines[len(timings)] == "route rational: engine (forced)"
     pattern = re.compile(r"engine rational degree (\d+): symbols (\d+) rows (\d+) rank (\d+)")
-    work = [pattern.fullmatch(line) for line in lines[len(timings) :]]
+    work = [pattern.fullmatch(line) for line in lines[len(timings) + 1 :]]
     assert all(work)
     assert [int(m[1]) for m in work] == list(range(1, default_max_degree(LieFamily.SU) + 1))
     # every row of every degree went through the eliminator, and the ranks add up

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from loopalg import linalg
+from loopalg import enveloping, linalg
 from loopalg.catalog import (
     DEFAULT_CHECKED_RANKS,
     catalog_entry,
@@ -523,3 +523,30 @@ def test_split_route_refuses_exactly_where_the_unsplit_engine_does():
             else:
                 assert split_report(p, 10, budget) == want
     assert refusals > 0
+
+
+@pytest.mark.parametrize("domain", ["rational", "integer"])
+def test_split_route_builds_each_degree_entry_once(monkeypatch, domain):
+    """Reading the core one degree at a time slices the engine's entries.
+
+    So the entries built grow linearly with the degree: the engine builds one
+    per core degree and the split route two per degree (the core's and the
+    convolved one).  Rebuilding every entry on each read made 20,703 and
+    20,502 here.
+    """
+    built = []
+    entry = enveloping.SmithEntry
+
+    def counted(*args):
+        built.append(args[0])
+        return entry(*args)
+
+    monkeypatch.setattr(enveloping, "SmithEntry", counted)
+    if domain == "rational":
+        p = rational_pipeline(catalog_entry(LieFamily.SU, 2)).presentation
+    else:
+        p = expected_integral_presentation(LieFamily.SU, 2)
+    n = 200
+    got = split_report(p, n, None)
+    assert len(got.entries) == n + 1
+    assert len(built) <= 3 * (n + 1)

@@ -139,3 +139,24 @@ def test_fraction_rref_keeps_reduced_rows_and_its_column_index(case):
     # the integer cokernel of the same rows, denominators cleared, has that rank too
     scaled = [{c: v for c, v in enumerate(r) if v} for r in dense_integer(rows, ncols)]
     assert coker_normalize(scaled, ncols).matrix_rank == rref.rank
+
+
+def test_coker_normalize_reduces_only_the_rows_a_new_pivot_touches(monkeypatch):
+    """A row that meets no pivot column is kept as it is, not reduced again.
+
+    ``2 x0 + 2 x1`` meets no pivot in either pass, ``x2`` becomes the only
+    unit pivot, and ``4 x0 + 3 x2`` meets it once; the second pass, run
+    because a pivot was inserted, reduces nothing.
+    """
+    calls = []
+    reduce = FractionRREF.reduce
+
+    def spy(self, row):
+        calls.append(dict(row))
+        return reduce(self, row)
+
+    monkeypatch.setattr(FractionRREF, "reduce", spy)
+    result = coker_normalize([{0: 2, 1: 2}, {2: 1}, {0: 4, 2: 3}], 3)
+    assert calls == [{0: 4, 2: 3}]
+    assert result.invariants == [2, 4] and result.matrix_rank == 3
+    assert result.expansions == [{0: 1, 1: 3}, {1: 1}, {}]

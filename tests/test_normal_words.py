@@ -1,0 +1,212 @@
+"""The certified normal-word route against the oracles and the engines.
+
+Where the diamond-lemma certificate holds, the normal-word counts must be
+the graded dimensions over Q and the free ranks over Z with no torsion, and
+``normal_words.report`` must answer, refuse and print exactly as the
+eliminating route does.  Where it fails, the answer is the eliminating one.
+"""
+
+import importlib
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from loopalg import cli, normal_words
+from loopalg.catalog import (
+    DEFAULT_CHECKED_RANKS,
+    catalog_entry,
+    default_max_degree,
+    expected_integral_presentation,
+)
+from loopalg.cli import RunConfig, _integral_presentation
+from loopalg.enveloping import FreeGradedAlgebra, RingPresentation, split_report
+from loopalg.families import LieFamily
+from loopalg.pipeline import rational_pipeline
+
+from oracles import brute_graded_dimension, brute_smith
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# the configurations of the benchmark's ring-deep workload: (family, rank, max degree)
+RING_DEEP = ((LieFamily.SU, 7, 10), (LieFamily.SU, 6, 12), (LieFamily.E6, 6, 16))
+
+# integral presentations whose saturation relations lead with a non-unit
+UNCERTIFIED_INTEGRAL = {LieFamily.G2, LieFamily.F4, LieFamily.E6}
+
+
+def _force_the_engine(monkeypatch):
+    forced = normal_words.Certificate((), 0, "forced")
+    monkeypatch.setattr(normal_words, "certificate", lambda p: forced)
+
+
+def _random_presentation(rng, domain):
+    """Two or three generators of degrees 1, 1, 2 and one to three relations.
+
+    Coefficients are mostly ±1, so many integral presentations keep unit
+    leading coefficients; the rest lead with ±2 or ±3.
+    """
+    gens = [("x", 1), ("y", 1), ("z", 2)][: rng.randint(2, 3)]
+    alg = FreeGradedAlgebra(gens)
+    relations = []
+    for _ in range(rng.randint(1, 3)):
+        degree = rng.randint(2, 3)
+        words = []
+
+        def extend(prefix, remaining):
+            if remaining == 0:
+                words.append(prefix)
+                return
+            for name, d in gens:
+                if d <= remaining:
+                    extend(prefix + (name,), remaining - d)
+
+        extend((), degree)
+        terms = {
+            w: Fraction(rng.choice([-1, 1, -1, 1, 2, -3]))
+            for w in rng.sample(words, k=min(len(words), rng.randint(1, 3)))
+        }
+        relations.append(alg.element(terms))
+    return RingPresentation(alg, relations, domain=domain)
+
+
+@pytest.mark.parametrize("domain, seed", [("rational", 7201), ("integer", 7202)])
+def test_certified_counts_match_the_oracles_on_random_presentations(domain, seed):
+    rng = random.Random(seed)
+    certified = 0
+    for _ in range(60):
+        p = _random_presentation(rng, domain)
+        holds = normal_words.certificate(p).failure is None
+        certified += holds
+        got = normal_words.report(p, 5, None)
+        for d in range(6):
+            if domain == "rational":
+                want = (brute_graded_dimension(p, d), [])
+            else:
+                want = brute_smith(p, d)
+            assert (got.entries[d].rank, list(got.entries[d].torsion)) == want
+        if holds:
+            assert got.torsion_free()
+    assert certified >= 15
+
+
+def _catalog_presentations():
+    """Every presentation ``compute`` answers at a checked rank or on ring-deep."""
+    checked = [(f, r, default_max_degree(f)) for f, rs in DEFAULT_CHECKED_RANKS.items() for r in rs]
+    for family, rank, n in checked + list(RING_DEEP):
+        yield family, rational_pipeline(catalog_entry(family, rank)).presentation, n
+        yield family, expected_integral_presentation(family, rank), n
+
+
+def test_certified_counts_equal_the_split_route_on_every_catalog_configuration():
+    for family, p, n in _catalog_presentations():
+        label = (family.slug, len(p.generators), p.domain)
+        cert = normal_words.certificate(p)
+        if p.domain == "integer" and family in UNCERTIFIED_INTEGRAL:
+            assert cert.failure.startswith("leading coefficient"), label
+        else:
+            assert cert.failure is None and cert.overlaps > 0, label
+        assert normal_words.report(p, n, None) == split_report(p, n, None), label
+
+
+def test_the_certificate_is_memoized_on_the_presentation():
+    p = expected_integral_presentation(LieFamily.SU, 3)
+    assert normal_words.certificate(p) is normal_words.certificate(p)
+    assert normal_words.certificate(p) == normal_words._certify(p)
+
+
+def test_doubled_relation_does_not_certify_and_still_shows_its_torsion():
+    p = _integral_presentation(RunConfig(LieFamily.SU, 2, coeffs="integer", inject_torsion=True))
+    assert normal_words.certificate(p).failure == "leading coefficient 2 on x1.x1"
+    got = normal_words.report(p, 10, None)
+    assert not got.torsion_free()
+    assert got == p.engine().report(10)
+
+
+@pytest.mark.parametrize("domain", ["rational", "integer"])
+def test_a_non_confluent_presentation_falls_back(domain):
+    """``y x y = x y y`` overlaps itself in ``y x y x y``, and the two rewrites differ.
+
+    Its normal words overcount degree 5, so only the fallback gives the
+    right sizes.
+    """
+    alg = FreeGradedAlgebra([("x", 1), ("y", 1)])
+    x, y = alg.gen("x"), alg.gen("y")
+    p = RingPresentation(alg, [y * x * y - x * y * y], domain=domain)
+    cert = normal_words.certificate(p)
+    assert cert.failure == "overlap y.x.y.x.y does not resolve"
+    assert normal_words.normal_word_counts(cert.leading, [1, 1], 5)[5] == 21
+    got = normal_words.report(p, 5, None)
+    assert got == split_report(p, 5, None)
+    assert got.entries[5].rank == brute_graded_dimension(p, 5) == 20
+
+
+def test_normal_word_counts_of_free_and_polynomial_algebras():
+    # the free algebra on x (1) and z (2): Fibonacci numbers
+    assert normal_words.normal_word_counts((), [1, 2], 7) == [1, 1, 2, 3, 5, 8, 13, 21]
+    # z x -> x z leaves the words x^i z^j
+    assert normal_words.normal_word_counts(((1, 0),), [1, 2], 6) == [1, 1, 2, 2, 3, 3, 4]
+
+
+@pytest.mark.parametrize("coeffs", ["rational", "integer"])
+def test_traced_certified_compute_eliminates_nothing(monkeypatch, tmp_path, coeffs):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracing").Tracer()
+    argv = ["compute", "--family", "su", "--rank", "3", "--coeffs", coeffs]
+    argv += ["--cache-dir", str(tmp_path), "--out", str(tmp_path / "out")]
+    tracer.install()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics(entries_built=0)
+    assert metrics["linalg.rref_rows"] == metrics["enveloping.rational_rows"] == 0
+    assert metrics["linalg.coker_rows"] == metrics["enveloping.integer_rows"] == 0
+
+
+BUDGETS = [1, 2, 3, 5, 8, 13, 20, 30, 40, 60, 90, 130, 200, 300, 450, 1000]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ("--family", "su", "--rank", "3", "--coeffs", "rational"),
+        ("--family", "su", "--rank", "3", "--coeffs", "integer"),
+        ("--family", "so-even", "--rank", "4", "--coeffs", "integer"),
+        ("--family", "g2", "--coeffs", "rational"),
+    ],
+)
+def test_a_budget_sweep_answers_and_refuses_alike_on_both_routes(
+    monkeypatch, tmp_path, capsys, config
+):
+    def sweep(cache):
+        out = []
+        for budget in BUDGETS:
+            argv = ["compute", *config, "--format", "json", "--budget", str(budget)]
+            code = cli.main([*argv, "--cache-dir", str(tmp_path / cache)])
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    certified = sweep("certified")
+    _force_the_engine(monkeypatch)
+    assert sweep("engine") == certified
+    assert {code for code, _, _ in certified} == {0, 3}
+
+
+def test_verbose_names_the_route(tmp_path, capsys):
+    def stderr(*args):
+        argv = ["compute", *args, "--max-degree", "6", "--cache-dir", str(tmp_path), "--verbose"]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().err.splitlines()
+        return [line for line in lines if not line.startswith("timing ")]
+
+    assert stderr("--family", "su", "--rank", "3", "--coeffs", "integer") == [
+        "route integer: normal words, 18 rules, 38 overlaps resolved"
+    ]
+    lines = stderr("--family", "g2", "--coeffs", "integer")
+    assert lines[0] == "route integer: engine (leading coefficient 4 on y1.y1)"
+    assert [line.split(":")[0] for line in lines[1:]] == [
+        f"engine integer degree {d}" for d in range(1, 7)
+    ]
