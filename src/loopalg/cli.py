@@ -7,7 +7,10 @@ the package version.
 
 ``compute`` and ``report`` answer from certified normal words
 (:mod:`loopalg.normal_words`) and eliminate only where the certificate
-fails; ``verify`` eliminates in both domains, its independent route.
+fails; ``verify`` eliminates in both domains, its independent route, on the
+engine each presentation keeps (:func:`loopalg.enveloping.engine_report`).
+A cache entry that does not hold the fields and types a compute report
+writes is a miss, recomputed by ``report --compute-missing``.
 
 Exit codes: 0 pass, 1 check failure, 2 usage/config error, 3 budget
 exceeded by the enveloping or integral engine.  ``--budget`` alone bounds
@@ -32,12 +35,11 @@ from .enveloping import (
     BudgetExceededError,
     DEFAULT_WORD_BUDGET,
     RingPresentation,
-    central_split,
+    engine_report,
     graded_dimensions,
     pbw_series,
     relation_string,
     series_equal,
-    split_report,
 )
 from .families import FIXED_RANK, LieFamily, validate_rank
 from .homotopy_lie import graded_lie_axioms_check
@@ -155,7 +157,7 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
     poincare = list(pbw)
     # verify eliminates, its independent route; compute answers from
     # certified normal words where the certificate holds
-    answer = split_report if verify else normal_words.report
+    answer = engine_report if verify else normal_words.report
     engines: list[tuple[str, RingPresentation]] = []
     if cfg.coeffs != "integer":
         engines.append(("rational", pipe.presentation))
@@ -163,7 +165,7 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
         uea_dims = PoincareSeries(uea_report.ranks())
         poincare = list(uea_dims)
         if verify:
-            # the unsplit engine, so the split route has an independent check
+            # the catalog's expected presentation, independent of the pipeline's
             expected_dims = graded_dimensions(entry.expected_rational, n, cfg.budget)
             split = cat.splitting_series(cfg.family, cfg.rank, n)
             record(
@@ -206,7 +208,7 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
                     rep = report  # the variant reported above
                 else:
                     p = cat.expected_integral_presentation(cfg.family, cfg.rank, anticommute=anti)
-                    rep = split_report(p, n, cfg.budget)
+                    rep = engine_report(p, n, cfg.budget)
                 f4_variants[label] = {
                     "ranks": list(rep.ranks()),
                     "torsion": [list(t) for t in rep.torsion_lists()],
@@ -224,16 +226,16 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
         for domain, presentation in engines:
             cert = None if verify else normal_words.certificate(presentation)
             if cert is not None and cert.failure is None:
+                defined = f", defined: {', '.join(cert.defined)}" if cert.defined else ""
                 print(
                     f"route {domain}: normal words, {len(cert.leading)} rules,"
-                    f" {cert.overlaps} overlaps resolved",
+                    f" {cert.overlaps} overlaps resolved{defined}",
                     file=sys.stderr,
                 )
                 continue
             reason = "verify eliminates" if cert is None else cert.failure
             print(f"route {domain}: engine ({reason})", file=sys.stderr)
-            # the split route eliminates the core only, uncapped
-            work = central_split(presentation)[0].engine().work
+            work = presentation.engine().work
             for d in range(1, n + 1):
                 w = work[d]
                 print(
@@ -339,11 +341,34 @@ def cache_store(cfg: RunConfig, doc: dict) -> Path:
     return path
 
 
+def _ints(value) -> bool:
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
+# the body of a compute report: each field and a test of the type build_report writes
+_REPORT_BODY = {
+    "generators": lambda v: isinstance(v, list)
+    and all(
+        isinstance(g, dict)
+        and set(g) == {"name", "degree"}
+        and type(g["name"]) is str
+        and type(g["degree"]) is int
+        for g in v
+    ),
+    "relations": lambda v: isinstance(v, list) and all(type(r) is str for r in v),
+    "poincare": _ints,
+    "ranks": _ints,
+    "torsion": lambda v: isinstance(v, list) and all(map(_ints, v)),
+    "checks": lambda v: isinstance(v, dict) and all(type(c) is bool for c in v.values()),
+}
+
+
 def cache_load(cfg: RunConfig) -> dict | None:
     """The cached report, or None on a miss.
 
-    An entry that cannot be read, or that names another configuration than
-    ``cfg``, counts as a miss.
+    An entry that cannot be read, that names another configuration than
+    ``cfg``, or whose fields are not those of a compute report with the
+    types ``build_report`` writes, counts as a miss.
     """
     path = cache_directory(cfg) / f"{cfg.cache_key()}.json"
     if not path.exists():
@@ -352,8 +377,12 @@ def cache_load(cfg: RunConfig) -> dict | None:
         doc = json.loads(path.read_text())
         if not isinstance(doc, dict):
             problem = "not a JSON object"
-        elif any(doc.get(k) != v for k, v in cfg.identity().items()):
+        elif any(type(doc.get(k)) is not type(v) or doc[k] != v for k, v in cfg.identity().items()):
             problem = "written for another configuration"
+        elif set(doc) != {*cfg.identity(), *_REPORT_BODY}:
+            problem = "not the fields of a compute report"
+        elif not all(valid(doc[k]) for k, valid in _REPORT_BODY.items()):
+            problem = "a field of the wrong type"
         else:
             return doc
     except (OSError, ValueError) as err:

@@ -21,31 +21,20 @@ zero in the lower quotient).  This keeps every matrix at the size of the
 quotient, not of the free algebra, while computing exactly the same
 dimensions as elimination over the full word basis.
 
-Most presentations are a small core tensored with a polynomial ring on
-central even generators: a generator ``z`` whose only relations are the
-commutators ``±(z g - g z)``, one with every other generator.
-:func:`central_split` drops those generators and their commutators, and
-:func:`split_report` eliminates the core only, then convolves each degree
-with the polynomial factor.  The split is exact over Z as over Q because
-the polynomial factor is a free module, so ranks convolve and torsion
-summands repeat.  One size rule, :func:`degree_size`, counts each degree for
-the engine and for the split route, which counts the full presentation, so a
-request is refused exactly where the unsplit engine would refuse it.
-``verify`` keeps the unsplit engine on the catalog's expected rational
-presentation, an independent check of the split route.  A presentation keeps
-one engine, and each read names its budget: a degree already built is
-checked again, so a smaller budget refuses as a fresh engine would.
+A presentation keeps one engine, and each read names its budget: a degree
+already built is checked again, so a smaller budget refuses as a fresh engine
+would.  :func:`degree_size` is the one size rule, shared with the
+normal-word route.
 
-``compute`` reaches these engines only where :mod:`loopalg.normal_words`
-cannot certify the presentation's normal words; ``verify`` always
-eliminates.
+``compute`` reaches the engine, through :func:`engine_report`, only where
+:mod:`loopalg.normal_words` cannot certify the presentation's normal words;
+``verify`` always eliminates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Iterable
 
 from . import linalg, series
@@ -86,6 +75,8 @@ def degree_size(
     counts the generators of the lower component ``A_e`` and ``torsion[e]``
     its torsion generators: symbols = Σ_g |A_{d-g}| and rows = Σ_g
     torsion_{d-g} + Σ_r |A_{d-r}|, every relation row counted, zero or not.
+    The engine and :func:`loopalg.normal_words.report` both count with it,
+    so the two routes refuse a request alike.
     """
     lower = [degree - g for g in gens if g <= degree]
     rows = sum(torsion[e] for e in lower) + sum(sizes[degree - r] for r in rels if r <= degree)
@@ -173,8 +164,6 @@ class RingPresentation:
         self.relations = rels
         self.domain = domain
         self._engine: GradedQuotient | None = None
-        # (core, central degrees) once central_split has run; core None: nothing splits
-        self._split: tuple[RingPresentation | None, tuple[int, ...]] | None = None
         # the normal_words certificate once it has been checked
         self._certificate = None
 
@@ -421,116 +410,19 @@ def graded_smith_report(
     return p.engine().report(max_degree, budget)
 
 
-def series_equal(a: PoincareSeries, b: PoincareSeries, max_degree: int) -> bool:
-    return a.prefix(max_degree) == b.prefix(max_degree)
-
-
-# ---------------------------------------------------------------------------
-# the central split
-# ---------------------------------------------------------------------------
-
-
-def _commutator_partner(relation: NcElement, z: str) -> str | None:
-    """The generator ``g`` when ``relation`` is ``±(z g - g z)`` with ``g != z``, else None."""
-    terms = relation.terms
-    if len(terms) != 2:
-        return None
-    a, b = terms
-    if a != b[::-1] or len(a) != 2 or a[0] == a[1] or z not in a:
-        return None
-    if abs(terms[a]) != 1 or terms[b] != -terms[a]:
-        return None
-    return a[1] if a[0] == z else a[0]
-
-
-def _split_off_central(p: RingPresentation) -> tuple[RingPresentation | None, tuple[int, ...]]:
-    touching: dict[str, list[NcElement]] = {name: [] for name in p.algebra.names}
-    for r in p.relations:
-        for name in {name for word in r.terms for name in word}:
-            touching[name].append(r)
-    central = set()
-    for z, degree in p.generators:
-        partners = [_commutator_partner(r, z) for r in touching[z]]
-        others = set(touching) - {z}
-        if degree % 2 == 0 and len(partners) == len(others) and set(partners) == others:
-            central.add(z)
-    if not central:
-        return None, ()
-    algebra = FreeGradedAlgebra([(n, d) for n, d in p.generators if n not in central])
-    relations = [
-        NcElement(algebra, r.terms)
-        for r in p.relations
-        if not any(name in central for word in r.terms for name in word)
-    ]
-    degrees = tuple(d for n, d in p.generators if n in central)
-    return RingPresentation(algebra, relations, p.domain), degrees
-
-
-def central_split(p: RingPresentation) -> tuple[RingPresentation, tuple[int, ...]]:
-    """The core presentation of ``p`` and the degrees of the generators split off.
-
-    An even generator ``z`` splits off when its only relations are the
-    commutators ``±(z g - g z)``, exactly one with every other generator
-    ``g``.  Dropping every such ``z`` and its commutators leaves the core,
-    and ``T(G)/I = core ⊗ k[z, ...]`` over Q and over Z: the central
-    generators commute with everything and meet no other relation, and the
-    polynomial factor is a free module.  With nothing to split, the core is
-    ``p`` itself.  The result is memoized on ``p``, so the core's engine stays
-    warm as long as ``p`` lives.
-    """
-    if p._split is None:
-        p._split = _split_off_central(p)
-    core, degrees = p._split
-    return (p if core is None else core), degrees
-
-
-def invariant_factors(orders: Iterable[int]) -> tuple[int, ...]:
-    """Invariant factors ``s_1 | s_2 | ...``, ascending, of the direct sum of the groups Z/s."""
-    chain: list[int] = []
-    for s in orders:
-        # one insertion pass from the top: per prime, the exponents stay sorted
-        for i in range(len(chain) - 1, -1, -1):
-            chain[i], s = lcm(chain[i], s), gcd(chain[i], s)
-        if s > 1:
-            chain.insert(0, s)
-    return tuple(chain)
-
-
-def split_report(
+def engine_report(
     p: RingPresentation, max_degree: int, budget: int | None = DEFAULT_WORD_BUDGET
 ) -> GradedSmithReport:
-    """The degree components of ``p``, eliminated on its core only.
+    """The engine's degrees 0 .. ``max_degree`` of ``p`` in its own domain.
 
-    Degree ``d`` is ``A_d = ⊕_m C_{d-m}`` over the monomials of degree ``m``
-    in the central generators (:func:`central_split`), so ranks convolve and
-    torsion merges into invariant factors, as ``p.engine().report`` gives
-    them.  The core is reached through :func:`graded_dimensions` or
-    :func:`graded_smith_report`, one degree at a time and uncapped, because
-    the budget counts ``p``: before each core degree is built,
-    :func:`degree_size` counts the symbols and rows the unsplit engine would
-    need there from the convolved lower components, so
-    :class:`BudgetExceededError` names the same degree, size and budget as
-    the unsplit engine.  Over Q the torsion is always empty.
+    It reads through :func:`graded_dimensions` or :func:`graded_smith_report`,
+    so the engine is reached the same way from every route.
     """
-    core, central = central_split(p)
-    monomials = series.pbw_coefficients((), central, max_degree)
-    gens = [d for _, d in p.generators]
-    rels = [r.degree() for r in p.relations]
-    core_entries: list[SmithEntry] = []
-    entries: list[SmithEntry] = []
-    sizes: list[int] = []
-    torsion_counts: list[int] = []
-    for d in range(max_degree + 1):
-        if d:
-            check_budget(d, budget, *degree_size(d, gens, rels, sizes, torsion_counts))
-        if p.domain == "rational":
-            rank = graded_dimensions(core, d, None).coefficient(d)
-            core_entries.append(SmithEntry(d, rank, ()))
-        else:
-            core_entries.append(graded_smith_report(core, d, None).entries[d])
-        parts = [(monomials[m], core_entries[d - m]) for m in range(d + 1) if monomials[m]]
-        torsion = invariant_factors(s for n, e in parts for s in e.torsion * n)
-        entries.append(SmithEntry(d, sum(n * e.rank for n, e in parts), torsion))
-        sizes.append(entries[-1].rank + len(torsion))
-        torsion_counts.append(len(torsion))
-    return GradedSmithReport(tuple(entries))
+    if p.domain == "integer":
+        return graded_smith_report(p, max_degree, budget)
+    dims = graded_dimensions(p, max_degree, budget)
+    return GradedSmithReport(tuple(SmithEntry(d, c, ()) for d, c in enumerate(dims)))
+
+
+def series_equal(a: PoincareSeries, b: PoincareSeries, max_degree: int) -> bool:
+    return a.prefix(max_degree) == b.prefix(max_degree)

@@ -2,11 +2,11 @@
 
 Bergman's diamond lemma (G. M. Bergman, "The diamond lemma for ring
 theory", Adv. Math. 29 (1978)) turns a presentation into a basis.  Order
-words by length, then lexicographically by generator index; every relation
-is homogeneous and every generator has positive degree, so each degree
-holds finitely many words and the order is a well-founded semigroup order.
-Solve each relation for its largest word, its *leading word*, to get a
-rewriting rule ``lead -> tail``.  When the rules are interreduced (no
+words by total weight, then lexicographically by generator index; every
+relation is homogeneous and every generator has positive degree, so each
+degree holds finitely many words and the order is a well-founded semigroup
+order.  Solve each relation for its largest word, its *leading word*, to get
+a rewriting rule ``lead -> tail``.  When the rules are interreduced (no
 leading word contains another) and every overlap ambiguity ``A B C``, with
 ``A B`` and ``B C`` leading words, rewrites to one normal form both ways,
 the words that contain no leading word form a basis of the quotient.
@@ -18,14 +18,27 @@ which would change the ideal.  A certified integral presentation is then a
 free Z-module in every degree, torsion free with the normal-word counts as
 ranks, and a certified rational one has those counts as dimensions.
 
+The weights do a Tietze move where a length order would lead with a
+non-unit.  A generator ``g`` is *defined* by the first relation
+``±g + (words without g)`` whose other coefficients are all non-units; it
+weighs one more than the heaviest of those words, so that relation rewrites
+``g`` away, as the saturation relation ``y2 - 72 y1.y1`` does for e6 over
+Z.  Every other generator weighs 1.  A relation with another unit
+coefficient defines nothing: a length order already solves it, and moving
+``g`` up would only push non-units to the front elsewhere (so-odd5's
+``x1.x1 - y1`` would turn ``2 y1.y3`` into a leading ``2 x1.x1.y3``).  Any
+positive weights give an admissible order (a proper prefix weighs less, so
+two words of equal weight first differ inside both), and every check above
+stays, so a weight can only cost a fallback, never a wrong answer.
+
 :func:`certificate` interreduces and resolves the overlaps, memoized on the
 presentation.  :func:`report` answers from the certificate: it counts the
 normal words degree by degree with an automaton of the leading words, whose
 states are at most their total length, and checks every degree against the
-budget with :func:`enveloping.degree_size` before answering, exactly as
-:func:`enveloping.split_report` does.  Where the certificate fails (a
-non-unit leading coefficient over Z, or an overlap that does not resolve)
-it answers by :func:`enveloping.split_report` instead, which eliminates.
+budget with :func:`enveloping.degree_size` before answering, as the engine
+does.  Where the certificate fails (a non-unit leading coefficient over Z,
+or an overlap that does not resolve) it answers by
+:func:`enveloping.engine_report` instead, which eliminates.
 """
 
 from __future__ import annotations
@@ -41,7 +54,7 @@ from .enveloping import (
     SmithEntry,
     check_budget,
     degree_size,
-    split_report,
+    engine_report,
 )
 from .gca import Scalar
 
@@ -56,23 +69,50 @@ class Certificate:
     ``leading`` holds the leading words of the interreduced rules and
     ``overlaps`` counts the overlap ambiguities that resolved.  ``failure``
     says why the normal words are not certified, None when they are.
+    ``defined`` names the generators that outweigh the rest of their
+    defining relation.
     """
 
     leading: tuple[Word, ...]
     overlaps: int
     failure: str | None = None
+    defined: tuple[str, ...] = ()
 
 
-def _order(word: Word) -> tuple[int, Word]:
-    return len(word), word
+def _weights(p: RingPresentation, relations: list[Poly]) -> tuple[list[int], tuple[str, ...]]:
+    """The generator weights of the word order and the names of the generators defined.
+
+    ``g`` is defined by the first relation holding it only as the word
+    ``g``, with coefficient ±1, and no other coefficient ±1.  Generators are
+    taken by increasing degree, ties in declaration order, so a defining
+    relation's longer words only hold generators already weighed.
+    """
+    degrees = [d for _, d in p.generators]
+    weights = [1] * len(degrees)
+    defined = []
+    for g in sorted(range(len(degrees)), key=degrees.__getitem__):
+        for poly in relations:
+            if poly.get((g,)) not in (1, -1):
+                continue
+            others = [w for w in poly if w != (g,)]
+            if not any(g in w or poly[w] in (1, -1) for w in others):
+                weights[g] = 1 + max((sum(weights[x] for x in w) for w in others), default=0)
+                defined.append(p.algebra.names[g])
+                break
+    return weights, tuple(defined)
 
 
 class _Rules:
     """Rewriting rules ``lead -> tail`` and the normal form they give."""
 
-    def __init__(self):
+    def __init__(self, weights: list[int]):
         self.tails: dict[Word, Poly] = {}
+        self._weights = weights
         self._lengths: list[int] = []
+
+    def order(self, word: Word) -> tuple[int, Word]:
+        """The sort key of a word: its total weight, then the word itself."""
+        return sum(self._weights[g] for g in word), word
 
     def add(self, lead: Word, tail: Poly) -> None:
         self.tails[lead] = tail
@@ -97,7 +137,7 @@ class _Rules:
         todo = {w: c for w, c in poly.items() if c}
         out: Poly = {}
         while todo:
-            word = max(todo, key=_order)
+            word = max(todo, key=self.order)
             coeff = todo.pop(word)
             hit = self._occurrence(word)
             if hit is None:
@@ -122,14 +162,17 @@ def _name(p: RingPresentation, word: Word) -> str:
 def _certify(p: RingPresentation) -> Certificate:
     integer = p.domain == "integer"
     index = {name: i for i, name in enumerate(p.algebra.names)}
+    polys: list[Poly] = []
     by_degree: dict[int, list[Poly]] = {}
     for r in p.relations:
         poly = {
             tuple(index[n] for n in w): c.numerator if c.denominator == 1 else c
             for w, c in r.terms.items()
         }
+        polys.append(poly)
         by_degree.setdefault(r.degree(), []).append(poly)
-    rules = _Rules()
+    weights, defined = _weights(p, polys)
+    rules = _Rules(weights)
     # interreduce one degree at a time: a proper subword has a smaller
     # degree, so once the lower rules have reduced a degree's relations only
     # equal leading words are left to eliminate, largest first; each new rule
@@ -137,7 +180,7 @@ def _certify(p: RingPresentation) -> Certificate:
     for degree in sorted(by_degree):
         pending = by_degree[degree]
         while pending := [q for q in map(rules.normal_form, pending) if q]:
-            lead = max((w for q in pending for w in q), key=_order)
+            lead = max((w for q in pending for w in q), key=rules.order)
             group = [q for q in pending if lead in q]
             pivot = next((q for q in group if q[lead] in (1, -1)), None)
             if pivot is None and integer:
@@ -145,6 +188,7 @@ def _certify(p: RingPresentation) -> Certificate:
                     tuple(rules.tails),
                     0,
                     f"leading coefficient {group[0][lead]} on {_name(p, lead)}",
+                    defined,
                 )
             pivot = pivot or group[0]
             # a unit is its own inverse, so an integral rule stays integral
@@ -169,9 +213,11 @@ def _certify(p: RingPresentation) -> Certificate:
                     diff[head + t] = diff.get(head + t, 0) - c
                 if rules.normal_form(diff):
                     word = _name(p, u + rest)
-                    return Certificate(leading, resolved, f"overlap {word} does not resolve")
+                    return Certificate(
+                        leading, resolved, f"overlap {word} does not resolve", defined
+                    )
                 resolved += 1
-    return Certificate(leading, resolved)
+    return Certificate(leading, resolved, None, defined)
 
 
 def certificate(p: RingPresentation) -> Certificate:
@@ -243,12 +289,12 @@ def report(
     With the certificate, every rank is a normal-word count and every
     torsion list is empty; each degree is first checked against ``budget``
     by :func:`enveloping.degree_size` on those ranks, so a refusal names the
-    degree, size and budget the engines would.  Without it the answer is
-    :func:`enveloping.split_report`.
+    degree, size and budget the engine would.  Without it the answer is
+    :func:`enveloping.engine_report`.
     """
     cert = certificate(p)
     if cert.failure is not None:
-        return split_report(p, max_degree, budget)
+        return engine_report(p, max_degree, budget)
     gens = [d for _, d in p.generators]
     counts = normal_word_counts(cert.leading, gens, max_degree)
     rels = [r.degree() for r in p.relations]

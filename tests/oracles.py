@@ -9,15 +9,28 @@ quotient engine, so the two routes check each other.  The commutative
 quotient is recounted from ``GcaElement`` products over a basis of
 exponent tuples enumerated here, with a dense rank over Q; ranks over F_p
 come from a dense elimination on residues.
+
+:func:`split_report` checks a structure rather than an elimination: most
+catalog presentations are a small core tensored with a polynomial ring on
+central even generators, and their sizes are the core's convolved with the
+polynomial factor's, over Q and over Z.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
+from typing import Iterable
 
-from loopalg.enveloping import RingPresentation
+from loopalg.enveloping import (
+    FreeGradedAlgebra,
+    GradedSmithReport,
+    NcElement,
+    RingPresentation,
+    SmithEntry,
+)
+from loopalg.series import pbw_coefficients
 from loopalg.minimal_model import CohomologyPresentation
 
 
@@ -211,3 +224,76 @@ def brute_commutative_dimension(c: CohomologyPresentation, degree: int) -> int:
             shifted = alg.element({m: 1}) * rel
             rows.append({index[k]: v for k, v in shifted.terms.items()})
     return len(index) - dense_rank(rows, len(index))
+
+
+def _commutator_partner(relation: NcElement, z: str) -> str | None:
+    """The generator ``g`` when ``relation`` is ``±(z g - g z)`` with ``g != z``, else None."""
+    terms = relation.terms
+    if len(terms) != 2:
+        return None
+    a, b = terms
+    if a != b[::-1] or len(a) != 2 or a[0] == a[1] or z not in a:
+        return None
+    if abs(terms[a]) != 1 or terms[b] != -terms[a]:
+        return None
+    return a[1] if a[0] == z else a[0]
+
+
+def central_split(p: RingPresentation) -> tuple[RingPresentation, tuple[int, ...]]:
+    """The core presentation of ``p`` and the degrees of the generators split off.
+
+    An even generator ``z`` splits off when its only relations are the
+    commutators ``±(z g - g z)``, exactly one with every other generator
+    ``g``.  Dropping every such ``z`` and its commutators leaves the core,
+    and ``T(G)/I = core ⊗ k[z, ...]`` over Q and over Z: the central
+    generators commute with everything and meet no other relation, and the
+    polynomial factor is a free module.
+    """
+    touching: dict[str, list[NcElement]] = {name: [] for name in p.algebra.names}
+    for r in p.relations:
+        for name in {name for word in r.terms for name in word}:
+            touching[name].append(r)
+    central = set()
+    for z, degree in p.generators:
+        partners = [_commutator_partner(r, z) for r in touching[z]]
+        others = set(touching) - {z}
+        if degree % 2 == 0 and len(partners) == len(others) and set(partners) == others:
+            central.add(z)
+    algebra = FreeGradedAlgebra([(n, d) for n, d in p.generators if n not in central])
+    relations = [
+        NcElement(algebra, r.terms)
+        for r in p.relations
+        if not any(name in central for word in r.terms for name in word)
+    ]
+    degrees = tuple(d for n, d in p.generators if n in central)
+    return RingPresentation(algebra, relations, p.domain), degrees
+
+
+def invariant_factors(orders: Iterable[int]) -> tuple[int, ...]:
+    """Invariant factors ``s_1 | s_2 | ...``, ascending, of the direct sum of the groups Z/s."""
+    chain: list[int] = []
+    for s in orders:
+        # one insertion pass from the top: per prime, the exponents stay sorted
+        for i in range(len(chain) - 1, -1, -1):
+            chain[i], s = lcm(chain[i], s), gcd(chain[i], s)
+        if s > 1:
+            chain.insert(0, s)
+    return tuple(chain)
+
+
+def split_report(p: RingPresentation, max_degree: int) -> GradedSmithReport:
+    """The degree components of ``p`` from its core's engine and the polynomial factor.
+
+    Degree ``d`` is ``A_d = ⊕_m C_{d-m}`` over the monomials of degree ``m``
+    in the central generators, so ranks convolve and torsion merges into
+    invariant factors.
+    """
+    core, central = central_split(p)
+    monomials = pbw_coefficients((), central, max_degree)
+    core_entries = core.engine().report(max_degree).entries
+    entries = []
+    for d in range(max_degree + 1):
+        parts = [(monomials[m], core_entries[d - m]) for m in range(d + 1) if monomials[m]]
+        torsion = invariant_factors(s for n, e in parts for s in e.torsion * n)
+        entries.append(SmithEntry(d, sum(n * e.rank for n, e in parts), torsion))
+    return GradedSmithReport(tuple(entries))

@@ -89,11 +89,11 @@ def test_traced_coker_counts_stay_within_the_integer_engine(monkeypatch):
 def test_traced_cli_compute_eliminates_the_core_through_the_traced_engines(
     monkeypatch, tmp_path, coeffs
 ):
-    """``compute`` reaches the engine only through the traced functions, on the core.
+    """``compute`` reaches the engine only through the traced functions.
 
-    The identities hold for the rows really eliminated, and those are fewer
-    than the unsplit presentation's.  su3 certifies its normal words, so the
-    certificate is forced to fail and ``compute`` falls back to the engines.
+    The identities hold for the rows really eliminated, which are the whole
+    presentation's.  su3 certifies its normal words, so the certificate is
+    forced to fail and ``compute`` falls back to the engine.
     """
     forced = normal_words.Certificate((), 0, "forced")
     monkeypatch.setattr(normal_words, "certificate", lambda p: forced)
@@ -107,14 +107,13 @@ def test_traced_cli_compute_eliminates_the_core_through_the_traced_engines(
         tracer.uninstall()
     metrics = tracer.metrics(entries_built=0)
     if coeffs == "rational":
-        unsplit = rational_pipeline(catalog_entry(LieFamily.SU, 3)).presentation
+        presentation = rational_pipeline(catalog_entry(LieFamily.SU, 3)).presentation
     else:
-        unsplit = expected_integral_presentation(LieFamily.SU, 3)
-    engine = unsplit.engine()
+        presentation = expected_integral_presentation(LieFamily.SU, 3)
+    engine = presentation.engine()
     engine.report(default_max_degree(LieFamily.SU))
-    unsplit_rows = sum(w.rows for w in engine.work[1:])
     rows = metrics[f"enveloping.{coeffs}_rows"]
-    assert 0 < rows < unsplit_rows
+    assert 0 < rows == sum(w.rows for w in engine.work[1:])
     if coeffs == "rational":
         assert metrics["linalg.rref_rows"] == rows
     else:

@@ -269,6 +269,37 @@ def test_corrupt_cache_entry_is_recomputed(cache_dir, capsys):
     assert [p.name for p in cache_dir.iterdir()] == [entry.name]
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_cache_entry_with_a_malformed_body_is_a_miss(cache_dir, capsys, fmt):
+    """The identity fields match, but a body field is missing, extra or of the wrong type."""
+    args = ("--family", "su", "--rank", "2", "--format", fmt)
+    _, fresh, _ = run(capsys, "compute", *args)
+    (entry,) = cache_dir.glob("*.json")
+    stored = entry.read_text()
+    doc = json.loads(stored)
+    damaged = [
+        {**doc, "relations": 5},
+        {**doc, "relations": [5]},
+        {**doc, "poincare": ["1", "2"]},
+        {**doc, "ranks": {}},
+        {**doc, "torsion": [1]},
+        {**doc, "generators": [{"name": "x1"}]},
+        {**doc, "checks": {"torsion_free_check": "pass"}},
+        {**doc, "rank": 2.0},
+        {key: value for key, value in doc.items() if key != "ranks"},
+        {**doc, "failures": {}},
+    ]
+    for body in damaged:
+        entry.write_text(json.dumps(body))
+        code, out, err = run(capsys, "report", *args)
+        assert (code, out) == (2, ""), body
+        assert "ignoring cache entry" in err and "Traceback" not in err
+        code, out, err = run(capsys, "report", *args, "--compute-missing")
+        assert (code, out) == (0, fresh), body
+        assert "ignoring cache entry" in err and "Traceback" not in err
+        assert entry.read_text() == stored
+
+
 def test_entry_of_another_package_version_is_a_miss(cache_dir, capsys, monkeypatch):
     monkeypatch.setattr(cli, "__version__", "0.0.0")
     _, fresh, _ = run(capsys, "compute", "--family", "su", "--rank", "2", "--format", "json")

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from loopalg import enveloping, linalg
+from loopalg import linalg, normal_words
 from loopalg.catalog import (
     DEFAULT_CHECKED_RANKS,
     catalog_entry,
@@ -27,15 +27,12 @@ from loopalg.enveloping import (
     BudgetExceededError,
     FreeGradedAlgebra,
     RingPresentation,
-    central_split,
     graded_dimension,
     graded_dimensions,
     graded_smith_report,
-    invariant_factors,
     pbw_series,
     relation_string,
     series_equal,
-    split_report,
     uea_presentation,
 )
 from loopalg.families import LieFamily
@@ -43,7 +40,14 @@ from loopalg.homotopy_lie import HomotopyLieAlgebra, LieBasisElement
 from loopalg.pipeline import rational_pipeline
 from loopalg.series import PoincareSeries
 
-from oracles import brute_graded_dimension, brute_smith, dense_smith_invariants
+from oracles import (
+    brute_graded_dimension,
+    brute_smith,
+    central_split,
+    dense_smith_invariants,
+    invariant_factors,
+    split_report,
+)
 
 
 def test_relation_homogeneity_enforced():
@@ -405,7 +409,7 @@ def test_every_normal_form_matches_its_pinned_fingerprint():
 
 
 # ---------------------------------------------------------------------------
-# the central split against the unsplit engine
+# the central split oracle against the engine
 # ---------------------------------------------------------------------------
 
 
@@ -452,8 +456,8 @@ def test_split_route_matches_the_unsplit_engine_on_random_presentations(domain, 
         kept = central_split(p)[0].algebra.names
         added = [f"c{k}" for k in range(len(degrees))]
         assert [c for c in added if c in kept] == (added[-1:] if doubled else [])
-        got = split_report(p, 6, None)
-        assert got == p.engine().report(6)
+        got = split_report(p, 6)
+        assert got == p.engine().report(6) == normal_words.report(p, 6, None)
         torsion_seen += not got.torsion_free()
     assert torsion_seen > 0 or domain == "rational"
 
@@ -464,13 +468,13 @@ def test_split_route_merges_torsion_from_different_core_degrees():
     x, y = alg.gen("x"), alg.gen("y")
     core = RingPresentation(alg, [2 * x, x * x, 3 * y, x * y, y * x], domain="integer")
     p = _with_central(core, [2], random.Random(1))
-    got = split_report(p, 7, None)
+    got = split_report(p, 7)
     assert got == p.engine().report(7)
     assert got.entries[3].torsion == (6,)
 
 
 def _routed_presentations():
-    """Every presentation the CLI hands the split route at a checked rank."""
+    """Every presentation the CLI answers at a checked rank, both f4 variants included."""
     for family, checked in DEFAULT_CHECKED_RANKS.items():
         for rank in checked:
             n = default_max_degree(family)
@@ -485,68 +489,13 @@ def _routed_presentations():
 
 def test_split_route_matches_the_unsplit_engine_at_every_checked_rank():
     for label, p, n in _routed_presentations():
-        assert split_report(p, n, None) == p.engine().report(n), label
+        assert split_report(p, n) == p.engine().report(n), label
 
 
 @pytest.mark.parametrize("family, rank", [(LieFamily.SU, 2), (LieFamily.G2, 2), (LieFamily.F4, 4)])
 def test_split_route_matches_the_unsplit_engine_with_injected_torsion(family, rank):
     p = _integral_presentation(RunConfig(family, rank, coeffs="integer", inject_torsion=True))
     n = default_max_degree(family)
-    got = split_report(p, n, None)
+    got = split_report(p, n)
     assert got == p.engine().report(n)
     assert not got.torsion_free()
-
-
-def _budget_presentations():
-    for family, rank in [(LieFamily.SU, 2), (LieFamily.SU, 3), (LieFamily.G2, 2)]:
-        yield rational_pipeline(catalog_entry(family, rank)).presentation
-        yield expected_integral_presentation(family, rank)
-    yield _refusal_presentation("integer")
-
-
-def test_split_route_refuses_exactly_where_the_unsplit_engine_does():
-    refusals = 0
-    for p in _budget_presentations():
-        for budget in [1, 2, 3, 5, 8, 13, 20, 30, 40, 60, 90, 130, 200, 300, 450]:
-            try:
-                want = p.engine().report(10, budget)
-            except BudgetExceededError as err:
-                with pytest.raises(BudgetExceededError) as got:
-                    split_report(p, 10, budget)
-                assert (got.value.degree, got.value.size, got.value.budget) == (
-                    err.degree,
-                    err.size,
-                    err.budget,
-                )
-                assert str(got.value) == str(err)
-                refusals += 1
-            else:
-                assert split_report(p, 10, budget) == want
-    assert refusals > 0
-
-
-@pytest.mark.parametrize("domain", ["rational", "integer"])
-def test_split_route_builds_each_degree_entry_once(monkeypatch, domain):
-    """Reading the core one degree at a time slices the engine's entries.
-
-    So the entries built grow linearly with the degree: the engine builds one
-    per core degree and the split route two per degree (the core's and the
-    convolved one).  Rebuilding every entry on each read made 20,703 and
-    20,502 here.
-    """
-    built = []
-    entry = enveloping.SmithEntry
-
-    def counted(*args):
-        built.append(args[0])
-        return entry(*args)
-
-    monkeypatch.setattr(enveloping, "SmithEntry", counted)
-    if domain == "rational":
-        p = rational_pipeline(catalog_entry(LieFamily.SU, 2)).presentation
-    else:
-        p = expected_integral_presentation(LieFamily.SU, 2)
-    n = 200
-    got = split_report(p, n, None)
-    assert len(got.entries) == n + 1
-    assert len(built) <= 3 * (n + 1)

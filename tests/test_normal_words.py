@@ -1,9 +1,9 @@
-"""The certified normal-word route against the oracles and the engines.
+"""The certified normal-word route against the oracles and the engine.
 
 Where the diamond-lemma certificate holds, the normal-word counts must be
 the graded dimensions over Q and the free ranks over Z with no torsion, and
 ``normal_words.report`` must answer, refuse and print exactly as the
-eliminating route does.  Where it fails, the answer is the eliminating one.
+engine does.  Where it fails, the answer is the engine's.
 """
 
 import importlib
@@ -12,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopalg import cli, normal_words
 from loopalg.catalog import (
@@ -21,19 +22,20 @@ from loopalg.catalog import (
     expected_integral_presentation,
 )
 from loopalg.cli import RunConfig, _integral_presentation
-from loopalg.enveloping import FreeGradedAlgebra, RingPresentation, split_report
+from loopalg.enveloping import FreeGradedAlgebra, RingPresentation
 from loopalg.families import LieFamily
 from loopalg.pipeline import rational_pipeline
 
-from oracles import brute_graded_dimension, brute_smith
+from oracles import brute_graded_dimension, brute_smith, split_report
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # the configurations of the benchmark's ring-deep workload: (family, rank, max degree)
 RING_DEEP = ((LieFamily.SU, 7, 10), (LieFamily.SU, 6, 12), (LieFamily.E6, 6, 16))
 
-# integral presentations whose saturation relations lead with a non-unit
-UNCERTIFIED_INTEGRAL = {LieFamily.G2, LieFamily.F4, LieFamily.E6}
+# integral presentations that fall back: f4's degree-4 relations leave
+# 2 y2 = 9 y1.y1, where no word has a unit coefficient whatever the weights
+UNCERTIFIED_INTEGRAL = {LieFamily.F4}
 
 
 def _force_the_engine(monkeypatch):
@@ -92,22 +94,33 @@ def test_certified_counts_match_the_oracles_on_random_presentations(domain, seed
 
 
 def _catalog_presentations():
-    """Every presentation ``compute`` answers at a checked rank or on ring-deep."""
+    """Every presentation ``compute`` answers at a checked rank or on ring-deep.
+
+    f4's integral presentation comes in both commutation variants.
+    """
     checked = [(f, r, default_max_degree(f)) for f, rs in DEFAULT_CHECKED_RANKS.items() for r in rs]
     for family, rank, n in checked + list(RING_DEEP):
         yield family, rational_pipeline(catalog_entry(family, rank)).presentation, n
         yield family, expected_integral_presentation(family, rank), n
+        if family is LieFamily.F4:
+            yield family, expected_integral_presentation(family, rank, anticommute=True), n
 
 
 def test_certified_counts_equal_the_split_route_on_every_catalog_configuration():
+    """Only integral f4 falls back; g2 and e6 certify by defining their saturated classes."""
+    defined = {}
     for family, p, n in _catalog_presentations():
         label = (family.slug, len(p.generators), p.domain)
         cert = normal_words.certificate(p)
         if p.domain == "integer" and family in UNCERTIFIED_INTEGRAL:
-            assert cert.failure.startswith("leading coefficient"), label
+            assert cert.failure == "leading coefficient -9 on y1.y1", label
         else:
             assert cert.failure is None and cert.overlaps > 0, label
-        assert normal_words.report(p, n, None) == split_report(p, n, None), label
+        if p.domain == "integer":
+            defined[family] = cert.defined
+        assert normal_words.report(p, n, None) == split_report(p, n), label
+    assert defined[LieFamily.G2] == ("y2",)
+    assert defined[LieFamily.E6] == ("y2", "y3")
 
 
 def test_the_certificate_is_memoized_on_the_presentation():
@@ -138,7 +151,7 @@ def test_a_non_confluent_presentation_falls_back(domain):
     assert cert.failure == "overlap y.x.y.x.y does not resolve"
     assert normal_words.normal_word_counts(cert.leading, [1, 1], 5)[5] == 21
     got = normal_words.report(p, 5, None)
-    assert got == split_report(p, 5, None)
+    assert got == p.engine().report(5)
     assert got.entries[5].rank == brute_graded_dimension(p, 5) == 20
 
 
@@ -205,8 +218,79 @@ def test_verbose_names_the_route(tmp_path, capsys):
     assert stderr("--family", "su", "--rank", "3", "--coeffs", "integer") == [
         "route integer: normal words, 18 rules, 38 overlaps resolved"
     ]
-    lines = stderr("--family", "g2", "--coeffs", "integer")
-    assert lines[0] == "route integer: engine (leading coefficient 4 on y1.y1)"
+    assert stderr("--family", "g2", "--coeffs", "integer") == [
+        "route integer: normal words, 9 rules, 12 overlaps resolved, defined: y2"
+    ]
+    lines = stderr("--family", "f4", "--coeffs", "integer")
+    assert lines[0] == "route integer: engine (leading coefficient -9 on y1.y1)"
     assert [line.split(":")[0] for line in lines[1:]] == [
         f"engine integer degree {d}" for d in range(1, 7)
     ]
+
+
+def _word(draw, degrees, degree):
+    """A word of the given degree, one generator at a time; generator 0 has degree 1."""
+    word = []
+    while degree:
+        g = draw(st.sampled_from([g for g, d in enumerate(degrees) if d <= degree]))
+        word.append(g)
+        degree -= degrees[g]
+    return tuple(word)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_weighted_order_is_compatible_with_concatenation(data):
+    """``u < v`` exactly when ``w u < w v`` and exactly when ``u w < v w``."""
+    degrees = [1, *data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))]
+    weights = data.draw(st.lists(st.integers(1, 6), min_size=len(degrees), max_size=len(degrees)))
+    order = normal_words._Rules(weights).order
+    degree = data.draw(st.integers(1, 6))
+    u, v = _word(data.draw, degrees, degree), _word(data.draw, degrees, degree)
+    w = _word(data.draw, degrees, data.draw(st.integers(0, 4)))
+    less = order(u) < order(v)
+    assert (order(w + u) < order(w + v)) == less
+    assert (order(u + w) < order(v + w)) == less
+    assert (order(u) == order(v)) == (u == v)
+
+
+def _defining_presentation(rng, domain):
+    """``±z + (words in x, y)`` first, then up to two random relations.
+
+    The other coefficients of the first relation are mostly non-units, so
+    that over Z a length order would often lead with one of them; about one
+    in six first relations is ``±z`` alone, where ``z`` weighs 1.
+    """
+    alg = FreeGradedAlgebra([("x", 1), ("y", 1), ("z", 2)])
+    words = [("x", "x"), ("x", "y"), ("y", "x"), ("y", "y")]
+    others = rng.sample(words, k=rng.choice([0, 1, 1, 2, 2, 3]))
+    terms = {w: Fraction(rng.choice([2, -2, -3, 4, 1])) for w in others}
+    terms[("z",)] = Fraction(rng.choice([-1, 1]))
+    relations = [alg.element(terms)]
+    extra = _random_presentation(rng, domain).relations[: rng.randint(0, 2)]
+    relations += [alg.element(r.terms) for r in extra]
+    return RingPresentation(alg, relations, domain=domain)
+
+
+@pytest.mark.parametrize("domain, seed", [("rational", 7301), ("integer", 7302)])
+def test_a_defined_generator_certifies_and_matches_the_oracles(domain, seed):
+    """``z`` is defined exactly when no other word of its relation has a unit coefficient."""
+    rng = random.Random(seed)
+    certified = defined = alone = 0
+    for _ in range(60):
+        p = _defining_presentation(rng, domain)
+        first = p.relations[0].terms
+        cert = normal_words.certificate(p)
+        units = [c for w, c in first.items() if w != ("z",) and abs(c) == 1]
+        assert ("z" in cert.defined) == (not units)
+        defined += not units
+        alone += len(first) == 1
+        certified += cert.failure is None and not units
+        got = normal_words.report(p, 5, None)
+        for d in range(6):
+            if domain == "rational":
+                want = (brute_graded_dimension(p, d), [])
+            else:
+                want = brute_smith(p, d)
+            assert (got.entries[d].rank, list(got.entries[d].torsion)) == want
+    assert certified >= 20 and alone > 0
