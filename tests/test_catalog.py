@@ -132,6 +132,21 @@ def test_pbw_equals_splitting_for_all_default_entries():
             ), (family, rank)
 
 
+def test_every_presentation_has_rank_generators_and_no_relation_in_degree_one():
+    """``build_report`` refuses degree 1 over the budget from the rank alone."""
+    for family, ranks in DEFAULT_CHECKED_RANKS.items():
+        for rank in ranks:
+            entry = catalog_entry(family, rank)
+            presentations = [rational_pipeline(entry).presentation, entry.expected_rational]
+            presentations += [
+                expected_integral_presentation(family, rank, anticommute=anti)
+                for anti in ((False, True) if family is LieFamily.F4 else (False,))
+            ]
+            for p in presentations:
+                assert [d for _, d in p.generators].count(1) == rank, (family, rank, p.domain)
+                assert all(r.degree() > 1 for r in p.relations), (family, rank, p.domain)
+
+
 def test_expected_rational_matches_pipeline_dimensions():
     for family, rank in [(LieFamily.SU, 2), (LieFamily.SO_EVEN, 3), (LieFamily.G2, 2)]:
         n = default_max_degree(family)

@@ -2,12 +2,14 @@
 
 import json
 import re
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import loopalg
-from loopalg import cli, linalg, normal_words
+from loopalg import cli, homotopy_lie, linalg, minimal_model, normal_words
 from loopalg.catalog import default_max_degree
 from loopalg.cli import main
 from loopalg.families import LieFamily
@@ -48,7 +50,67 @@ def test_compute_json_schema(cache_dir, capsys):
         assert key in doc
     assert {"name": "a1", "degree": 1} in doc["generators"]
     assert doc["poincare"][:6] == [1, 2, 2, 2, 3, 4]
-    assert doc["checks"]["derivation_square_check"] is True
+    assert doc["schema_version"] == cli.SCHEMA_VERSION == 2
+    # a report carries only checks that can fail: none over Q, torsion over Z
+    assert doc["checks"] == {}
+    code, out, _ = run(
+        capsys, "compute", "--family", "su", "--rank", "2", "--coeffs", "integer", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["checks"] == {"torsion_free_check": True}
+
+
+def test_text_output_lists_checks_only_when_there_are_some(cache_dir, capsys):
+    code, out, _ = run(capsys, "compute", "--family", "su", "--rank", "2")
+    assert code == 0
+    assert out.startswith("family=su rank=2 coeffs=rational max_degree=10\n")
+    assert "checks" not in out
+    code, out, _ = run(capsys, "compute", "--family", "su", "--rank", "2", "--coeffs", "integer")
+    assert code == 0
+    assert out.endswith("\nchecks:\n  torsion_free_check: pass\n")
+
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Replace every binding of ``module.name`` in the package with a counting spy."""
+    original = getattr(module, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, loaded in list(sys.modules.items()):
+        if module_name == "loopalg" or module_name.startswith("loopalg."):
+            for attr, value in list(vars(loaded).items()):
+                if value is original:
+                    monkeypatch.setattr(loaded, attr, spy)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["compute", "verify"])
+def test_each_check_runs_once_per_request(cache_dir, capsys, monkeypatch, command):
+    """The Lie axioms guard the enveloping presentation once; d^2 = 0 is not rechecked."""
+    axioms = _count_calls(monkeypatch, homotopy_lie, "graded_lie_axioms_check")
+    square = _count_calls(monkeypatch, minimal_model, "derivation_square_check")
+    code, _, _ = run(capsys, command, "--family", "su", "--rank", "3")
+    assert code == 0
+    assert (len(axioms), len(square)) == (1, 0)
+
+
+@pytest.mark.parametrize("command", ["compute", "verify"])
+def test_budget_refuses_degree_one_before_anything_is_built(cache_dir, capsys, command):
+    # su12's invariants and minimal model take minutes to build; degree 1
+    # needs its 12 generators, which the budget refuses at once
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--family", "su", "--rank", "12", "--budget", "5")
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (3, "")
+    assert err == "error: degree 1 needs 12 basis symbols/rows, over the budget of 5\n"
+    # degree 0 needs no generator, so no budget refuses it
+    code, out, _ = run(
+        capsys, command, "--family", "su", "--rank", "2", "--max-degree", "0", "--budget", "1"
+    )
+    assert code == 0 and out
 
 
 def test_compute_is_byte_identical(cache_dir, capsys):
