@@ -31,21 +31,19 @@ from .enveloping import (
     uea_presentation,
 )
 from .families import LieFamily
-from .gca import Derivation, GcaElement, GradedAlgebra, koszul_sign
+from .gca import Derivation, GcaElement, GradedAlgebra
 from .homotopy_lie import (
     HomotopyLieAlgebra,
     LieBasisElement,
     brackets_from_d1,
     dual_basis,
     graded_lie_axioms_check,
-    pairing,
 )
 from .minimal_model import (
     CohomologyPresentation,
     MinimalModel,
     build_minimal_model,
     derivation_square_check,
-    quadratic_part,
     quotient_dimensions,
     regular_sequence_check,
 )

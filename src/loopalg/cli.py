@@ -14,7 +14,7 @@ Reports carry only checks that can fail: ``torsion_free_check`` over Z and
 ``verify``'s cross-checks (the Lie axioms guard ``uea_presentation``).
 
 Exit codes: 0 pass, 1 check failure, 2 usage/config error, 3 budget
-exceeded (degree 1 is checked before any work).  ``--budget`` also bounds
+exceeded (degrees 1 and 2 are checked before any work).  ``--budget`` also bounds
 ``verify``'s commutative quotient: over it, both quotient checks are ``"skipped"``.
 """
 
@@ -36,6 +36,7 @@ from .enveloping import (
     DEFAULT_WORD_BUDGET,
     RingPresentation,
     check_budget,
+    degree_size,
     engine_report,
     graded_dimensions,
     pbw_series,
@@ -102,6 +103,26 @@ def _integral_presentation(cfg: RunConfig) -> RingPresentation:
     return p
 
 
+def _check_low_degrees(cfg: RunConfig, integral: RingPresentation | None) -> None:
+    """Refuse at degree 1 or 2 where the request's first route would, before any build.
+
+    The first route reads the integral presentation, given here, or else the
+    pipeline's: ``rank`` generators of degree 1, one of degree 2 per exponent
+    2, and one relation per unordered pair of degree-1 generators.  No
+    catalog presentation has a relation in degree 1, so degree 1 is free on
+    its generators and :func:`degree_size` needs only the degrees.
+    """
+    if integral is None:
+        rank = cfg.rank
+        gens = [1] * rank + [2] * cat.exponents(cfg.family, rank).count(2)
+        rels = [2] * (rank * (rank + 1) // 2)
+    else:
+        gens = [d for _, d in integral.generators]
+        rels = [r.degree() for r in integral.relations]
+    for d in range(1, min(cfg.degree, 2) + 1):
+        check_budget(d, cfg.budget, *degree_size(d, gens, rels, [1, gens.count(1)], [0, 0]))
+
+
 def build_report(cfg: RunConfig, verify: bool = False) -> dict:
     """The compute report; ``verify`` adds the cross-checks and their ``failures``.
 
@@ -111,8 +132,8 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
     computed and the PBW series otherwise.
     """
     n = cfg.degree
-    if n >= 1:  # a catalog presentation: ``rank`` generators and no relation in degree 1
-        check_budget(1, cfg.budget, cfg.rank)
+    integral = None if cfg.coeffs == "rational" else _integral_presentation(cfg)
+    _check_low_degrees(cfg, integral if cfg.coeffs == "integer" else None)
     entry = cat.catalog_entry(cfg.family, cfg.rank)
     checks: dict[str, object] = {}
     failures: dict[str, str] = {}
@@ -188,8 +209,8 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
     ranks: list[int] = []
     torsion: list[list[int]] = []
     f4_variants: dict[str, dict] = {}
-    if cfg.coeffs != "rational":
-        shown = _integral_presentation(cfg)
+    if integral is not None:
+        shown = integral
         engines.append(("integer", shown))
         report = timed("graded_smith", answer, shown, n, cfg.budget)
         ranks = list(report.ranks())

@@ -364,19 +364,16 @@ def uea_presentation(L) -> RingPresentation:
     algebra = FreeGradedAlgebra([(b.name, b.degree) for b in L.basis])
     relations = []
     for i, x in enumerate(L.basis):
-        for j in range(i, len(L.basis)):
-            y = L.basis[j]
-            if i == j and x.degree % 2 == 0:
+        for y in L.basis[i:]:
+            if y is x and x.degree % 2 == 0:
                 continue
             sign = -1 if (x.degree * y.degree) % 2 else 1
-            rel = algebra.gen(x.name) * algebra.gen(y.name) - sign * (
-                algebra.gen(y.name) * algebra.gen(x.name)
-            )
-            for z, c in L.bracket(x.name, y.name).items():
-                rel = rel - c * algebra.gen(z)
-            if rel.is_zero():
-                continue
-            relations.append(rel.content_normalized())
+            # x y - sign y x, which is 2 x x for odd x = y, then - [x, y]
+            terms: dict[Word, Fraction] = {(x.name, y.name): Fraction(1)}
+            terms[(y.name, x.name)] = terms.get((y.name, x.name), 0) - sign
+            for z, c in L.brackets.get((x.name, y.name), {}).items():
+                terms[(z,)] = -c
+            relations.append(NcElement(algebra, terms).content_normalized())
     return RingPresentation(algebra, relations, domain="rational")
 
 

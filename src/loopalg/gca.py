@@ -37,29 +37,6 @@ def _as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-def koszul_sign(permutation: Sequence[int], degrees: Sequence[int]) -> int:
-    """Sign ``eps`` with ``v_{s(1)} ^ ... ^ v_{s(k)} = eps * v_1 ^ ... ^ v_k``.
-
-    ``permutation`` lists ``s(1), ..., s(k)`` as 0-based indices and
-    ``degrees[i]`` is the degree of the letter ``v_{i+1}``.  Each transposition
-    of two odd-degree letters contributes a factor -1; transpositions
-    involving an even letter contribute +1.
-    """
-    if len(permutation) != len(degrees):
-        raise ValueError("permutation and degree sequence have different lengths")
-    seq = list(permutation)
-    if sorted(seq) != list(range(len(seq))):
-        raise ValueError("argument is not a permutation of 0..k-1")
-    sign = 1
-    for sweep in range(len(seq)):
-        for j in range(len(seq) - 1 - sweep):
-            if seq[j] > seq[j + 1]:
-                if degrees[seq[j]] % 2 == 1 and degrees[seq[j + 1]] % 2 == 1:
-                    sign = -sign
-                seq[j], seq[j + 1] = seq[j + 1], seq[j]
-    return sign
-
-
 # ---------------------------------------------------------------------------
 # the shared core
 # ---------------------------------------------------------------------------
@@ -79,6 +56,14 @@ class Polynomial:
     def __init__(self, algebra: "GeneratorSet", terms: Mapping[Hashable, Fraction]):
         self.algebra = algebra
         self.terms = {k: c for k, c in terms.items() if c != 0}
+
+    @classmethod
+    def _trusted(cls, algebra: "GeneratorSet", terms: dict[Hashable, Fraction]):
+        """An element holding ``terms`` itself, which the caller knows has no zero."""
+        element = cls.__new__(cls)
+        element.algebra = algebra
+        element.terms = terms
+        return element
 
     def _check_compatible(self, other: "Polynomial") -> None:
         if not self.algebra.same_generators(other.algebra):
@@ -245,11 +230,6 @@ class GcaElement(Polynomial):
                 acc[mono] = acc.get(mono, Fraction(0)) + sign * c1 * c2
         return GcaElement(self.algebra, acc)
 
-    def word_length_component(self, length: int) -> "GcaElement":
-        return GcaElement(
-            self.algebra, {m: c for m, c in self.terms.items() if sum(m) == length}
-        )
-
     def letters(self, mono: Monomial) -> list[int]:
         """Expand a monomial into its generator indices, canonical order."""
         out: list[int] = []
@@ -332,19 +312,22 @@ class Derivation:
 
     The image of a degree-``k`` generator must be homogeneous of degree
     ``k + 1`` (the zero element is allowed); the extension to products follows
-    the graded Leibniz rule.
+    the graded Leibniz rule.  With ``checked`` the caller vouches for the
+    image degrees, and only the generator sets are compared.
     """
 
     degree_shift = 1
 
-    def __init__(self, algebra: GradedAlgebra, images: Mapping[str, GcaElement]):
+    def __init__(
+        self, algebra: GradedAlgebra, images: Mapping[str, GcaElement], checked: bool = False
+    ):
         self.algebra = algebra
         table: list[GcaElement] = [algebra.zero() for _ in range(len(algebra))]
         for name, image in images.items():
             i = algebra.index(name)
             if not algebra.same_generators(image.algebra):
                 raise ValueError("mismatched generator sets")
-            if not image.is_zero():
+            if not checked and not image.is_zero():
                 try:
                     degree = image.degree()
                 except ValueError:

@@ -13,17 +13,22 @@ catalog's expected bracket tables pin them).  The bracket is then read off
 from
 
     < v ; s [x, y] > = (-1)^{deg y + 1} < d1 v ; s x, s y >.
+
+For k = 2 the pairing is sparse: a term ``c p q`` of ``d1 v`` (letters
+``p <= q``) pairs to ``c`` against ``(s p*, s q*)``, to ``c`` times the
+Koszul sign of the swap (-1 when both letters are odd) against
+``(s q*, s p*)``, and to ``2c`` against ``(s p*, s p*)`` when ``p = q``.
+So :func:`brackets_from_d1` reads every bracket in one pass over the
+terms of d1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from typing import Mapping, Sequence
 
-from .gca import GcaElement, koszul_sign
-from .minimal_model import MinimalModel, quadratic_part
+from .minimal_model import MinimalModel
 
 
 @dataclass(frozen=True)
@@ -67,20 +72,6 @@ class HomotopyLieAlgebra:
     def degree(self, name: str) -> int:
         return self._degree[name]
 
-    def bracket(self, x: str, y: str) -> Bracket:
-        return dict(self.brackets.get((x, y), {}))
-
-    def bracket_on_combination(self, x: str, combo: Bracket) -> Bracket:
-        out: Bracket = {}
-        for z, c in combo.items():
-            for t, v in self.bracket(x, z).items():
-                nv = out.get(t, Fraction(0)) + c * v
-                if nv:
-                    out[t] = nv
-                else:
-                    out.pop(t, None)
-        return out
-
 
 def _default_dual_name(name: str) -> str:
     if name.startswith("u"):
@@ -101,93 +92,72 @@ def dual_basis(
     return tuple(out)
 
 
-def pairing(w: GcaElement, args: Sequence[LieBasisElement]) -> Fraction:
-    """Evaluate a word-length-k element against k suspended basis elements."""
-    k = len(args)
-    total = Fraction(0)
-    algebra = w.algebra
-    degrees_of = [d for _, d in algebra.generators]
-    names_of = algebra.names
-    for mono, coeff in w.terms.items():
-        letters = w.letters(mono)
-        if len(letters) != k:
-            raise ValueError(
-                f"length mismatch: monomial has word length {len(letters)}, got {k} arguments"
-            )
-        letter_degrees = [degrees_of[g] for g in letters]
-        letter_names = [names_of[g] for g in letters]
-        acc = 0
-        for sigma in permutations(range(k)):
-            if all(letter_names[sigma[i]] == args[i].dual_to for i in range(k)):
-                acc += koszul_sign(sigma, letter_degrees)
-        if acc:
-            total += coeff * acc
-    return total
-
-
 def brackets_from_d1(
     m: MinimalModel, dual_names: Mapping[str, str] | None = None
 ) -> HomotopyLieAlgebra:
     """Lie algebra on the dual basis with brackets read off the quadratic part.
 
-    Brackets not forced by d1 are zero.
+    One pass over the word-length-2 terms of the differential (see the module
+    docstring); brackets not forced by d1 are zero.  Pairs come in basis
+    order and each bracket's values in generator order.
     """
     basis = dual_basis(m, dual_names)
-    dual_of = {b.dual_to: b.name for b in basis}
-    d1 = quadratic_part(m)
-    images = {name: d1.image_of(name) for name, _ in m.algebra.generators}
-    brackets: dict[tuple[str, str], Bracket] = {}
-    for x in basis:
-        for y in basis:
-            target = x.degree + y.degree + 1
-            combo: Bracket = {}
-            for gen_name, gen_degree in m.algebra.generators:
-                if gen_degree != target or images[gen_name].is_zero():
-                    continue
-                value = pairing(images[gen_name], [x, y])
-                if value:
-                    sign = 1 if (y.degree + 1) % 2 == 0 else -1
-                    combo[dual_of[gen_name]] = sign * value
-            if combo:
-                brackets[(x.name, y.name)] = combo
-    return HomotopyLieAlgebra(basis, brackets)
+    odd = [d % 2 for _, d in m.algebra.generators]
+    pairs: dict[tuple[int, int], Bracket] = {}
+    for v, (gen_name, _) in enumerate(m.algebra.generators):
+        image, target = m.differential.image_of(gen_name), basis[v].name
+        for mono, c in image.terms.items():
+            if sum(mono) != 2:
+                continue
+            p, q = image.letters(mono)
+            swap = -1 if odd[p] and odd[q] else 1
+            # a square lands on (p*, p*) twice
+            for x, y, value in ((p, q, c), (q, p, swap * c)):
+                combo = pairs.setdefault((x, y), {})
+                combo[target] = combo.get(target, 0) + (-value if odd[y] else value)
+    names = [b.name for b in basis]
+    return HomotopyLieAlgebra(basis, {(names[x], names[y]): pairs[x, y] for x, y in sorted(pairs)})
+
+
+def _add_scaled(acc: Bracket, scale: Fraction, combo: Bracket) -> None:
+    for t, v in combo.items():
+        nv = acc.get(t, 0) + scale * v
+        if nv:
+            acc[t] = nv
+        else:
+            acc.pop(t, None)
 
 
 def graded_lie_axioms_check(L: HomotopyLieAlgebra) -> bool:
     """Graded antisymmetry, degree additivity and the graded Jacobi identity."""
+    brackets, empty = L.brackets, {}
+    partners: dict[str, set[str]] = {b.name: set() for b in L.basis}
+    # every stored bracket is nonzero, so a pair stored one way only fails
+    for (x, y), xy in brackets.items():
+        dx, dy = L.degree(x), L.degree(y)
+        if any(L.degree(z) != dx + dy for z in xy):
+            return False
+        sign = 1 if dx * dy % 2 else -1
+        if brackets.get((y, x)) != {z: sign * c for z, c in xy.items()}:
+            return False
+        partners[x].add(y)
+    # Jacobi in Leibniz form: [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|} [y,[x,z]];
+    # a triple with [y,z], [x,y] and [x,z] all zero has every term zero
     names = [b.name for b in L.basis]
     for x in names:
         for y in names:
-            dx, dy = L.degree(x), L.degree(y)
-            xy = L.bracket(x, y)
-            for z, c in xy.items():
-                if L.degree(z) != dx + dy:
-                    return False
-            sign = -1 if (dx * dy) % 2 == 0 else 1
-            yx = L.bracket(y, x)
-            flipped = {z: sign * c for z, c in yx.items() if c}
-            if xy != flipped:
-                return False
-    # Jacobi in Leibniz form: [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|} [y,[x,z]]
-    for x in names:
-        for y in names:
-            for z in names:
-                left = L.bracket_on_combination(x, L.bracket(y, z))
+            xy = brackets.get((x, y), empty)
+            sign = -1 if (L.degree(x) * L.degree(y)) % 2 else 1
+            for z in names if xy else partners[x] | partners[y]:
+                yz, xz = brackets.get((y, z), empty), brackets.get((x, z), empty)
+                left: Bracket = {}
+                for t, c in yz.items():
+                    _add_scaled(left, c, brackets.get((x, t), empty))
                 right: Bracket = {}
-                for t, c in L.bracket(x, y).items():
-                    for s, v in L.bracket(t, z).items():
-                        nv = right.get(s, Fraction(0)) + c * v
-                        if nv:
-                            right[s] = nv
-                        else:
-                            right.pop(s, None)
-                sign = -1 if (L.degree(x) * L.degree(y)) % 2 else 1
-                for t, c in L.bracket_on_combination(y, L.bracket(x, z)).items():
-                    nv = right.get(t, Fraction(0)) + sign * c
-                    if nv:
-                        right[t] = nv
-                    else:
-                        right.pop(t, None)
+                for t, c in xy.items():
+                    _add_scaled(right, c, brackets.get((t, z), empty))
+                for t, c in xz.items():
+                    _add_scaled(right, sign * c, brackets.get((y, t), empty))
                 if left != right:
                     return False
     return True

@@ -46,19 +46,20 @@ class CohomologyPresentation:
             if degree != 2:
                 raise ValueError(f"generator {name!r} must have degree 2")
         rels = tuple(relations)
+        degrees = []
         for r in rels:
             if not algebra.same_generators(r.algebra):
                 raise ValueError("relation over a different generator set")
-            if r.is_zero() or not r.is_homogeneous():
+            # generators of degree 2: the word lengths give the degree in one scan
+            lengths = {sum(mono) for mono in r.terms}
+            if len(lengths) != 1:
                 raise ValueError("relations must be nonzero and homogeneous")
-            if r.degree() % 2 or r.degree() < 4:
+            degrees.append(2 * lengths.pop())
+            if degrees[-1] < 4:
                 raise ValueError("relations must have even degree >= 4")
         self.algebra = algebra
         self.relations = rels
-
-    @property
-    def relation_degrees(self) -> tuple[int, ...]:
-        return tuple(r.degree() for r in self.relations)
+        self.relation_degrees = tuple(degrees)
 
     def socle_degree(self) -> int:
         return sum(d - 2 for d in self.relation_degrees)
@@ -111,9 +112,9 @@ def quotient_dimensions(
         return sum(map(mul, monomial, weights))
 
     relations = []
-    for rel in c.relations:
+    for degree, rel in zip(degrees, c.relations):
         terms = rel.content_normalized().terms
-        relations.append((rel.degree(), [(code(k), v.numerator) for k, v in terms.items()]))
+        relations.append((degree, [(code(k), v.numerator) for k, v in terms.items()]))
     basis = [[code(m) for m in alg.monomials_of_degree(d)] for d in range(max_degree + 1)]
     dims = []
     for d, monomials in enumerate(basis):
@@ -179,19 +180,15 @@ def build_minimal_model(
         odd_names = [f"v{j}" for j in range(1, len(c.relations) + 1)]
     if len(odd_names) != len(c.relations):
         raise ValueError("need one odd generator name per relation")
-    odd = [(name, rel.degree() - 1) for name, rel in zip(odd_names, c.relations)]
+    odd = [(name, d - 1) for name, d in zip(odd_names, c.relation_degrees)]
     algebra = GradedAlgebra(even + odd)
-
-    def embed(element: GcaElement) -> GcaElement:
-        terms = {}
-        for mono, coeff in element.terms.items():
-            terms[tuple(mono) + (0,) * len(odd)] = coeff
-        return algebra.element(terms)
-
+    # each image is a relation, whose degree the presentation checked,
+    # padded with zero exponents on the odd generators
+    pad = (0,) * len(odd)
     images = {name: algebra.zero() for name, _ in even}
     for (name, _), rel in zip(odd, c.relations):
-        images[name] = embed(rel)
-    differential = Derivation(algebra, images)
+        images[name] = GcaElement._trusted(algebra, {m + pad: v for m, v in rel.terms.items()})
+    differential = Derivation(algebra, images, checked=True)
     return MinimalModel(
         algebra=algebra,
         even_names=tuple(n for n, _ in even),
@@ -199,15 +196,6 @@ def build_minimal_model(
         differential=differential,
         presentation=c,
     )
-
-
-def quadratic_part(m: MinimalModel) -> Derivation:
-    """Word-length-2 component of the differential on every generator."""
-    images = {
-        name: m.differential.image_of(name).word_length_component(2)
-        for name, _ in m.algebra.generators
-    }
-    return Derivation(m.algebra, images)
 
 
 def derivation_square_check(m: MinimalModel) -> bool:

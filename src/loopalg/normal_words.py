@@ -32,18 +32,22 @@ two words of equal weight first differ inside both), and every check above
 stays, so a weight can only cost a fallback, never a wrong answer.
 
 :func:`certificate` interreduces and resolves the overlaps, memoized on the
-presentation.  :func:`report` answers from the certificate: it counts the
-normal words degree by degree with an automaton of the leading words, whose
-states are at most their total length, and checks every degree against the
-budget with :func:`enveloping.degree_size` before answering, as the engine
-does.  Where the certificate fails (a non-unit leading coefficient over Z,
-or an overlap that does not resolve) it answers by
-:func:`enveloping.engine_report` instead, which eliminates.
+presentation.  A normal form rewrites the largest reducible word first,
+popped from a heap of the pending words; interreduction substitutes each
+new rule straight into the pending relations of its degree, where it can
+only match a whole word.  :func:`report` answers from the certificate: it
+counts the normal words degree by degree with an automaton of the leading
+words, whose states are at most their total length, and checks every
+degree against the budget with :func:`enveloping.degree_size` before
+answering, as the engine does.  Where the certificate fails (a non-unit
+leading coefficient over Z, or an overlap that does not resolve) it
+answers by :func:`enveloping.engine_report` instead, which eliminates.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heapify, heappop, heappush
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -109,10 +113,19 @@ class _Rules:
         self.tails: dict[Word, Poly] = {}
         self._weights = weights
         self._lengths: list[int] = []
+        self._keys: dict[Word, tuple[int, Word, Word]] = {}
 
     def order(self, word: Word) -> tuple[int, Word]:
         """The sort key of a word: its total weight, then the word itself."""
-        return sum(self._weights[g] for g in word), word
+        return -self._key(word)[0], word
+
+    def _key(self, word: Word) -> tuple[int, Word, Word]:
+        """The heap key of a word, memoized: the words of one presentation recur."""
+        key = self._keys.get(word)
+        if key is None:
+            weight = sum(self._weights[g] for g in word)
+            key = self._keys[word] = (-weight, tuple(-g for g in word), word)
+        return key
 
     def add(self, lead: Word, tail: Poly) -> None:
         self.tails[lead] = tail
@@ -132,13 +145,21 @@ class _Rules:
         """Rewrite the largest reducible word first until no word is reducible.
 
         Every rewrite yields smaller words, so a word left in the result
-        never receives another term, and the map is linear.
+        never receives another term, and the map is linear.  The words wait
+        in a heap keyed by (-weight, -letters): two words of equal weight
+        first differ inside both, so negating the letters reverses their
+        order.  A word whose terms cancelled stays in the heap and is
+        skipped when it comes up.
         """
         todo = {w: c for w, c in poly.items() if c}
+        heap = [self._key(w) for w in todo]
+        heapify(heap)
         out: Poly = {}
-        while todo:
-            word = max(todo, key=self.order)
-            coeff = todo.pop(word)
+        while heap:
+            word = heappop(heap)[2]
+            coeff = todo.pop(word, 0)
+            if not coeff:
+                continue
             hit = self._occurrence(word)
             if hit is None:
                 out[word] = coeff
@@ -147,11 +168,14 @@ class _Rules:
             head, rest = word[:i], word[i + len(lead) :]
             for t, c in self.tails[lead].items():
                 w = head + t + rest
-                v = todo.get(w, 0) + coeff * c
+                old = todo.get(w)
+                v = (old or 0) + coeff * c
                 if v:
+                    if old is None:
+                        heappush(heap, self._key(w))
                     todo[w] = v
-                else:
-                    todo.pop(w, None)
+                elif old is not None:
+                    del todo[w]
         return out
 
 
@@ -175,11 +199,13 @@ def _certify(p: RingPresentation) -> Certificate:
     rules = _Rules(weights)
     # interreduce one degree at a time: a proper subword has a smaller
     # degree, so once the lower rules have reduced a degree's relations only
-    # equal leading words are left to eliminate, largest first; each new rule
-    # clears its word from the other relations at the next normal form
+    # equal leading words are left to eliminate, largest first.  A word of a
+    # reduced relation can only hold the new rule's leading word as the
+    # whole word, and its tail is reduced, so the rule is substituted
+    # directly: the normal form would rewrite exactly that word.
     for degree in sorted(by_degree):
-        pending = by_degree[degree]
-        while pending := [q for q in map(rules.normal_form, pending) if q]:
+        pending = [q for q in map(rules.normal_form, by_degree[degree]) if q]
+        while pending:
             lead = max((w for q in pending for w in q), key=rules.order)
             group = [q for q in pending if lead in q]
             pivot = next((q for q in group if q[lead] in (1, -1)), None)
@@ -193,8 +219,19 @@ def _certify(p: RingPresentation) -> Certificate:
             pivot = pivot or group[0]
             # a unit is its own inverse, so an integral rule stays integral
             inv = pivot[lead] if pivot[lead] in (1, -1) else Fraction(1) / pivot[lead]
-            rules.add(lead, {w: -c * inv for w, c in pivot.items() if w != lead})
-            pending = [q for q in pending if q is not pivot]
+            tail = {w: -c * inv for w, c in pivot.items() if w != lead}
+            rules.add(lead, tail)
+            for q in group:
+                if q is pivot:
+                    continue
+                coeff = q.pop(lead)
+                for w, c in tail.items():
+                    v = q.get(w, 0) + coeff * c
+                    if v:
+                        q[w] = v
+                    else:
+                        del q[w]
+            pending = [q for q in pending if q and q is not pivot]
     leading = tuple(rules.tails)
     # every overlap A B C of leading words A B and B C, with A, B, C nonempty
     starting: dict[Word, list[Word]] = {}

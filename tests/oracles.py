@@ -14,14 +14,20 @@ come from a dense elimination on residues.
 catalog presentations are a small core tensored with a polynomial ring on
 central even generators, and their sizes are the core's convolved with the
 polynomial factor's, over Q and over Z.
+
+The homotopy Lie algebra has its own references: :func:`pairing_brackets`
+reads the brackets through the full permutation pairing (with Koszul signs,
+on the quadratic part of the differential), one basis pair at a time, and
+:func:`lie_axioms_full_loop` checks the graded Lie axioms on every triple.
+:func:`naive_normal_form` rewrites with a max-first scan.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
 from loopalg.enveloping import (
     FreeGradedAlgebra,
@@ -30,8 +36,10 @@ from loopalg.enveloping import (
     RingPresentation,
     SmithEntry,
 )
+from loopalg.gca import Derivation, GcaElement
+from loopalg.homotopy_lie import HomotopyLieAlgebra, LieBasisElement, dual_basis
+from loopalg.minimal_model import CohomologyPresentation, MinimalModel
 from loopalg.series import pbw_coefficients
-from loopalg.minimal_model import CohomologyPresentation
 
 
 def words_of_degree(presentation: RingPresentation, degree: int) -> list[tuple[str, ...]]:
@@ -297,3 +305,170 @@ def split_report(p: RingPresentation, max_degree: int) -> GradedSmithReport:
         torsion = invariant_factors(s for n, e in parts for s in e.torsion * n)
         entries.append(SmithEntry(d, sum(n * e.rank for n, e in parts), torsion))
     return GradedSmithReport(tuple(entries))
+
+
+def koszul_sign(permutation: Sequence[int], degrees: Sequence[int]) -> int:
+    """Sign ``eps`` with ``v_{s(1)} ^ ... ^ v_{s(k)} = eps * v_1 ^ ... ^ v_k``.
+
+    ``permutation`` lists ``s(1), ..., s(k)`` as 0-based indices and
+    ``degrees[i]`` is the degree of the letter ``v_{i+1}``.  Each transposition
+    of two odd-degree letters contributes a factor -1; transpositions
+    involving an even letter contribute +1.
+    """
+    if len(permutation) != len(degrees):
+        raise ValueError("permutation and degree sequence have different lengths")
+    seq = list(permutation)
+    if sorted(seq) != list(range(len(seq))):
+        raise ValueError("argument is not a permutation of 0..k-1")
+    sign = 1
+    for sweep in range(len(seq)):
+        for j in range(len(seq) - 1 - sweep):
+            if seq[j] > seq[j + 1]:
+                if degrees[seq[j]] % 2 == 1 and degrees[seq[j + 1]] % 2 == 1:
+                    sign = -sign
+                seq[j], seq[j + 1] = seq[j + 1], seq[j]
+    return sign
+
+
+def quadratic_part(m: MinimalModel) -> Derivation:
+    """Word-length-2 component of the differential on every generator."""
+    images = {}
+    for name, _ in m.algebra.generators:
+        terms = m.differential.image_of(name).terms
+        images[name] = GcaElement(m.algebra, {k: c for k, c in terms.items() if sum(k) == 2})
+    return Derivation(m.algebra, images)
+
+
+def pairing(w: GcaElement, args: Sequence[LieBasisElement]) -> Fraction:
+    """Evaluate a word-length-k element against k suspended basis elements."""
+    k = len(args)
+    total = Fraction(0)
+    algebra = w.algebra
+    degrees_of = [d for _, d in algebra.generators]
+    names_of = algebra.names
+    for mono, coeff in w.terms.items():
+        letters = w.letters(mono)
+        if len(letters) != k:
+            raise ValueError(
+                f"length mismatch: monomial has word length {len(letters)}, got {k} arguments"
+            )
+        letter_degrees = [degrees_of[g] for g in letters]
+        letter_names = [names_of[g] for g in letters]
+        acc = 0
+        for sigma in permutations(range(k)):
+            if all(letter_names[sigma[i]] == args[i].dual_to for i in range(k)):
+                acc += koszul_sign(sigma, letter_degrees)
+        if acc:
+            total += coeff * acc
+    return total
+
+
+def pairing_brackets(
+    m: MinimalModel, dual_names: Mapping[str, str] | None = None
+) -> HomotopyLieAlgebra:
+    """The brackets ``<v ; s[x, y]> = (-1)^{deg y + 1} <d1 v ; s x, s y>``, pair by pair."""
+    basis = dual_basis(m, dual_names)
+    dual_of = {b.dual_to: b.name for b in basis}
+    d1 = quadratic_part(m)
+    images = {name: d1.image_of(name) for name, _ in m.algebra.generators}
+    brackets = {}
+    for x in basis:
+        for y in basis:
+            target = x.degree + y.degree + 1
+            combo = {}
+            for gen_name, gen_degree in m.algebra.generators:
+                if gen_degree != target or images[gen_name].is_zero():
+                    continue
+                value = pairing(images[gen_name], [x, y])
+                if value:
+                    sign = 1 if (y.degree + 1) % 2 == 0 else -1
+                    combo[dual_of[gen_name]] = sign * value
+            if combo:
+                brackets[(x.name, y.name)] = combo
+    return HomotopyLieAlgebra(basis, brackets)
+
+
+def _bracket(L: HomotopyLieAlgebra, x: str, y: str) -> dict:
+    return dict(L.brackets.get((x, y), {}))
+
+
+def _bracket_on_combination(L: HomotopyLieAlgebra, x: str, combo) -> dict:
+    out = {}
+    for z, c in combo.items():
+        for t, v in _bracket(L, x, z).items():
+            nv = out.get(t, Fraction(0)) + c * v
+            if nv:
+                out[t] = nv
+            else:
+                out.pop(t, None)
+    return out
+
+
+def lie_axioms_full_loop(L: HomotopyLieAlgebra) -> bool:
+    """Graded antisymmetry, degree additivity and Jacobi on every triple."""
+    names = [b.name for b in L.basis]
+    for x in names:
+        for y in names:
+            dx, dy = L.degree(x), L.degree(y)
+            xy = _bracket(L, x, y)
+            if any(L.degree(z) != dx + dy for z in xy):
+                return False
+            sign = -1 if (dx * dy) % 2 == 0 else 1
+            if xy != {z: sign * c for z, c in _bracket(L, y, x).items() if c}:
+                return False
+    for x in names:
+        for y in names:
+            for z in names:
+                left = _bracket_on_combination(L, x, _bracket(L, y, z))
+                right = {}
+                for t, c in _bracket(L, x, y).items():
+                    for s, v in _bracket(L, t, z).items():
+                        nv = right.get(s, Fraction(0)) + c * v
+                        if nv:
+                            right[s] = nv
+                        else:
+                            right.pop(s, None)
+                sign = -1 if (L.degree(x) * L.degree(y)) % 2 else 1
+                for t, c in _bracket_on_combination(L, y, _bracket(L, x, z)).items():
+                    nv = right.get(t, Fraction(0)) + sign * c
+                    if nv:
+                        right[t] = nv
+                    else:
+                        right.pop(t, None)
+                if left != right:
+                    return False
+    return True
+
+
+def naive_normal_form(tails: dict, weights: list[int], poly: dict) -> dict:
+    """Rewrite the largest reducible word first, found by a full scan each step.
+
+    ``tails`` maps leading words to their tails; the occurrence rewritten is
+    the leftmost, the shortest leading word first at each position.
+    """
+    todo = {w: c for w, c in poly.items() if c}
+    out = {}
+    while todo:
+        word = max(todo, key=lambda w: (sum(weights[g] for g in w), w))
+        coeff = todo.pop(word)
+        hit = next(
+            (
+                (i, word[i:j])
+                for i in range(len(word))
+                for j in range(i + 1, len(word) + 1)
+                if word[i:j] in tails
+            ),
+            None,
+        )
+        if hit is None:
+            out[word] = coeff
+            continue
+        i, lead = hit
+        for t, c in tails[lead].items():
+            w = word[:i] + t + word[i + len(lead) :]
+            v = todo.get(w, 0) + coeff * c
+            if v:
+                todo[w] = v
+            else:
+                todo.pop(w, None)
+    return out

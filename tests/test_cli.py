@@ -10,9 +10,16 @@ import pytest
 
 import loopalg
 from loopalg import cli, homotopy_lie, linalg, minimal_model, normal_words
-from loopalg.catalog import default_max_degree
+from loopalg.catalog import (
+    DEFAULT_CHECKED_RANKS,
+    catalog_entry,
+    default_max_degree,
+    expected_integral_presentation,
+)
 from loopalg.cli import main
+from loopalg.enveloping import BudgetExceededError
 from loopalg.families import LieFamily
+from loopalg.pipeline import rational_pipeline
 
 
 @pytest.fixture()
@@ -111,6 +118,47 @@ def test_budget_refuses_degree_one_before_anything_is_built(cache_dir, capsys, c
         capsys, command, "--family", "su", "--rank", "2", "--max-degree", "0", "--budget", "1"
     )
     assert code == 0 and out
+
+
+@pytest.mark.parametrize("command", ["compute", "verify"])
+def test_budget_refuses_degree_two_before_anything_is_built(cache_dir, capsys, command):
+    # su10's catalog entry takes seconds to build; degree 2 needs 10 * 10 + 1
+    # symbols on both routes (b1 and y1 have degree 2)
+    for coeffs, budget in (("rational", "50"), ("integer", "100")):
+        start = time.perf_counter()
+        argv = ("--family", "su", "--rank", "10", "--coeffs", coeffs, "--budget", budget)
+        code, out, err = run(capsys, command, *argv)
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (3, "")
+        assert err == f"error: degree 2 needs 101 basis symbols/rows, over the budget of {budget}\n"
+
+
+def _refusal(check, *args):
+    try:
+        check(*args)
+    except BudgetExceededError as err:
+        return err.degree, err.size, err.budget
+    return None
+
+
+def test_the_early_budget_check_refuses_as_the_route_would():
+    """Degrees 1 and 2, counted from the degrees alone, against the route's own refusal."""
+    for family, ranks in DEFAULT_CHECKED_RANKS.items():
+        for rank in ranks:
+            integral = expected_integral_presentation(family, rank)
+            routes = {
+                "rational": rational_pipeline(catalog_entry(family, rank)).presentation,
+                "integer": integral,
+            }
+            for coeffs, p in routes.items():
+                given = integral if coeffs == "integer" else None
+                refused = []
+                for budget in range(1, 80):
+                    cfg = cli.RunConfig(family, rank, coeffs, max_degree=2, budget=budget)
+                    want = _refusal(normal_words.report, p, 2, budget)
+                    assert _refusal(cli._check_low_degrees, cfg, given) == want
+                    refused.append(want is not None)
+                assert refused[0] and not refused[-1], (family, rank, coeffs)
 
 
 def test_compute_is_byte_identical(cache_dir, capsys):

@@ -3,20 +3,21 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from loopalg.catalog import catalog_entry
+from loopalg.catalog import DEFAULT_CHECKED_RANKS, catalog_entry
 from loopalg.families import LieFamily
-from loopalg.gca import GradedAlgebra
+from loopalg.gca import Derivation, GradedAlgebra
 from loopalg.homotopy_lie import (
     HomotopyLieAlgebra,
     LieBasisElement,
     brackets_from_d1,
     dual_basis,
     graded_lie_axioms_check,
-    pairing,
 )
-from loopalg.minimal_model import build_minimal_model
+from loopalg.minimal_model import MinimalModel, build_minimal_model
 from loopalg.pipeline import rational_pipeline
+from oracles import lie_axioms_full_loop, pairing, pairing_brackets
 
 
 def model_for(family, rank):
@@ -174,3 +175,98 @@ def test_default_dual_names():
         ("a1", 1, "u1"),
         ("b1", 2, "v1"),
     ]
+
+
+def _ordered(L):
+    """The bracket table with its insertion order: pairs, then values."""
+    return [(pair, list(combo.items())) for pair, combo in L.brackets.items()]
+
+
+def test_sparse_brackets_equal_the_pairing_on_every_catalog_model():
+    configs = [(f, r) for f, ranks in DEFAULT_CHECKED_RANKS.items() for r in ranks]
+    for family, rank in configs + [(LieFamily.SU, 6), (LieFamily.SU, 7)]:
+        model, entry = model_for(family, rank)
+        got = brackets_from_d1(model, entry.dual_names)
+        assert _ordered(got) == _ordered(pairing_brackets(model, entry.dual_names))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sparse_brackets_equal_the_pairing_on_random_quadratic_differentials(data):
+    """Even and odd letters, squares, u.v and v.v terms, and a cubic term d1 ignores."""
+    degrees = data.draw(st.lists(st.integers(1, 5), min_size=2, max_size=5))
+    alg = GradedAlgebra([(f"g{i}", d) for i, d in enumerate(degrees)])
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+    images = {}
+    for name, degree in alg.generators:
+        image = alg.zero()
+        for mono in alg.monomials_of_degree(degree + 1):
+            if sum(mono) in (2, 3) and data.draw(st.booleans()):
+                image = image + alg.element({mono: data.draw(coeffs)})
+        images[name] = image
+    model = MinimalModel(
+        algebra=alg,
+        even_names=tuple(n for n, d in alg.generators if d % 2 == 0),
+        odd_names=tuple(n for n, d in alg.generators if d % 2),
+        differential=Derivation(alg, images),
+        presentation=None,
+    )
+    assert _ordered(brackets_from_d1(model)) == _ordered(pairing_brackets(model))
+
+
+def _random_lie_table(data):
+    """A graded antisymmetric, degree-respecting table, sometimes with a planted fault.
+
+    Basis element ``i`` has degree ``degrees[i]``; ``[i, j]`` for ``i <= j``
+    is a random combination of the elements of degree ``degrees[i] +
+    degrees[j]`` and ``[j, i]`` follows by antisymmetry, so the table may or
+    may not satisfy Jacobi.  The fault breaks antisymmetry or the degree.
+    """
+    degrees = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=5))
+    basis = [LieBasisElement(f"e{i}", d, f"g{i}") for i, d in enumerate(degrees)]
+    coeffs = st.integers(-2, 2)
+    table = {}
+    for i, x in enumerate(basis):
+        for y in basis[i:]:
+            if y is x and x.degree % 2 == 0:
+                continue  # [x, x] = -[x, x] for even x
+            targets = [z.name for z in basis if z.degree == x.degree + y.degree]
+            combo = {z: Fraction(data.draw(coeffs)) for z in targets}
+            sign = 1 if x.degree * y.degree % 2 else -1
+            table[(x.name, y.name)] = combo
+            if y is not x:
+                table[(y.name, x.name)] = {z: sign * c for z, c in combo.items()}
+    fault = data.draw(st.sampled_from(["none", "antisymmetry", "degree"]))
+    if fault != "none":
+        x, y = data.draw(st.sampled_from(basis)), data.draw(st.sampled_from(basis))
+        z = data.draw(st.sampled_from(basis))
+        if fault == "degree" and z.degree != x.degree + y.degree:
+            table[(x.name, y.name)] = {**table.get((x.name, y.name), {}), z.name: Fraction(1)}
+        if fault == "antisymmetry" and x is not y:
+            table[(x.name, y.name)] = {z.name: Fraction(1) + table.get((x.name, y.name), {}).get(z.name, 0)}
+    return HomotopyLieAlgebra(basis, table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_axiom_check_agrees_with_the_full_loop(data):
+    L = _random_lie_table(data)
+    assert graded_lie_axioms_check(L) == lie_axioms_full_loop(L)
+
+
+def test_the_axiom_check_agrees_with_the_full_loop_on_planted_jacobi_faults():
+    """A 2-step nilpotent algebra holds; one bracket into the centre's partner breaks Jacobi."""
+    basis = [
+        LieBasisElement("x", 1, "gx"),
+        LieBasisElement("y", 1, "gy"),
+        LieBasisElement("z", 2, "gz"),
+        LieBasisElement("w", 3, "gw"),
+    ]
+    table = {("x", "x"): {"z": 2}, ("x", "y"): {"z": 1}, ("y", "x"): {"z": 1}}
+    nilpotent = HomotopyLieAlgebra(basis, table)
+    assert graded_lie_axioms_check(nilpotent) and lie_axioms_full_loop(nilpotent)
+    # [x, z] = w, [z, x] = -w: antisymmetric and degree-correct, but
+    # [y, [x, x]] = 2 [y, z] = 0 while Jacobi asks for 2 [[y, x], x] = 2 [z, x]
+    broken = HomotopyLieAlgebra(basis, {**table, ("x", "z"): {"w": 1}, ("z", "x"): {"w": -1}})
+    assert not graded_lie_axioms_check(broken)
+    assert not lie_axioms_full_loop(broken)

@@ -15,12 +15,11 @@ from loopalg.minimal_model import (
     build_minimal_model,
     derivation_square_check,
     is_regular,
-    quadratic_part,
     quotient_dimensions,
     regular_sequence_check,
 )
 from loopalg.series import complete_intersection_coefficients
-from oracles import brute_commutative_dimension, exponent_tuples
+from oracles import brute_commutative_dimension, exponent_tuples, quadratic_part
 from test_acceptance import FAMILIES
 
 

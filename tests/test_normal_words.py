@@ -6,6 +6,7 @@ the graded dimensions over Q and the free ranks over Z with no torsion, and
 engine does.  Where it fails, the answer is the engine's.
 """
 
+import hashlib
 import importlib
 import random
 from fractions import Fraction
@@ -26,7 +27,7 @@ from loopalg.enveloping import FreeGradedAlgebra, RingPresentation
 from loopalg.families import LieFamily
 from loopalg.pipeline import rational_pipeline
 
-from oracles import brute_graded_dimension, brute_smith, split_report
+from oracles import brute_graded_dimension, brute_smith, naive_normal_form, split_report
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -294,3 +295,77 @@ def test_a_defined_generator_certifies_and_matches_the_oracles(domain, seed):
                 want = brute_smith(p, d)
             assert (got.entries[d].rank, list(got.entries[d].torsion)) == want
     assert certified >= 20 and alone > 0
+
+
+# the certificate of every presentation ``compute`` reads at a checked rank:
+# (rules, digest of the leading words in order, overlaps resolved, failure,
+# generators defined); "pipeline" is the rational presentation, "integer"
+# the integral one and "anticommute" f4's other integral variant
+CERTIFICATES = {
+    ("su", 1, "pipeline"): (2, "2f03c9baf927c652", 2, None, ()),
+    ("su", 1, "integer"): (2, "2f03c9baf927c652", 2, None, ()),
+    ("su", 2, "pipeline"): (8, "7267c58d63b634da", 12, None, ()),
+    ("su", 2, "integer"): (8, "7267c58d63b634da", 12, None, ()),
+    ("su", 3, "pipeline"): (18, "1af96598ce959047", 38, None, ()),
+    ("su", 3, "integer"): (18, "1af96598ce959047", 38, None, ()),
+    ("su", 4, "pipeline"): (32, "a7d4797b36129d58", 88, None, ()),
+    ("su", 4, "integer"): (32, "a7d4797b36129d58", 88, None, ()),
+    ("sp", 2, "pipeline"): (8, "7267c58d63b634da", 12, None, ()),
+    ("sp", 2, "integer"): (4, "feb9bf779494de8a", 4, None, ()),
+    ("sp", 3, "pipeline"): (18, "1af96598ce959047", 38, None, ()),
+    ("sp", 3, "integer"): (12, "e6b941e3bc54dd0f", 20, None, ()),
+    ("so-odd", 2, "pipeline"): (8, "7267c58d63b634da", 12, None, ()),
+    ("so-odd", 2, "integer"): (13, "3134f9d08b228be1", 25, None, ()),
+    ("so-odd", 3, "pipeline"): (18, "1af96598ce959047", 38, None, ()),
+    ("so-odd", 3, "integer"): (33, "322fbc5d8debac42", 96, None, ()),
+    ("so-even", 3, "pipeline"): (18, "79c82b0e14b09411", 38, None, ()),
+    ("so-even", 3, "integer"): (33, "15520d7a8a739ca8", 96, None, ()),
+    ("so-even", 4, "pipeline"): (32, "a757284672918e75", 88, None, ()),
+    ("so-even", 4, "integer"): (62, "215b155e9c44bcfa", 242, None, ()),
+    ("g2", 2, "pipeline"): (8, "7267c58d63b634da", 12, None, ()),
+    ("g2", 2, "integer"): (9, "9174dc5f0f4c711b", 12, None, ('y2',)),
+    ("f4", 4, "pipeline"): (32, "a7d4797b36129d58", 88, None, ()),
+    ("f4", 4, "integer"): (14, "ca319de200629c80", 0, 'leading coefficient -9 on y1.y1', ()),
+    ("f4", 4, "anticommute"): (14, "ca319de200629c80", 0, 'leading coefficient -9 on y1.y1', ()),
+    ("e6", 6, "pipeline"): (72, "c128846613e9d044", 292, None, ()),
+    ("e6", 6, "integer"): (74, "c49309a516504fd9", 292, None, ('y2', 'y3')),
+}
+
+
+def test_the_certificates_of_the_checked_ranks_are_pinned():
+    got = {}
+    for family, ranks in DEFAULT_CHECKED_RANKS.items():
+        for rank in ranks:
+            shown = [
+                ("pipeline", rational_pipeline(catalog_entry(family, rank)).presentation),
+                ("integer", expected_integral_presentation(family, rank)),
+            ]
+            if family is LieFamily.F4:
+                shown.append(("anticommute", expected_integral_presentation(family, rank, True)))
+            for label, p in shown:
+                cert = normal_words._certify(p)
+                digest = hashlib.sha256(repr(cert.leading).encode()).hexdigest()[:16]
+                got[(family.slug, rank, label)] = (
+                    len(cert.leading),
+                    digest,
+                    cert.overlaps,
+                    cert.failure,
+                    cert.defined,
+                )
+    assert got == CERTIFICATES
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_heap_normal_form_equals_a_max_first_scan(data):
+    """Random rules ``lead -> smaller words`` and a random polynomial, both ways."""
+    weights = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    words = st.lists(st.integers(0, len(weights) - 1), min_size=1, max_size=4).map(tuple)
+    coeffs = st.integers(-3, 3).filter(bool)
+    rules = normal_words._Rules(weights)
+    for lead in data.draw(st.lists(words, max_size=4, unique=True)):
+        tail = data.draw(st.lists(words, max_size=3))
+        smaller = [w for w in tail if rules.order(w) < rules.order(lead)]
+        rules.add(lead, {w: data.draw(coeffs) for w in smaller})
+    poly = data.draw(st.dictionaries(words, coeffs, max_size=6))
+    assert rules.normal_form(poly) == naive_normal_form(rules.tails, weights, poly)
