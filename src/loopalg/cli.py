@@ -45,7 +45,7 @@ from .enveloping import (
 )
 from .families import FIXED_RANK, LieFamily, validate_rank
 from .minimal_model import is_regular, quotient_dimensions
-from .pipeline import rational_pipeline
+from .pipeline import presentation_degrees, rational_pipeline
 from .series import PoincareSeries
 
 SCHEMA_VERSION = 2
@@ -106,19 +106,17 @@ def _integral_presentation(cfg: RunConfig) -> RingPresentation:
 def _check_low_degrees(cfg: RunConfig, integral: RingPresentation | None) -> None:
     """Refuse at degree 1 or 2 where the request's first route would, before any build.
 
-    The first route reads the integral presentation, given here, or else the
-    pipeline's: ``rank`` generators of degree 1, one of degree 2 per exponent
-    2, and one relation per unordered pair of degree-1 generators.  No
-    catalog presentation has a relation in degree 1, so degree 1 is free on
-    its generators and :func:`degree_size` needs only the degrees.
+    An integer request reads ``integral`` first; a rational or both request
+    reads the pipeline's presentation, whose degrees
+    :func:`presentation_degrees` gives from the exponents.  No catalog
+    presentation has a relation in degree 1, so degree 1 is free on its
+    generators and :func:`degree_size` needs only the degrees.
     """
-    if integral is None:
-        rank = cfg.rank
-        gens = [1] * rank + [2] * cat.exponents(cfg.family, rank).count(2)
-        rels = [2] * (rank * (rank + 1) // 2)
-    else:
+    if cfg.coeffs == "integer":
         gens = [d for _, d in integral.generators]
         rels = [r.degree() for r in integral.relations]
+    else:
+        gens, rels = presentation_degrees(cfg.rank, cat.exponents(cfg.family, cfg.rank))
     for d in range(1, min(cfg.degree, 2) + 1):
         check_budget(d, cfg.budget, *degree_size(d, gens, rels, [1, gens.count(1)], [0, 0]))
 
@@ -133,7 +131,7 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
     """
     n = cfg.degree
     integral = None if cfg.coeffs == "rational" else _integral_presentation(cfg)
-    _check_low_degrees(cfg, integral if cfg.coeffs == "integer" else None)
+    _check_low_degrees(cfg, integral)
     entry = cat.catalog_entry(cfg.family, cfg.rank)
     checks: dict[str, object] = {}
     failures: dict[str, str] = {}

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from . import linalg, series
 from .gca import GeneratorSet, Polynomial, Scalar
@@ -351,6 +351,17 @@ class GradedQuotient:
 # ---------------------------------------------------------------------------
 
 
+def uea_pairs(degrees: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """The basis pairs ``i <= j`` that carry a relation of :func:`uea_presentation`.
+
+    ``degrees`` lists the basis degrees in order; every pair is kept except
+    ``x x`` for even ``x``, whose relation vanishes.
+    """
+    for i, degree in enumerate(degrees):
+        for j in range(i if degree % 2 else i + 1, len(degrees)):
+            yield i, j
+
+
 def uea_presentation(L) -> RingPresentation:
     """Universal enveloping presentation of a graded Lie algebra.
 
@@ -363,17 +374,15 @@ def uea_presentation(L) -> RingPresentation:
         raise ValueError("graded Lie axiom check failed")
     algebra = FreeGradedAlgebra([(b.name, b.degree) for b in L.basis])
     relations = []
-    for i, x in enumerate(L.basis):
-        for y in L.basis[i:]:
-            if y is x and x.degree % 2 == 0:
-                continue
-            sign = -1 if (x.degree * y.degree) % 2 else 1
-            # x y - sign y x, which is 2 x x for odd x = y, then - [x, y]
-            terms: dict[Word, Fraction] = {(x.name, y.name): Fraction(1)}
-            terms[(y.name, x.name)] = terms.get((y.name, x.name), 0) - sign
-            for z, c in L.brackets.get((x.name, y.name), {}).items():
-                terms[(z,)] = -c
-            relations.append(NcElement(algebra, terms).content_normalized())
+    for i, j in uea_pairs([b.degree for b in L.basis]):
+        x, y = L.basis[i], L.basis[j]
+        sign = -1 if (x.degree * y.degree) % 2 else 1
+        # x y - sign y x, which is 2 x x for odd x = y, then - [x, y]
+        terms: dict[Word, Fraction] = {(x.name, y.name): Fraction(1)}
+        terms[(y.name, x.name)] = terms.get((y.name, x.name), 0) - sign
+        for z, c in L.brackets.get((x.name, y.name), {}).items():
+            terms[(z,)] = -c
+        relations.append(NcElement(algebra, terms).content_normalized())
     return RingPresentation(algebra, relations, domain="rational")
 
 

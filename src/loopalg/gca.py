@@ -57,14 +57,6 @@ class Polynomial:
         self.algebra = algebra
         self.terms = {k: c for k, c in terms.items() if c != 0}
 
-    @classmethod
-    def _trusted(cls, algebra: "GeneratorSet", terms: dict[Hashable, Fraction]):
-        """An element holding ``terms`` itself, which the caller knows has no zero."""
-        element = cls.__new__(cls)
-        element.algebra = algebra
-        element.terms = terms
-        return element
-
     def _check_compatible(self, other: "Polynomial") -> None:
         if not self.algebra.same_generators(other.algebra):
             raise ValueError("mismatched generator sets")
@@ -312,22 +304,19 @@ class Derivation:
 
     The image of a degree-``k`` generator must be homogeneous of degree
     ``k + 1`` (the zero element is allowed); the extension to products follows
-    the graded Leibniz rule.  With ``checked`` the caller vouches for the
-    image degrees, and only the generator sets are compared.
+    the graded Leibniz rule.
     """
 
     degree_shift = 1
 
-    def __init__(
-        self, algebra: GradedAlgebra, images: Mapping[str, GcaElement], checked: bool = False
-    ):
+    def __init__(self, algebra: GradedAlgebra, images: Mapping[str, GcaElement]):
         self.algebra = algebra
         table: list[GcaElement] = [algebra.zero() for _ in range(len(algebra))]
         for name, image in images.items():
             i = algebra.index(name)
             if not algebra.same_generators(image.algebra):
                 raise ValueError("mismatched generator sets")
-            if not checked and not image.is_zero():
+            if not image.is_zero():
                 try:
                     degree = image.degree()
                 except ValueError:

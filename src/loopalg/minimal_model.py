@@ -182,13 +182,12 @@ def build_minimal_model(
         raise ValueError("need one odd generator name per relation")
     odd = [(name, d - 1) for name, d in zip(odd_names, c.relation_degrees)]
     algebra = GradedAlgebra(even + odd)
-    # each image is a relation, whose degree the presentation checked,
-    # padded with zero exponents on the odd generators
+    # each image is a relation padded with zero exponents on the odd generators
     pad = (0,) * len(odd)
     images = {name: algebra.zero() for name, _ in even}
     for (name, _), rel in zip(odd, c.relations):
-        images[name] = GcaElement._trusted(algebra, {m + pad: v for m, v in rel.terms.items()})
-    differential = Derivation(algebra, images, checked=True)
+        images[name] = GcaElement(algebra, {m + pad: v for m, v in rel.terms.items()})
+    differential = Derivation(algebra, images)
     return MinimalModel(
         algebra=algebra,
         even_names=tuple(n for n, _ in even),

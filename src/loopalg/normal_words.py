@@ -33,15 +33,13 @@ stays, so a weight can only cost a fallback, never a wrong answer.
 
 :func:`certificate` interreduces and resolves the overlaps, memoized on the
 presentation.  A normal form rewrites the largest reducible word first,
-popped from a heap of the pending words; interreduction substitutes each
-new rule straight into the pending relations of its degree, where it can
-only match a whole word.  :func:`report` answers from the certificate: it
-counts the normal words degree by degree with an automaton of the leading
-words, whose states are at most their total length, and checks every
-degree against the budget with :func:`enveloping.degree_size` before
-answering, as the engine does.  Where the certificate fails (a non-unit
-leading coefficient over Z, or an overlap that does not resolve) it
-answers by :func:`enveloping.engine_report` instead, which eliminates.
+popped from a heap of the pending words.  :func:`report` answers from the
+certificate: it counts the normal words degree by degree with an automaton
+of the leading words, whose states are at most their total length, and
+checks every degree against the budget with :func:`enveloping.degree_size`
+before answering, as the engine does.  Where the certificate fails (a
+non-unit leading coefficient over Z, or an overlap that does not resolve)
+it answers by :func:`enveloping.engine_report` instead, which eliminates.
 """
 
 from __future__ import annotations
@@ -199,13 +197,11 @@ def _certify(p: RingPresentation) -> Certificate:
     rules = _Rules(weights)
     # interreduce one degree at a time: a proper subword has a smaller
     # degree, so once the lower rules have reduced a degree's relations only
-    # equal leading words are left to eliminate, largest first.  A word of a
-    # reduced relation can only hold the new rule's leading word as the
-    # whole word, and its tail is reduced, so the rule is substituted
-    # directly: the normal form would rewrite exactly that word.
+    # equal leading words are left to eliminate, largest first; each new rule
+    # clears its word from the other relations at the next normal form
     for degree in sorted(by_degree):
-        pending = [q for q in map(rules.normal_form, by_degree[degree]) if q]
-        while pending:
+        pending = by_degree[degree]
+        while pending := [q for q in map(rules.normal_form, pending) if q]:
             lead = max((w for q in pending for w in q), key=rules.order)
             group = [q for q in pending if lead in q]
             pivot = next((q for q in group if q[lead] in (1, -1)), None)
@@ -219,19 +215,8 @@ def _certify(p: RingPresentation) -> Certificate:
             pivot = pivot or group[0]
             # a unit is its own inverse, so an integral rule stays integral
             inv = pivot[lead] if pivot[lead] in (1, -1) else Fraction(1) / pivot[lead]
-            tail = {w: -c * inv for w, c in pivot.items() if w != lead}
-            rules.add(lead, tail)
-            for q in group:
-                if q is pivot:
-                    continue
-                coeff = q.pop(lead)
-                for w, c in tail.items():
-                    v = q.get(w, 0) + coeff * c
-                    if v:
-                        q[w] = v
-                    else:
-                        del q[w]
-            pending = [q for q in pending if q and q is not pivot]
+            rules.add(lead, {w: -c * inv for w, c in pivot.items() if w != lead})
+            pending = [q for q in pending if q is not pivot]
     leading = tuple(rules.tails)
     # every overlap A B C of leading words A B and B C, with A, B, C nonempty
     starting: dict[Word, list[Word]] = {}

@@ -10,9 +10,10 @@ budget), and ``build_minimal_model`` checks it when called on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .catalog import CatalogEntry
-from .enveloping import RingPresentation, uea_presentation
+from .enveloping import RingPresentation, uea_pairs, uea_presentation
 from .homotopy_lie import HomotopyLieAlgebra, brackets_from_d1
 from .minimal_model import MinimalModel, build_minimal_model
 
@@ -34,3 +35,15 @@ def rational_pipeline(entry: CatalogEntry) -> PipelineResult:
         lie_algebra=lie,
         presentation=uea_presentation(lie),
     )
+
+
+def presentation_degrees(rank: int, exponents: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The generator and relation degrees of the pipeline's presentation, before any build.
+
+    The minimal model has ``rank`` even generators of degree 2 and one odd
+    generator of degree 2e - 1 per exponent e (its relation has degree 2e);
+    the Lie basis is dual to them one degree lower, in that order, and
+    :func:`uea_pairs` names the pairs that carry a relation.
+    """
+    gens = [1] * rank + [2 * e - 2 for e in exponents]
+    return gens, [gens[i] + gens[j] for i, j in uea_pairs(gens)]

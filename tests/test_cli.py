@@ -121,16 +121,24 @@ def test_budget_refuses_degree_one_before_anything_is_built(cache_dir, capsys, c
 
 
 @pytest.mark.parametrize("command", ["compute", "verify"])
-def test_budget_refuses_degree_two_before_anything_is_built(cache_dir, capsys, command):
+def test_budget_refuses_degree_two_before_anything_is_built(
+    cache_dir, capsys, monkeypatch, command
+):
     # su10's catalog entry takes seconds to build; degree 2 needs 10 * 10 + 1
     # symbols on both routes (b1 and y1 have degree 2)
-    for coeffs, budget in (("rational", "50"), ("integer", "100")):
+    built = _count_calls(monkeypatch, cli.cat, "catalog_entry")
+    cases = [(("--coeffs", "rational"), "50"), (("--coeffs", "integer"), "100")]
+    if command == "verify":  # both, its default, runs the rational route first
+        cases += [((), "50"), (("--inject-torsion",), "50")]
+        cases += [(("--coeffs", "integer", "--inject-torsion"), "100")]
+    for options, budget in cases:
         start = time.perf_counter()
-        argv = ("--family", "su", "--rank", "10", "--coeffs", coeffs, "--budget", budget)
+        argv = ("--family", "su", "--rank", "10", *options, "--budget", budget)
         code, out, err = run(capsys, command, *argv)
-        assert time.perf_counter() - start < 2
+        assert time.perf_counter() - start < 10
         assert (code, out) == (3, "")
         assert err == f"error: degree 2 needs 101 basis symbols/rows, over the budget of {budget}\n"
+    assert built == []
 
 
 def _refusal(check, *args):
@@ -142,16 +150,18 @@ def _refusal(check, *args):
 
 
 def test_the_early_budget_check_refuses_as_the_route_would():
-    """Degrees 1 and 2, counted from the degrees alone, against the route's own refusal."""
+    """Degrees 1 and 2, counted from the degrees alone, against the first route's refusal.
+
+    A both request runs the rational route first, so it refuses as that
+    route does; the integer route runs only after the build.
+    """
     for family, ranks in DEFAULT_CHECKED_RANKS.items():
         for rank in ranks:
             integral = expected_integral_presentation(family, rank)
-            routes = {
-                "rational": rational_pipeline(catalog_entry(family, rank)).presentation,
-                "integer": integral,
-            }
+            rational = rational_pipeline(catalog_entry(family, rank)).presentation
+            routes = {"rational": rational, "integer": integral, "both": rational}
             for coeffs, p in routes.items():
-                given = integral if coeffs == "integer" else None
+                given = None if coeffs == "rational" else integral
                 refused = []
                 for budget in range(1, 80):
                     cfg = cli.RunConfig(family, rank, coeffs, max_degree=2, budget=budget)

@@ -19,6 +19,7 @@ from loopalg.catalog import (
     DEFAULT_CHECKED_RANKS,
     catalog_entry,
     default_max_degree,
+    exponents,
     expected_integral_presentation,
     expected_rational_presentation,
 )
@@ -37,7 +38,7 @@ from loopalg.enveloping import (
 )
 from loopalg.families import LieFamily
 from loopalg.homotopy_lie import HomotopyLieAlgebra, LieBasisElement
-from loopalg.pipeline import rational_pipeline
+from loopalg.pipeline import presentation_degrees, rational_pipeline
 from loopalg.series import PoincareSeries
 
 from oracles import (
@@ -70,6 +71,15 @@ def test_uea_presentation_su3_relations():
     assert "1*a1.a2 + 1*a2.a1 - 2*b1" in rendered
     assert "1*a1.b1 - 1*b1.a1" in rendered
     assert "1*b1.b2 - 1*b2.b1" in rendered
+
+
+def test_presentation_degrees_match_the_built_presentation():
+    """The degrees the budget reads before any build are the pipeline's own, in order."""
+    configs = [(f, r) for f, ranks in DEFAULT_CHECKED_RANKS.items() for r in ranks]
+    for family, rank in configs + [(LieFamily.SU, 6), (LieFamily.SO_EVEN, 5)]:
+        p = rational_pipeline(catalog_entry(family, rank)).presentation
+        built = [d for _, d in p.generators], [r.degree() for r in p.relations]
+        assert presentation_degrees(rank, exponents(family, rank)) == built, (family, rank)
 
 
 def test_uea_requires_lie_axioms():
