@@ -25,8 +25,8 @@ Three workhorses live here:
   entries are residues mod p, every pivot row leads with 1, and a row is
   reduced at its largest column first.  The commutative-quotient dimensions
   of :mod:`loopalg.minimal_model` come from it: a rank mod p never exceeds
-  the rank over Q, which is what the quotient's certificate uses.  A degree
-  the certificate does not cover is ranked over Q by :class:`FractionRREF`.
+  the rank over Q, which is what the quotient's certificates use.  A degree
+  they do not cover is ranked over Q by :class:`FractionRREF`.
 
 So each ring has one elimination: Q :class:`FractionRREF`, F_p
 :class:`FractionFreeEliminator`, Z :func:`coker_normalize`.

@@ -3,22 +3,32 @@
 For a presentation ``Q[u_1..u_n] / (P_1..P_k)`` by a regular sequence, the
 minimal model is ``Q[u] (x) Lambda(v_1..v_k)`` with ``deg v_j = deg P_j - 1``
 and differential ``d(u_i) = 0``, ``d(v_j) = P_j``.  The regular-sequence
-property itself is checked by degreewise dimension counting of the
-commutative quotient, which also yields the graded dimensions of the
-cohomology.
+property itself is checked by dimension counting of the commutative
+quotient A, which also yields the graded dimensions of the cohomology.
 
-Each degree of the quotient is first ranked over F_p and kept only under an
-exact certificate.  For as many relations as variables, every degree d has
+With as many relations as variables, one rank decides every degree.  Let
+D = socle + 2, where the socle degree is sum(deg P_j - 2).  If the degree-D
+rows m * P_j span every degree-D monomial over F_p, they do so over Q, since
+a rank mod p never exceeds the rank over Q.  So A_D = 0, and A, generated in
+degree 2, is zero from D on.  n forms in n variables with a
+finite-dimensional quotient form a regular sequence, and the quotient's
+Hilbert series is then exactly prod (1 - t^{deg P_j}) / (1 - t^2)^n
+(Bruns-Herzog, *Cohen-Macaulay Rings*, chapters 2 and 4).  That series is
+the answer in every degree, from one F_p rank.
+
+Where that certificate fails (an unlucky prime, a non-regular presentation)
+or is not tried (a degree-D matrix over the budget, fewer degrees asked for
+than the socle), each degree is ranked over F_p and kept only under the
+degreewise bound
 
     CI_d <= dim_Q A_d <= dim_{F_p} A_d,
 
-where CI_d is the coefficient of prod (1 - t^{deg P_j}) / (1 - t^2)^n: the
-left bound because the rank of the multiplication map is largest for
-generic forms, which form a regular sequence; the right one because a rank
-mod p never exceeds the rank over Q.  So ``dim_{F_p} A_d == CI_d`` proves
-``dim_Q A_d == CI_d``.  A degree where the two differ (an unlucky prime, a
-non-regular presentation), and every degree when the relation count differs
-from the variable count, is ranked again over Q by the package's one exact
+where CI_d is the complete-intersection coefficient: the left bound because
+the rank of the multiplication map is largest for generic forms, which form
+a regular sequence; the right one because of the rank mod p.  So
+``dim_{F_p} A_d == CI_d`` proves ``dim_Q A_d == CI_d``.  A degree where the
+two differ, and every degree when the relation count differs from the
+variable count, is ranked again over Q by the package's one exact
 elimination, :class:`~loopalg.linalg.FractionRREF`.  The F_p rank is
 :class:`~loopalg.linalg.FractionFreeEliminator`.
 """
@@ -26,6 +36,7 @@ elimination, :class:`~loopalg.linalg.FractionRREF`.  The F_p rank is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from operator import mul
 
 from . import linalg
@@ -81,43 +92,94 @@ def quotient_dimensions(
 
     Degree d of the quotient = (number of degree-d monomials) minus the rank
     of the matrix whose rows expand monomial * P_j over the degree-d basis.
-    With as many relations as variables that rank is taken over F_p by
-    :class:`~loopalg.linalg.FractionFreeEliminator`, and a degree's answer is
-    kept only where it equals the complete-intersection coefficient, which
-    certifies it over Q (see the module docstring); any other degree is
-    ranked again over Q by :class:`~loopalg.linalg.FractionRREF`.
-    A degree with more monomials or rows than ``budget`` raises
-    :class:`~loopalg.enveloping.BudgetExceededError` before any elimination.
+    With as many relations as variables and ``max_degree`` at least the
+    socle degree, one F_p rank of degree socle + 2 is tried first: where it
+    is full, the answer is the complete-intersection series in every degree
+    (see the module docstring).  Otherwise each degree is ranked over F_p by
+    :class:`~loopalg.linalg.FractionFreeEliminator` and kept only where it
+    equals the complete-intersection coefficient; any other degree is ranked
+    again over Q by :class:`~loopalg.linalg.FractionRREF`.
+    A degree up to ``max_degree`` with more monomials or rows than
+    ``budget`` raises :class:`~loopalg.enveloping.BudgetExceededError`
+    before any elimination; a degree socle + 2 over ``budget`` only skips
+    the top-degree certificate.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    alg = c.algebra
-    n = len(alg)
+    n = len(c.algebra)
     degrees = c.relation_degrees
+    socle = c.socle_degree()
+    top = socle + 2
     # monomials per degree: the coefficients of 1 / (1 - t^2)^n
-    sizes = complete_intersection_coefficients((), n, max_degree)
+    sizes = complete_intersection_coefficients((), n, max(max_degree, top))
+
+    def rows(d: int) -> int:
+        return sum(sizes[d - e] for e in degrees if e <= d)
+
     for d in range(max_degree + 1):
-        check_budget(d, budget, sizes[d], sum(sizes[d - e] for e in degrees if e <= d))
-    certified = None
-    if len(degrees) == n:
-        certified = complete_intersection_coefficients(degrees, n, max_degree)
-    # a monomial u^a is coded as the int sum a_i * radix^i; the exponents of a
-    # monomial of degree <= max_degree are below radix, so the code of the
-    # term m * k of m * P_j is code(m) + code(k).  Primitive integer
-    # relations make every row integral; with all generators of degree 2
-    # there are no Koszul signs.
-    weights = [(max_degree // 2 + 1) ** i for i in range(n)]
+        check_budget(d, budget, sizes[d], rows(d))
+    if len(degrees) != n:
+        return _degreewise(c, max_degree, None)
+    certified = complete_intersection_coefficients(degrees, n, max_degree)
+    top_fits = budget is None or max(sizes[top], rows(top)) <= budget
+    if max_degree >= socle and top_fits and _top_degree_vanishes(c, top):
+        return PoincareSeries(tuple(certified))
+    return _degreewise(c, max_degree, certified)
+
+
+def _coded(c: CohomologyPresentation, max_degree: int, wanted) -> tuple[dict, list]:
+    """Int-coded monomials of each ``wanted`` degree and the coded relations.
+
+    A monomial u^a is coded as the int sum a_i * radix^i; the exponents of a
+    monomial of degree <= ``max_degree`` are below radix, so the code of the
+    term m * k of m * P_j is code(m) + code(k).  Primitive integer relations
+    make every row integral; with all generators of degree 2 there are no
+    Koszul signs.
+    """
+    weights = [(max_degree // 2 + 1) ** i for i in range(len(c.algebra))]
 
     def code(monomial) -> int:
         return sum(map(mul, monomial, weights))
 
     relations = []
-    for degree, rel in zip(degrees, c.relations):
+    for degree, rel in zip(c.relation_degrees, c.relations):
         terms = rel.content_normalized().terms
         relations.append((degree, [(code(k), v.numerator) for k, v in terms.items()]))
-    basis = [[code(m) for m in alg.monomials_of_degree(d)] for d in range(max_degree + 1)]
+    # a degree-d monomial is a multiset of d / 2 generators; reversed, the
+    # multisets come in the lex order of GradedAlgebra.monomials_of_degree
+    basis = {
+        d: [sum(m) for m in combinations_with_replacement(weights, d // 2)][::-1]
+        if d % 2 == 0
+        else []
+        for d in wanted
+    }
+    return basis, relations
+
+
+def _top_degree_vanishes(c: CohomologyPresentation, top: int) -> bool:
+    """True when the degree-``top`` rows span every monomial over F_p.
+
+    Stops adding rows once the rank is full.
+    """
+    # top is at least every relation degree, each deg P_j - 2 being >= 2
+    wanted = {top} | {top - e for e in c.relation_degrees}
+    basis, relations = _coded(c, top, wanted)
+    full = len(basis[top])
+    elim = linalg.FractionFreeEliminator(CERTIFICATE_PRIME)
+    for row in _rows(basis, relations, top, basis[top]):
+        if elim.rank == full:
+            break
+        elim.add_row(row)
+    return elim.rank == full
+
+
+def _degreewise(
+    c: CohomologyPresentation, max_degree: int, certified: list[int] | None
+) -> PoincareSeries:
+    """Rank each degree over F_p where ``certified`` can confirm it, else over Q."""
+    basis, relations = _coded(c, max_degree, range(max_degree + 1))
     dims = []
-    for d, monomials in enumerate(basis):
+    for d, monomials in basis.items():
         if not monomials:
             dims.append(0)
             continue
@@ -141,13 +203,19 @@ def _rank(basis, relations, d: int, prime: int | None) -> int:
         elim = linalg.FractionRREF()
     else:
         elim = linalg.FractionFreeEliminator(prime)
+    for row in _rows(basis, relations, d, monomials):
+        elim.add_row(row)
+    return elim.rank
+
+
+def _rows(basis, relations, d: int, monomials: list[int]):
+    """The degree-d rows m * P_j, with columns numbered in ``monomials`` order."""
     index = {m: i for i, m in enumerate(monomials)}
     for e, terms in relations:
         if e > d:
             continue
         for m in basis[d - e]:
-            elim.add_row({index[m + k]: v for k, v in terms})
-    return elim.rank
+            yield {index[m + k]: v for k, v in terms}
 
 
 def regular_sequence_check(c: CohomologyPresentation) -> bool:

@@ -40,7 +40,8 @@ def test_traced_row_counts_match_the_rows_eliminated(monkeypatch):
     tracer = _tracing(monkeypatch).Tracer()
     presentation = expected_rational_presentation(LieFamily.SU, 3)
     # so-even4's Euler-class relation makes four relations in four
-    # variables, so every degree is ranked once, on the certified F_p route
+    # variables.  Short of the socle there is no top-degree certificate, so
+    # every degree is ranked once, on the certified F_p route
     cohomologies = [
         cohomology_presentation(LieFamily.SU, 3),
         cohomology_presentation(LieFamily.SO_EVEN, 4),
@@ -48,13 +49,31 @@ def test_traced_row_counts_match_the_rows_eliminated(monkeypatch):
     tracer.install()
     try:
         for cohomology in cohomologies:
-            minimal_model.quotient_dimensions(cohomology, cohomology.socle_degree() + 2)
+            minimal_model.quotient_dimensions(cohomology, cohomology.socle_degree() - 2)
         enveloping.graded_dimensions(presentation, 8)
     finally:
         tracer.uninstall()
     metrics = tracer.metrics(entries_built=0)
     assert metrics["linalg.ffe_rows"] == metrics["minimal_model.rows"] > 0
     assert metrics["linalg.rref_rows"] == metrics["enveloping.rational_rows"] > 0
+
+
+def test_a_certified_quotient_eliminates_at_most_its_top_degree_rows(monkeypatch):
+    """Through the socle, only the rows of degree socle + 2 reach the F_p eliminator."""
+    tracer = _tracing(monkeypatch).Tracer()
+    cohomology = cohomology_presentation(LieFamily.SO_EVEN, 4)
+    top = cohomology.socle_degree() + 2
+    tracer.install()
+    try:
+        minimal_model.quotient_dimensions(cohomology, top)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics(entries_built=0)
+    algebra = cohomology.algebra
+    top_rows = sum(
+        len(algebra.monomials_of_degree(top - e)) for e in cohomology.relation_degrees
+    )
+    assert 0 < metrics["linalg.ffe_rows"] <= top_rows < metrics["minimal_model.rows"]
 
 
 def test_traced_graded_dimension_counts_the_rows_it_eliminates(monkeypatch):

@@ -136,8 +136,8 @@ class EliminatorSpy:
 def test_regular_sequence_on_catalog_families(monkeypatch):
     # the pipeline does not check regularity, so every configuration the
     # acceptance tests build is checked here, but for e6, whose quotient is
-    # over the default budget; each one is certified degree by degree, so
-    # none takes the exact route
+    # over the default budget; each one, f4 included, is certified by one
+    # F_p rank in degree socle + 2
     spy = EliminatorSpy(monkeypatch)
     for family, rank in FAMILIES:
         if family is LieFamily.E6:
@@ -146,7 +146,7 @@ def test_regular_sequence_on_catalog_families(monkeypatch):
         spy.routes.clear()
         dims = quotient_dimensions(coh, coh.socle_degree() + 2)
         assert is_regular(coh, dims), (family, rank)
-        assert "exact" not in spy.routes, (family, rank)
+        assert spy.routes == [minimal_model.CERTIFICATE_PRIME], (family, rank)
         if family is LieFamily.F4:
             assert sum(dims.prefix(coh.socle_degree())) == 1152
 
@@ -178,8 +178,8 @@ def test_classical_quotients_are_certified_without_an_exact_fallback(monkeypatch
         assert list(dims) == complete_intersection_coefficients(
             list(coh.relation_degrees), len(coh.algebra), n
         ), (family, rank)
-        # one eliminator per nonzero degree, each over F_p
-        assert spy.routes == [minimal_model.CERTIFICATE_PRIME] * (n // 2 + 1), (family, rank)
+        # one eliminator per call, over F_p, in degree socle + 2
+        assert spy.routes == [minimal_model.CERTIFICATE_PRIME], (family, rank)
 
 
 def test_uncertified_degrees_fall_back_to_the_exact_route(monkeypatch):
@@ -189,8 +189,14 @@ def test_uncertified_degrees_fall_back_to_the_exact_route(monkeypatch):
     # a regular sequence over Q whose two relations agree mod 3
     good = CohomologyPresentation(alg, [u1 * u1 + u2 * u2, u1 * u1 + 4 * u2 * u2])
     monkeypatch.setattr(minimal_model, "CERTIFICATE_PRIME", 3)
-    assert list(quotient_dimensions(good, 6)) == [1, 0, 2, 0, 1, 0, 0]
-    assert spy.routes == [3, 3, 3, "exact", 3, "exact"]
+    dims = list(quotient_dimensions(good, 6))
+    assert dims == [1, 0, 2, 0, 1, 0, 0]
+    assert dims == [brute_commutative_dimension(good, d) for d in range(7)]
+    # the degree-6 certificate fails mod 3, then each degree is ranked
+    assert spy.routes == [3, 3, 3, 3, "exact", 3, "exact"]
+    spy.routes.clear()
+    assert regular_sequence_check(good)
+    assert spy.routes == [3, 3, 3, 3, "exact", 3, "exact"]
     # with fewer relations than variables there is no certificate
     spy.routes.clear()
     assert list(quotient_dimensions(CohomologyPresentation(alg, [u1 * u2]), 4)) == [1, 0, 2, 0, 2]
@@ -273,13 +279,14 @@ def test_complete_intersection_series_matches_types_a_bc_g2():
 
 
 @st.composite
-def degree_two_presentations(draw):
+def degree_two_presentations(draw, square=False):
     """Random relations of degree 4 or 6 in 1-3 degree-2 variables.
 
     With a nonzero ``shift`` every relation is multiplied by one linear form, so the
-    relations share a factor and never form a regular sequence.
+    relations share a factor and never form a regular sequence.  A ``square``
+    presentation has as many relations as its 2 or 3 variables.
     """
-    n = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=2 if square else 1, max_value=3))
     alg = GradedAlgebra([(f"u{i}", 2) for i in range(1, n + 1)])
     coefficient = st.one_of(
         st.integers(min_value=-3, max_value=3),
@@ -294,7 +301,8 @@ def degree_two_presentations(draw):
 
     shift = 2 if draw(st.booleans()) else 0
     shared = form(shift) if shift else alg.one()
-    degrees = draw(st.lists(st.sampled_from([4, 6]), min_size=1, max_size=n + 1))
+    size = {"min_size": n, "max_size": n} if square else {"min_size": 1, "max_size": n + 1}
+    degrees = draw(st.lists(st.sampled_from([4, 6]), **size))
     relations = [form(d - shift) * shared for d in degrees]
     return CohomologyPresentation(alg, relations)
 
@@ -308,6 +316,38 @@ def test_quotient_dimensions_match_product_oracle(c):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(minimal_model, "CERTIFICATE_PRIME", 3)
         assert list(quotient_dimensions(c, 10)) == oracle
+
+
+@settings(max_examples=40, deadline=None)
+@given(degree_two_presentations(square=True))
+def test_square_presentations_match_the_oracle_through_socle_plus_two(c):
+    # a regular square presentation is certified by its top degree alone, a
+    # non-regular one falls back degree by degree; both must match the oracle
+    top = c.socle_degree() + 2
+    oracle = [brute_commutative_dimension(c, d) for d in range(top + 1)]
+    for prime in (minimal_model.CERTIFICATE_PRIME, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(minimal_model, "CERTIFICATE_PRIME", prime)
+            assert list(quotient_dimensions(c, top)) == oracle
+            assert regular_sequence_check(c) == (oracle[top] == 0)
+
+
+def test_a_top_degree_over_the_budget_falls_back_to_the_degreewise_route(monkeypatch):
+    spy = EliminatorSpy(monkeypatch)
+    # su4: up to the socle 12 a degree has at most 31 rows; degree 14 has 46
+    coh = presentation(LieFamily.SU, 3)
+    socle = coh.socle_degree()
+    dims = list(quotient_dimensions(coh, socle, budget=40))
+    assert dims == complete_intersection_coefficients(list(coh.relation_degrees), 3, socle)
+    assert spy.routes == [minimal_model.CERTIFICATE_PRIME] * (socle // 2 + 1)
+    spy.routes.clear()
+    assert list(quotient_dimensions(coh, socle, budget=None)) == dims
+    assert spy.routes == [minimal_model.CERTIFICATE_PRIME]
+    spy.routes.clear()
+    with pytest.raises(BudgetExceededError) as err:
+        quotient_dimensions(coh, socle + 2, budget=40)
+    assert spy.routes == []
+    assert (err.value.degree, err.value.size) == (14, 46)
 
 
 def test_quotient_dimensions_of_a_non_regular_presentation():
