@@ -73,7 +73,7 @@ def test_a_certified_quotient_eliminates_at_most_its_top_degree_rows(monkeypatch
     top_rows = sum(
         len(algebra.monomials_of_degree(top - e)) for e in cohomology.relation_degrees
     )
-    assert 0 < metrics["linalg.ffe_rows"] <= top_rows < metrics["minimal_model.rows"]
+    assert 0 < metrics["linalg.ffe_rows"] <= top_rows
 
 
 def test_traced_graded_dimension_counts_the_rows_it_eliminates(monkeypatch):
