@@ -36,6 +36,7 @@ elimination, :class:`~loopalg.linalg.FractionRREF`.  The F_p rank is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from operator import mul
 
 from . import linalg
@@ -144,7 +145,18 @@ def _coded(c: CohomologyPresentation, max_degree: int, wanted) -> tuple[dict, li
     for degree, rel in zip(c.relation_degrees, c.relations):
         terms = rel.content_normalized().terms
         relations.append((degree, [(code(k), v.numerator) for k, v in terms.items()]))
-    basis = {d: [code(m) for m in c.algebra.monomials_of_degree(d)] for d in wanted}
+    # A degree-d monomial is a multiset of d / 2 generators, and its code is
+    # the sum of their weights.  combinations_with_replacement lists the
+    # sorted index multisets in lex order; where two first differ, the
+    # earlier one holds more of the smaller index, so its exponent tuple is
+    # lex larger.  Reversed, the codes come in the ascending lex order of
+    # GradedAlgebra.monomials_of_degree, without building its tuples.
+    basis = {
+        d: [sum(m) for m in combinations_with_replacement(weights, d // 2)][::-1]
+        if d % 2 == 0
+        else []
+        for d in wanted
+    }
     return basis, relations
 
 

@@ -230,6 +230,20 @@ def test_quotient_budget_is_checked_before_any_elimination(monkeypatch):
     assert list(quotient_dimensions(coh, coh.socle_degree() + 2, budget=None))[-1] == 0
 
 
+@pytest.mark.parametrize(
+    "family, rank", [(LieFamily.SU, 4), (LieFamily.SO_EVEN, 4), (LieFamily.G2, 2)]
+)
+def test_quotient_codes_list_the_algebra_monomials_in_order(family, rank):
+    """The int codes the quotient ranks are monomials_of_degree's, in its order."""
+    coh = presentation(family, rank)
+    top = coh.socle_degree() + 2
+    basis, _ = minimal_model._coded(coh, top, range(top + 1))
+    radix = top // 2 + 1
+    for d in range(top + 1):
+        monomials = coh.algebra.monomials_of_degree(d)
+        assert basis[d] == [sum(a * radix**i for i, a in enumerate(m)) for m in monomials]
+
+
 def test_regular_sequence_counterexample():
     alg = GradedAlgebra([("u1", 2), ("u2", 2)])
     u1, u2 = alg.gen("u1"), alg.gen("u2")
