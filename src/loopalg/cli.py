@@ -14,8 +14,11 @@ Reports carry only checks that can fail: ``torsion_free_check`` over Z and
 ``verify``'s cross-checks (the Lie axioms guard ``uea_presentation``).
 
 Exit codes: 0 pass, 1 check failure, 2 usage/config error, 3 budget
-exceeded (degrees 1 and 2 are checked before any work).  ``--budget`` also bounds
-``verify``'s commutative quotient: over it, both quotient checks are ``"skipped"``.
+exceeded.  An integer request runs its integral route before the catalog
+entry is built, so that route refuses it, in every degree, before any other
+work; a rational or both request has degrees 1 and 2 checked before any
+work.  ``--budget`` also bounds ``verify``'s commutative quotient: over it,
+both quotient checks are ``"skipped"``.
 """
 
 from __future__ import annotations
@@ -103,20 +106,17 @@ def _integral_presentation(cfg: RunConfig) -> RingPresentation:
     return p
 
 
-def _check_low_degrees(cfg: RunConfig, integral: RingPresentation | None) -> None:
-    """Refuse at degree 1 or 2 where the request's first route would, before any build.
+def _check_low_degrees(cfg: RunConfig) -> None:
+    """Refuse at degree 1 or 2 where the rational route would, before any build.
 
-    An integer request reads ``integral`` first; a rational or both request
-    reads the pipeline's presentation, whose degrees
-    :func:`presentation_degrees` gives from the exponents.  No catalog
-    presentation has a relation in degree 1, so degree 1 is free on its
-    generators and :func:`degree_size` needs only the degrees.
+    A rational or both request reads the pipeline's presentation first, whose
+    degrees :func:`presentation_degrees` gives from the exponents.  No
+    catalog presentation has a relation in degree 1, so degree 1 is free on
+    its generators and :func:`degree_size` needs only the degrees.  An
+    integer request needs no pipeline: its route runs first and refuses by
+    its own per-degree check.
     """
-    if cfg.coeffs == "integer":
-        gens = [d for _, d in integral.generators]
-        rels = [r.degree() for r in integral.relations]
-    else:
-        gens, rels = presentation_degrees(cfg.rank, cat.exponents(cfg.family, cfg.rank))
+    gens, rels = presentation_degrees(cfg.rank, cat.exponents(cfg.family, cfg.rank))
     for d in range(1, min(cfg.degree, 2) + 1):
         check_budget(d, cfg.budget, *degree_size(d, gens, rels, [1, gens.count(1)], [0, 0]))
 
@@ -126,13 +126,12 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
 
     The rational dimensions are computed unless ``coeffs`` is integer and the
     integral Smith report unless it is rational, so verify's default ``both``
-    runs the two.  ``poincare`` holds the rational dimensions when they were
-    computed and the PBW series otherwise.
+    runs the two, the rational route first.  An integer request runs the
+    integral route before the catalog entry and the pipeline are built.
+    ``poincare`` holds the rational dimensions when they were computed and
+    the PBW series otherwise.
     """
     n = cfg.degree
-    integral = None if cfg.coeffs == "rational" else _integral_presentation(cfg)
-    _check_low_degrees(cfg, integral)
-    entry = cat.catalog_entry(cfg.family, cfg.rank)
     checks: dict[str, object] = {}
     failures: dict[str, str] = {}
     timings: dict[str, float] = {}
@@ -148,6 +147,18 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
         timings[stage] = time.perf_counter() - t0
         return result
 
+    # verify eliminates, its independent route; compute answers from
+    # certified normal words where the certificate holds
+    answer = engine_report if verify else normal_words.report
+    integral = None if cfg.coeffs == "rational" else _integral_presentation(cfg)
+    if cfg.coeffs == "integer":
+        # the integral route needs nothing from the pipeline, so it answers
+        # first and its own per-degree check refuses before any build
+        report = timed("graded_smith", answer, integral, n, cfg.budget)
+    else:
+        report = None
+        _check_low_degrees(cfg)
+    entry = cat.catalog_entry(cfg.family, cfg.rank)
     pipe = timed("pipeline", rational_pipeline, entry)
     if verify:
         got = {k: dict(v) for k, v in pipe.lie_algebra.brackets.items()}
@@ -174,9 +185,6 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
 
     pbw = pbw_series(pipe.lie_algebra, n)
     poincare = list(pbw)
-    # verify eliminates, its independent route; compute answers from
-    # certified normal words where the certificate holds
-    answer = engine_report if verify else normal_words.report
     engines: list[tuple[str, RingPresentation]] = []
     if cfg.coeffs != "integer":
         engines.append(("rational", pipe.presentation))
@@ -210,7 +218,8 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
     if integral is not None:
         shown = integral
         engines.append(("integer", shown))
-        report = timed("graded_smith", answer, shown, n, cfg.budget)
+        if report is None:  # a both request, after its rational route
+            report = timed("graded_smith", answer, shown, n, cfg.budget)
         ranks = list(report.ranks())
         torsion = [list(t) for t in report.torsion_lists()]
         record("torsion_free_check", report.torsion_free(), f"torsion {torsion}")

@@ -67,7 +67,7 @@ def check_budget(degree: int, budget: int | None, *sizes: int) -> None:
 
 
 def degree_size(
-    degree: int, gens: list[int], rels: list[int], sizes: list[int], torsion: list[int]
+    degree: int, gens: list[int], rels: Sequence[int], sizes: list[int], torsion: list[int]
 ) -> tuple[int, int]:
     """The symbols and rows of one degree of the quotient engine.
 
@@ -138,6 +138,7 @@ class RingPresentation:
 
     ``domain`` is "rational" or "integer"; integer presentations must have
     integral relation coefficients (they are never silently rescaled).
+    ``relation_degrees`` holds the degree of each relation, in order.
     """
 
     def __init__(
@@ -149,19 +150,24 @@ class RingPresentation:
         if domain not in ("rational", "integer"):
             raise ValueError("domain must be 'rational' or 'integer'")
         rels = tuple(relations)
+        degrees = []
         for r in rels:
             if not algebra.same_generators(r.algebra):
                 raise ValueError("relation over a different generator set")
             if r.is_zero():
                 raise ValueError("zero relation")
-            if not r.is_homogeneous():
+            # the degree of every word, in the one scan that validates it
+            word_degrees = {algebra.key_degree(w) for w in r.terms}
+            if len(word_degrees) != 1:
                 raise ValueError(f"inhomogeneous relation: {r!r}")
-            if r.degree() < 1:
+            degrees.append(word_degrees.pop())
+            if degrees[-1] < 1:
                 raise ValueError("relations must have positive degree")
             if domain == "integer" and any(c.denominator != 1 for c in r.terms.values()):
                 raise ValueError("integer presentation with non-integral coefficient")
         self.algebra = algebra
         self.relations = rels
+        self.relation_degrees = tuple(degrees)
         self.domain = domain
         self._engine: GradedQuotient | None = None
         # the normal_words certificate once it has been checked
@@ -238,13 +244,10 @@ class GradedQuotient:
         integer = presentation.domain == "integer"
         # integral coefficients as ints, so both domains do int arithmetic
         self._relations = [
-            (
-                r.degree(),
-                [(w, c.numerator if c.denominator == 1 else c) for w, c in r.terms.items()],
-            )
-            for r in presentation.relations
+            (d, [(w, c.numerator if c.denominator == 1 else c) for w, c in r.terms.items()])
+            for d, r in zip(presentation.relation_degrees, presentation.relations)
         ]
-        self._rel_degrees = [d for d, _ in self._relations]
+        self._rel_degrees = presentation.relation_degrees
         self._eliminate = _integer_eliminate if integer else linalg.rref_normalize
         self._invariants: list[list[int]] = [[0]]
         self._torsion: list[dict[int, int]] = [{}]

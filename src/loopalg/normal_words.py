@@ -186,13 +186,13 @@ def _certify(p: RingPresentation) -> Certificate:
     index = {name: i for i, name in enumerate(p.algebra.names)}
     polys: list[Poly] = []
     by_degree: dict[int, list[Poly]] = {}
-    for r in p.relations:
+    for degree, r in zip(p.relation_degrees, p.relations):
         poly = {
             tuple(index[n] for n in w): c.numerator if c.denominator == 1 else c
             for w, c in r.terms.items()
         }
         polys.append(poly)
-        by_degree.setdefault(r.degree(), []).append(poly)
+        by_degree.setdefault(degree, []).append(poly)
     weights, defined = _weights(p, polys)
     rules = _Rules(weights)
     # interreduce one degree at a time: a proper subword has a smaller
@@ -319,8 +319,7 @@ def report(
         return engine_report(p, max_degree, budget)
     gens = [d for _, d in p.generators]
     counts = normal_word_counts(cert.leading, gens, max_degree)
-    rels = [r.degree() for r in p.relations]
     no_torsion = [0] * (max_degree + 1)
     for d in range(1, max_degree + 1):
-        check_budget(d, budget, *degree_size(d, gens, rels, counts, no_torsion))
+        check_budget(d, budget, *degree_size(d, gens, p.relation_degrees, counts, no_torsion))
     return GradedSmithReport(tuple(SmithEntry(d, c, ()) for d, c in enumerate(counts)))

@@ -14,7 +14,6 @@ from loopalg.catalog import (
     DEFAULT_CHECKED_RANKS,
     catalog_entry,
     default_max_degree,
-    expected_integral_presentation,
 )
 from loopalg.cli import main
 from loopalg.enveloping import BudgetExceededError
@@ -141,6 +140,22 @@ def test_budget_refuses_degree_two_before_anything_is_built(
     assert built == []
 
 
+@pytest.mark.parametrize("command", ["compute", "verify"])
+def test_integer_requests_are_refused_by_their_route_before_the_catalog_build(
+    cache_dir, capsys, monkeypatch, command
+):
+    # degrees 1 and 2 of su12's integral presentation fit 150, degree 3
+    # does not; building su12's catalog entry alone takes over a minute
+    built = _count_calls(monkeypatch, cli.cat, "catalog_entry")
+    start = time.perf_counter()
+    argv = ("--family", "su", "--rank", "12", "--coeffs", "integer", "--budget", "150")
+    code, out, err = run(capsys, command, *argv)
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (3, "")
+    assert err == "error: degree 3 needs 816 basis symbols/rows, over the budget of 150\n"
+    assert built == []
+
+
 def _refusal(check, *args):
     try:
         check(*args)
@@ -153,20 +168,19 @@ def test_the_early_budget_check_refuses_as_the_route_would():
     """Degrees 1 and 2, counted from the degrees alone, against the first route's refusal.
 
     A both request runs the rational route first, so it refuses as that
-    route does; the integer route runs only after the build.
+    route does; an integer request is refused by its own route, which runs
+    before any build.
     """
     for family, ranks in DEFAULT_CHECKED_RANKS.items():
         for rank in ranks:
-            integral = expected_integral_presentation(family, rank)
             rational = rational_pipeline(catalog_entry(family, rank)).presentation
-            routes = {"rational": rational, "integer": integral, "both": rational}
+            routes = {"rational": rational, "both": rational}
             for coeffs, p in routes.items():
-                given = None if coeffs == "rational" else integral
                 refused = []
                 for budget in range(1, 80):
                     cfg = cli.RunConfig(family, rank, coeffs, max_degree=2, budget=budget)
                     want = _refusal(normal_words.report, p, 2, budget)
-                    assert _refusal(cli._check_low_degrees, cfg, given) == want
+                    assert _refusal(cli._check_low_degrees, cfg) == want
                     refused.append(want is not None)
                 assert refused[0] and not refused[-1], (family, rank, coeffs)
 

@@ -52,9 +52,15 @@ from oracles import (
 
 
 def test_relation_homogeneity_enforced():
+    """Zero, inhomogeneous and degree-0 relations are refused, each with its message."""
     alg = FreeGradedAlgebra([("x", 1), ("y", 2)])
-    with pytest.raises(ValueError):
-        RingPresentation(alg, [alg.gen("x") + alg.gen("y")])
+    x, y = alg.gen("x"), alg.gen("y")
+    with pytest.raises(ValueError, match="^zero relation$"):
+        RingPresentation(alg, [x * y, x - x])
+    with pytest.raises(ValueError, match=r"^inhomogeneous relation: 1\*x \+ 1\*y$"):
+        RingPresentation(alg, [x * y, x + y])
+    with pytest.raises(ValueError, match="^relations must have positive degree$"):
+        RingPresentation(alg, [x * y, alg.one()])
 
 
 def test_integer_domain_rejects_fractions():
@@ -80,6 +86,21 @@ def test_presentation_degrees_match_the_built_presentation():
         p = rational_pipeline(catalog_entry(family, rank)).presentation
         built = [d for _, d in p.generators], [r.degree() for r in p.relations]
         assert presentation_degrees(rank, exponents(family, rank)) == built, (family, rank)
+
+
+def test_relation_degrees_are_the_relations_own():
+    """The degrees recorded in the validating scan, on every catalog presentation."""
+    for family, ranks in DEFAULT_CHECKED_RANKS.items():
+        for rank in ranks:
+            presentations = [
+                rational_pipeline(catalog_entry(family, rank)).presentation,
+                catalog_entry(family, rank).expected_rational,
+                expected_integral_presentation(family, rank),
+            ]
+            if family is LieFamily.F4:
+                presentations.append(expected_integral_presentation(family, rank, anticommute=True))
+            for p in presentations:
+                assert p.relation_degrees == tuple(r.degree() for r in p.relations), (family, rank)
 
 
 def test_uea_requires_lie_axioms():

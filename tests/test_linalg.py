@@ -93,24 +93,30 @@ def test_fraction_rref_matches_dense_smith_on_rational_rows(case):
         assert not any(_image(result, row))
 
 
+# built once: hypothesis validates each new strategy object on its first
+# draw, which made drawing most of the test's time
+_ENTRY = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+).filter(bool)
+_EARLIER = st.integers(min_value=0, max_value=19)
+
+
 @st.composite
 def sparse_rows(draw):
     """Up to 20 sparse rows in up to 12 columns, ints and Fractions mixed.
 
     Leads are often not units, and some rows are combinations of earlier
-    ones, so back-substitution fills rows in and cancels entries.
+    ones (picked by index modulo the rows so far), so back-substitution
+    fills rows in and cancels entries.
     """
     ncols = draw(st.integers(min_value=1, max_value=12))
-    entry = st.one_of(
-        st.integers(min_value=-4, max_value=4),
-        st.fractions(min_value=-4, max_value=4, max_denominator=4),
-    ).filter(bool)
-    fresh = st.dictionaries(st.integers(min_value=0, max_value=ncols - 1), entry, max_size=5)
+    fresh = st.dictionaries(st.integers(min_value=0, max_value=ncols - 1), _ENTRY, max_size=5)
     rows: list[dict] = []
     for _ in range(draw(st.integers(min_value=0, max_value=20))):
         if rows and draw(st.booleans()):
-            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
-            s, t = draw(entry), draw(entry)
+            a, b = rows[draw(_EARLIER) % len(rows)], rows[draw(_EARLIER) % len(rows)]
+            s, t = draw(_ENTRY), draw(_ENTRY)
             combined = {c: s * a.get(c, 0) + t * b.get(c, 0) for c in a.keys() | b.keys()}
             rows.append({c: v for c, v in combined.items() if v})
         else:
