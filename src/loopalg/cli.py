@@ -16,9 +16,9 @@ Reports carry only checks that can fail: ``torsion_free_check`` over Z and
 Exit codes: 0 pass, 1 check failure, 2 usage/config error, 3 budget
 exceeded.  An integer request runs its integral route before the catalog
 entry is built, so that route refuses it, in every degree, before any other
-work; a rational or both request has degrees 1 and 2 checked before any
-work.  ``--budget`` also bounds ``verify``'s commutative quotient: over it,
-both quotient checks are ``"skipped"``.
+work; a rational or both request, and ``series``, has degrees 1 and 2
+checked before any work.  ``--budget`` also bounds ``verify``'s commutative
+quotient: over it, both quotient checks are ``"skipped"``.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .enveloping import (
     engine_report,
     graded_dimensions,
     pbw_series,
+    pbw_series_of_degrees,
     relation_string,
     series_equal,
 )
@@ -109,12 +110,12 @@ def _integral_presentation(cfg: RunConfig) -> RingPresentation:
 def _check_low_degrees(cfg: RunConfig) -> None:
     """Refuse at degree 1 or 2 where the rational route would, before any build.
 
-    A rational or both request reads the pipeline's presentation first, whose
-    degrees :func:`presentation_degrees` gives from the exponents.  No
-    catalog presentation has a relation in degree 1, so degree 1 is free on
-    its generators and :func:`degree_size` needs only the degrees.  An
-    integer request needs no pipeline: its route runs first and refuses by
-    its own per-degree check.
+    A rational or both request, and ``series``, reads the pipeline first;
+    :func:`presentation_degrees` gives its presentation's degrees from the
+    exponents.  No catalog presentation has a relation in degree 1, so
+    degree 1 is free on its generators and :func:`degree_size` needs only
+    the degrees.  An integer request is refused by its own route, which
+    runs first.
     """
     gens, rels = presentation_degrees(cfg.rank, cat.exponents(cfg.family, cfg.rank))
     for d in range(1, min(cfg.degree, 2) + 1):
@@ -127,9 +128,11 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
     The rational dimensions are computed unless ``coeffs`` is integer and the
     integral Smith report unless it is rational, so verify's default ``both``
     runs the two, the rational route first.  An integer request runs the
-    integral route before the catalog entry and the pipeline are built.
-    ``poincare`` holds the rational dimensions when they were computed and
-    the PBW series otherwise.
+    integral route first.  ``poincare`` holds the rational dimensions when
+    they were computed and the PBW series otherwise.  An integer compute
+    takes that series from the exponents (by PBW it reads only the Lie basis
+    degrees) and builds neither the catalog entry nor the pipeline, which
+    ``verify`` builds in every domain because its checks read them.
     """
     n = cfg.degree
     checks: dict[str, object] = {}
@@ -158,8 +161,15 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
     else:
         report = None
         _check_low_degrees(cfg)
-    entry = cat.catalog_entry(cfg.family, cfg.rank)
-    pipe = timed("pipeline", rational_pipeline, entry)
+    if cfg.coeffs == "integer" and not verify:
+        # the report reads only the PBW series, and by PBW that needs only
+        # the degrees of the Lie basis, which the exponents give
+        gens, _ = presentation_degrees(cfg.rank, cat.exponents(cfg.family, cfg.rank))
+        pbw = pbw_series_of_degrees(gens, n)
+    else:
+        entry = cat.catalog_entry(cfg.family, cfg.rank)
+        pipe = timed("pipeline", rational_pipeline, entry)
+        pbw = pbw_series(pipe.lie_algebra, n)
     if verify:
         got = {k: dict(v) for k, v in pipe.lie_algebra.brackets.items()}
         want = {k: dict(v) for k, v in entry.expected_brackets.items()}
@@ -183,7 +193,6 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
                 f"quotient total {total} != weyl order {entry.weyl_order}",
             )
 
-    pbw = pbw_series(pipe.lie_algebra, n)
     poincare = list(pbw)
     engines: list[tuple[str, RingPresentation]] = []
     if cfg.coeffs != "integer":
@@ -211,11 +220,12 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
                 f"pbw {list(pbw)} vs splitting {list(split)}",
             )
 
-    shown = entry.expected_rational
     ranks: list[int] = []
     torsion: list[list[int]] = []
     f4_variants: dict[str, dict] = {}
-    if integral is not None:
+    if integral is None:
+        shown = entry.expected_rational
+    else:
         shown = integral
         engines.append(("integer", shown))
         if report is None:  # a both request, after its rational route
@@ -287,6 +297,11 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
 
 
 def build_series_report(cfg: RunConfig) -> dict:
+    """The built Lie algebra's PBW series against the splitting series.
+
+    It reads the pipeline, so degrees 1 and 2 obey the budget first.
+    """
+    _check_low_degrees(cfg)
     entry = cat.catalog_entry(cfg.family, cfg.rank)
     pipe = rational_pipeline(entry)
     n = cfg.degree

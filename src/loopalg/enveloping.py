@@ -112,8 +112,9 @@ class FreeGradedAlgebra(GeneratorSet):
     def key_of(self, letters) -> Word:
         return tuple(self._gens[g][0] for g in letters)
 
-    def key_degree(self, word: Word) -> int:
-        return sum(self._degrees[self._index[name]] for name in word)
+    def key_degrees(self, words: Iterable[Word]) -> Iterator[int]:
+        degree_of = dict(self._gens).__getitem__
+        return (sum(map(degree_of, word)) for word in words)
 
 
 def relation_string(element: NcElement) -> str:
@@ -122,7 +123,7 @@ def relation_string(element: NcElement) -> str:
     if not norm.terms:
         return "0"
     parts = []
-    for word in sorted(norm.terms, key=lambda w: (norm.algebra.key_degree(w), w)):
+    for _, word in sorted(zip(norm.algebra.key_degrees(norm.terms), norm.terms)):
         c = norm.terms[word]
         body = ".".join(word) if word else "1"
         text = f"{abs(int(c))}*{body}"
@@ -157,10 +158,10 @@ class RingPresentation:
             if r.is_zero():
                 raise ValueError("zero relation")
             # the degree of every word, in the one scan that validates it
-            word_degrees = {algebra.key_degree(w) for w in r.terms}
-            if len(word_degrees) != 1:
-                raise ValueError(f"inhomogeneous relation: {r!r}")
-            degrees.append(word_degrees.pop())
+            try:
+                degrees.append(r.degree())
+            except ValueError:
+                raise ValueError(f"inhomogeneous relation: {r!r}") from None
             if degrees[-1] < 1:
                 raise ValueError("relations must have positive degree")
             if domain == "integer" and any(c.denominator != 1 for c in r.terms.values()):
@@ -406,8 +407,17 @@ def graded_dimensions(
 
 def pbw_series(L, max_degree: int) -> PoincareSeries:
     """Graded dimensions of the enveloping algebra from the PBW basis count."""
-    odd = [b.degree for b in L.basis if b.degree % 2 == 1]
-    even = [b.degree for b in L.basis if b.degree % 2 == 0]
+    return pbw_series_of_degrees([b.degree for b in L.basis], max_degree)
+
+
+def pbw_series_of_degrees(degrees: Sequence[int], max_degree: int) -> PoincareSeries:
+    """The PBW series of U(L) for a Lie algebra L whose basis has these degrees.
+
+    By Poincare-Birkhoff-Witt it reads nothing else of L: one exterior factor
+    per odd degree, one polynomial factor per even one.
+    """
+    odd = [d for d in degrees if d % 2 == 1]
+    even = [d for d in degrees if d % 2 == 0]
     return PoincareSeries(tuple(series.pbw_coefficients(odd, even, max_degree)))
 
 

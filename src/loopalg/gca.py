@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Hashable, Iterable, Mapping, Sequence, Union
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
 Monomial = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -110,16 +110,16 @@ class Polynomial:
         return not self.terms
 
     def is_homogeneous(self) -> bool:
-        return len({self.algebra.key_degree(k) for k in self.terms}) <= 1
+        return len(set(self.algebra.key_degrees(self.terms))) <= 1
 
     def degree(self):
         """Degree of a homogeneous element; None for zero."""
-        degrees = {self.algebra.key_degree(k) for k in self.terms}
-        if not degrees:
-            return None
-        if len(degrees) > 1:
-            raise ValueError("element is not homogeneous")
-        return degrees.pop()
+        degrees = self.algebra.key_degrees(self.terms)
+        first = next(degrees, None)
+        for d in degrees:
+            if d != first:
+                raise ValueError("element is not homogeneous")
+        return first
 
     def content_normalized(self):
         """Scale to primitive integer coefficients with a positive leading term."""
@@ -138,7 +138,7 @@ class GeneratorSet:
 
     The instance only carries the generator data -- elements are instances of
     ``element_class`` pointing back at it.  Subclasses fix the keys through
-    :meth:`key_of` and their degrees through :meth:`key_degree`.
+    :meth:`key_of` and their degrees through :meth:`key_degrees`.
     """
 
     __slots__ = ("_gens", "_index", "_degrees")
@@ -180,7 +180,8 @@ class GeneratorSet:
         """Key of the monomial with the given generator indices, in order."""
         raise NotImplementedError
 
-    def key_degree(self, key: Hashable) -> int:
+    def key_degrees(self, keys: Iterable[Hashable]) -> Iterator[int]:
+        """The degree of each key, in order, each in one expression (no call per key)."""
         raise NotImplementedError
 
     # -- element constructors ------------------------------------------------
@@ -260,8 +261,9 @@ class GradedAlgebra(GeneratorSet):
             mono[g] += 1
         return tuple(mono)
 
-    def key_degree(self, mono: Monomial) -> int:
-        return sum(map(mul, mono, self._degrees))
+    def key_degrees(self, monos: Iterable[Monomial]) -> Iterator[int]:
+        degrees = self._degrees
+        return (sum(map(mul, mono, degrees)) for mono in monos)
 
     def monomials_of_degree(self, degree: int) -> list[Monomial]:
         """All canonical monomials of the given total degree (lex order)."""

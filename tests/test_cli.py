@@ -103,10 +103,11 @@ def test_each_check_runs_once_per_request(cache_dir, capsys, monkeypatch, comman
     assert (len(axioms), len(square)) == (1, 0)
 
 
-@pytest.mark.parametrize("command", ["compute", "verify"])
+@pytest.mark.parametrize("command", ["compute", "verify", "series"])
 def test_budget_refuses_degree_one_before_anything_is_built(cache_dir, capsys, command):
     # su12's invariants and minimal model take minutes to build; degree 1
-    # needs its 12 generators, which the budget refuses at once
+    # needs its 12 generators, which the budget refuses at once, for series
+    # as for compute
     start = time.perf_counter()
     code, out, err = run(capsys, command, "--family", "su", "--rank", "12", "--budget", "5")
     assert time.perf_counter() - start < 10
@@ -154,6 +155,30 @@ def test_integer_requests_are_refused_by_their_route_before_the_catalog_build(
     assert (code, out) == (3, "")
     assert err == "error: degree 3 needs 816 basis symbols/rows, over the budget of 150\n"
     assert built == []
+
+
+INTEGER_GOLDEN = {
+    "su3": ("--family", "su", "--rank", "3"),
+    "g2": ("--family", "g2"),
+    "e6": ("--family", "e6"),
+}
+
+
+@pytest.mark.parametrize("config", INTEGER_GOLDEN)
+def test_integer_requests_build_nothing_rational(cache_dir, capsys, monkeypatch, config):
+    """An integer compute reads its PBW series from the exponents; verify still builds."""
+    built = _count_calls(monkeypatch, cli.cat, "catalog_entry")
+    piped = _count_calls(monkeypatch, cli, "rational_pipeline")
+    argv = (*INTEGER_GOLDEN[config], "--coeffs", "integer", "--format", "json")
+    golden = (GOLDEN / f"compute-{config}-integer.json").read_text()
+    assert run(capsys, "compute", *argv) == (0, golden, "")
+    for entry in cache_dir.glob("*.json"):
+        entry.unlink()  # so report --compute-missing computes
+    assert run(capsys, "report", "--compute-missing", *argv) == (0, golden, "")
+    assert (built, piped) == ([], [])
+    code, _, _ = run(capsys, "verify", *argv)
+    assert code == 0
+    assert (len(built), len(piped)) == (1, 1)
 
 
 def _refusal(check, *args):

@@ -32,6 +32,7 @@ from loopalg.enveloping import (
     graded_dimensions,
     graded_smith_report,
     pbw_series,
+    pbw_series_of_degrees,
     relation_string,
     series_equal,
     uea_presentation,
@@ -86,6 +87,21 @@ def test_presentation_degrees_match_the_built_presentation():
         p = rational_pipeline(catalog_entry(family, rank)).presentation
         built = [d for _, d in p.generators], [r.degree() for r in p.relations]
         assert presentation_degrees(rank, exponents(family, rank)) == built, (family, rank)
+
+
+def test_pbw_series_from_the_exponents_is_the_built_lie_algebras():
+    """By PBW the series reads only the Lie basis degrees, which the exponents give.
+
+    An integer compute reports this series without building the pipeline.
+    """
+    configs = [
+        (f, r, default_max_degree(f)) for f, ranks in DEFAULT_CHECKED_RANKS.items() for r in ranks
+    ]
+    ring_deep = [(LieFamily.SU, 7, 10), (LieFamily.SU, 6, 12), (LieFamily.E6, 6, 16)]
+    for family, rank, n in configs + ring_deep:
+        gens, _ = presentation_degrees(rank, exponents(family, rank))
+        built = pbw_series(rational_pipeline(catalog_entry(family, rank)).lie_algebra, n)
+        assert pbw_series_of_degrees(gens, n) == built, (family, rank, n)
 
 
 def test_relation_degrees_are_the_relations_own():

@@ -123,8 +123,25 @@ def test_derivation_square_nonzero_on_corrupted_model():
 
 def test_derivation_image_degree_validation():
     alg = algebra(("u", 2), ("v", 3))
-    with pytest.raises(ValueError):
-        Derivation(alg, {"v": alg.gen("u")})  # degree 2, expected 4
+    u, v = alg.gen("u"), alg.gen("v")
+    with pytest.raises(ValueError, match="^image of 'v' has degree 2, expected 4$"):
+        Derivation(alg, {"v": u})
+    with pytest.raises(ValueError, match="^image of 'v' is not homogeneous$"):
+        Derivation(alg, {"v": u * u + u * v})
+
+
+@pytest.mark.parametrize("kind", [GradedAlgebra, FreeGradedAlgebra])
+def test_degree_reads_every_term(kind):
+    """One degree for a homogeneous element, None for zero, an error otherwise."""
+    alg = kind([("x", 1), ("y", 2), ("z", 3)])
+    x, y, z = alg.gen("x"), alg.gen("y"), alg.gen("z")
+    assert alg.zero().degree() is None and alg.zero().is_homogeneous()
+    assert alg.one().degree() == 0
+    assert (y * y + z * x * 3 + y * y * 0).degree() == 4
+    for p in (x + y, y * y + z * x + x):  # the stray degree first, then last
+        assert not p.is_homogeneous()
+        with pytest.raises(ValueError, match="^element is not homogeneous$"):
+            p.degree()
 
 
 def test_derivation_unknown_element_algebra():
