@@ -179,12 +179,14 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
             "computed bracket table differs from the catalog table",
         )
         socle = entry.cohomology.socle_degree()
+        quotient_work = None  # what the quotient ranked; None over the budget
         try:
-            dims = quotient_dimensions(entry.cohomology, socle + 2, cfg.budget)
+            dims = timed("quotient", quotient_dimensions, entry.cohomology, socle + 2, cfg.budget)
         except BudgetExceededError:
             # refused before any elimination: the quotient is over the budget
             checks["regular_sequence_check"] = checks["cohomology_weyl_order"] = "skipped"
         else:
+            quotient_work = entry.cohomology.quotient_work
             record("regular_sequence_check", is_regular(entry.cohomology, dims))
             total = sum(dims.prefix(socle))
             record(
@@ -261,6 +263,15 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
     if cfg.verbose:
         for stage, seconds in timings.items():
             print(f"timing {stage}: {seconds:.3f}s", file=sys.stderr)
+        if verify:
+            route = "skipped (over the budget)" if quotient_work is None else quotient_work.route
+            print(f"route quotient: {route}", file=sys.stderr)
+            for w in () if quotient_work is None else quotient_work.ranked:
+                print(
+                    f"quotient degree {w.degree} over {w.field}: monomials {w.monomials}"
+                    f" rows {w.rows} skipped {w.skipped} rank {w.rank}",
+                    file=sys.stderr,
+                )
         for domain, presentation in engines:
             cert = None if verify else normal_words.certificate(presentation)
             if cert is not None and cert.failure is None:

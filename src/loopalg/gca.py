@@ -21,6 +21,7 @@ literally.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd, lcm
 from operator import mul
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence, Union
@@ -267,23 +268,42 @@ class GradedAlgebra(GeneratorSet):
 
     def monomials_of_degree(self, degree: int) -> list[Monomial]:
         """All canonical monomials of the given total degree (lex order)."""
-        out: list[Monomial] = []
-
-        def extend(i: int, remaining: int, prefix: list[int]) -> None:
-            if i == len(self._gens):
-                if remaining == 0:
-                    out.append(tuple(prefix))
-                return
-            d = self._degrees[i]
-            cap = 1 if d % 2 == 1 else remaining // d
-            for e in range(min(cap, remaining // d) + 1):
-                prefix.append(e)
-                extend(i + 1, remaining - e * d, prefix)
-                prefix.pop()
-
-        if degree >= 0:
-            extend(0, degree, [])
-        return out
+        degrees = self._degrees
+        if degree < 0 or not degrees:
+            return [()] if degree == 0 else []
+        n, d = len(degrees), degrees[0]
+        if d % 2 == 0 and degrees.count(d) == n:
+            # one even degree: a monomial is a multiset of degree / d
+            # generators.  combinations_with_replacement lists the sorted
+            # index multisets in lex order, where the earlier of two holds
+            # more of the smaller index; reversed, their exponent tuples come
+            # in ascending lex order.  It builds no tuple but the answer's
+            if degree % d:
+                return []
+            out = []
+            for multiset in combinations_with_replacement(range(n), degree // d):
+                mono = [0] * n
+                for g in multiset:
+                    mono[g] += 1
+                out.append(tuple(mono))
+            out.reverse()
+            return out
+        # one generator at a time, each exponent ascending, so the prefixes
+        # stay in lex order; the last exponent is whatever degree is left
+        *head, last = degrees
+        layer: list[tuple[Monomial, int]] = [((), degree)]
+        for d in head:
+            layer = [
+                (prefix + (e,), left - e * d)
+                for prefix, left in layer
+                for e in range((min(left // d, 1) if d % 2 else left // d) + 1)
+            ]
+        cap = 1 if last % 2 else degree
+        return [
+            prefix + (left // last,)
+            for prefix, left in layer
+            if left % last == 0 and left // last <= cap
+        ]
 
     def _mul_monomials(self, m1: Monomial, m2: Monomial):
         """Return ``(sign, product)`` or ``None`` when an odd square occurs."""

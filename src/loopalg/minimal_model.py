@@ -16,9 +16,20 @@ Hilbert series is then exactly prod (1 - t^{deg P_j}) / (1 - t^2)^n
 (Bruns-Herzog, *Cohen-Macaulay Rings*, chapters 2 and 4).  That series is
 the answer in every degree, from one F_p rank.
 
-Where that certificate fails (an unlucky prime, a non-regular presentation)
-or is not tried (a degree-D matrix over the budget, fewer degrees asked for
-than the socle), each degree is ranked over F_p and kept only under the
+That rank leaves out the Koszul rows, by the trivial-syzygy form of
+Faugere's F5 criterion (ISSAC 2002).  Take the relations in order, and let
+LM(P) be P's lex-largest exponent tuple (u_1 first), the monomial the F_p
+eliminator pivots on.  The row m * P_j with m = m' * LM(P_i), i < j, is
+(m' P_j P_i - m' tail(P_i) P_j) / lc(P_i): rows of P_i, and rows of P_j
+on monomials below m.  By induction on (j, m) it lies in the span of the
+rows kept, over Q and over F_p when lc(P_i) is a unit mod p.  Soundness
+does not rest on that: rows that span every monomial prove so for all rows,
+so a row left out can only cost the fallback below, never a wrong answer.
+
+Where that certificate fails (an unlucky prime, a leading coefficient that
+vanishes mod p, a non-regular presentation) or is not tried (a degree-D
+matrix over the budget, fewer degrees asked for than the socle), each
+degree is ranked over F_p, every row kept, and kept only under the
 degreewise bound
 
     CI_d <= dim_Q A_d <= dim_{F_p} A_d,
@@ -30,13 +41,15 @@ a regular sequence; the right one because of the rank mod p.  So
 two differ, and every degree when the relation count differs from the
 variable count, is ranked again over Q by the package's one exact
 elimination, :class:`~loopalg.linalg.FractionRREF`.  The F_p rank is
-:class:`~loopalg.linalg.FractionFreeEliminator`.
+:class:`~loopalg.linalg.FractionFreeEliminator`.  Each call leaves a
+:class:`QuotientWork` on the presentation: the route that answered and, per
+rank taken, the rows built, the rows left out and the rank-raising rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from operator import mul
 
 from . import linalg
@@ -71,6 +84,8 @@ class CohomologyPresentation:
         self.algebra = algebra
         self.relations = rels
         self.relation_degrees = tuple(degrees)
+        # set by each quotient_dimensions call
+        self.quotient_work: QuotientWork | None = None
 
     def socle_degree(self) -> int:
         return sum(d - 2 for d in self.relation_degrees)
@@ -83,6 +98,31 @@ class MinimalModel:
     odd_names: tuple[str, ...]
     differential: Derivation
     presentation: CohomologyPresentation
+
+
+@dataclass(frozen=True)
+class RankedDegree:
+    """One rank the commutative quotient took.
+
+    ``field`` is ``"F_p"`` or ``"Q"``.  ``rows`` counts the rows handed to
+    the eliminator, ``skipped`` those the top-degree criterion left out, and
+    ``rank`` the rows that raised the rank.
+    """
+
+    degree: int
+    field: str
+    monomials: int
+    rows: int
+    skipped: int
+    rank: int
+
+
+@dataclass(frozen=True)
+class QuotientWork:
+    """Which route answered a ``quotient_dimensions`` call, and each rank it took."""
+
+    route: str
+    ranked: tuple[RankedDegree, ...]
 
 
 def quotient_dimensions(
@@ -102,7 +142,8 @@ def quotient_dimensions(
     A degree up to ``max_degree`` with more monomials or rows than
     ``budget`` raises :class:`~loopalg.enveloping.BudgetExceededError`
     before any elimination; a degree socle + 2 over ``budget`` only skips
-    the top-degree certificate.
+    the top-degree certificate.  ``c.quotient_work`` then holds the route
+    and the rows of every rank taken.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
@@ -118,13 +159,24 @@ def quotient_dimensions(
 
     for d in range(max_degree + 1):
         check_budget(d, budget, sizes[d], rows(d))
-    if len(degrees) != n:
-        return _degreewise(c, max_degree, None)
-    certified = complete_intersection_coefficients(degrees, n, max_degree)
-    top_fits = budget is None or max(sizes[top], rows(top)) <= budget
-    if max_degree >= socle and top_fits and _top_degree_vanishes(c, top):
-        return PoincareSeries(tuple(certified))
-    return _degreewise(c, max_degree, certified)
+    square = len(degrees) == n
+    certified = complete_intersection_coefficients(degrees, n, max_degree) if square else None
+    ranked: list[RankedDegree] = []
+    if not square:
+        route = "degreewise (relation count differs from variable count)"
+    elif max_degree < socle:
+        route = "degreewise (short of the socle)"
+    elif budget is not None and max(sizes[top], rows(top)) > budget:
+        route = f"degreewise (degree {top} over the budget)"
+    else:
+        ranked.append(_top_degree_certificate(c, top))
+        if ranked[0].rank == ranked[0].monomials:
+            c.quotient_work = QuotientWork("top-degree certificate", tuple(ranked))
+            return PoincareSeries(tuple(certified))
+        route = f"degreewise (degree {top} certificate failed)"
+    dims = _degreewise(c, max_degree, certified, ranked)
+    c.quotient_work = QuotientWork(route, tuple(ranked))
+    return dims
 
 
 def _coded(c: CohomologyPresentation, max_degree: int, wanted) -> tuple[dict, list]:
@@ -134,7 +186,8 @@ def _coded(c: CohomologyPresentation, max_degree: int, wanted) -> tuple[dict, li
     monomial of degree <= ``max_degree`` are below radix, so the code of the
     term m * k of m * P_j is code(m) + code(k).  Primitive integer relations
     make every row integral; with all generators of degree 2 there are no
-    Koszul signs.
+    Koszul signs.  Each relation's terms start with its leading term, the
+    lex-largest exponent tuple.
     """
     weights = [(max_degree // 2 + 1) ** i for i in range(len(c.algebra))]
 
@@ -143,8 +196,9 @@ def _coded(c: CohomologyPresentation, max_degree: int, wanted) -> tuple[dict, li
 
     relations = []
     for degree, rel in zip(c.relation_degrees, c.relations):
-        terms = rel.content_normalized().terms
-        relations.append((degree, [(code(k), v.numerator) for k, v in terms.items()]))
+        # lex-largest exponent tuple first: the monomial the F_p route pivots on
+        terms = sorted(rel.content_normalized().terms.items(), reverse=True)
+        relations.append((degree, [(code(k), v.numerator) for k, v in terms]))
     # A degree-d monomial is a multiset of d / 2 generators, and its code is
     # the sum of their weights.  combinations_with_replacement lists the
     # sorted index multisets in lex order; where two first differ, the
@@ -160,27 +214,51 @@ def _coded(c: CohomologyPresentation, max_degree: int, wanted) -> tuple[dict, li
     return basis, relations
 
 
-def _top_degree_vanishes(c: CohomologyPresentation, top: int) -> bool:
-    """True when the degree-``top`` rows span every monomial over F_p.
+def _top_degree_certificate(c: CohomologyPresentation, top: int) -> RankedDegree:
+    """Rank the degree-``top`` rows over F_p, leaving out the Koszul rows.
 
-    Stops adding rows once the rank is full.
+    The row m * P_j is left out when m is a multiple of the leading monomial
+    of an earlier relation P_i (see the module docstring).  Stops adding
+    rows once the rank is full.
     """
+    degrees = c.relation_degrees
     # top is at least every relation degree, each deg P_j - 2 being >= 2
-    wanted = {top} | {top - e for e in c.relation_degrees}
+    wanted = {top} | {top - e for e in degrees}
+    wanted |= {top - e - f for e, f in combinations(degrees, 2) if e + f <= top}
     basis, relations = _coded(c, top, wanted)
-    full = len(basis[top])
+    monomials = basis[top]
+    index = {m: i for i, m in enumerate(monomials)}
+    full = len(monomials)
     elim = linalg.FractionFreeEliminator(CERTIFICATE_PRIME)
-    for row in _rows(basis, relations, top, basis[top]):
+    rows = skipped = 0
+    earlier: list[tuple[int, int]] = []
+    for e, terms in relations:
         if elim.rank == full:
             break
-        elim.add_row(row)
-    return elim.rank == full
+        # exponents stay below the radix, so a code sum is the product's code
+        koszul = {lead + b for f, lead in earlier if e + f <= top for b in basis[top - e - f]}
+        for m in basis[top - e]:
+            if elim.rank == full:
+                break
+            if m in koszul:
+                skipped += 1
+                continue
+            rows += 1
+            elim.add_row({index[m + k]: v for k, v in terms})
+        earlier.append((e, terms[0][0]))
+    return RankedDegree(top, "F_p", full, rows, skipped, elim.rank)
 
 
 def _degreewise(
-    c: CohomologyPresentation, max_degree: int, certified: list[int] | None
+    c: CohomologyPresentation,
+    max_degree: int,
+    certified: list[int] | None,
+    ranked: list[RankedDegree],
 ) -> PoincareSeries:
-    """Rank each degree over F_p where ``certified`` can confirm it, else over Q."""
+    """Rank each degree over F_p where ``certified`` can confirm it, else over Q.
+
+    Appends each rank taken to ``ranked``.
+    """
     basis, relations = _coded(c, max_degree, range(max_degree + 1))
     dims = []
     for d, monomials in basis.items():
@@ -188,16 +266,18 @@ def _degreewise(
             dims.append(0)
             continue
         if certified is not None:
-            dim = len(monomials) - _rank(basis, relations, d, CERTIFICATE_PRIME)
+            ranked.append(_rank(basis, relations, d, CERTIFICATE_PRIME))
+            dim = len(monomials) - ranked[-1].rank
             if dim == certified[d]:
                 dims.append(dim)
                 continue
-        dims.append(len(monomials) - _rank(basis, relations, d, None))
+        ranked.append(_rank(basis, relations, d, None))
+        dims.append(len(monomials) - ranked[-1].rank)
     return PoincareSeries(tuple(dims))
 
 
-def _rank(basis, relations, d: int, prime: int | None) -> int:
-    """Rank of the degree-d rows m * P_j over F_prime, or over Q without a prime."""
+def _rank(basis, relations, d: int, prime: int | None) -> RankedDegree:
+    """Rank the degree-d rows m * P_j over F_prime, or over Q without a prime."""
     monomials = basis[d]
     if prime is None:
         # the RREF pivots on a row's smallest column, the F_p route on its
@@ -207,9 +287,11 @@ def _rank(basis, relations, d: int, prime: int | None) -> int:
         elim = linalg.FractionRREF()
     else:
         elim = linalg.FractionFreeEliminator(prime)
+    rows = 0
     for row in _rows(basis, relations, d, monomials):
         elim.add_row(row)
-    return elim.rank
+        rows += 1
+    return RankedDegree(d, "Q" if prime is None else "F_p", len(monomials), rows, 0, elim.rank)
 
 
 def _rows(basis, relations, d: int, monomials: list[int]):

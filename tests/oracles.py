@@ -8,7 +8,9 @@ This is deliberately different machinery from the package's incremental
 quotient engine, so the two routes check each other.  The commutative
 quotient is recounted from ``GcaElement`` products over a basis of
 exponent tuples enumerated here, with a dense rank over Q; ranks over F_p
-come from a dense elimination on residues.
+come from a dense elimination on residues.  The monomials of a graded
+algebra are listed by one recursion step per generator
+(:func:`recursive_monomials_of_degree`).
 
 :func:`split_report` checks a structure rather than an elimination: most
 catalog presentations are a small core tensored with a polynomial ring on
@@ -36,7 +38,7 @@ from loopalg.enveloping import (
     RingPresentation,
     SmithEntry,
 )
-from loopalg.gca import Derivation, GcaElement
+from loopalg.gca import Derivation, GcaElement, GradedAlgebra
 from loopalg.homotopy_lie import HomotopyLieAlgebra, LieBasisElement, dual_basis
 from loopalg.minimal_model import CohomologyPresentation, MinimalModel
 from loopalg.series import pbw_coefficients
@@ -214,11 +216,41 @@ def exponent_tuples(degrees: list[int], total: int) -> list[tuple[int, ...]]:
     return [e for e in product(*ranges) if sum(x * d for x, d in zip(e, degrees)) == total]
 
 
-def brute_commutative_dimension(c: CohomologyPresentation, degree: int) -> int:
+def recursive_monomials_of_degree(alg: GradedAlgebra, degree: int) -> list[tuple[int, ...]]:
+    """Every canonical monomial of ``alg`` of total degree ``degree``, in lex order.
+
+    One recursion step per generator: an odd generator takes exponent 0 or 1,
+    an even one any exponent that fits, each ascending.
+    """
+    degrees = [d for _, d in alg.generators]
+    out: list[tuple[int, ...]] = []
+
+    def extend(i: int, remaining: int, prefix: list[int]) -> None:
+        if i == len(degrees):
+            if remaining == 0:
+                out.append(tuple(prefix))
+            return
+        d = degrees[i]
+        cap = 1 if d % 2 == 1 else remaining // d
+        for e in range(min(cap, remaining // d) + 1):
+            prefix.append(e)
+            extend(i + 1, remaining - e * d, prefix)
+            prefix.pop()
+
+    if degree >= 0:
+        extend(0, degree, [])
+    return out
+
+
+def brute_commutative_dimension(
+    c: CohomologyPresentation, degree: int, prime: int | None = None
+) -> int:
     """Degree component of the commutative quotient, by products and a dense rank.
 
     The rows are the products ``monomial * relation`` of ``GcaElement``s over
-    every exponent tuple of the right degree, ranked by :func:`dense_rank`.
+    every exponent tuple of the right degree, ranked over Q by
+    :func:`dense_rank`, or over F_prime by :func:`dense_rank_mod_p` on their
+    residues.
     """
     alg = c.algebra
     degrees = [d for _, d in alg.generators]
@@ -231,7 +263,12 @@ def brute_commutative_dimension(c: CohomologyPresentation, degree: int) -> int:
         for m in exponent_tuples(degrees, degree - e):
             shifted = alg.element({m: 1}) * rel
             rows.append({index[k]: v for k, v in shifted.terms.items()})
-    return len(index) - dense_rank(rows, len(index))
+    if prime is None:
+        return len(index) - dense_rank(rows, len(index))
+    residues = [
+        {k: v.numerator * pow(v.denominator, -1, prime) for k, v in row.items()} for row in rows
+    ]
+    return len(index) - dense_rank_mod_p(residues, len(index), prime)
 
 
 def _commutator_partner(relation: NcElement, z: str) -> str | None:

@@ -307,6 +307,37 @@ def test_verify_skips_the_quotient_checks_over_the_budget(cache_dir, capsys):
     assert all(value is True for name, value in checks.items() if name not in quotient)
 
 
+def test_verify_proves_su5s_quotient_from_the_pruned_certificate(cache_dir, capsys):
+    # su5's certificate ranked 9,037 rows before the criterion left out the
+    # Koszul rows
+    args = ("verify", "--family", "su", "--rank", "5", "--format", "json")
+    code, out, err = run(capsys, *args, "--verbose")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert (checks["regular_sequence_check"], checks["cohomology_weyl_order"]) == (True, True)
+    lines = err.splitlines()
+    assert re.fullmatch(r"timing quotient: \d+\.\d{3}s", lines[1])
+    start = lines.index("route quotient: top-degree certificate")
+    assert lines[start + 1] == (
+        "quotient degree 32 over F_p: monomials 4845 rows 5956 skipped 3081 rank 4845"
+    )
+    assert lines[start + 2] == "route rational: engine (verify eliminates)"
+
+
+def test_verbose_names_the_quotient_route_and_leaves_the_report_alone(cache_dir, capsys):
+    args = ("verify", "--family", "su", "--rank", "3", "--format", "json")
+    code, out, err = run(capsys, *args, "--verbose")
+    assert code == 0
+    assert "route quotient: top-degree certificate" in err.splitlines()
+    assert "quotient degree 14 over F_p: monomials 36 rows 37 skipped 6 rank 36" in err
+    assert run(capsys, *args) == (0, out, "")
+    # over the budget the quotient is not ranked, and its route says so
+    code, _, err = run(capsys, "verify", "--family", "e6", "--rank", "6", "--verbose")
+    assert code == 0
+    assert "route quotient: skipped (over the budget)" in err.splitlines()
+    assert "quotient degree" not in err and "timing quotient" not in err
+
+
 def test_verify_inject_torsion_fails_with_named_check(cache_dir, capsys):
     code, out, _ = run(
         capsys,

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from loopalg.enveloping import FreeGradedAlgebra
 from loopalg.gca import Derivation, GradedAlgebra
 
-from oracles import koszul_sign
+from oracles import koszul_sign, recursive_monomials_of_degree
 
 
 def algebra(*gens):
@@ -153,6 +153,26 @@ def test_derivation_unknown_element_algebra():
 
 
 # -- randomized properties ----------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=6), min_size=0, max_size=5),
+    st.integers(min_value=-2, max_value=18),
+)
+def test_monomials_of_degree_match_the_recursive_oracle(degrees, degree):
+    """Same monomials in the same order, odd and even generators mixed."""
+    alg = GradedAlgebra([(f"g{i}", d) for i, d in enumerate(degrees)])
+    assert alg.monomials_of_degree(degree) == recursive_monomials_of_degree(alg, degree)
+
+
+@pytest.mark.parametrize("n, d", [(1, 2), (3, 2), (4, 4), (2, 3), (6, 2)])
+def test_monomials_of_one_generator_degree_match_the_recursive_oracle(n, d):
+    """The catalog's algebras: every generator of one degree, up to exponent sum 9."""
+    alg = GradedAlgebra([(f"u{i}", d) for i in range(n)])
+    for degree in range(-1, 9 * d + 2):
+        assert alg.monomials_of_degree(degree) == recursive_monomials_of_degree(alg, degree)
+
 
 GENS = (("u1", 2), ("u2", 2), ("v1", 3), ("v2", 5), ("u3", 4))
 ALG = GradedAlgebra(GENS)

@@ -372,3 +372,137 @@ def test_quotient_dimensions_of_a_non_regular_presentation():
     assert dims == [brute_commutative_dimension(c, d) for d in range(9)]
     assert dims == [1, 0, 2, 0, 1, 0, 1, 0, 1]
     assert dims != complete_intersection_coefficients([4, 4], 2, 8)
+
+
+class RowSpy:
+    """Counts the rows handed to :class:`~loopalg.linalg.FractionFreeEliminator`."""
+
+    def __init__(self, monkeypatch):
+        self.rows = 0
+        add_row = linalg.FractionFreeEliminator.add_row
+
+        def counted(eliminator, row):
+            self.rows += 1
+            return add_row(eliminator, row)
+
+        monkeypatch.setattr(linalg.FractionFreeEliminator, "add_row", counted)
+
+
+@pytest.mark.parametrize(
+    "family, rank, rows, skipped",
+    # every row up to full rank, without the criterion: 548, 1,825 and 5,457
+    [
+        (LieFamily.SU, 4, 408, 140),
+        (LieFamily.SP, 4, 1241, 584),
+        (LieFamily.F4, 4, 3501, 1956),
+    ],
+)
+def test_the_certificate_builds_only_the_rows_the_criterion_keeps(
+    monkeypatch, family, rank, rows, skipped
+):
+    spy = RowSpy(monkeypatch)
+    coh = presentation(family, rank)
+    top = coh.socle_degree() + 2
+    quotient_dimensions(coh, top)
+    work = coh.quotient_work
+    assert work.route == "top-degree certificate"
+    (certificate,) = work.ranked
+    assert (certificate.degree, certificate.field) == (top, "F_p")
+    assert (certificate.rows, certificate.skipped) == (rows, skipped)
+    assert spy.rows == rows
+    # the rank-raising rows are the columns: every degree-top monomial
+    assert certificate.rank == certificate.monomials == len(coh.algebra.monomials_of_degree(top))
+
+
+def test_the_quotient_records_its_route_and_every_rank(monkeypatch):
+    spy = RowSpy(monkeypatch)
+    alg = GradedAlgebra([("u1", 2), ("u2", 2)])
+    u1, u2 = alg.gen("u1"), alg.gen("u2")
+    fewer = CohomologyPresentation(alg, [u1 * u2])
+    quotient_dimensions(fewer, 4)
+    work = fewer.quotient_work
+    assert work.route == "degreewise (relation count differs from variable count)"
+    # degrees 0, 2 and 4 over Q, every row built, none skipped
+    assert [(w.degree, w.field, w.monomials, w.rows, w.skipped, w.rank) for w in work.ranked] == [
+        (0, "Q", 1, 0, 0, 0),
+        (2, "Q", 2, 0, 0, 0),
+        (4, "Q", 3, 1, 0, 1),
+    ]
+    coh = presentation(LieFamily.SU, 3)
+    socle = coh.socle_degree()
+    quotient_dimensions(coh, socle - 2)
+    assert coh.quotient_work.route == "degreewise (short of the socle)"
+    quotient_dimensions(coh, socle, budget=40)
+    assert coh.quotient_work.route == "degreewise (degree 14 over the budget)"
+    # the F_p ranks of every degree, each confirmed by its certified coefficient
+    assert [w.degree for w in coh.quotient_work.ranked] == list(range(0, socle + 1, 2))
+    assert {w.field for w in coh.quotient_work.ranked} == {"F_p"}
+    spy.rows = 0
+    quotient_dimensions(coh, socle)
+    assert coh.quotient_work.route == "top-degree certificate"
+    assert spy.rows == coh.quotient_work.ranked[0].rows
+
+
+def test_a_leading_coefficient_divisible_by_the_prime_falls_back_exactly(monkeypatch):
+    """The criterion needs a unit leading coefficient; without one it costs the fallback."""
+    spy = EliminatorSpy(monkeypatch)
+    alg = GradedAlgebra([("u1", 2), ("u2", 2), ("u3", 2)])
+    u1, u2, u3 = (alg.gen(f"u{i}") for i in (1, 2, 3))
+    # LM(P_1) = u1^2 with coefficient 3.  Mod 3 the ideal is (u2^2, u3^2,
+    # u1^2), a regular sequence.  But u1^4 comes only from the row u1^2 * P_3,
+    # and u1^2 u3^2 only from u1^2 * P_2 and u3^2 * P_3; the criterion leaves
+    # out all three
+    c = CohomologyPresentation(alg, [3 * u1 * u1 + u2 * u2, u3 * u3, u1 * u1])
+    top = c.socle_degree() + 2
+    oracle = [brute_commutative_dimension(c, d) for d in range(top + 1)]
+    assert oracle == complete_intersection_coefficients([4, 4, 4], 3, top)
+    # every degree-top row ranked mod 3 would have certified
+    assert brute_commutative_dimension(c, top, prime=3) == 0
+    monkeypatch.setattr(minimal_model, "CERTIFICATE_PRIME", 3)
+    assert list(quotient_dimensions(c, top)) == oracle
+    work = c.quotient_work
+    assert work.route == f"degreewise (degree {top} certificate failed)"
+    certificate = work.ranked[0]
+    assert (certificate.skipped, certificate.rank) == (3, certificate.monomials - 2)
+    assert spy.routes[0] == 3 and len(spy.routes) > 1
+    # over the large prime 3 is a unit, and the same presentation certifies
+    monkeypatch.setattr(minimal_model, "CERTIFICATE_PRIME", 1_073_741_789)
+    assert list(quotient_dimensions(c, top)) == oracle
+    assert c.quotient_work.route == "top-degree certificate"
+
+
+@st.composite
+def integer_square_presentations(draw):
+    """2-3 degree-2 variables and as many random integer forms of degree 4-8.
+
+    Zero coefficients are frequent, so some forms are sparse, and with a
+    nonzero ``shift`` every form shares one linear factor, so the relations
+    are not a regular sequence.
+    """
+    n = draw(st.integers(min_value=2, max_value=3))
+    alg = GradedAlgebra([(f"u{i}", 2) for i in range(1, n + 1)])
+    coefficient = st.one_of(st.just(0), st.integers(min_value=-3, max_value=3))
+
+    def form(degree):
+        monomials = exponent_tuples([2] * n, degree)
+        coeffs = draw(st.lists(coefficient, min_size=len(monomials), max_size=len(monomials)))
+        element = alg.element(dict(zip(monomials, coeffs)))
+        return element if element else alg.element({monomials[-1]: 1})
+
+    shift = 2 if draw(st.booleans()) else 0
+    shared = form(shift) if shift else alg.one()
+    degrees = draw(st.lists(st.sampled_from([4, 6, 8]), min_size=n, max_size=n))
+    return CohomologyPresentation(alg, [form(d - shift) * shared for d in degrees])
+
+
+@settings(max_examples=30, deadline=None)
+@given(integer_square_presentations())
+def test_the_pruned_certificate_agrees_with_every_row_mod_p(c):
+    top = c.socle_degree() + 2
+    dims = list(quotient_dimensions(c, top))
+    certificate = c.quotient_work.ranked[0]
+    assert certificate.degree == top
+    # the same verdict as the rank of every degree-top row mod p
+    every_row = brute_commutative_dimension(c, top, prime=minimal_model.CERTIFICATE_PRIME) == 0
+    assert (certificate.rank == certificate.monomials) == every_row
+    assert dims == [brute_commutative_dimension(c, d) for d in range(top + 1)]
