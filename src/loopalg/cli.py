@@ -179,14 +179,12 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
             "computed bracket table differs from the catalog table",
         )
         socle = entry.cohomology.socle_degree()
-        quotient_work = None  # what the quotient ranked; None over the budget
         try:
             dims = timed("quotient", quotient_dimensions, entry.cohomology, socle + 2, cfg.budget)
         except BudgetExceededError:
             # refused before any elimination: the quotient is over the budget
             checks["regular_sequence_check"] = checks["cohomology_weyl_order"] = "skipped"
         else:
-            quotient_work = entry.cohomology.quotient_work
             record("regular_sequence_check", is_regular(entry.cohomology, dims))
             total = sum(dims.prefix(socle))
             record(
@@ -264,6 +262,7 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
         for stage, seconds in timings.items():
             print(f"timing {stage}: {seconds:.3f}s", file=sys.stderr)
         if verify:
+            quotient_work = entry.cohomology.quotient_work  # None over the budget
             route = "skipped (over the budget)" if quotient_work is None else quotient_work.route
             print(f"route quotient: {route}", file=sys.stderr)
             for w in () if quotient_work is None else quotient_work.ranked:

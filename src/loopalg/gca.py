@@ -21,7 +21,6 @@ literally.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import gcd, lcm
 from operator import mul
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence, Union
@@ -271,23 +270,6 @@ class GradedAlgebra(GeneratorSet):
         degrees = self._degrees
         if degree < 0 or not degrees:
             return [()] if degree == 0 else []
-        n, d = len(degrees), degrees[0]
-        if d % 2 == 0 and degrees.count(d) == n:
-            # one even degree: a monomial is a multiset of degree / d
-            # generators.  combinations_with_replacement lists the sorted
-            # index multisets in lex order, where the earlier of two holds
-            # more of the smaller index; reversed, their exponent tuples come
-            # in ascending lex order.  It builds no tuple but the answer's
-            if degree % d:
-                return []
-            out = []
-            for multiset in combinations_with_replacement(range(n), degree // d):
-                mono = [0] * n
-                for g in multiset:
-                    mono[g] += 1
-                out.append(tuple(mono))
-            out.reverse()
-            return out
         # one generator at a time, each exponent ascending, so the prefixes
         # stay in lex order; the last exponent is whatever degree is left
         *head, last = degrees

@@ -84,7 +84,7 @@ class CohomologyPresentation:
         self.algebra = algebra
         self.relations = rels
         self.relation_degrees = tuple(degrees)
-        # set by each quotient_dimensions call
+        # set by each quotient_dimensions call; None when it raised
         self.quotient_work: QuotientWork | None = None
 
     def socle_degree(self) -> int:
@@ -142,9 +142,11 @@ def quotient_dimensions(
     A degree up to ``max_degree`` with more monomials or rows than
     ``budget`` raises :class:`~loopalg.enveloping.BudgetExceededError`
     before any elimination; a degree socle + 2 over ``budget`` only skips
-    the top-degree certificate.  ``c.quotient_work`` then holds the route
-    and the rows of every rank taken.
+    the top-degree certificate.  ``c.quotient_work`` holds the route and
+    the rows of every rank taken once the call returns, and ``None`` after
+    a call that raised.
     """
+    c.quotient_work = None
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     n = len(c.algebra)

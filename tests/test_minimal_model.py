@@ -441,6 +441,14 @@ def test_the_quotient_records_its_route_and_every_rank(monkeypatch):
     quotient_dimensions(coh, socle)
     assert coh.quotient_work.route == "top-degree certificate"
     assert spy.rows == coh.quotient_work.ranked[0].rows
+    # a call that raises leaves no record, not the previous call's
+    with pytest.raises(BudgetExceededError):
+        quotient_dimensions(coh, socle, budget=1)
+    assert coh.quotient_work is None
+    quotient_dimensions(coh, socle)
+    with pytest.raises(ValueError):
+        quotient_dimensions(coh, -1)
+    assert coh.quotient_work is None
 
 
 def test_a_leading_coefficient_divisible_by_the_prime_falls_back_exactly(monkeypatch):
