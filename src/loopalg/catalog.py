@@ -175,10 +175,10 @@ def _presentation(
     return RingPresentation(alg, rels, domain=domain)
 
 
-def _pairs(alg: FreeGradedAlgebra, names: list[str], sign: int = 1) -> list[NcElement]:
-    """p q + sign q p for every pair p before q."""
+def _pairs(alg: FreeGradedAlgebra, names: list[str]) -> list[NcElement]:
+    """p q + q p for every pair p before q."""
     g = alg.gen
-    return [g(p) * g(q) + sign * (g(q) * g(p)) for i, p in enumerate(names) for q in names[i + 1 :]]
+    return [g(p) * g(q) + g(q) * g(p) for i, p in enumerate(names) for q in names[i + 1 :]]
 
 
 def _clifford(alg: FreeGradedAlgebra, names: list[str], target: NcElement) -> list[NcElement]:
@@ -292,11 +292,7 @@ def _so_even_core(alg: FreeGradedAlgebra, x: list[str], n: int) -> list[NcElemen
     return rels
 
 
-def expected_integral_presentation(
-    family: LieFamily, rank: int, anticommute: bool = False
-) -> RingPresentation:
-    if anticommute and family is not LieFamily.F4:
-        raise ValueError("the commutation variant switch only applies to f4")
+def expected_integral_presentation(family: LieFamily, rank: int) -> RingPresentation:
     validate_rank(family, rank)
     n = rank
     x = [f"x{i}" for i in range(1, n + 1)]
@@ -339,8 +335,8 @@ def expected_integral_presentation(
 
         def f4_core(alg: FreeGradedAlgebra) -> list[NcElement]:
             g = alg.gen
-            # commuting by default; anticommuting variant on demand
-            rels = [g(p) * g(p) - 3 * g("y1") for p in x] + _pairs(alg, x, 1 if anticommute else -1)
+            # x_i x_j = -x_j x_i for i != j, as in the rational ring
+            rels = [g(p) * g(p) - 3 * g("y1") for p in x] + _pairs(alg, x)
             rels.append(2 * g("y2") - g("x1") ** 4)
             rels.append(3 * g("y3") - g("x1") * g("x1") * g("y2"))
             # torsion saturation: x1^2 y2 = 3 y1 y2 makes 3(y3 - y1 y2) = 0

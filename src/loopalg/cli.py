@@ -16,9 +16,10 @@ Reports carry only checks that can fail: ``torsion_free_check`` over Z and
 Exit codes: 0 pass, 1 check failure, 2 usage/config error, 3 budget
 exceeded.  An integer request runs its integral route before the catalog
 entry is built, so that route refuses it, in every degree, before any other
-work; a rational or both request, and ``series``, has degrees 1 and 2
-checked before any work.  ``--budget`` also bounds ``verify``'s commutative
-quotient: over it, both quotient checks are ``"skipped"``.
+work; a rational or both request, and ``series``, has every degree checked
+against the PBW dimensions before any work.  ``--budget`` also bounds
+``verify``'s commutative quotient: over it, both quotient checks are
+``"skipped"``.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ class RunConfig:
     fmt: str = "text"
     out: str | None = None
     budget: int = DEFAULT_WORD_BUDGET
-    f4_anticommute: bool = False
     inject_torsion: bool = False
     cache_dir: str | None = None
     verbose: bool = False
@@ -91,7 +91,7 @@ class RunConfig:
         }
 
     def cache_key(self) -> str:
-        payload = {**self.identity(), "f4_anticommute": self.f4_anticommute, "version": __version__}
+        payload = {**self.identity(), "version": __version__}
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:24]
 
 
@@ -100,26 +100,30 @@ class UsageError(Exception):
 
 
 def _integral_presentation(cfg: RunConfig) -> RingPresentation:
-    p = cat.expected_integral_presentation(cfg.family, cfg.rank, anticommute=cfg.f4_anticommute)
+    p = cat.expected_integral_presentation(cfg.family, cfg.rank)
     if cfg.inject_torsion:
         doubled = [2 * p.relations[0]] + list(p.relations[1:])
         p = RingPresentation(p.algebra, doubled, domain="integer")
     return p
 
 
-def _check_low_degrees(cfg: RunConfig) -> None:
-    """Refuse at degree 1 or 2 where the rational route would, before any build.
+def _refuse_over_budget(cfg: RunConfig) -> None:
+    """Refuse in every degree where the rational route would, before any build.
 
-    A rational or both request, and ``series``, reads the pipeline first;
-    :func:`presentation_degrees` gives its presentation's degrees from the
-    exponents.  No catalog presentation has a relation in degree 1, so
-    degree 1 is free on its generators and :func:`degree_size` needs only
-    the degrees.  An integer request is refused by its own route, which
-    runs first.
+    A rational or both request, and ``series``, reads the pipeline first.
+    Its presentation is U(L), so by PBW its dimensions are the PBW series of
+    the Lie basis degrees, which :func:`presentation_degrees` gives from the
+    exponents.  Both rational routes, normal words and the engine, check
+    :func:`degree_size` on those dimensions, so this check refuses at the
+    same degree with the same numbers.  An integer request is refused by its
+    own route, which runs first.
     """
+    n = cfg.degree
     gens, rels = presentation_degrees(cfg.rank, cat.exponents(cfg.family, cfg.rank))
-    for d in range(1, min(cfg.degree, 2) + 1):
-        check_budget(d, cfg.budget, *degree_size(d, gens, rels, [1, gens.count(1)], [0, 0]))
+    sizes = list(pbw_series_of_degrees(gens, n))
+    no_torsion = [0] * (n + 1)
+    for d in range(1, n + 1):
+        check_budget(d, cfg.budget, *degree_size(d, gens, rels, sizes, no_torsion))
 
 
 def build_report(cfg: RunConfig, verify: bool = False) -> dict:
@@ -160,7 +164,7 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
         report = timed("graded_smith", answer, integral, n, cfg.budget)
     else:
         report = None
-        _check_low_degrees(cfg)
+        _refuse_over_budget(cfg)
     if cfg.coeffs == "integer" and not verify:
         # the report reads only the PBW series, and by PBW that needs only
         # the degrees of the Lie basis, which the exponents give
@@ -222,7 +226,6 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
 
     ranks: list[int] = []
     torsion: list[list[int]] = []
-    f4_variants: dict[str, dict] = {}
     if integral is None:
         shown = entry.expected_rational
     else:
@@ -238,24 +241,6 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
                 "smith_ranks_match_rational",
                 ranks == list(pbw.prefix(n)),
                 f"ranks {ranks} vs rational {list(pbw.prefix(n))}",
-            )
-        if verify and cfg.family is LieFamily.F4:
-            cap = min(n, 8)
-            for label, anti in (("commuting", False), ("anticommuting", True)):
-                if anti == cfg.f4_anticommute and not cfg.inject_torsion:
-                    rep = report  # the variant reported above
-                else:
-                    p = cat.expected_integral_presentation(cfg.family, cfg.rank, anticommute=anti)
-                    rep = engine_report(p, n, cfg.budget)
-                f4_variants[label] = {
-                    "ranks": list(rep.ranks()),
-                    "torsion": [list(t) for t in rep.torsion_lists()],
-                    "matches_rational": list(rep.ranks())[: cap + 1] == list(pbw.prefix(cap)),
-                }
-            record(
-                "f4_variant_agreement",
-                any(v["matches_rational"] for v in f4_variants.values()),
-                "neither commutation variant matches the rational dimensions",
             )
 
     if cfg.verbose:
@@ -301,17 +286,15 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
     }
     if verify:
         doc["failures"] = failures
-    if f4_variants:
-        doc["f4_variants"] = f4_variants
     return doc
 
 
 def build_series_report(cfg: RunConfig) -> dict:
     """The built Lie algebra's PBW series against the splitting series.
 
-    It reads the pipeline, so degrees 1 and 2 obey the budget first.
+    It reads the pipeline, so every degree obeys the budget first.
     """
-    _check_low_degrees(cfg)
+    _refuse_over_budget(cfg)
     entry = cat.catalog_entry(cfg.family, cfg.rank)
     pipe = rational_pipeline(entry)
     n = cfg.degree
@@ -356,11 +339,6 @@ def render_text(doc: dict) -> str:
             rank = str(ranks[d]) if d < len(ranks) else "-"
             tor = ",".join(map(str, torsion[d])) if d < len(torsion) and torsion[d] else "-"
             lines.append(f"{d:>3}  {dim:>3}  {rank:>4}  {tor}")
-    for label, variants in sorted(doc.get("f4_variants", {}).items()):
-        lines.append(
-            f"f4 variant {label}: ranks={variants['ranks']}"
-            f" matches_rational={variants['matches_rational']}"
-        )
     if doc.get("checks"):
         lines.append("checks:")
         for name in sorted(doc["checks"]):
@@ -480,7 +458,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--format", dest="fmt", choices=["json", "text"], default="text")
         p.add_argument("--out", default=None)
         p.add_argument("--budget", type=int, default=DEFAULT_WORD_BUDGET)
-        p.add_argument("--f4-anticommute", action="store_true")
         p.add_argument("--cache-dir", default=None)
         p.add_argument(
             "--verbose",
@@ -520,8 +497,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"--max-degree must be <= {MAX_DEGREE}")
     if args.budget <= 0:
         raise UsageError("--budget must be positive")
-    if args.f4_anticommute and family is not LieFamily.F4:
-        raise UsageError("--f4-anticommute only applies to --family f4")
     if getattr(args, "inject_torsion", False) and args.coeffs == "rational":
         raise UsageError("--inject-torsion needs the integral check: --coeffs integer or both")
     coeffs = args.coeffs
@@ -537,7 +512,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         fmt=args.fmt,
         out=args.out,
         budget=args.budget,
-        f4_anticommute=args.f4_anticommute,
         inject_torsion=getattr(args, "inject_torsion", False),
         cache_dir=args.cache_dir,
         verbose=args.verbose,

@@ -10,7 +10,8 @@ quotient is recounted from ``GcaElement`` products over a basis of
 exponent tuples enumerated here, with a dense rank over Q; ranks over F_p
 come from a dense elimination on residues.  The monomials of a graded
 algebra are listed by one recursion step per generator
-(:func:`recursive_monomials_of_degree`).
+(:func:`recursive_monomials_of_degree`).  :func:`graded_commutative_dimensions`
+compares presentations as rings, not by their ranks.
 
 :func:`split_report` checks a structure rather than an elimination: most
 catalog presentations are a small core tensored with a polynomial ring on
@@ -37,6 +38,7 @@ from loopalg.enveloping import (
     NcElement,
     RingPresentation,
     SmithEntry,
+    graded_dimensions,
 )
 from loopalg.gca import Derivation, GcaElement, GradedAlgebra
 from loopalg.homotopy_lie import HomotopyLieAlgebra, LieBasisElement, dual_basis
@@ -269,6 +271,27 @@ def brute_commutative_dimension(
         {k: v.numerator * pow(v.denominator, -1, prime) for k, v in row.items()} for row in rows
     ]
     return len(index) - dense_rank_mod_p(residues, len(index), prime)
+
+
+def graded_commutative_dimensions(p: RingPresentation, max_degree: int) -> list[int]:
+    """Degrees 0 .. ``max_degree`` of the graded-commutative quotient of ``p`` over Q.
+
+    ``p``'s relations are read over Q, and the graded commutator
+    ``x y - (-1)^{|x||y|} y x`` of every generator pair is added; for even
+    ``x`` the pair ``x x`` is zero and is dropped.  The dimensions are a ring
+    invariant: two presentations of one ring give the same list, whatever
+    their ranks.  They are counted by the package's engine, since the word
+    basis of :func:`brute_graded_dimension` outgrows e6 at degree 8.
+    """
+    g = p.algebra.gen
+    rels = list(p.relations)
+    gens = p.generators
+    for i, (x, dx) in enumerate(gens):
+        for y, dy in gens[i:]:
+            if x != y or dx % 2:
+                rels.append(g(x) * g(y) - (-1) ** (dx * dy) * (g(y) * g(x)))
+    quotient = RingPresentation(p.algebra, rels, domain="rational")
+    return list(graded_dimensions(quotient, max_degree, None))
 
 
 def _commutator_partner(relation: NcElement, z: str) -> str | None:

@@ -4,13 +4,13 @@ Each test prints one PASS/FAIL line; run with ``pytest -s`` to see them
 inline.  All comparisons are exact equalities of integers or rationals.
 """
 
-import json
 import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 
 from loopalg.catalog import (
+    DEFAULT_CHECKED_RANKS,
     catalog_entry,
     default_max_degree,
     expected_integral_presentation,
@@ -42,6 +42,8 @@ from loopalg.symmetric import (
     newton_sigma,
     recursion_p,
 )
+
+from oracles import graded_commutative_dimensions
 
 FAMILIES = [
     (LieFamily.SU, 1),
@@ -281,23 +283,31 @@ def test_criterion_8_structural_property_suite():
         assert run_compute() == run_compute()
 
 
-def test_criterion_9_f4_commutation_variant_report(tmp_path, monkeypatch, capsys):
-    with criterion(9, "both f4 commutation variants reported; one matches"):
-        monkeypatch.setenv("LOOPALG_CACHE_DIR", str(tmp_path / "cache"))
-        code = cli_main(["verify", "--family", "f4", "--format", "json"])
-        out = capsys.readouterr().out
-        assert code == 0  # the unresolved variant must not hard-fail the run
-        doc = json.loads(out)
-        variants = doc["f4_variants"]
-        assert set(variants) == {"commuting", "anticommuting"}
-        for data in variants.values():
-            assert "ranks" in data and "torsion" in data
-        f4 = rational_pipeline(catalog_entry(LieFamily.F4, 4))
-        rational = list(pbw_series(f4.lie_algebra, 8))
-        matches = [
-            label
-            for label, data in variants.items()
-            if data["ranks"][:9] == rational
-        ]
-        assert matches, variants
-        assert doc["checks"]["f4_variant_agreement"] is True
+def test_criterion_9_f4_commutation_sign_settled_by_ring_invariant():
+    """The integral presentation tensored with Q is the rational ring, f4 included.
+
+    Equal ranks do not show it; the graded-commutative quotient does.  f4's
+    degree-1 classes anticommute: with the commuting sign, flipped in its six
+    x_i x_j relations, that quotient collapses past degree 1.
+    """
+    with criterion(9, "f4's commutation sign settled by the graded-commutative quotient"):
+        n = 8
+        for family, ranks in DEFAULT_CHECKED_RANKS.items():
+            for rank in ranks:
+                rational = rational_pipeline(catalog_entry(family, rank)).presentation
+                integral = expected_integral_presentation(family, rank)
+                want = graded_commutative_dimensions(rational, n)
+                assert graded_commutative_dimensions(integral, n) == want, (family, rank)
+        f4 = expected_integral_presentation(LieFamily.F4, 4)
+        assert graded_commutative_dimensions(f4, n) == [1, 4, 6, 4, 1, 0, 0, 0, 0]
+        g = f4.algebra.gen
+        odd = [x for x, d in f4.generators if d == 1]
+        commutators = {
+            g(x) * g(y) + g(y) * g(x): g(x) * g(y) - g(y) * g(x)
+            for i, x in enumerate(odd)
+            for y in odd[i + 1 :]
+        }
+        assert sum(r in commutators for r in f4.relations) == 6
+        flipped = [commutators.get(r, r) for r in f4.relations]
+        commuting = RingPresentation(f4.algebra, flipped, domain="integer")
+        assert graded_commutative_dimensions(commuting, n) == [1, 4] + [0] * (n - 1)

@@ -87,18 +87,10 @@ def test_expected_integral_shapes():
     f4 = expected_integral_presentation(LieFamily.F4, 4)
     rendered = {relation_string(r) for r in f4.relations}
     assert "1*x1.x1 - 3*y1" in rendered
-    assert "1*x1.x2 - 1*x2.x1" in rendered  # default variant commutes
-    anti = expected_integral_presentation(LieFamily.F4, 4, anticommute=True)
-    rendered_anti = {relation_string(r) for r in anti.relations}
-    assert "1*x1.x2 + 1*x2.x1" in rendered_anti
+    assert "1*x1.x2 + 1*x2.x1" in rendered
     e6 = expected_integral_presentation(LieFamily.E6, 6)
     rendered = {relation_string(r) for r in e6.relations}
     assert "1*x1.x1 - 12*y1" in rendered
-
-
-def test_variant_switch_restricted_to_f4():
-    with pytest.raises(ValueError):
-        expected_integral_presentation(LieFamily.SU, 2, anticommute=True)
 
 
 def test_so_odd_uniform_relations():
@@ -133,14 +125,14 @@ def test_pbw_equals_splitting_for_all_default_entries():
 
 
 def test_every_presentation_has_rank_generators_and_no_relation_in_degree_one():
-    """``build_report`` refuses degree 1 over the budget from the rank alone."""
+    """Degree 1 of every presentation is free on the rank's degree-1 classes."""
     for family, ranks in DEFAULT_CHECKED_RANKS.items():
         for rank in ranks:
             entry = catalog_entry(family, rank)
-            presentations = [rational_pipeline(entry).presentation, entry.expected_rational]
-            presentations += [
-                expected_integral_presentation(family, rank, anticommute=anti)
-                for anti in ((False, True) if family is LieFamily.F4 else (False,))
+            presentations = [
+                rational_pipeline(entry).presentation,
+                entry.expected_rational,
+                expected_integral_presentation(family, rank),
             ]
             for p in presentations:
                 assert [d for _, d in p.generators].count(1) == rank, (family, rank, p.domain)

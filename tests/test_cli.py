@@ -4,6 +4,7 @@ import json
 import re
 import sys
 import time
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from loopalg.catalog import (
     default_max_degree,
 )
 from loopalg.cli import main
-from loopalg.enveloping import BudgetExceededError
+from loopalg.enveloping import BudgetExceededError, engine_report
 from loopalg.families import LieFamily
 from loopalg.pipeline import rational_pipeline
 
@@ -190,24 +191,68 @@ def _refusal(check, *args):
 
 
 def test_the_early_budget_check_refuses_as_the_route_would():
-    """Degrees 1 and 2, counted from the degrees alone, against the first route's refusal.
+    """Every degree up to the default, counted from the degrees alone, against both routes.
 
     A both request runs the rational route first, so it refuses as that
-    route does; an integer request is refused by its own route, which runs
-    before any build.
+    route does, whether normal words or the engine answer; an integer
+    request is refused by its own route, which runs before any build.  The
+    budgets are each size the engine met, and one less, so every degree
+    that can refuse first is reached.
     """
+    refused = set()
     for family, ranks in DEFAULT_CHECKED_RANKS.items():
+        n = default_max_degree(family)
         for rank in ranks:
-            rational = rational_pipeline(catalog_entry(family, rank)).presentation
-            routes = {"rational": rational, "both": rational}
-            for coeffs, p in routes.items():
-                refused = []
-                for budget in range(1, 80):
-                    cfg = cli.RunConfig(family, rank, coeffs, max_degree=2, budget=budget)
-                    want = _refusal(normal_words.report, p, 2, budget)
-                    assert _refusal(cli._check_low_degrees, cfg) == want
-                    refused.append(want is not None)
-                assert refused[0] and not refused[-1], (family, rank, coeffs)
+            p = rational_pipeline(catalog_entry(family, rank)).presentation
+            engine_report(p, n, None)
+            sizes = {s for w in p.engine().work[1:] for s in (w.symbols, w.rows)}
+            for budget in sorted({1} | sizes | {s - 1 for s in sizes if s > 1}):
+                want = _refusal(normal_words.report, p, n, budget)
+                assert _refusal(engine_report, p, n, budget) == want, (family, rank, budget)
+                for coeffs in ("rational", "both"):
+                    cfg = cli.RunConfig(family, rank, coeffs, budget=budget)
+                    assert _refusal(cli._refuse_over_budget, cfg) == want
+                refused.add(None if want is None else want[0])
+    # each degree up to the deepest default is the first refused somewhere
+    assert refused == {None, *range(1, 13)}
+
+
+@pytest.mark.parametrize("command", ["compute", "verify", "series"])
+def test_a_rational_request_is_refused_in_any_degree_before_anything_is_built(
+    cache_dir, capsys, monkeypatch, command
+):
+    # su12 passes degrees 1-9 of the default budget and fails degree 10;
+    # building its catalog entry alone takes over a minute
+    built = _count_calls(monkeypatch, cli.cat, "catalog_entry")
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--family", "su", "--rank", "12")
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (3, "")
+    assert err == "error: degree 10 needs 244448 basis symbols/rows, over the budget of 200000\n"
+    assert built == []
+
+
+def test_the_cache_key_reads_only_the_identity_and_the_version(monkeypatch):
+    """Configurations that name one report share one key, so no other option selects an entry."""
+    base = cli.RunConfig(LieFamily.SU, 3)
+    key = base.cache_key()
+    outside = {
+        "max_degree": base.degree,
+        "fmt": "json",
+        "out": "report.json",
+        "budget": 7,
+        "inject_torsion": True,
+        "cache_dir": "elsewhere",
+        "verbose": True,
+    }
+    assert {*outside, "family", "rank", "coeffs"} == {f.name for f in fields(cli.RunConfig)}
+    same = replace(base, **outside)
+    assert same.identity() == base.identity() and same.cache_key() == key
+    for change in ({"family": LieFamily.SP}, {"rank": 4}, {"coeffs": "integer"}, {"max_degree": 9}):
+        other = replace(base, **change)
+        assert other.identity() != base.identity() and other.cache_key() != key, change
+    monkeypatch.setattr(cli, "__version__", f"{loopalg.__version__}+other")
+    assert base.cache_key() != key
 
 
 def test_compute_is_byte_identical(cache_dir, capsys):
@@ -415,10 +460,11 @@ def test_integer_compute_reports_ranks_and_torsion(cache_dir, capsys):
 
 
 def test_f4_anticommute_flag_limited(cache_dir, capsys):
-    code, _, _ = run(
-        capsys, "compute", "--family", "su", "--rank", "2", "--f4-anticommute"
-    )
-    assert code == 2
+    """f4 has one integral presentation, so `--f4-anticommute` is a usage error for every family."""
+    for config in (("--family", "su", "--rank", "2"), ("--family", "f4")):
+        code, out, err = run(capsys, "compute", *config, "--f4-anticommute")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --f4-anticommute" in err
 
 
 def test_out_file(cache_dir, tmp_path, capsys):
@@ -540,7 +586,6 @@ VERIFY_ONLY_CHECKS = {
     "pbw_matches_uea",
     "pbw_matches_splitting",
     "smith_ranks_match_rational",
-    "f4_variant_agreement",
 }
 
 
@@ -552,7 +597,6 @@ def test_verify_is_compute_plus_checks(cache_dir, capsys, config, coeffs):
     assert code == 0
     verified = json.loads(out)
     del verified["failures"]
-    verified.pop("f4_variants", None)
     verified["checks"] = {
         k: v for k, v in verified["checks"].items() if k not in VERIFY_ONLY_CHECKS
     }
@@ -574,13 +618,18 @@ GOLDEN_REPORTS = {
     "compute-so-even4-integer": "compute --family so-even --rank 4 --coeffs integer",
     "compute-f4-rational": "compute --family f4 --coeffs rational",
     "compute-f4-integer": "compute --family f4 --coeffs integer",
-    "compute-f4-integer-anticommute": "compute --family f4 --coeffs integer --f4-anticommute",
     "compute-e6-rational": "compute --family e6 --coeffs rational",
     "compute-e6-integer": "compute --family e6 --coeffs integer",
     "verify-su3": "verify --family su --rank 3",
     "verify-f4": "verify --family f4",
     "verify-e6": "verify --family e6",
 }
+
+
+def test_every_golden_fixture_is_read_by_a_test():
+    """No fixture outlives the report it pinned."""
+    read = {*GOLDEN_REPORTS, "invariant-forms", "normal-forms"}
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(f"{name}.json" for name in read)
 
 
 @pytest.mark.parametrize("name", GOLDEN_REPORTS)

@@ -113,8 +113,6 @@ def test_relation_degrees_are_the_relations_own():
                 catalog_entry(family, rank).expected_rational,
                 expected_integral_presentation(family, rank),
             ]
-            if family is LieFamily.F4:
-                presentations.append(expected_integral_presentation(family, rank, anticommute=True))
             for p in presentations:
                 assert p.relation_degrees == tuple(r.degree() for r in p.relations), (family, rank)
 
@@ -521,7 +519,7 @@ def test_split_route_merges_torsion_from_different_core_degrees():
 
 
 def _routed_presentations():
-    """Every presentation the CLI answers at a checked rank, both f4 variants included."""
+    """Every presentation the CLI answers at a checked rank."""
     for family, checked in DEFAULT_CHECKED_RANKS.items():
         for rank in checked:
             n = default_max_degree(family)
@@ -529,9 +527,6 @@ def _routed_presentations():
                 catalog_entry(family, rank)
             ).presentation, n
             yield f"{family.slug}{rank}-integer", expected_integral_presentation(family, rank), n
-    yield "f4-integer-anticommute", expected_integral_presentation(
-        LieFamily.F4, 4, anticommute=True
-    ), default_max_degree(LieFamily.F4)
 
 
 def test_split_route_matches_the_unsplit_engine_at_every_checked_rank():

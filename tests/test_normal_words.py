@@ -95,16 +95,11 @@ def test_certified_counts_match_the_oracles_on_random_presentations(domain, seed
 
 
 def _catalog_presentations():
-    """Every presentation ``compute`` answers at a checked rank or on ring-deep.
-
-    f4's integral presentation comes in both commutation variants.
-    """
+    """Every presentation ``compute`` answers at a checked rank or on ring-deep."""
     checked = [(f, r, default_max_degree(f)) for f, rs in DEFAULT_CHECKED_RANKS.items() for r in rs]
     for family, rank, n in checked + list(RING_DEEP):
         yield family, rational_pipeline(catalog_entry(family, rank)).presentation, n
         yield family, expected_integral_presentation(family, rank), n
-        if family is LieFamily.F4:
-            yield family, expected_integral_presentation(family, rank, anticommute=True), n
 
 
 def test_certified_counts_equal_the_split_route_on_every_catalog_configuration():
@@ -299,8 +294,8 @@ def test_a_defined_generator_certifies_and_matches_the_oracles(domain, seed):
 
 # the certificate of every presentation ``compute`` reads at a checked rank:
 # (rules, digest of the leading words in order, overlaps resolved, failure,
-# generators defined); "pipeline" is the rational presentation, "integer"
-# the integral one and "anticommute" f4's other integral variant
+# generators defined); "pipeline" is the rational presentation and
+# "integer" the integral one
 CERTIFICATES = {
     ("su", 1, "pipeline"): (2, "2f03c9baf927c652", 2, None, ()),
     ("su", 1, "integer"): (2, "2f03c9baf927c652", 2, None, ()),
@@ -326,7 +321,6 @@ CERTIFICATES = {
     ("g2", 2, "integer"): (9, "9174dc5f0f4c711b", 12, None, ('y2',)),
     ("f4", 4, "pipeline"): (32, "a7d4797b36129d58", 88, None, ()),
     ("f4", 4, "integer"): (14, "ca319de200629c80", 0, 'leading coefficient -9 on y1.y1', ()),
-    ("f4", 4, "anticommute"): (14, "ca319de200629c80", 0, 'leading coefficient -9 on y1.y1', ()),
     ("e6", 6, "pipeline"): (72, "c128846613e9d044", 292, None, ()),
     ("e6", 6, "integer"): (74, "c49309a516504fd9", 292, None, ('y2', 'y3')),
 }
@@ -340,8 +334,6 @@ def test_the_certificates_of_the_checked_ranks_are_pinned():
                 ("pipeline", rational_pipeline(catalog_entry(family, rank)).presentation),
                 ("integer", expected_integral_presentation(family, rank)),
             ]
-            if family is LieFamily.F4:
-                shown.append(("anticommute", expected_integral_presentation(family, rank, True)))
             for label, p in shown:
                 cert = normal_words._certify(p)
                 digest = hashlib.sha256(repr(cert.leading).encode()).hexdigest()[:16]
