@@ -262,7 +262,7 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
                 defined = f", defined: {', '.join(cert.defined)}" if cert.defined else ""
                 print(
                     f"route {domain}: normal words, {len(cert.leading)} rules,"
-                    f" {cert.overlaps} overlaps resolved{defined}",
+                    f" {cert.overlaps} overlaps resolved, {cert.rewrites} words rewritten{defined}",
                     file=sys.stderr,
                 )
                 continue
@@ -397,9 +397,10 @@ _REPORT_BODY = {
 def cache_load(cfg: RunConfig) -> dict | None:
     """The cached report, or None on a miss.
 
-    An entry that cannot be read, that names another configuration than
-    ``cfg``, or whose fields are not those of a compute report with the
-    types ``build_report`` writes, counts as a miss.
+    An entry that cannot be read or parsed (nested too deep for the parser
+    included), that names another configuration than ``cfg``, or whose
+    fields are not those of a compute report with the types
+    ``build_report`` writes, counts as a miss.
     """
     path = cache_directory(cfg) / f"{cfg.cache_key()}.json"
     if not path.exists():
@@ -416,7 +417,7 @@ def cache_load(cfg: RunConfig) -> dict | None:
             problem = "a field of the wrong type"
         else:
             return doc
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError, RecursionError) as err:
         problem = str(err)
     print(f"warning: ignoring cache entry {path}: {problem}", file=sys.stderr)
     return None

@@ -32,8 +32,12 @@ two words of equal weight first differ inside both), and every check above
 stays, so a weight can only cost a fallback, never a wrong answer.
 
 :func:`certificate` interreduces and resolves the overlaps, memoized on the
-presentation.  A normal form rewrites the largest reducible word first,
-popped from a heap of the pending words.  :func:`report` answers from the
+presentation.  Each relation is reduced once by the rules of lower degree;
+a degree's relations are then row-reduced on each new leading word, the
+only word of their degree a new rule rewrites.  A word's normal form
+depends on the word alone (its leftmost rewrite gives smaller words), so a
+polynomial's normal form is the sum of its words' forms, each kept in a
+memo that lives until the next rule is added.  :func:`report` answers from the
 certificate: it counts the normal words degree by degree with an automaton
 of the leading words, whose states are at most their total length, and
 checks every degree against the budget with :func:`enveloping.degree_size`
@@ -45,7 +49,6 @@ it answers by :func:`enveloping.engine_report` instead, which eliminates.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heapify, heappop, heappush
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -72,13 +75,15 @@ class Certificate:
     ``overlaps`` counts the overlap ambiguities that resolved.  ``failure``
     says why the normal words are not certified, None when they are.
     ``defined`` names the generators that outweigh the rest of their
-    defining relation.
+    defining relation.  ``rewrites`` counts the words whose normal form
+    needed a rewrite, a measure of the certificate's work.
     """
 
     leading: tuple[Word, ...]
     overlaps: int
     failure: str | None = None
     defined: tuple[str, ...] = ()
+    rewrites: int = 0
 
 
 def _weights(p: RingPresentation, relations: list[Poly]) -> tuple[list[int], tuple[str, ...]]:
@@ -104,29 +109,37 @@ def _weights(p: RingPresentation, relations: list[Poly]) -> tuple[list[int], tup
     return weights, tuple(defined)
 
 
+def _add_multiple(out: Poly, c: Scalar, poly: Poly) -> None:
+    """Add ``c`` times ``poly`` into ``out``, dropping the words that cancel."""
+    for w, d in poly.items():
+        x = out.get(w, 0) + c * d
+        if x:
+            out[w] = x
+        else:
+            out.pop(w, None)
+
+
 class _Rules:
-    """Rewriting rules ``lead -> tail`` and the normal form they give."""
+    """Rewriting rules ``lead -> tail`` and the normal form they give.
+
+    ``rewrites`` counts the words whose normal form took a rewrite, summed
+    over every memo the rules have held.
+    """
 
     def __init__(self, weights: list[int]):
         self.tails: dict[Word, Poly] = {}
+        self.rewrites = 0
         self._weights = weights
         self._lengths: list[int] = []
-        self._keys: dict[Word, tuple[int, Word, Word]] = {}
+        self._forms: dict[Word, Poly] = {}
 
     def order(self, word: Word) -> tuple[int, Word]:
         """The sort key of a word: its total weight, then the word itself."""
-        return -self._key(word)[0], word
-
-    def _key(self, word: Word) -> tuple[int, Word, Word]:
-        """The heap key of a word, memoized: the words of one presentation recur."""
-        key = self._keys.get(word)
-        if key is None:
-            weight = sum(self._weights[g] for g in word)
-            key = self._keys[word] = (-weight, tuple(-g for g in word), word)
-        return key
+        return sum(self._weights[g] for g in word), word
 
     def add(self, lead: Word, tail: Poly) -> None:
         self.tails[lead] = tail
+        self._forms = {}
         if len(lead) not in self._lengths:
             self._lengths = sorted({*self._lengths, len(lead)})
 
@@ -139,41 +152,58 @@ class _Rules:
                     return i, word[i : i + length]
         return None
 
-    def normal_form(self, poly: Poly) -> Poly:
-        """Rewrite the largest reducible word first until no word is reducible.
+    def _form(self, word: Word) -> Poly:
+        """The memoized normal form of one word, evaluated without recursion.
 
-        Every rewrite yields smaller words, so a word left in the result
-        never receives another term, and the map is linear.  The words wait
-        in a heap keyed by (-weight, -letters): two words of equal weight
-        first differ inside both, so negating the letters reverses their
-        order.  A word whose terms cancelled stays in the heap and is
-        skipped when it comes up.
+        A word waits on the stack with the words its rewrite yields until
+        each of those has a form; rewrites yield smaller words, so the wait
+        ends.  The stack, not the call depth, grows with a long word.  A
+        rewrite to one word with coefficient 1 shares that word's form: no
+        form in the memo is changed once made.
         """
-        todo = {w: c for w, c in poly.items() if c}
-        heap = [self._key(w) for w in todo]
-        heapify(heap)
+        forms = self._forms
+        stack: list[tuple[Word, list[tuple[Word, Scalar]] | None]] = [(word, None)]
+        while stack:
+            w, images = stack.pop()
+            if w in forms:
+                continue
+            if images is None:
+                hit = self._occurrence(w)
+                if hit is None:
+                    forms[w] = {w: 1}
+                    continue
+                i, lead = hit
+                head, rest = w[:i], w[i + len(lead) :]
+                images = [(head + t + rest, c) for t, c in self.tails[lead].items()]
+                stack.append((w, images))
+                for u, _ in images:
+                    if u not in forms:
+                        stack.append((u, None))
+                continue
+            if len(images) == 1 and images[0][1] == 1:
+                form = forms[images[0][0]]
+            else:
+                form = {}
+                for u, c in images:
+                    _add_multiple(form, c, forms[u])
+            forms[w] = form
+            self.rewrites += 1
+        return forms[word]
+
+    def normal_form(self, poly: Poly) -> Poly:
+        """The sum of ``c`` times the normal form of ``w`` over the terms ``c w``.
+
+        A word is rewritten at its leftmost occurrence of a leading word,
+        the shortest first at each position, into smaller words, so its
+        normal form depends on the word alone and the map is linear.  That
+        is the map a rewrite of the largest pending word first computes,
+        even for rules that are not confluent, so each word's form is kept
+        until :meth:`add` changes the rules.  The result is a new dict.
+        """
         out: Poly = {}
-        while heap:
-            word = heappop(heap)[2]
-            coeff = todo.pop(word, 0)
-            if not coeff:
-                continue
-            hit = self._occurrence(word)
-            if hit is None:
-                out[word] = coeff
-                continue
-            i, lead = hit
-            head, rest = word[:i], word[i + len(lead) :]
-            for t, c in self.tails[lead].items():
-                w = head + t + rest
-                old = todo.get(w)
-                v = (old or 0) + coeff * c
-                if v:
-                    if old is None:
-                        heappush(heap, self._key(w))
-                    todo[w] = v
-                elif old is not None:
-                    del todo[w]
+        for w, c in poly.items():
+            if c:
+                _add_multiple(out, c, self._form(w))
         return out
 
 
@@ -181,43 +211,68 @@ def _name(p: RingPresentation, word: Word) -> str:
     return ".".join(p.algebra.names[g] for g in word)
 
 
-def _certify(p: RingPresentation) -> Certificate:
-    integer = p.domain == "integer"
+def _relations(p: RingPresentation) -> list[tuple[int, Poly]]:
+    """Each relation's degree and its terms on words of generator indices."""
     index = {name: i for i, name in enumerate(p.algebra.names)}
-    polys: list[Poly] = []
+    return [
+        (
+            degree,
+            {
+                tuple(index[n] for n in w): c.numerator if c.denominator == 1 else c
+                for w, c in r.terms.items()
+            },
+        )
+        for degree, r in zip(p.relation_degrees, p.relations)
+    ]
+
+
+def _interreduce(
+    p: RingPresentation, relations: list[tuple[int, Poly]], rules: _Rules
+) -> str | None:
+    """Add the interreduced rules of ``relations`` to ``rules``; the failure, or None.
+
+    One degree at a time: a proper subword has a smaller degree, so each
+    relation is reduced once by the lower rules, and then only equal
+    leading words are left to eliminate, largest first.  A degree-d word
+    holds no other degree-d word, so a new rule rewrites only its own word
+    ``lead`` in the pending relations: one row operation each, whose tail
+    words are already normal.
+    """
+    integer = p.domain == "integer"
     by_degree: dict[int, list[Poly]] = {}
-    for degree, r in zip(p.relation_degrees, p.relations):
-        poly = {
-            tuple(index[n] for n in w): c.numerator if c.denominator == 1 else c
-            for w, c in r.terms.items()
-        }
-        polys.append(poly)
+    for degree, poly in relations:
         by_degree.setdefault(degree, []).append(poly)
-    weights, defined = _weights(p, polys)
-    rules = _Rules(weights)
-    # interreduce one degree at a time: a proper subword has a smaller
-    # degree, so once the lower rules have reduced a degree's relations only
-    # equal leading words are left to eliminate, largest first; each new rule
-    # clears its word from the other relations at the next normal form
     for degree in sorted(by_degree):
-        pending = by_degree[degree]
-        while pending := [q for q in map(rules.normal_form, pending) if q]:
-            lead = max((w for q in pending for w in q), key=rules.order)
+        pending = [q for q in map(rules.normal_form, by_degree[degree]) if q]
+        # a row operation brings in only words of its pivot, smaller than its
+        # lead, so the largest word left is the next of these still present
+        for lead in sorted({w for q in pending for w in q}, key=rules.order, reverse=True):
             group = [q for q in pending if lead in q]
+            if not group:
+                continue
             pivot = next((q for q in group if q[lead] in (1, -1)), None)
             if pivot is None and integer:
-                return Certificate(
-                    tuple(rules.tails),
-                    0,
-                    f"leading coefficient {group[0][lead]} on {_name(p, lead)}",
-                    defined,
-                )
+                return f"leading coefficient {group[0][lead]} on {_name(p, lead)}"
             pivot = pivot or group[0]
             # a unit is its own inverse, so an integral rule stays integral
             inv = pivot[lead] if pivot[lead] in (1, -1) else Fraction(1) / pivot[lead]
-            rules.add(lead, {w: -c * inv for w, c in pivot.items() if w != lead})
-            pending = [q for q in pending if q is not pivot]
+            tail = {w: -c * inv for w, c in pivot.items() if w != lead}
+            rules.add(lead, tail)
+            for q in group:
+                if q is not pivot:
+                    _add_multiple(q, q.pop(lead), tail)
+            pending = [q for q in pending if q and q is not pivot]
+    return None
+
+
+def _certify(p: RingPresentation) -> Certificate:
+    relations = _relations(p)
+    weights, defined = _weights(p, [poly for _, poly in relations])
+    rules = _Rules(weights)
+    failure = _interreduce(p, relations, rules)
     leading = tuple(rules.tails)
+    if failure is not None:
+        return Certificate(leading, 0, failure, defined, rules.rewrites)
     # every overlap A B C of leading words A B and B C, with A, B, C nonempty
     starting: dict[Word, list[Word]] = {}
     for v in leading:
@@ -234,12 +289,10 @@ def _certify(p: RingPresentation) -> Certificate:
                 for t, c in rules.tails[v].items():
                     diff[head + t] = diff.get(head + t, 0) - c
                 if rules.normal_form(diff):
-                    word = _name(p, u + rest)
-                    return Certificate(
-                        leading, resolved, f"overlap {word} does not resolve", defined
-                    )
+                    failure = f"overlap {_name(p, u + rest)} does not resolve"
+                    return Certificate(leading, resolved, failure, defined, rules.rewrites)
                 resolved += 1
-    return Certificate(leading, resolved, None, defined)
+    return Certificate(leading, resolved, None, defined, rules.rewrites)
 
 
 def certificate(p: RingPresentation) -> Certificate:

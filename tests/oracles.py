@@ -22,7 +22,9 @@ The homotopy Lie algebra has its own references: :func:`pairing_brackets`
 reads the brackets through the full permutation pairing (with Koszul signs,
 on the quadratic part of the differential), one basis pair at a time, and
 :func:`lie_axioms_full_loop` checks the graded Lie axioms on every triple.
-:func:`naive_normal_form` rewrites with a max-first scan.
+:func:`naive_normal_form` rewrites with a max-first scan, and
+:func:`naive_interreduce` re-normalizes every pending relation after each
+new rule.
 """
 
 from __future__ import annotations
@@ -532,3 +534,40 @@ def naive_normal_form(tails: dict, weights: list[int], poly: dict) -> dict:
             else:
                 todo.pop(w, None)
     return out
+
+
+def naive_interreduce(presentation: RingPresentation, relations: list, weights: list[int]):
+    """The rules of ``relations`` by re-normalizing every pending relation after each new rule.
+
+    ``relations`` holds (degree, polynomial on generator-index words) pairs
+    and ``weights`` the generator weights of the word order.  One degree at
+    a time, the largest word of the pending relations leads; the first
+    relation in pending order with a unit coefficient on it is the pivot
+    (over Z there must be one), else the first.  Returns the tails by
+    leading word, in the order the rules were made, and the failure
+    message, or None.
+    """
+    integer = presentation.domain == "integer"
+    names = presentation.algebra.names
+    tails: dict = {}
+    by_degree: dict = {}
+    for degree, poly in relations:
+        by_degree.setdefault(degree, []).append(poly)
+
+    def order(w):
+        return sum(weights[g] for g in w), w
+
+    for degree in sorted(by_degree):
+        pending = by_degree[degree]
+        while pending := [q for q in (naive_normal_form(tails, weights, q) for q in pending) if q]:
+            lead = max((w for q in pending for w in q), key=order)
+            group = [q for q in pending if lead in q]
+            pivot = next((q for q in group if q[lead] in (1, -1)), None)
+            if pivot is None and integer:
+                word = ".".join(names[g] for g in lead)
+                return tails, f"leading coefficient {group[0][lead]} on {word}"
+            pivot = pivot or group[0]
+            inv = pivot[lead] if pivot[lead] in (1, -1) else Fraction(1) / pivot[lead]
+            tails[lead] = {w: -c * inv for w, c in pivot.items() if w != lead}
+            pending = [q for q in pending if q is not pivot]
+    return tails, None

@@ -505,6 +505,20 @@ def test_corrupt_cache_entry_is_recomputed(cache_dir, capsys):
     assert [p.name for p in cache_dir.iterdir()] == [entry.name]
 
 
+def test_cache_entry_nested_too_deep_to_parse_is_a_miss(cache_dir, capsys):
+    """The JSON parser gives up on deep nesting with RecursionError, not ValueError."""
+    args = ("--family", "su", "--rank", "2", "--format", "json")
+    _, fresh, _ = run(capsys, "compute", *args)
+    (entry,) = cache_dir.glob("*.json")
+    entry.write_text("[" * 200000)
+    code, out, err = run(capsys, "report", *args)
+    assert (code, out) == (2, "")
+    assert "ignoring cache entry" in err and "Traceback" not in err
+    code, out, err = run(capsys, "report", *args, "--compute-missing")
+    assert (code, out) == (0, fresh) and "ignoring cache entry" in err
+    assert entry.read_text() == fresh
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_cache_entry_with_a_malformed_body_is_a_miss(cache_dir, capsys, fmt):
     """The identity fields match, but a body field is missing, extra or of the wrong type."""

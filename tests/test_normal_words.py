@@ -27,7 +27,13 @@ from loopalg.enveloping import FreeGradedAlgebra, RingPresentation
 from loopalg.families import LieFamily
 from loopalg.pipeline import rational_pipeline
 
-from oracles import brute_graded_dimension, brute_smith, naive_normal_form, split_report
+from oracles import (
+    brute_graded_dimension,
+    brute_smith,
+    naive_interreduce,
+    naive_normal_form,
+    split_report,
+)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -212,10 +218,11 @@ def test_verbose_names_the_route(tmp_path, capsys):
         return [line for line in lines if not line.startswith("timing ")]
 
     assert stderr("--family", "su", "--rank", "3", "--coeffs", "integer") == [
-        "route integer: normal words, 18 rules, 38 overlaps resolved"
+        "route integer: normal words, 18 rules, 38 overlaps resolved, 115 words rewritten"
     ]
     assert stderr("--family", "g2", "--coeffs", "integer") == [
-        "route integer: normal words, 9 rules, 12 overlaps resolved, defined: y2"
+        "route integer: normal words, 9 rules, 12 overlaps resolved, 49 words rewritten,"
+        " defined: y2"
     ]
     lines = stderr("--family", "f4", "--coeffs", "integer")
     assert lines[0] == "route integer: engine (leading coefficient -9 on y1.y1)"
@@ -349,15 +356,101 @@ def test_the_certificates_of_the_checked_ranks_are_pinned():
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_the_heap_normal_form_equals_a_max_first_scan(data):
-    """Random rules ``lead -> smaller words`` and a random polynomial, both ways."""
+def test_the_memoized_normal_form_equals_a_max_first_scan(data):
+    """Random rules ``lead -> smaller words`` and random polynomials, both ways.
+
+    A polynomial is normalized before each ``add`` and after the last, so a
+    form kept from before an ``add`` would differ from the scan; each result
+    is then emptied, which would show if it shared a dict with the memo.
+    """
     weights = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
     words = st.lists(st.integers(0, len(weights) - 1), min_size=1, max_size=4).map(tuple)
     coeffs = st.integers(-3, 3).filter(bool)
+    polys = st.dictionaries(words, coeffs, max_size=6)
     rules = normal_words._Rules(weights)
+
+    def check(poly):
+        want = naive_normal_form(rules.tails, weights, poly)
+        got = rules.normal_form(poly)
+        assert got == want
+        got.clear()
+        assert rules.normal_form(poly) == want
+
     for lead in data.draw(st.lists(words, max_size=4, unique=True)):
+        check(data.draw(polys))
         tail = data.draw(st.lists(words, max_size=3))
         smaller = [w for w in tail if rules.order(w) < rules.order(lead)]
         rules.add(lead, {w: data.draw(coeffs) for w in smaller})
-    poly = data.draw(st.dictionaries(words, coeffs, max_size=6))
-    assert rules.normal_form(poly) == naive_normal_form(rules.tails, weights, poly)
+    check(data.draw(polys))
+
+
+def test_an_80_letter_word_normalizes_without_deep_recursion():
+    """``y x -> x y`` sorts ``y^40 x^40`` through 1,600 rewrites, each waiting on the next."""
+    alg = FreeGradedAlgebra([("x", 1), ("y", 1)])
+    x, y = alg.gen("x"), alg.gen("y")
+    p = RingPresentation(alg, [y * x - x * y], domain="integer")
+    relations = normal_words._relations(p)
+    weights, _ = normal_words._weights(p, [poly for _, poly in relations])
+    rules = normal_words._Rules(weights)
+    assert normal_words._interreduce(p, relations, rules) is None
+    assert rules.tails == {(1, 0): {(0, 1): 1}}
+    word = {(1,) * 40 + (0,) * 40: 1}
+    want = {(0,) * 40 + (1,) * 40: 1}
+    assert rules.normal_form(word) == naive_normal_form(rules.tails, weights, word) == want
+    assert rules.rewrites == 1600
+
+
+def _assert_the_rules_are_the_naive_ones(p):
+    """The leading words in order, the tails and the failure of :func:`naive_interreduce`."""
+    relations = normal_words._relations(p)
+    weights, _ = normal_words._weights(p, [poly for _, poly in relations])
+    tails, failure = naive_interreduce(p, relations, weights)
+    rules = normal_words._Rules(weights)
+    assert normal_words._interreduce(p, relations, rules) == failure
+    assert list(rules.tails) == list(tails) and rules.tails == tails
+    cert = normal_words._certify(p)
+    assert cert.leading == tuple(tails)
+    if failure is not None or cert.failure is None:
+        assert cert.failure == failure
+    else:
+        assert cert.failure.startswith("overlap ")
+
+
+@pytest.mark.parametrize("domain, seed", [("rational", 7401), ("integer", 7402)])
+def test_the_row_reduced_interreduction_equals_the_naive_one_on_random_presentations(domain, seed):
+    rng = random.Random(seed)
+    failures = set()
+    for _ in range(60):
+        for p in (_random_presentation(rng, domain), _defining_presentation(rng, domain)):
+            _assert_the_rules_are_the_naive_ones(p)
+            failures.add(normal_words._certify(p).failure is None)
+    assert failures == {True, False}
+
+
+def test_the_row_reduced_interreduction_equals_the_naive_one_on_every_catalog_configuration():
+    for _, p, _ in _catalog_presentations():
+        _assert_the_rules_are_the_naive_ones(p)
+
+
+# words rewritten by each certificate of the ring-deep workload:
+# (family, rank, domain) -> Certificate.rewrites
+RING_DEEP_REWRITES = {
+    ("su", 7, "rational"): 1651,
+    ("su", 7, "integer"): 1651,
+    ("su", 6, "rational"): 1023,
+    ("su", 6, "integer"): 1023,
+    ("e6", 6, "rational"): 1023,
+    ("e6", 6, "integer"): 1135,
+}
+
+
+def test_the_ring_deep_certificates_rewrite_pinned_word_counts():
+    got = {}
+    for family, rank, _ in RING_DEEP:
+        shown = (
+            rational_pipeline(catalog_entry(family, rank)).presentation,
+            expected_integral_presentation(family, rank),
+        )
+        for p in shown:
+            got[(family.slug, rank, p.domain)] = normal_words._certify(p).rewrites
+    assert got == RING_DEEP_REWRITES
