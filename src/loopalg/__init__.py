@@ -48,11 +48,6 @@ from .minimal_model import (
     regular_sequence_check,
 )
 from .pipeline import PipelineResult, rational_pipeline
-from .symmetric import (
-    elementary_symmetric,
-    invariant_polynomials,
-    newton_sigma,
-    recursion_p,
-)
+from .symmetric import elementary_symmetric, invariant_polynomials
 
 __version__ = "0.1.0"

@@ -4,7 +4,7 @@ Each entry collects, for one complete flag manifold G/T of a simple compact
 Lie group:
 
 * the reduced cohomology presentation (degree-2 variables and invariant
-  forms) feeding the minimal-model pipeline;
+  forms, each built on its first read) feeding the minimal-model pipeline;
 * the exponents, which place the loop-space generators in degrees 2k - 2;
 * the expected rational and integral Pontrjagin presentations, with tensor
   factors encoded as explicit centrality relations;
@@ -107,12 +107,14 @@ def splitting_series(family: LieFamily, rank: int, max_degree: int) -> PoincareS
 
 
 def cohomology_presentation(family: LieFamily, rank: int) -> CohomologyPresentation:
+    """The invariant forms, one of degree 2e per exponent e, each built on its first read."""
     algebra = variable_algebra(family, rank)
-    relations = [
-        invariant_polynomials(family, rank, k, algebra)
-        for k in invariant_indices(family, rank)
-    ]
-    return CohomologyPresentation(algebra, relations)
+    indices = invariant_indices(family, rank)
+    return CohomologyPresentation(
+        algebra,
+        degrees=[2 * e for e in exponents(family, rank)],
+        build=lambda j: invariant_polynomials(family, rank, indices[j], algebra),
+    )
 
 
 def _odd_names(family: LieFamily, rank: int) -> tuple[str, ...]:

@@ -4,7 +4,8 @@ Reports serialize deterministically (sorted keys, fixed layout), so a given
 configuration always produces byte-identical output.  Completed compute
 results are cached on disk keyed by a content hash of the configuration and
 the package version; an entry without the fields and types a compute report
-writes is a miss, recomputed by ``report --compute-missing``.
+writes, or with numbers off the PBW series, is a miss, recomputed by
+``report --compute-missing``.
 
 ``compute`` and ``report`` answer from certified normal words
 (:mod:`loopalg.normal_words`) and eliminate only where the certificate
@@ -107,20 +108,26 @@ def _integral_presentation(cfg: RunConfig) -> RingPresentation:
     return p
 
 
+@functools.lru_cache(maxsize=256)  # every cache hit is cross-checked against the series
+def _expected_pbw(family: LieFamily, rank: int, degree: int) -> tuple:
+    """The pipeline's generator and relation degrees, and by PBW its series, before any build."""
+    gens, rels = presentation_degrees(rank, cat.exponents(family, rank))
+    return tuple(gens), tuple(rels), pbw_series_of_degrees(gens, degree)
+
+
 def _refuse_over_budget(cfg: RunConfig) -> None:
     """Refuse in every degree where the rational route would, before any build.
 
     A rational or both request, and ``series``, reads the pipeline first.
-    Its presentation is U(L), so by PBW its dimensions are the PBW series of
-    the Lie basis degrees, which :func:`presentation_degrees` gives from the
-    exponents.  Both rational routes, normal words and the engine, check
-    :func:`degree_size` on those dimensions, so this check refuses at the
-    same degree with the same numbers.  An integer request is refused by its
-    own route, which runs first.
+    Its presentation is U(L), so its dimensions are the PBW series of the
+    Lie basis degrees.  Both rational routes, normal words and the engine,
+    check :func:`degree_size` on those dimensions, so this check refuses at
+    the same degree with the same numbers.  An integer request is refused
+    by its own route, which runs first.
     """
     n = cfg.degree
-    gens, rels = presentation_degrees(cfg.rank, cat.exponents(cfg.family, cfg.rank))
-    sizes = list(pbw_series_of_degrees(gens, n))
+    gens, rels, pbw = _expected_pbw(cfg.family, cfg.rank, n)
+    sizes = list(pbw)
     no_torsion = [0] * (n + 1)
     for d in range(1, n + 1):
         check_budget(d, cfg.budget, *degree_size(d, gens, rels, sizes, no_torsion))
@@ -168,8 +175,7 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
     if cfg.coeffs == "integer" and not verify:
         # the report reads only the PBW series, and by PBW that needs only
         # the degrees of the Lie basis, which the exponents give
-        gens, _ = presentation_degrees(cfg.rank, cat.exponents(cfg.family, cfg.rank))
-        pbw = pbw_series_of_degrees(gens, n)
+        pbw = _expected_pbw(cfg.family, cfg.rank, n)[2]
     else:
         entry = cat.catalog_entry(cfg.family, cfg.rank)
         pipe = timed("pipeline", rational_pipeline, entry)
@@ -400,7 +406,9 @@ def cache_load(cfg: RunConfig) -> dict | None:
     An entry that cannot be read or parsed (nested too deep for the parser
     included), that names another configuration than ``cfg``, or whose
     fields are not those of a compute report with the types
-    ``build_report`` writes, counts as a miss.
+    ``build_report`` writes, counts as a miss.  So does one whose numbers
+    are not the PBW series (``poincare``; an integer report's ``ranks``, a
+    rational one's are empty) or that shows torsion.
     """
     path = cache_directory(cfg) / f"{cfg.cache_key()}.json"
     if not path.exists():
@@ -415,6 +423,12 @@ def cache_load(cfg: RunConfig) -> dict | None:
             problem = "not the fields of a compute report"
         elif not all(valid(doc[k]) for k, valid in _REPORT_BODY.items()):
             problem = "a field of the wrong type"
+        elif doc["poincare"] != (pbw := list(_expected_pbw(cfg.family, cfg.rank, cfg.degree)[2])):
+            problem = "poincare differs from the PBW series"
+        elif doc["ranks"] != (pbw if cfg.coeffs == "integer" else []):
+            problem = "ranks differ from the PBW series"
+        elif any(doc["torsion"]):
+            problem = "torsion in a torsion-free ring"
         else:
             return doc
     except (OSError, ValueError, RecursionError) as err:
@@ -454,7 +468,8 @@ def _parser() -> argparse.ArgumentParser:
             choices=[f.slug for f in LieFamily],
         )
         p.add_argument("--rank", type=int, default=None)
-        p.add_argument("--coeffs", choices=["rational", "integer"], default=None)
+        if name != "series":  # series compares the rational PBW and splitting series
+            p.add_argument("--coeffs", choices=["rational", "integer"], default=None)
         p.add_argument("--max-degree", type=int, default=None)
         p.add_argument("--format", dest="fmt", choices=["json", "text"], default="text")
         p.add_argument("--out", default=None)
@@ -498,9 +513,9 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"--max-degree must be <= {MAX_DEGREE}")
     if args.budget <= 0:
         raise UsageError("--budget must be positive")
-    if getattr(args, "inject_torsion", False) and args.coeffs == "rational":
+    coeffs = getattr(args, "coeffs", None)
+    if getattr(args, "inject_torsion", False) and coeffs == "rational":
         raise UsageError("--inject-torsion needs the integral check: --coeffs integer or both")
-    coeffs = args.coeffs
     if args.command == "verify":
         coeffs = coeffs or "both"
     else:

@@ -109,9 +109,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_homogeneous(self) -> bool:
-        return len(set(self.algebra.key_degrees(self.terms))) <= 1
-
     def degree(self):
         """Degree of a homogeneous element; None for zero."""
         degrees = self.algebra.key_degrees(self.terms)

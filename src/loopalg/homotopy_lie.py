@@ -1,8 +1,9 @@
 """The homotopy Lie algebra dual to a minimal model.
 
 The basis is dual to the model's generators with degrees shifted down by
-one.  Structure constants come from the quadratic part of the differential
-through the pairing
+one.  Structure constants come from d1, the quadratic part of the
+differential and the only part a :class:`~loopalg.minimal_model.MinimalModel`
+carries, through the pairing
 
     < v_1 ^ ... ^ v_k ; s x_1, ..., s x_k >
         = sum over permutations s of eps_s * prod < v_{s(i)} ; s x_i >
@@ -19,7 +20,8 @@ For k = 2 the pairing is sparse: a term ``c p q`` of ``d1 v`` (letters
 Koszul sign of the swap (-1 when both letters are odd) against
 ``(s q*, s p*)``, and to ``2c`` against ``(s p*, s p*)`` when ``p = q``.
 So :func:`brackets_from_d1` reads every bracket in one pass over the
-terms of d1.
+terms of d1; higher word lengths of the differential pair to zero against
+two arguments, and the model does not build them.
 """
 
 from __future__ import annotations
@@ -95,20 +97,18 @@ def dual_basis(
 def brackets_from_d1(
     m: MinimalModel, dual_names: Mapping[str, str] | None = None
 ) -> HomotopyLieAlgebra:
-    """Lie algebra on the dual basis with brackets read off the quadratic part.
+    """Lie algebra on the dual basis with brackets read off the model's d1.
 
-    One pass over the word-length-2 terms of the differential (see the module
-    docstring); brackets not forced by d1 are zero.  Pairs come in basis
-    order and each bracket's values in generator order.
+    One pass over the terms of d1 (see the module docstring); brackets not
+    forced by d1 are zero.  Pairs come in basis order and each bracket's
+    values in the order of d1, which the model builds in generator order.
     """
     basis = dual_basis(m, dual_names)
     odd = [d % 2 for _, d in m.algebra.generators]
     pairs: dict[tuple[int, int], Bracket] = {}
-    for v, (gen_name, _) in enumerate(m.algebra.generators):
-        image, target = m.differential.image_of(gen_name), basis[v].name
+    for gen_name, image in m.d1.items():
+        target = basis[m.algebra.index(gen_name)].name
         for mono, c in image.terms.items():
-            if sum(mono) != 2:
-                continue
             p, q = image.letters(mono)
             swap = -1 if odd[p] and odd[q] else 1
             # a square lands on (p*, p*) twice

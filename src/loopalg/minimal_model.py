@@ -2,9 +2,12 @@
 
 For a presentation ``Q[u_1..u_n] / (P_1..P_k)`` by a regular sequence, the
 minimal model is ``Q[u] (x) Lambda(v_1..v_k)`` with ``deg v_j = deg P_j - 1``
-and differential ``d(u_i) = 0``, ``d(v_j) = P_j``.  The regular-sequence
-property itself is checked by dimension counting of the commutative
-quotient A, which also yields the graded dimensions of the cohomology.
+and differential ``d(u_i) = 0``, ``d(v_j) = P_j``.  A relation of degree
+2k has word length k, so a :class:`MinimalModel` carries d1, the quadratic
+part the Lie algebra reads, from the degree-4 relations alone; the others
+are built on their first read.  The regular-sequence property itself is
+checked by dimension counting of the commutative quotient A, which reads
+every form and also yields the graded dimensions of the cohomology.
 
 With as many relations as variables, one rank decides every degree.  Let
 D = socle + 2, where the socle degree is sum(deg P_j - 2).  If the degree-D
@@ -51,6 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from operator import mul
+from typing import Callable, Mapping
 
 from . import linalg
 from .enveloping import DEFAULT_WORD_BUDGET, check_budget
@@ -63,29 +67,48 @@ CERTIFICATE_PRIME = 1_073_741_789
 
 
 class CohomologyPresentation:
-    """Degree-2 polynomial generators modulo homogeneous even relations."""
+    """Degree-2 polynomial generators modulo homogeneous even relations.
 
-    def __init__(self, algebra: GradedAlgebra, relations: list[GcaElement]):
+    Given ``degrees`` and ``build`` instead of the forms ``relations``, form j
+    is made by ``build(j)`` on its first read, checked against ``degrees[j]``
+    and kept; ``relation_degrees`` and the socle degree read no form.
+    """
+
+    def __init__(self, algebra: GradedAlgebra, relations=None, degrees=(), build=None):
         for name, degree in algebra.generators:
             if degree != 2:
                 raise ValueError(f"generator {name!r} must have degree 2")
-        rels = tuple(relations)
-        degrees = []
-        for r in rels:
-            if not algebra.same_generators(r.algebra):
-                raise ValueError("relation over a different generator set")
-            # generators of degree 2: the word lengths give the degree in one scan
-            lengths = {sum(mono) for mono in r.terms}
-            if len(lengths) != 1:
-                raise ValueError("relations must be nonzero and homogeneous")
-            degrees.append(2 * lengths.pop())
-            if degrees[-1] < 4:
-                raise ValueError("relations must have even degree >= 4")
         self.algebra = algebra
-        self.relations = rels
+        if relations is not None:
+            degrees, build = [self._degree(r) for r in relations], tuple(relations).__getitem__
+        if any(d < 4 or d % 2 for d in degrees):
+            raise ValueError("relations must have even degree >= 4")
         self.relation_degrees = tuple(degrees)
+        self._build: Callable[[int], GcaElement] = build
+        self._forms: dict[int, GcaElement] = {}
         # set by each quotient_dimensions call; None when it raised
         self.quotient_work: QuotientWork | None = None
+
+    def _degree(self, r: GcaElement) -> int:
+        if not self.algebra.same_generators(r.algebra):
+            raise ValueError("relation over a different generator set")
+        # generators of degree 2: the word lengths give the degree in one scan
+        lengths = {sum(mono) for mono in r.terms}
+        if len(lengths) != 1:
+            raise ValueError("relations must be nonzero and homogeneous")
+        return 2 * lengths.pop()
+
+    def relation(self, j: int) -> GcaElement:
+        if j not in self._forms:
+            form, declared = self._build(j), self.relation_degrees[j]
+            if (degree := self._degree(form)) != declared:
+                raise ValueError(f"relation {j} has degree {degree}, declared {declared}")
+            self._forms[j] = form
+        return self._forms[j]
+
+    @property
+    def relations(self) -> tuple[GcaElement, ...]:
+        return tuple(map(self.relation, range(len(self.relation_degrees))))
 
     def socle_degree(self) -> int:
         return sum(d - 2 for d in self.relation_degrees)
@@ -93,11 +116,25 @@ class CohomologyPresentation:
 
 @dataclass(frozen=True)
 class MinimalModel:
+    """Q[u] (x) Lambda(v) with d1, the word-length-2 part of d, on each generator
+    where it is nonzero: the degree-4 relations."""
+
     algebra: GradedAlgebra
     even_names: tuple[str, ...]
     odd_names: tuple[str, ...]
-    differential: Derivation
+    d1: Mapping[str, GcaElement]
     presentation: CohomologyPresentation
+
+    def differential(self) -> Derivation:
+        """The full differential, d(u_i) = 0 and d(v_j) = P_j, from every form."""
+        forms = zip(self.odd_names, self.presentation.relations)
+        return Derivation(self.algebra, {v: _padded(self.algebra, p) for v, p in forms})
+
+
+def _padded(algebra: GradedAlgebra, form: GcaElement) -> GcaElement:
+    """A form in the u as an element of the model: zero exponents on the v."""
+    pad = (0,) * (len(algebra) - len(form.algebra))
+    return GcaElement(algebra, {m + pad: c for m, c in form.terms.items()})
 
 
 @dataclass(frozen=True)
@@ -317,7 +354,7 @@ def is_regular(c: CohomologyPresentation, dims: PoincareSeries) -> bool:
     The quotient is generated in degree 2, so one vanishing even degree past
     the socle bound sum(deg P_j - 2) kills everything above it.
     """
-    if len(c.relations) != len(c.algebra):
+    if len(c.relation_degrees) != len(c.algebra):
         raise ValueError("relation count differs from variable count")
     socle = c.socle_degree()
     return dims.coefficient(socle + 1) == 0 and dims.coefficient(socle + 2) == 0
@@ -328,31 +365,29 @@ def build_minimal_model(
     odd_names: list[str] | None = None,
     check_regular: bool = True,
 ) -> MinimalModel:
-    """Minimal model with one odd generator per relation, d(v_j) = P_j."""
+    """Minimal model with one odd generator per relation, d(v_j) = P_j.
+
+    Reads only the degree-4 relations, which make up d1.
+    """
     if check_regular and not regular_sequence_check(c):
         raise ValueError("relations do not form a regular sequence")
     even = list(c.algebra.generators)
+    degrees = c.relation_degrees
     if odd_names is None:
-        odd_names = [f"v{j}" for j in range(1, len(c.relations) + 1)]
-    if len(odd_names) != len(c.relations):
+        odd_names = [f"v{j}" for j in range(1, len(degrees) + 1)]
+    if len(odd_names) != len(degrees):
         raise ValueError("need one odd generator name per relation")
-    odd = [(name, d - 1) for name, d in zip(odd_names, c.relation_degrees)]
-    algebra = GradedAlgebra(even + odd)
-    # each image is a relation padded with zero exponents on the odd generators
-    pad = (0,) * len(odd)
-    images = {name: algebra.zero() for name, _ in even}
-    for (name, _), rel in zip(odd, c.relations):
-        images[name] = GcaElement(algebra, {m + pad: v for m, v in rel.terms.items()})
-    differential = Derivation(algebra, images)
+    algebra = GradedAlgebra(even + [(name, d - 1) for name, d in zip(odd_names, degrees)])
+    d1 = {v: _padded(algebra, c.relation(j)) for j, v in enumerate(odd_names) if degrees[j] == 4}
     return MinimalModel(
         algebra=algebra,
         even_names=tuple(n for n, _ in even),
-        odd_names=tuple(n for n, _ in odd),
-        differential=differential,
+        odd_names=tuple(odd_names),
+        d1=d1,
         presentation=c,
     )
 
 
 def derivation_square_check(m: MinimalModel) -> bool:
     """True iff d(d(g)) = 0 for every generator of the model."""
-    return m.differential.squares_to_zero()
+    return m.differential().squares_to_zero()

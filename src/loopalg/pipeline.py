@@ -1,7 +1,8 @@
 """The full rational pipeline for one catalog entry.
 
 cohomology presentation -> minimal model -> quadratic part -> homotopy Lie
-algebra -> enveloping presentation.  The regular-sequence precondition of
+algebra -> enveloping presentation, reading only the degree-4 invariant
+forms, which make up d1.  The regular-sequence precondition of
 the cohomology presentation is not checked here: ``verify`` checks it from
 the commutative quotient it builds anyway (when that quotient fits the
 budget), and ``build_minimal_model`` checks it when called on its own.

@@ -1,8 +1,4 @@
-"""Symmetric-function identities and the Weyl-invariant forms per family.
-
-``newton_sigma`` and ``recursion_p`` are the two classical recursions tying
-power sums to elementary symmetric functions; under the substitution
-``y_i = e_i(t_1..t_m)`` both produce the power sum ``t_1^k + ... + t_m^k``.
+"""Elementary symmetric polynomials and the Weyl-invariant forms per family.
 
 ``invariant_polynomials`` gives, for each Lie family, the invariant forms
 whose vanishing presents the rational cohomology of the complete flag
@@ -37,48 +33,6 @@ def elementary_symmetric(k: int, variables: list[GcaElement]) -> GcaElement:
             term = term * v
         total = total + term
     return total
-
-
-def newton_sigma(k: int, y: list[GcaElement]) -> GcaElement:
-    """sigma_k from sigma_k = sum_{i<k} (-1)^{i-1} sigma_{k-i} y_i + (-1)^{k-1} k y_k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if len(y) < k:
-        raise ValueError(f"missing y entries: need y_1..y_{k}, got {len(y)}")
-    algebra = y[0].algebra
-    sigma: list[GcaElement] = [algebra.one()]
-    for m in range(1, k + 1):
-        total = algebra.zero()
-        for i in range(1, m):
-            sign = 1 if (i - 1) % 2 == 0 else -1
-            total = total + sign * (sigma[m - i] * y[i - 1])
-        sign = 1 if (m - 1) % 2 == 0 else -1
-        total = total + (sign * m) * y[m - 1]
-        sigma.append(total)
-    return sigma[k]
-
-
-def recursion_p(k: int, y: list[GcaElement]) -> GcaElement:
-    """p_k solved from p_k - p_{k-1} y_1 + ... +- k y_k = 0 with p_0 = 1."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        if not y:
-            raise ValueError("need at least one y entry to know the ambient algebra")
-        return y[0].algebra.one()
-    if len(y) < k:
-        raise ValueError(f"missing y entries: need y_1..y_{k}, got {len(y)}")
-    algebra = y[0].algebra
-    p: list[GcaElement] = [algebra.one()]
-    for m in range(1, k + 1):
-        total = algebra.zero()
-        for i in range(1, m):
-            sign = 1 if (i - 1) % 2 == 0 else -1
-            total = total + sign * (y[i - 1] * p[m - i])
-        sign = 1 if (m - 1) % 2 == 0 else -1
-        total = total + (sign * m) * y[m - 1]
-        p.append(total)
-    return p[k]
 
 
 def variable_algebra(family: LieFamily, rank: int) -> GradedAlgebra:

@@ -22,6 +22,10 @@ The homotopy Lie algebra has its own references: :func:`pairing_brackets`
 reads the brackets through the full permutation pairing (with Koszul signs,
 on the quadratic part of the differential), one basis pair at a time, and
 :func:`lie_axioms_full_loop` checks the graded Lie axioms on every triple.
+:func:`newton_sigma` and :func:`recursion_p` are the two classical
+recursions tying power sums to elementary symmetric functions; under the
+substitution ``y_i = e_i(t_1..t_m)`` both produce the power sum
+``t_1^k + ... + t_m^k``.
 :func:`naive_normal_form` rewrites with a max-first scan, and
 :func:`naive_interreduce` re-normalizes every pending relation after each
 new rule.
@@ -42,7 +46,7 @@ from loopalg.enveloping import (
     SmithEntry,
     graded_dimensions,
 )
-from loopalg.gca import Derivation, GcaElement, GradedAlgebra
+from loopalg.gca import Derivation, GcaElement, GradedAlgebra, Polynomial
 from loopalg.homotopy_lie import HomotopyLieAlgebra, LieBasisElement, dual_basis
 from loopalg.minimal_model import CohomologyPresentation, MinimalModel
 from loopalg.series import pbw_coefficients
@@ -392,13 +396,58 @@ def koszul_sign(permutation: Sequence[int], degrees: Sequence[int]) -> int:
     return sign
 
 
-def quadratic_part(m: MinimalModel) -> Derivation:
-    """Word-length-2 component of the differential on every generator."""
+def quadratic_part(d: Derivation) -> Derivation:
+    """Word-length-2 component of a differential on every generator."""
     images = {}
-    for name, _ in m.algebra.generators:
-        terms = m.differential.image_of(name).terms
-        images[name] = GcaElement(m.algebra, {k: c for k, c in terms.items() if sum(k) == 2})
-    return Derivation(m.algebra, images)
+    for name, image in d.images().items():
+        images[name] = GcaElement(d.algebra, {k: c for k, c in image.terms.items() if sum(k) == 2})
+    return Derivation(d.algebra, images)
+
+
+def is_homogeneous(p: Polynomial) -> bool:
+    return len(set(p.algebra.key_degrees(p.terms))) <= 1
+
+
+def newton_sigma(k: int, y: list[GcaElement]) -> GcaElement:
+    """sigma_k from sigma_k = sum_{i<k} (-1)^{i-1} sigma_{k-i} y_i + (-1)^{k-1} k y_k."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if len(y) < k:
+        raise ValueError(f"missing y entries: need y_1..y_{k}, got {len(y)}")
+    algebra = y[0].algebra
+    sigma: list[GcaElement] = [algebra.one()]
+    for m in range(1, k + 1):
+        total = algebra.zero()
+        for i in range(1, m):
+            sign = 1 if (i - 1) % 2 == 0 else -1
+            total = total + sign * (sigma[m - i] * y[i - 1])
+        sign = 1 if (m - 1) % 2 == 0 else -1
+        total = total + (sign * m) * y[m - 1]
+        sigma.append(total)
+    return sigma[k]
+
+
+def recursion_p(k: int, y: list[GcaElement]) -> GcaElement:
+    """p_k solved from p_k - p_{k-1} y_1 + ... +- k y_k = 0 with p_0 = 1."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if k == 0:
+        if not y:
+            raise ValueError("need at least one y entry to know the ambient algebra")
+        return y[0].algebra.one()
+    if len(y) < k:
+        raise ValueError(f"missing y entries: need y_1..y_{k}, got {len(y)}")
+    algebra = y[0].algebra
+    p: list[GcaElement] = [algebra.one()]
+    for m in range(1, k + 1):
+        total = algebra.zero()
+        for i in range(1, m):
+            sign = 1 if (i - 1) % 2 == 0 else -1
+            total = total + sign * (y[i - 1] * p[m - i])
+        sign = 1 if (m - 1) % 2 == 0 else -1
+        total = total + (sign * m) * y[m - 1]
+        p.append(total)
+    return p[k]
 
 
 def pairing(w: GcaElement, args: Sequence[LieBasisElement]) -> Fraction:
@@ -426,12 +475,16 @@ def pairing(w: GcaElement, args: Sequence[LieBasisElement]) -> Fraction:
 
 
 def pairing_brackets(
-    m: MinimalModel, dual_names: Mapping[str, str] | None = None
+    m: MinimalModel, differential: Derivation, dual_names: Mapping[str, str] | None = None
 ) -> HomotopyLieAlgebra:
-    """The brackets ``<v ; s[x, y]> = (-1)^{deg y + 1} <d1 v ; s x, s y>``, pair by pair."""
+    """The brackets ``<v ; s[x, y]> = (-1)^{deg y + 1} <d1 v ; s x, s y>``, pair by pair.
+
+    d1 is the quadratic part of the full ``differential`` on ``m``'s
+    generators, not the model's own ``d1``.
+    """
     basis = dual_basis(m, dual_names)
     dual_of = {b.dual_to: b.name for b in basis}
-    d1 = quadratic_part(m)
+    d1 = quadratic_part(differential)
     images = {name: d1.image_of(name) for name, _ in m.algebra.generators}
     brackets = {}
     for x in basis:

@@ -1,12 +1,13 @@
 """The benchmark's tracer patches the package by name; every name must resolve."""
 
 import importlib
+import sys
 import weakref
 from pathlib import Path
 
 import pytest
 
-from loopalg import cli, enveloping, minimal_model, normal_words
+from loopalg import catalog, cli, enveloping, minimal_model, normal_words, symmetric
 from loopalg.catalog import (
     catalog_entry,
     cohomology_presentation,
@@ -137,3 +138,28 @@ def test_traced_cli_compute_eliminates_the_core_through_the_traced_engines(
         assert metrics["linalg.rref_rows"] == rows
     else:
         assert 0 < metrics["linalg.coker_rows"] <= rows
+
+
+def test_the_benchmark_setup_builds_no_invariant_form(monkeypatch, capsys):
+    """``run.py``'s set-up imports the CLI and builds every workload's catalog
+    entries; an entry holds no form until a request reads one, so ``setup_s``
+    times no form."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = importlib.import_module("run")
+    workloads = importlib.import_module("workloads")
+    configs = [c for w in workloads.WORKLOADS for c in workloads.configurations(w)]
+    original = symmetric.invariant_polynomials
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[:3])
+        return original(*args, **kwargs)
+
+    for module in (symmetric, catalog):
+        monkeypatch.setattr(module, "invariant_polynomials", spy)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    catalog_entry.cache_clear()
+    exec(run.SETUP_CODE.format(src=str(PERFBENCH.parent / "src"), configs=configs), {})
+    capsys.readouterr()
+    assert {LieFamily.E6.slug, LieFamily.SU.slug} <= {f for f, _ in configs}
+    assert calls == []

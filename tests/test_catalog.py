@@ -2,6 +2,7 @@
 
 import pytest
 
+from loopalg import catalog
 from loopalg.catalog import (
     DEFAULT_CHECKED_RANKS,
     catalog_entry,
@@ -149,3 +150,23 @@ def test_expected_rational_matches_pipeline_dimensions():
             graded_dimensions(entry.expected_rational, n),
             n,
         )
+
+
+def test_a_catalog_entry_builds_no_invariant_form(monkeypatch):
+    """Forms are built when a request reads them, never by the entry itself."""
+    original = catalog.invariant_polynomials
+    calls = []
+
+    def spy(*args):
+        calls.append(args[:3])
+        return original(*args)
+
+    monkeypatch.setattr(catalog, "invariant_polynomials", spy)
+    catalog_entry.cache_clear()
+    configs = [(f, r) for f, ranks in DEFAULT_CHECKED_RANKS.items() for r in ranks]
+    entries = [catalog_entry(f, r) for f, r in configs + [(LieFamily.SU, 12)]]
+    assert calls == []
+    # the degree-4 form is the first read, and kept
+    su12 = entries[-1].cohomology
+    assert su12.relation(0) is su12.relation(0)
+    assert calls == [(LieFamily.SU, 12, 1)]

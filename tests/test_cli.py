@@ -10,11 +10,12 @@ from pathlib import Path
 import pytest
 
 import loopalg
-from loopalg import cli, homotopy_lie, linalg, minimal_model, normal_words
+from loopalg import cli, homotopy_lie, linalg, minimal_model, normal_words, symmetric
 from loopalg.catalog import (
     DEFAULT_CHECKED_RANKS,
     catalog_entry,
     default_max_degree,
+    splitting_series,
 )
 from loopalg.cli import main
 from loopalg.enveloping import BudgetExceededError, engine_report
@@ -106,9 +107,8 @@ def test_each_check_runs_once_per_request(cache_dir, capsys, monkeypatch, comman
 
 @pytest.mark.parametrize("command", ["compute", "verify", "series"])
 def test_budget_refuses_degree_one_before_anything_is_built(cache_dir, capsys, command):
-    # su12's invariants and minimal model take minutes to build; degree 1
-    # needs its 12 generators, which the budget refuses at once, for series
-    # as for compute
+    # degree 1 needs su12's 12 generators, which the budget refuses at once,
+    # for series as for compute, before the catalog entry or the model
     start = time.perf_counter()
     code, out, err = run(capsys, command, "--family", "su", "--rank", "12", "--budget", "5")
     assert time.perf_counter() - start < 10
@@ -125,8 +125,8 @@ def test_budget_refuses_degree_one_before_anything_is_built(cache_dir, capsys, c
 def test_budget_refuses_degree_two_before_anything_is_built(
     cache_dir, capsys, monkeypatch, command
 ):
-    # su10's catalog entry takes seconds to build; degree 2 needs 10 * 10 + 1
-    # symbols on both routes (b1 and y1 have degree 2)
+    # degree 2 needs 10 * 10 + 1 symbols on both routes (b1 and y1 have
+    # degree 2), refused before su10's catalog entry is built
     built = _count_calls(monkeypatch, cli.cat, "catalog_entry")
     cases = [(("--coeffs", "rational"), "50"), (("--coeffs", "integer"), "100")]
     if command == "verify":  # both, its default, runs the rational route first
@@ -147,7 +147,7 @@ def test_integer_requests_are_refused_by_their_route_before_the_catalog_build(
     cache_dir, capsys, monkeypatch, command
 ):
     # degrees 1 and 2 of su12's integral presentation fit 150, degree 3
-    # does not; building su12's catalog entry alone takes over a minute
+    # does not, and the integral route refuses before the catalog entry
     built = _count_calls(monkeypatch, cli.cat, "catalog_entry")
     start = time.perf_counter()
     argv = ("--family", "su", "--rank", "12", "--coeffs", "integer", "--budget", "150")
@@ -221,8 +221,8 @@ def test_the_early_budget_check_refuses_as_the_route_would():
 def test_a_rational_request_is_refused_in_any_degree_before_anything_is_built(
     cache_dir, capsys, monkeypatch, command
 ):
-    # su12 passes degrees 1-9 of the default budget and fails degree 10;
-    # building its catalog entry alone takes over a minute
+    # su12 passes degrees 1-9 of the default budget and fails degree 10,
+    # refused from the exponents before the catalog entry is built
     built = _count_calls(monkeypatch, cli.cat, "catalog_entry")
     start = time.perf_counter()
     code, out, err = run(capsys, command, "--family", "su", "--rank", "12")
@@ -230,6 +230,20 @@ def test_a_rational_request_is_refused_in_any_degree_before_anything_is_built(
     assert (code, out) == (3, "")
     assert err == "error: degree 10 needs 244448 basis symbols/rows, over the budget of 200000\n"
     assert built == []
+
+
+def test_a_rational_compute_builds_only_the_degree_four_form(cache_dir, capsys, monkeypatch):
+    """su10's forms run to degree 22; the model and brackets read the degree-4 one alone."""
+    catalog_entry.cache_clear()
+    forms = _count_calls(monkeypatch, symmetric, "invariant_polynomials")
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "compute", "--family", "su", "--rank", "10", "--coeffs", "rational", "--format", "json"
+    )
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (0, "")
+    assert [args[:3] for args in forms] == [(LieFamily.SU, 10, 1)]
+    assert json.loads(out)["poincare"] == list(splitting_series(LieFamily.SU, 10, 10))
 
 
 def test_the_cache_key_reads_only_the_identity_and_the_version(monkeypatch):
@@ -421,6 +435,11 @@ def test_usage_errors(cache_dir, capsys):
         "--max-degree", "2",
     )
     assert (code, out) == (2, "") and "--inject-torsion" in err
+    # series compares the rational PBW and splitting series: it takes no --coeffs
+    code, out, err = run(capsys, "series", "--family", "su", "--rank", "3", "--coeffs", "integer")
+    assert (code, out) == (2, "") and "--coeffs" in err
+    code, out, _ = run(capsys, "series", "--family", "su", "--rank", "3", "--cache-dir", ".")
+    assert code == 0 and out
 
 
 def test_budget_exceeded_exit_code(cache_dir, capsys):
@@ -548,6 +567,38 @@ def test_cache_entry_with_a_malformed_body_is_a_miss(cache_dir, capsys, fmt):
         assert (code, out) == (0, fresh), body
         assert "ignoring cache entry" in err and "Traceback" not in err
         assert entry.read_text() == stored
+
+
+@pytest.mark.parametrize("coeffs", ["rational", "integer"])
+def test_a_cache_entry_with_a_wrong_number_is_a_miss(cache_dir, capsys, coeffs):
+    """A well-typed entry is served only when its numbers pass the PBW cross-check."""
+    args = ("--family", "su", "--rank", "3", "--coeffs", coeffs, "--format", "json")
+    _, fresh, _ = run(capsys, "compute", *args)
+    (entry,) = cache_dir.glob("*.json")
+    stored = entry.read_text()
+    doc = json.loads(stored)
+    poincare = list(doc["poincare"])
+    poincare[3] += 1
+    torsion = [list(t) for t in doc["torsion"]] or [[]]
+    torsion[-1].append(2)
+    # an integer report's ranks equal the PBW series; a rational one has none
+    ranks = list(doc["ranks"]) or list(doc["poincare"])
+    ranks[3] += coeffs == "integer"
+    damaged = [
+        ({**doc, "poincare": poincare}, "poincare differs from the PBW series"),
+        ({**doc, "ranks": ranks}, "ranks differ from the PBW series"),
+        ({**doc, "torsion": torsion}, "torsion in a torsion-free ring"),
+    ]
+    for body, problem in damaged:
+        entry.write_text(json.dumps(body))
+        code, out, err = run(capsys, "report", *args)
+        assert (code, out) == (2, ""), body
+        assert err.startswith(f"warning: ignoring cache entry {entry}: {problem}\n")
+        code, out, err = run(capsys, "report", *args, "--compute-missing")
+        assert (code, out) == (0, fresh), body
+        assert err == f"warning: ignoring cache entry {entry}: {problem}\n"
+        assert entry.read_text() == stored
+    assert run(capsys, "report", *args) == (0, fresh, "")
 
 
 def test_entry_of_another_package_version_is_a_miss(cache_dir, capsys, monkeypatch):

@@ -17,7 +17,7 @@ from loopalg.homotopy_lie import (
 )
 from loopalg.minimal_model import MinimalModel, build_minimal_model
 from loopalg.pipeline import rational_pipeline
-from oracles import lie_axioms_full_loop, pairing, pairing_brackets
+from oracles import lie_axioms_full_loop, pairing, pairing_brackets, quadratic_part
 
 
 def model_for(family, rank):
@@ -143,22 +143,18 @@ def test_degree_mismatch_fails_axioms():
 
 def test_brackets_ignore_higher_order_differential_terms():
     """Adding a cubic term to the differential leaves all brackets alone."""
+    from loopalg.minimal_model import CohomologyPresentation
+
     entry = catalog_entry(LieFamily.SU, 2)
     model = build_minimal_model(entry.cohomology, odd_names=["v1", "v2"])
-    alg = model.algebra
+    alg = entry.cohomology.algebra
     u1, u2 = alg.gen("u1"), alg.gen("u2")
-    perturbed_images = model.differential.images()
-    perturbed_images["v2"] = perturbed_images["v2"] + u1 * u1 * u2
-    from loopalg.gca import Derivation
-    from loopalg.minimal_model import MinimalModel
-
-    perturbed = MinimalModel(
-        algebra=alg,
-        even_names=model.even_names,
-        odd_names=model.odd_names,
-        differential=Derivation(alg, perturbed_images),
-        presentation=model.presentation,
-    )
+    p1, p2 = entry.cohomology.relations
+    twisted = CohomologyPresentation(alg, [p1, p2 + u1 * u1 * u2])
+    perturbed = build_minimal_model(twisted, odd_names=["v1", "v2"], check_regular=False)
+    # d(v2) differs by the cubic term, d1 does not
+    assert perturbed.differential().image_of("v2") != model.differential().image_of("v2")
+    assert perturbed.d1 == model.d1
     base = brackets_from_d1(model, entry.dual_names)
     twisted = brackets_from_d1(perturbed, entry.dual_names)
     assert base.brackets == twisted.brackets
@@ -187,13 +183,18 @@ def test_sparse_brackets_equal_the_pairing_on_every_catalog_model():
     for family, rank in configs + [(LieFamily.SU, 6), (LieFamily.SU, 7)]:
         model, entry = model_for(family, rank)
         got = brackets_from_d1(model, entry.dual_names)
-        assert _ordered(got) == _ordered(pairing_brackets(model, entry.dual_names))
+        want = pairing_brackets(model, model.differential(), entry.dual_names)
+        assert _ordered(got) == _ordered(want)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_sparse_brackets_equal_the_pairing_on_random_quadratic_differentials(data):
-    """Even and odd letters, squares, u.v and v.v terms, and a cubic term d1 ignores."""
+    """Even and odd letters, squares, u.v and v.v terms.
+
+    The model carries the quadratic part of a differential with cubic terms;
+    the oracle reads the whole differential and drops them itself.
+    """
     degrees = data.draw(st.lists(st.integers(1, 5), min_size=2, max_size=5))
     alg = GradedAlgebra([(f"g{i}", d) for i, d in enumerate(degrees)])
     coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
@@ -204,14 +205,15 @@ def test_sparse_brackets_equal_the_pairing_on_random_quadratic_differentials(dat
             if sum(mono) in (2, 3) and data.draw(st.booleans()):
                 image = image + alg.element({mono: data.draw(coeffs)})
         images[name] = image
+    differential = Derivation(alg, images)
     model = MinimalModel(
         algebra=alg,
         even_names=tuple(n for n, d in alg.generators if d % 2 == 0),
         odd_names=tuple(n for n, d in alg.generators if d % 2),
-        differential=Derivation(alg, images),
+        d1={n: e for n, e in quadratic_part(differential).images().items() if e},
         presentation=None,
     )
-    assert _ordered(brackets_from_d1(model)) == _ordered(pairing_brackets(model))
+    assert _ordered(brackets_from_d1(model)) == _ordered(pairing_brackets(model, differential))
 
 
 def _random_lie_table(data):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopalg import linalg, minimal_model
-from loopalg.catalog import catalog_entry
+from loopalg.catalog import DEFAULT_CHECKED_RANKS, catalog_entry
 from loopalg.enveloping import BudgetExceededError
 from loopalg.families import LieFamily
 from loopalg.gca import GradedAlgebra
@@ -47,7 +47,7 @@ def test_so6_model_degrees():
 
 def test_quadratic_part_su3():
     model = build_minimal_model(presentation(LieFamily.SU, 2))
-    d1 = quadratic_part(model)
+    d1 = quadratic_part(model.differential())
     alg = model.algebra
     u1, u2 = alg.gen("u1"), alg.gen("u2")
     assert d1.image_of("v1") == 2 * u1**2 + 2 * u2**2 + 2 * (u1 * u2)
@@ -56,7 +56,7 @@ def test_quadratic_part_su3():
 
 def test_quadratic_part_so_odd():
     model = build_minimal_model(presentation(LieFamily.SO_ODD, 2))
-    d1 = quadratic_part(model)
+    d1 = quadratic_part(model.differential())
     alg = model.algebra
     assert d1.image_of("v1") == alg.gen("u1") ** 2 + alg.gen("u2") ** 2
     assert d1.image_of("v2").is_zero()
@@ -67,7 +67,7 @@ def test_quadratic_part_f4():
     model = build_minimal_model(
         entry.cohomology, odd_names=list(entry.odd_names), check_regular=False
     )
-    d1 = quadratic_part(model)
+    d1 = quadratic_part(model.differential())
     alg = model.algebra
     expected = alg.zero()
     for i in range(1, 5):
@@ -75,6 +75,51 @@ def test_quadratic_part_f4():
     assert d1.image_of("v2") == expected
     for name in ("v6", "v8", "v12"):
         assert d1.image_of(name).is_zero()
+
+
+# ring-deep's configurations in perfbench/workloads.py
+RING_DEEP = [(LieFamily.SU, 7), (LieFamily.SU, 6), (LieFamily.E6, 6)]
+
+
+def test_d1_is_the_quadratic_part_of_the_full_differential():
+    configs = [(f, r) for f, ranks in DEFAULT_CHECKED_RANKS.items() for r in ranks] + RING_DEEP
+    for family, rank in configs:
+        entry = catalog_entry(family, rank)
+        model = build_minimal_model(
+            entry.cohomology, odd_names=list(entry.odd_names), check_regular=False
+        )
+        d1 = quadratic_part(model.differential())
+        assert model.d1 == {n: e for n, e in d1.images().items() if e}, (family, rank)
+        assert len(model.d1) == 1, (family, rank)  # exponent 2 occurs once
+
+
+def test_a_form_is_built_on_its_first_read_and_checked_against_its_degree():
+    alg = GradedAlgebra([("u1", 2), ("u2", 2)])
+    u1, u2 = alg.gen("u1"), alg.gen("u2")
+    forms = [u1 * u1 + u2 * u2, u1 * u2, u1 * u1 * u2 + u2 * u2 * u2]
+    built = []
+
+    def build(j):
+        built.append(j)
+        return forms[j]
+
+    c = CohomologyPresentation(alg, degrees=[4, 6, 6], build=build)
+    assert (c.socle_degree(), built) == (10, [])
+    model = build_minimal_model(c, check_regular=False)
+    assert model.d1 == {"v1": model.algebra.element({(2, 0, 0, 0, 0): 1, (0, 2, 0, 0, 0): 1})}
+    assert c.relation(0) == forms[0] and built == [0]  # kept, not built again
+    with pytest.raises(ValueError, match="^relation 1 has degree 4, declared 6$"):
+        c.relation(1)
+    with pytest.raises(ValueError, match="^relation 1 has degree 4, declared 6$"):
+        c.relations
+    forms[1] = u1 * u1 * u1 + u1 * u2
+    with pytest.raises(ValueError, match="^relations must be nonzero and homogeneous$"):
+        c.relation(1)
+    forms[1] = u1 * u1 * u1
+    assert c.relations == (forms[0], forms[1], forms[2])
+    assert built == [0, 1, 1, 1, 1, 2]
+    with pytest.raises(ValueError, match="^relations must have even degree >= 4$"):
+        CohomologyPresentation(alg, degrees=[4, 5], build=build)
 
 
 def test_catalog_models_have_square_zero_differential():

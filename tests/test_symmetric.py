@@ -6,15 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from loopalg.catalog import cohomology_presentation
 from loopalg.families import LieFamily
 from loopalg.gca import GradedAlgebra
-from loopalg.symmetric import (
-    elementary_symmetric,
-    invariant_indices,
-    invariant_polynomials,
-    newton_sigma,
-    recursion_p,
-)
+from loopalg.symmetric import elementary_symmetric, invariant_indices, invariant_polynomials
+
+from oracles import is_homogeneous, newton_sigma, recursion_p
 
 
 def t_algebra(m):
@@ -170,7 +167,7 @@ def test_f4_sign_sum_consistency_for_higher_invariants():
     # the sign-sum definition keeps exact rational coefficients in every degree
     for k in (6, 8, 12):
         p = invariant_polynomials(LieFamily.F4, 4, k)
-        assert p.is_homogeneous() and p.degree() == 2 * k
+        assert is_homogeneous(p) and p.degree() == 2 * k
 
 
 def test_invariant_indices_per_family():
@@ -215,3 +212,15 @@ def test_every_invariant_form_matches_its_pinned_fingerprint():
     The fixture was written with ``json.dumps(pinned_fingerprints(), indent=1)``.
     """
     assert pinned_fingerprints() == json.loads(FORMS_FIXTURE.read_text())
+
+
+def test_lazily_built_catalog_forms_equal_the_invariant_polynomials():
+    """The catalog builds each form on its first read: the same form, the same fixture entry."""
+    pinned = json.loads(FORMS_FIXTURE.read_text())
+    for family, ranks in PINNED_RANKS.items():
+        for rank in ranks:
+            c = cohomology_presentation(family, rank)
+            for j, k in enumerate(invariant_indices(family, rank)):
+                form = c.relation(j)
+                assert form == invariant_polynomials(family, rank, k)
+                assert form_fingerprint(form) == pinned[f"{family.slug}/{rank}/{k}"]
