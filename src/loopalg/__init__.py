@@ -22,7 +22,6 @@ from .enveloping import (
     PoincareSeries,
     RingPresentation,
     SmithEntry,
-    graded_dimension,
     graded_dimensions,
     graded_smith_report,
     pbw_series,

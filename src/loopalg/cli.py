@@ -40,8 +40,7 @@ from .enveloping import (
     BudgetExceededError,
     DEFAULT_WORD_BUDGET,
     RingPresentation,
-    check_budget,
-    degree_size,
+    check_torsion_free_budget,
     engine_report,
     graded_dimensions,
     pbw_series,
@@ -125,12 +124,8 @@ def _refuse_over_budget(cfg: RunConfig) -> None:
     the same degree with the same numbers.  An integer request is refused
     by its own route, which runs first.
     """
-    n = cfg.degree
-    gens, rels, pbw = _expected_pbw(cfg.family, cfg.rank, n)
-    sizes = list(pbw)
-    no_torsion = [0] * (n + 1)
-    for d in range(1, n + 1):
-        check_budget(d, cfg.budget, *degree_size(d, gens, rels, sizes, no_torsion))
+    gens, rels, pbw = _expected_pbw(cfg.family, cfg.rank, cfg.degree)
+    check_torsion_free_budget(cfg.degree, cfg.budget, gens, rels, list(pbw))
 
 
 def build_report(cfg: RunConfig, verify: bool = False) -> dict:
@@ -475,11 +470,12 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
         p.add_argument("--budget", type=int, default=DEFAULT_WORD_BUDGET)
         p.add_argument("--cache-dir", default=None)
-        p.add_argument(
-            "--verbose",
-            action="store_true",
-            help="print stage timings and per-degree engine work to stderr",
-        )
+        if name != "series":  # series prints no stage timings or engine work
+            p.add_argument(
+                "--verbose",
+                action="store_true",
+                help="print stage timings and per-degree engine work to stderr",
+            )
         if name == "verify":
             p.add_argument(
                 "--inject-torsion",
@@ -530,7 +526,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         budget=args.budget,
         inject_torsion=getattr(args, "inject_torsion", False),
         cache_dir=args.cache_dir,
-        verbose=args.verbose,
+        verbose=getattr(args, "verbose", False),
     )
 
 

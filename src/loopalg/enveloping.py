@@ -83,6 +83,19 @@ def degree_size(
     return sum(sizes[e] for e in lower), rows
 
 
+def check_torsion_free_budget(
+    max_degree: int, budget: int | None, gens: Sequence[int], rels: Sequence[int], sizes: list[int]
+) -> None:
+    """Refuse degrees 1 .. ``max_degree`` of a torsion-free quotient as the engine would.
+
+    ``sizes[e]`` is the rank of component e, and :func:`degree_size` counts
+    each degree's symbols and rows from it.
+    """
+    no_torsion = [0] * (max_degree + 1)
+    for d in range(1, max_degree + 1):
+        check_budget(d, budget, *degree_size(d, gens, rels, sizes, no_torsion))
+
+
 class NcElement(Polynomial):
     """A noncommutative polynomial: word -> coefficient, zeros dropped."""
 
@@ -388,13 +401,6 @@ def uea_presentation(L) -> RingPresentation:
             terms[(z,)] = -c
         relations.append(NcElement(algebra, terms).content_normalized())
     return RingPresentation(algebra, relations, domain="rational")
-
-
-def graded_dimension(
-    p: RingPresentation, d: int, budget: int | None = DEFAULT_WORD_BUDGET
-) -> int:
-    """Dimension over Q of the degree-d component of the quotient algebra."""
-    return graded_dimensions(p, d, budget).coefficient(d)
 
 
 def graded_dimensions(

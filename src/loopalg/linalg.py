@@ -23,10 +23,10 @@ Three workhorses live here:
 
 * :class:`FractionFreeEliminator` -- the rank of integer rows over F_p:
   entries are residues mod p, every pivot row leads with 1, and a row is
-  reduced at its largest column first.  The commutative-quotient dimensions
-  of :mod:`loopalg.minimal_model` come from it: a rank mod p never exceeds
-  the rank over Q, which is what the quotient's certificates use.  A degree
-  they do not cover is ranked over Q by :class:`FractionRREF`.
+  reduced at its largest column first.  The top-degree certificate of
+  :mod:`loopalg.minimal_model` is one such rank: a rank mod p never exceeds
+  the rank over Q.  Where that certificate fails, the commutative quotient
+  is ranked degree by degree over Q by :class:`FractionRREF`.
 
 So each ring has one elimination: Q :class:`FractionRREF`, F_p
 :class:`FractionFreeEliminator`, Z :func:`coker_normalize`.

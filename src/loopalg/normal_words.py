@@ -57,8 +57,7 @@ from .enveloping import (
     GradedSmithReport,
     RingPresentation,
     SmithEntry,
-    check_budget,
-    degree_size,
+    check_torsion_free_budget,
     engine_report,
 )
 from .gca import Scalar
@@ -363,16 +362,14 @@ def report(
 
     With the certificate, every rank is a normal-word count and every
     torsion list is empty; each degree is first checked against ``budget``
-    by :func:`enveloping.degree_size` on those ranks, so a refusal names the
-    degree, size and budget the engine would.  Without it the answer is
-    :func:`enveloping.engine_report`.
+    by :func:`enveloping.check_torsion_free_budget` on those ranks, so a
+    refusal names the degree, size and budget the engine would.  Without it
+    the answer is :func:`enveloping.engine_report`.
     """
     cert = certificate(p)
     if cert.failure is not None:
         return engine_report(p, max_degree, budget)
     gens = [d for _, d in p.generators]
     counts = normal_word_counts(cert.leading, gens, max_degree)
-    no_torsion = [0] * (max_degree + 1)
-    for d in range(1, max_degree + 1):
-        check_budget(d, budget, *degree_size(d, gens, p.relation_degrees, counts, no_torsion))
+    check_torsion_free_budget(max_degree, budget, gens, p.relation_degrees, counts)
     return GradedSmithReport(tuple(SmithEntry(d, c, ()) for d, c in enumerate(counts)))

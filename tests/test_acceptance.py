@@ -20,7 +20,6 @@ from loopalg.cli import main as cli_main
 from loopalg.enveloping import (
     FreeGradedAlgebra,
     RingPresentation,
-    graded_dimension,
     graded_dimensions,
     graded_smith_report,
     pbw_series,
@@ -38,7 +37,7 @@ from loopalg.minimal_model import (
 from loopalg.pipeline import rational_pipeline
 from loopalg.symmetric import elementary_symmetric, invariant_polynomials
 
-from oracles import graded_commutative_dimensions, newton_sigma, recursion_p
+from oracles import graded_commutative_dimensions, graded_dimension, newton_sigma, recursion_p
 
 FAMILIES = [
     (LieFamily.SU, 1),

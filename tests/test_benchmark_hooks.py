@@ -17,6 +17,7 @@ from loopalg.catalog import (
 )
 from loopalg.families import LieFamily
 from loopalg.pipeline import rational_pipeline
+from oracles import graded_dimension
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -41,22 +42,26 @@ def test_traced_row_counts_match_the_rows_eliminated(monkeypatch):
     tracer = _tracing(monkeypatch).Tracer()
     presentation = expected_rational_presentation(LieFamily.SU, 3)
     # so-even4's Euler-class relation makes four relations in four
-    # variables.  Short of the socle there is no top-degree certificate, so
-    # every degree is ranked once, on the certified F_p route
+    # variables.  Each budget fits every degree up to socle - 2 but not
+    # degree socle + 2, so there is no top-degree certificate: every degree
+    # is ranked once over Q, every row built
     cohomologies = [
-        cohomology_presentation(LieFamily.SU, 3),
-        cohomology_presentation(LieFamily.SO_EVEN, 4),
+        (cohomology_presentation(LieFamily.SU, 3), 40),
+        (cohomology_presentation(LieFamily.SO_EVEN, 4), 900),
     ]
     tracer.install()
     try:
-        for cohomology in cohomologies:
-            minimal_model.quotient_dimensions(cohomology, cohomology.socle_degree() - 2)
+        for cohomology, budget in cohomologies:
+            minimal_model.quotient_dimensions(cohomology, cohomology.socle_degree() - 2, budget)
         enveloping.graded_dimensions(presentation, 8)
     finally:
         tracer.uninstall()
     metrics = tracer.metrics(entries_built=0)
-    assert metrics["linalg.ffe_rows"] == metrics["minimal_model.rows"] > 0
-    assert metrics["linalg.rref_rows"] == metrics["enveloping.rational_rows"] > 0
+    assert metrics["linalg.ffe_rows"] == 0
+    assert metrics["minimal_model.rows"] > 0 and metrics["enveloping.rational_rows"] > 0
+    assert metrics["linalg.rref_rows"] == (
+        metrics["minimal_model.rows"] + metrics["enveloping.rational_rows"]
+    )
 
 
 def test_a_certified_quotient_eliminates_at_most_its_top_degree_rows(monkeypatch):
@@ -78,12 +83,12 @@ def test_a_certified_quotient_eliminates_at_most_its_top_degree_rows(monkeypatch
 
 
 def test_traced_graded_dimension_counts_the_rows_it_eliminates(monkeypatch):
-    """``graded_dimension`` reaches the engine through the traced ``graded_dimensions``."""
+    """The ``graded_dimension`` oracle reaches the engine through the traced function."""
     tracer = _tracing(monkeypatch).Tracer()
     presentation = expected_rational_presentation(LieFamily.SU, 3)
     tracer.install()
     try:
-        assert enveloping.graded_dimension(presentation, 8) > 0
+        assert graded_dimension(presentation, 8) > 0
     finally:
         tracer.uninstall()
     metrics = tracer.metrics(entries_built=0)

@@ -438,6 +438,9 @@ def test_usage_errors(cache_dir, capsys):
     # series compares the rational PBW and splitting series: it takes no --coeffs
     code, out, err = run(capsys, "series", "--family", "su", "--rank", "3", "--coeffs", "integer")
     assert (code, out) == (2, "") and "--coeffs" in err
+    # nor --verbose, since it has no stage timings or routes to print
+    code, out, err = run(capsys, "series", "--family", "su", "--rank", "3", "--verbose")
+    assert (code, out) == (2, "") and "--verbose" in err
     code, out, _ = run(capsys, "series", "--family", "su", "--rank", "3", "--cache-dir", ".")
     assert code == 0 and out
 

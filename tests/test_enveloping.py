@@ -28,7 +28,6 @@ from loopalg.enveloping import (
     BudgetExceededError,
     FreeGradedAlgebra,
     RingPresentation,
-    graded_dimension,
     graded_dimensions,
     graded_smith_report,
     pbw_series,
@@ -47,6 +46,7 @@ from oracles import (
     brute_smith,
     central_split,
     dense_smith_invariants,
+    graded_dimension,
     invariant_factors,
     split_report,
 )

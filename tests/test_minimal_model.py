@@ -237,22 +237,21 @@ def test_uncertified_degrees_fall_back_to_the_exact_route(monkeypatch):
     dims = list(quotient_dimensions(good, 6))
     assert dims == [1, 0, 2, 0, 1, 0, 0]
     assert dims == [brute_commutative_dimension(good, d) for d in range(7)]
-    # the degree-6 certificate fails mod 3, then each degree is ranked
-    assert spy.routes == [3, 3, 3, 3, "exact", 3, "exact"]
+    # the degree-6 certificate fails mod 3, then degrees 0, 2, 4 and 6 are
+    # ranked over Q
+    assert spy.routes == [3, "exact", "exact", "exact", "exact"]
     spy.routes.clear()
     assert regular_sequence_check(good)
-    assert spy.routes == [3, 3, 3, 3, "exact", 3, "exact"]
+    assert spy.routes == [3, "exact", "exact", "exact", "exact"]
     # with fewer relations than variables there is no certificate
     spy.routes.clear()
     assert list(quotient_dimensions(CohomologyPresentation(alg, [u1 * u2]), 4)) == [1, 0, 2, 0, 2]
     assert spy.routes == ["exact"] * 3
 
 
-@pytest.mark.parametrize(
-    "family, rank, exact_degrees", [(LieFamily.SU, 4, 8), (LieFamily.SO_EVEN, 4, 10)]
-)
-def test_the_exact_route_ranks_catalog_quotients(monkeypatch, family, rank, exact_degrees):
-    # mod 2 most degrees miss their certificate and are ranked again over Q
+@pytest.mark.parametrize("family, rank", [(LieFamily.SU, 4), (LieFamily.SO_EVEN, 4)])
+def test_the_exact_route_ranks_catalog_quotients(monkeypatch, family, rank):
+    # mod 2 the certificate fails, and every even degree is ranked over Q
     spy = EliminatorSpy(monkeypatch)
     monkeypatch.setattr(minimal_model, "CERTIFICATE_PRIME", 2)
     coh = presentation(family, rank)
@@ -261,7 +260,8 @@ def test_the_exact_route_ranks_catalog_quotients(monkeypatch, family, rank, exac
     assert list(quotient_dimensions(coh, n)) == complete_intersection_coefficients(
         list(coh.relation_degrees), len(coh.algebra), n
     )
-    assert spy.routes.count("exact") == exact_degrees
+    assert spy.routes == [2] + ["exact"] * (n // 2 + 1)
+    assert coh.quotient_work.route == f"degreewise (degree {n} certificate failed)"
 
 
 def test_quotient_budget_is_checked_before_any_elimination(monkeypatch):
@@ -366,15 +366,24 @@ def degree_two_presentations(draw, square=False):
     return CohomologyPresentation(alg, relations)
 
 
+def _assert_ranked_over_q_after_the_certificate(work):
+    """A top-degree certificate, tried first, is the only rank over F_p."""
+    tried = "certificate" in work.route  # it held, or it failed
+    fields = [w.field for w in work.ranked]
+    assert fields == ["F_p"] * tried + ["Q"] * (len(fields) - tried)
+
+
 @settings(max_examples=60, deadline=None)
 @given(degree_two_presentations())
 def test_quotient_dimensions_match_product_oracle(c):
     oracle = [brute_commutative_dimension(c, d) for d in range(11)]
     assert list(quotient_dimensions(c, 10)) == oracle
-    # a prime as small as 3 makes many degrees fall back to the exact route
+    # a prime as small as 3 makes many certificates fail, and every degree
+    # falls back to the exact route
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(minimal_model, "CERTIFICATE_PRIME", 3)
         assert list(quotient_dimensions(c, 10)) == oracle
+    _assert_ranked_over_q_after_the_certificate(c.quotient_work)
 
 
 @settings(max_examples=40, deadline=None)
@@ -388,17 +397,19 @@ def test_square_presentations_match_the_oracle_through_socle_plus_two(c):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(minimal_model, "CERTIFICATE_PRIME", prime)
             assert list(quotient_dimensions(c, top)) == oracle
+            _assert_ranked_over_q_after_the_certificate(c.quotient_work)
             assert regular_sequence_check(c) == (oracle[top] == 0)
 
 
 def test_a_top_degree_over_the_budget_falls_back_to_the_degreewise_route(monkeypatch):
     spy = EliminatorSpy(monkeypatch)
-    # su4: up to the socle 12 a degree has at most 31 rows; degree 14 has 46
+    # su3: up to the socle 12 a degree has at most 31 rows; degree 14 has 46
     coh = presentation(LieFamily.SU, 3)
     socle = coh.socle_degree()
     dims = list(quotient_dimensions(coh, socle, budget=40))
     assert dims == complete_intersection_coefficients(list(coh.relation_degrees), 3, socle)
-    assert spy.routes == [minimal_model.CERTIFICATE_PRIME] * (socle // 2 + 1)
+    # each even degree is ranked over Q
+    assert spy.routes == ["exact"] * (socle // 2 + 1)
     spy.routes.clear()
     assert list(quotient_dimensions(coh, socle, budget=None)) == dims
     assert spy.routes == [minimal_model.CERTIFICATE_PRIME]
@@ -407,6 +418,32 @@ def test_a_top_degree_over_the_budget_falls_back_to_the_degreewise_route(monkeyp
         quotient_dimensions(coh, socle + 2, budget=40)
     assert spy.routes == []
     assert (err.value.degree, err.value.size) == (14, 46)
+
+
+@pytest.mark.parametrize(
+    # budgets that every degree up to socle - 2 fits and socle + 2 does not
+    "family, rank, oracle_degree, budget",
+    [(LieFamily.SU, 3, 10, 40), (LieFamily.SO_EVEN, 4, 16, 900)],
+)
+def test_a_request_short_of_the_socle_is_answered_by_the_certificate(
+    monkeypatch, family, rank, oracle_degree, budget
+):
+    spy = EliminatorSpy(monkeypatch)
+    coh = presentation(family, rank)
+    n = coh.socle_degree() - 2
+    dims = list(quotient_dimensions(coh, n))
+    assert coh.quotient_work.route == "top-degree certificate"
+    assert spy.routes == [minimal_model.CERTIFICATE_PRIME]
+    assert dims == complete_intersection_coefficients(
+        list(coh.relation_degrees), len(coh.algebra), n
+    )
+    # the dense oracle takes seconds past so-even4's degree 16; the exact
+    # route, forced by a budget below degree socle + 2, covers every degree
+    assert dims[: oracle_degree + 1] == [
+        brute_commutative_dimension(coh, d) for d in range(oracle_degree + 1)
+    ]
+    assert list(quotient_dimensions(coh, n, budget=budget)) == dims
+    assert coh.quotient_work.route == f"degreewise (degree {n + 4} over the budget)"
 
 
 def test_quotient_dimensions_of_a_non_regular_presentation():
@@ -476,12 +513,14 @@ def test_the_quotient_records_its_route_and_every_rank(monkeypatch):
     coh = presentation(LieFamily.SU, 3)
     socle = coh.socle_degree()
     quotient_dimensions(coh, socle - 2)
-    assert coh.quotient_work.route == "degreewise (short of the socle)"
+    assert coh.quotient_work.route == "top-degree certificate"
+    assert [(w.degree, w.field) for w in coh.quotient_work.ranked] == [(socle + 2, "F_p")]
     quotient_dimensions(coh, socle, budget=40)
     assert coh.quotient_work.route == "degreewise (degree 14 over the budget)"
-    # the F_p ranks of every degree, each confirmed by its certified coefficient
+    # the Q ranks of every degree, every row built
     assert [w.degree for w in coh.quotient_work.ranked] == list(range(0, socle + 1, 2))
-    assert {w.field for w in coh.quotient_work.ranked} == {"F_p"}
+    assert {w.field for w in coh.quotient_work.ranked} == {"Q"}
+    assert {w.skipped for w in coh.quotient_work.ranked} == {0}
     spy.rows = 0
     quotient_dimensions(coh, socle)
     assert coh.quotient_work.route == "top-degree certificate"
