@@ -15,10 +15,11 @@ Reports carry only checks that can fail: ``torsion_free_check`` over Z and
 ``verify``'s cross-checks (the Lie axioms guard ``uea_presentation``).
 
 Exit codes: 0 pass, 1 check failure, 2 usage/config error, 3 budget
-exceeded.  An integer request runs its integral route before the catalog
-entry is built, so that route refuses it, in every degree, before any other
-work; a rational or both request, and ``series``, has every degree checked
-against the PBW dimensions before any work.  ``--budget`` also bounds
+exceeded.  Every degree is checked against the PBW dimensions before any
+work: on the pipeline's degrees for a rational or both request and
+``series``, on the integral presentation's for an integer ``compute`` or
+``report``.  An integer ``verify`` eliminates first, so its engine refuses
+it, in every degree, before any other build.  ``--budget`` also bounds
 ``verify``'s commutative quotient: over it, both quotient checks are
 ``"skipped"``.
 """
@@ -114,17 +115,20 @@ def _expected_pbw(family: LieFamily, rank: int, degree: int) -> tuple:
     return tuple(gens), tuple(rels), pbw_series_of_degrees(gens, degree)
 
 
-def _refuse_over_budget(cfg: RunConfig) -> None:
-    """Refuse in every degree where the rational route would, before any build.
+def _refuse_over_budget(cfg: RunConfig, integral: RingPresentation | None = None) -> None:
+    """Refuse in every degree where the route would, before it runs.
 
     A rational or both request, and ``series``, reads the pipeline first.
     Its presentation is U(L), so its dimensions are the PBW series of the
     Lie basis degrees.  Both rational routes, normal words and the engine,
     check :func:`degree_size` on those dimensions, so this check refuses at
-    the same degree with the same numbers.  An integer request is refused
-    by its own route, which runs first.
+    the same degree with the same numbers.  An ``integral`` presentation is
+    torsion free with the same ranks, so its routes refuse on its generator
+    and relation degrees with those ranks, as this check then does.
     """
     gens, rels, pbw = _expected_pbw(cfg.family, cfg.rank, cfg.degree)
+    if integral is not None:
+        gens, rels = [d for _, d in integral.generators], integral.relation_degrees
     check_torsion_free_budget(cfg.degree, cfg.budget, gens, rels, list(pbw))
 
 
@@ -162,7 +166,9 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
     integral = None if cfg.coeffs == "rational" else _integral_presentation(cfg)
     if cfg.coeffs == "integer":
         # the integral route needs nothing from the pipeline, so it answers
-        # first and its own per-degree check refuses before any build
+        # first; compute refuses before the certificate, verify's engine itself
+        if not verify:
+            _refuse_over_budget(cfg, integral)
         report = timed("graded_smith", answer, integral, n, cfg.budget)
     else:
         report = None

@@ -24,7 +24,9 @@ dimensions as elimination over the full word basis.
 A presentation keeps one engine, and each read names its budget: a degree
 already built is checked again, so a smaller budget refuses as a fresh engine
 would.  :func:`degree_size` is the one size rule, shared with the
-normal-word route.
+normal-word route.  A presentation also codes its relations once for both
+routes, on first read: :attr:`RingPresentation.coded_relations` writes each
+on words of generator indices, integral coefficients as ``int``.
 
 ``compute`` reaches the engine, through :func:`engine_report`, only where
 :mod:`loopalg.normal_words` cannot certify the presentation's normal words;
@@ -35,9 +37,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from . import linalg, series
+from .linalg import add_multiple
 from .gca import GeneratorSet, Polynomial, Scalar
 from .series import PoincareSeries
 
@@ -191,6 +195,22 @@ class RingPresentation:
     def generators(self) -> tuple[tuple[str, int], ...]:
         return self.algebra.generators
 
+    @cached_property
+    def coded_relations(self) -> tuple[dict[tuple[int, ...], Scalar], ...]:
+        """Each relation on words of generator indices, integral coefficients as ints.
+
+        Built on first read; the engine and the normal-word certificate share
+        it and only read it.
+        """
+        index = {name: i for i, name in enumerate(self.algebra.names)}
+        return tuple(
+            {
+                tuple(map(index.__getitem__, w)): c.numerator if c.denominator == 1 else c
+                for w, c in r.terms.items()
+            }
+            for r in self.relations
+        )
+
     def engine(self) -> "GradedQuotient":
         """The presentation's one quotient engine, memoized; reads name their budget."""
         if self._engine is None:
@@ -215,6 +235,11 @@ class SmithEntry:
 @dataclass(frozen=True)
 class GradedSmithReport:
     entries: tuple[SmithEntry, ...]
+
+    @classmethod
+    def free(cls, ranks: Iterable[int]) -> "GradedSmithReport":
+        """The torsion-free report with these ranks in degrees 0, 1, ..."""
+        return cls(tuple(SmithEntry(d, c, ()) for d, c in enumerate(ranks)))
 
     def ranks(self) -> tuple[int, ...]:
         return tuple(e.rank for e in self.entries)
@@ -252,15 +277,9 @@ class GradedQuotient:
     """
 
     def __init__(self, presentation: RingPresentation):
-        alg = presentation.algebra
-        self._gen_index = {n: i for i, (n, _) in enumerate(alg.generators)}
-        self._gen_degrees = [d for _, d in alg.generators]
+        self._gen_degrees = [d for _, d in presentation.generators]
         integer = presentation.domain == "integer"
-        # integral coefficients as ints, so both domains do int arithmetic
-        self._relations = [
-            (d, [(w, c.numerator if c.denominator == 1 else c) for w, c in r.terms.items()])
-            for d, r in zip(presentation.relation_degrees, presentation.relations)
-        ]
+        self._relations = tuple(zip(presentation.relation_degrees, presentation.coded_relations))
         self._rel_degrees = presentation.relation_degrees
         self._eliminate = _integer_eliminate if integer else linalg.rref_normalize
         self._invariants: list[list[int]] = [[0]]
@@ -292,12 +311,7 @@ class GradedQuotient:
         expand = self._expand[target]
         out: dict[int, Scalar] = {}
         for w, c in vec.items():
-            for b, v in expand[offset + w].items():
-                nv = out.get(b, 0) + c * v
-                if nv:
-                    out[b] = nv
-                else:
-                    out.pop(b, None)
+            add_multiple(out, c, expand[offset + w])
         for g, s in self._torsion[target].items():
             v = out.get(g)
             if v is not None:
@@ -341,26 +355,20 @@ class GradedQuotient:
                 continue
             for w in range(len(self._invariants[lower])):
                 row: dict[int, Scalar] = {}
-                for word, coeff in terms:
+                for word, coeff in terms.items():
                     vec = {w: coeff}
                     deg = lower
-                    for name in reversed(word[1:]):
-                        g = self._gen_index[name]
+                    for g in reversed(word[1:]):
                         vec = self._leftmul(g, vec, deg)
                         deg += self._gen_degrees[g]
                         if not vec:
                             break
                     if not vec:
                         continue
-                    base = offsets[self._gen_index[word[0]]]
+                    base = offsets[word[0]]
                     for pos, c in vec.items():
-                        col = base + pos
-                        nv = row.get(col, 0) + c
-                        if nv:
-                            row[col] = nv
-                        else:
-                            row.pop(col, None)
-                yield row
+                        row[base + pos] = row.get(base + pos, 0) + c
+                yield {col: c for col, c in row.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +453,7 @@ def engine_report(
     """
     if p.domain == "integer":
         return graded_smith_report(p, max_degree, budget)
-    dims = graded_dimensions(p, max_degree, budget)
-    return GradedSmithReport(tuple(SmithEntry(d, c, ()) for d, c in enumerate(dims)))
+    return GradedSmithReport.free(graded_dimensions(p, max_degree, budget))
 
 
 def series_equal(a: PoincareSeries, b: PoincareSeries, max_degree: int) -> bool:

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .linalg import add_multiple
 from .minimal_model import MinimalModel
 
 
@@ -119,15 +120,6 @@ def brackets_from_d1(
     return HomotopyLieAlgebra(basis, {(names[x], names[y]): pairs[x, y] for x, y in sorted(pairs)})
 
 
-def _add_scaled(acc: Bracket, scale: Fraction, combo: Bracket) -> None:
-    for t, v in combo.items():
-        nv = acc.get(t, 0) + scale * v
-        if nv:
-            acc[t] = nv
-        else:
-            acc.pop(t, None)
-
-
 def graded_lie_axioms_check(L: HomotopyLieAlgebra) -> bool:
     """Graded antisymmetry, degree additivity and the graded Jacobi identity."""
     brackets, empty = L.brackets, {}
@@ -152,12 +144,12 @@ def graded_lie_axioms_check(L: HomotopyLieAlgebra) -> bool:
                 yz, xz = brackets.get((y, z), empty), brackets.get((x, z), empty)
                 left: Bracket = {}
                 for t, c in yz.items():
-                    _add_scaled(left, c, brackets.get((x, t), empty))
+                    add_multiple(left, c, brackets.get((x, t), empty))
                 right: Bracket = {}
                 for t, c in xy.items():
-                    _add_scaled(right, c, brackets.get((t, z), empty))
+                    add_multiple(right, c, brackets.get((t, z), empty))
                 for t, c in xz.items():
-                    _add_scaled(right, sign * c, brackets.get((y, t), empty))
+                    add_multiple(right, sign * c, brackets.get((y, t), empty))
                 if left != right:
                     return False
     return True

@@ -29,7 +29,9 @@ Three workhorses live here:
   is ranked degree by degree over Q by :class:`FractionRREF`.
 
 So each ring has one elimination: Q :class:`FractionRREF`, F_p
-:class:`FractionFreeEliminator`, Z :func:`coker_normalize`.
+:class:`FractionFreeEliminator`, Z :func:`coker_normalize`.  One sparse
+``out += c * terms``, :func:`add_multiple`, serves their reductions, the
+quotient engine, the normal-word certificate and the Jacobi check.
 """
 
 from __future__ import annotations
@@ -41,6 +43,16 @@ from typing import Iterable, Mapping, Sequence
 Row = dict[int, int]
 Scalar = int | Fraction
 QRow = dict[int, Scalar]
+
+
+def add_multiple(out: dict, c: Scalar, terms: Mapping) -> None:
+    """Add ``c`` times ``terms`` into ``out``, dropping the keys that cancel."""
+    for k, v in terms.items():
+        x = out.get(k, 0) + c * v
+        if x:
+            out[k] = x
+        else:
+            out.pop(k, None)
 
 
 def _exact(value: Scalar) -> Scalar:
@@ -83,14 +95,7 @@ class FractionRREF:
         # a pivot row is zero at every other pivot, so the row keeps its
         # entries there and no fill adds a pivot column
         for col in sorted(out.keys() & self._pivot_rows.keys()):
-            coeff = out[col]
-            for c, v in self._pivot_rows[col].items():
-                # stored entries are nonzero, so a zero means c was in out
-                nv = out.get(c, 0) - coeff * v
-                if nv:
-                    out[c] = nv
-                else:
-                    del out[c]
+            add_multiple(out, -out[col], self._pivot_rows[col])
         return out
 
     def add_row(self, row: Mapping[int, Scalar]) -> bool:
@@ -308,10 +313,7 @@ def coker_normalize(rows: Sequence[Mapping[int, int]], ncols: int) -> CokerResul
     """Describe Z^ncols modulo the integer span of the given rows."""
     # unit pivots; integer rows reduced by them stay integral
     units = FractionRREF()
-    pending: list[Row] = [
-        {c: int(v) for c, v in row.items() if v} for row in rows
-    ]
-    pending = [r for r in pending if r]
+    pending = [r for r in ({c: int(v) for c, v in row.items() if v} for row in rows) if r]
     changed = True
     while changed:
         changed = False
@@ -359,30 +361,19 @@ def coker_normalize(rows: Sequence[Mapping[int, int]], ncols: int) -> CokerResul
             invariants.append(d if d > 1 else 0)
 
     def normalize(vec: Row) -> Row:
-        out: Row = {}
-        for g, v in vec.items():
-            s = invariants[g]
-            if s > 1:
-                v %= s
-            if v:
-                out[g] = v
-        return out
+        reduced = {g: v % invariants[g] if invariants[g] > 1 else v for g, v in vec.items()}
+        return {g: v for g, v in reduced.items() if v}
 
     expansions: list[Row] = [dict() for _ in range(ncols)]
     for c, g in gen_of_free_col.items():
         expansions[c] = {g: 1}
     for c, k in res_pos.items():
-        vec: Row = {}
-        for j in range(len(res_cols)):
-            gid = res_gen_ids[j]
-            if gid is not None and V[k][j]:
-                vec[gid] = vec.get(gid, 0) + V[k][j]
-        expansions[c] = normalize(vec)
+        # each residual generator id is one column of V
+        expansions[c] = normalize({g: V[k][j] for j, g in enumerate(res_gen_ids) if g is not None})
     for c in pivot_cols:
         vec: Row = {}
         for other, coeff in units.expansion(c).items():
-            for g, v in expansions[other].items():
-                vec[g] = vec.get(g, 0) + coeff * v
+            add_multiple(vec, coeff, expansions[other])
         expansions[c] = normalize(vec)
 
     matrix_rank = units.rank + sum(1 for d in diag if d != 0)

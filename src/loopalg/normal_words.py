@@ -32,9 +32,12 @@ two words of equal weight first differ inside both), and every check above
 stays, so a weight can only cost a fallback, never a wrong answer.
 
 :func:`certificate` interreduces and resolves the overlaps, memoized on the
-presentation.  Each relation is reduced once by the rules of lower degree;
-a degree's relations are then row-reduced on each new leading word, the
-only word of their degree a new rule rewrites.  A word's normal form
+presentation.  It reads the relations as the presentation codes them once
+for both routes (:attr:`~loopalg.enveloping.RingPresentation.coded_relations`,
+words of generator indices) and adds polynomials by
+:func:`linalg.add_multiple`.  Each relation is reduced once by the rules of
+lower degree; a degree's relations are then row-reduced on each new leading
+word, the only word of their degree a new rule rewrites.  A word's normal form
 depends on the word alone (its leftmost rewrite gives smaller words), so a
 polynomial's normal form is the sum of its words' forms, each kept in a
 memo that lives until the next rule is added.  :func:`report` answers from the
@@ -56,11 +59,11 @@ from .enveloping import (
     DEFAULT_WORD_BUDGET,
     GradedSmithReport,
     RingPresentation,
-    SmithEntry,
     check_torsion_free_budget,
     engine_report,
 )
 from .gca import Scalar
+from .linalg import add_multiple
 
 Word = tuple[int, ...]  # generator indices
 Poly = dict[Word, Scalar]
@@ -85,7 +88,7 @@ class Certificate:
     rewrites: int = 0
 
 
-def _weights(p: RingPresentation, relations: list[Poly]) -> tuple[list[int], tuple[str, ...]]:
+def _weights(p: RingPresentation) -> tuple[list[int], tuple[str, ...]]:
     """The generator weights of the word order and the names of the generators defined.
 
     ``g`` is defined by the first relation holding it only as the word
@@ -97,7 +100,7 @@ def _weights(p: RingPresentation, relations: list[Poly]) -> tuple[list[int], tup
     weights = [1] * len(degrees)
     defined = []
     for g in sorted(range(len(degrees)), key=degrees.__getitem__):
-        for poly in relations:
+        for poly in p.coded_relations:
             if poly.get((g,)) not in (1, -1):
                 continue
             others = [w for w in poly if w != (g,)]
@@ -106,16 +109,6 @@ def _weights(p: RingPresentation, relations: list[Poly]) -> tuple[list[int], tup
                 defined.append(p.algebra.names[g])
                 break
     return weights, tuple(defined)
-
-
-def _add_multiple(out: Poly, c: Scalar, poly: Poly) -> None:
-    """Add ``c`` times ``poly`` into ``out``, dropping the words that cancel."""
-    for w, d in poly.items():
-        x = out.get(w, 0) + c * d
-        if x:
-            out[w] = x
-        else:
-            out.pop(w, None)
 
 
 class _Rules:
@@ -184,7 +177,7 @@ class _Rules:
             else:
                 form = {}
                 for u, c in images:
-                    _add_multiple(form, c, forms[u])
+                    add_multiple(form, c, forms[u])
             forms[w] = form
             self.rewrites += 1
         return forms[word]
@@ -202,7 +195,7 @@ class _Rules:
         out: Poly = {}
         for w, c in poly.items():
             if c:
-                _add_multiple(out, c, self._form(w))
+                add_multiple(out, c, self._form(w))
         return out
 
 
@@ -210,25 +203,8 @@ def _name(p: RingPresentation, word: Word) -> str:
     return ".".join(p.algebra.names[g] for g in word)
 
 
-def _relations(p: RingPresentation) -> list[tuple[int, Poly]]:
-    """Each relation's degree and its terms on words of generator indices."""
-    index = {name: i for i, name in enumerate(p.algebra.names)}
-    return [
-        (
-            degree,
-            {
-                tuple(index[n] for n in w): c.numerator if c.denominator == 1 else c
-                for w, c in r.terms.items()
-            },
-        )
-        for degree, r in zip(p.relation_degrees, p.relations)
-    ]
-
-
-def _interreduce(
-    p: RingPresentation, relations: list[tuple[int, Poly]], rules: _Rules
-) -> str | None:
-    """Add the interreduced rules of ``relations`` to ``rules``; the failure, or None.
+def _interreduce(p: RingPresentation, rules: _Rules) -> str | None:
+    """Add the interreduced rules of ``p``'s relations to ``rules``; the failure, or None.
 
     One degree at a time: a proper subword has a smaller degree, so each
     relation is reduced once by the lower rules, and then only equal
@@ -239,7 +215,7 @@ def _interreduce(
     """
     integer = p.domain == "integer"
     by_degree: dict[int, list[Poly]] = {}
-    for degree, poly in relations:
+    for degree, poly in zip(p.relation_degrees, p.coded_relations):
         by_degree.setdefault(degree, []).append(poly)
     for degree in sorted(by_degree):
         pending = [q for q in map(rules.normal_form, by_degree[degree]) if q]
@@ -259,16 +235,15 @@ def _interreduce(
             rules.add(lead, tail)
             for q in group:
                 if q is not pivot:
-                    _add_multiple(q, q.pop(lead), tail)
+                    add_multiple(q, q.pop(lead), tail)
             pending = [q for q in pending if q and q is not pivot]
     return None
 
 
 def _certify(p: RingPresentation) -> Certificate:
-    relations = _relations(p)
-    weights, defined = _weights(p, [poly for _, poly in relations])
+    weights, defined = _weights(p)
     rules = _Rules(weights)
-    failure = _interreduce(p, relations, rules)
+    failure = _interreduce(p, rules)
     leading = tuple(rules.tails)
     if failure is not None:
         return Certificate(leading, 0, failure, defined, rules.rewrites)
@@ -282,11 +257,8 @@ def _certify(p: RingPresentation) -> Certificate:
         for k in range(1, len(u)):
             for v in starting.get(u[-k:], ()):
                 head, rest = u[:-k], v[k:]
-                diff: Poly = {}
-                for t, c in rules.tails[u].items():
-                    diff[t + rest] = diff.get(t + rest, 0) + c
-                for t, c in rules.tails[v].items():
-                    diff[head + t] = diff.get(head + t, 0) - c
+                diff = {t + rest: c for t, c in rules.tails[u].items()}
+                add_multiple(diff, -1, {head + t: c for t, c in rules.tails[v].items()})
                 if rules.normal_form(diff):
                     failure = f"overlap {_name(p, u + rest)} does not resolve"
                     return Certificate(leading, resolved, failure, defined, rules.rewrites)
@@ -372,4 +344,4 @@ def report(
     gens = [d for _, d in p.generators]
     counts = normal_word_counts(cert.leading, gens, max_degree)
     check_torsion_free_budget(max_degree, budget, gens, p.relation_degrees, counts)
-    return GradedSmithReport(tuple(SmithEntry(d, c, ()) for d, c in enumerate(counts)))
+    return GradedSmithReport.free(counts)

@@ -600,7 +600,7 @@ def naive_normal_form(tails: dict, weights: list[int], poly: dict) -> dict:
     return out
 
 
-def naive_interreduce(presentation: RingPresentation, relations: list, weights: list[int]):
+def naive_interreduce(presentation: RingPresentation, relations: Iterable, weights: list[int]):
     """The rules of ``relations`` by re-normalizing every pending relation after each new rule.
 
     ``relations`` holds (degree, polynomial on generator-index words) pairs

@@ -195,26 +195,49 @@ def test_the_early_budget_check_refuses_as_the_route_would():
 
     A both request runs the rational route first, so it refuses as that
     route does, whether normal words or the engine answer; an integer
-    request is refused by its own route, which runs before any build.  The
-    budgets are each size the engine met, and one less, so every degree
-    that can refuse first is reached.
+    request is checked on its integral presentation's degrees, and refuses
+    as that presentation's routes do.  The budgets are each size the engine
+    met, and one less, so every degree that can refuse first is reached.
     """
     refused = set()
     for family, ranks in DEFAULT_CHECKED_RANKS.items():
         n = default_max_degree(family)
         for rank in ranks:
-            p = rational_pipeline(catalog_entry(family, rank)).presentation
-            engine_report(p, n, None)
-            sizes = {s for w in p.engine().work[1:] for s in (w.symbols, w.rows)}
-            for budget in sorted({1} | sizes | {s - 1 for s in sizes if s > 1}):
-                want = _refusal(normal_words.report, p, n, budget)
-                assert _refusal(engine_report, p, n, budget) == want, (family, rank, budget)
-                for coeffs in ("rational", "both"):
-                    cfg = cli.RunConfig(family, rank, coeffs, budget=budget)
-                    assert _refusal(cli._refuse_over_budget, cfg) == want
-                refused.add(None if want is None else want[0])
+            pipeline = rational_pipeline(catalog_entry(family, rank)).presentation
+            integral = cli._integral_presentation(cli.RunConfig(family, rank, "integer"))
+            for p, requests, given in (
+                (pipeline, ("rational", "both"), ()),
+                (integral, ("integer",), (integral,)),
+            ):
+                engine_report(p, n, None)
+                sizes = {s for w in p.engine().work[1:] for s in (w.symbols, w.rows)}
+                for budget in sorted({1} | sizes | {s - 1 for s in sizes if s > 1}):
+                    want = _refusal(normal_words.report, p, n, budget)
+                    assert _refusal(engine_report, p, n, budget) == want, (family, rank, budget)
+                    for coeffs in requests:
+                        cfg = cli.RunConfig(family, rank, coeffs, budget=budget)
+                        assert _refusal(cli._refuse_over_budget, cfg, *given) == want
+                    refused.add(None if want is None else want[0])
     # each degree up to the deepest default is the first refused somewhere
     assert refused == {None, *range(1, 13)}
+
+
+@pytest.mark.parametrize("command", ["compute", "report"])
+def test_an_integer_request_is_refused_before_its_certificate(
+    cache_dir, capsys, monkeypatch, command
+):
+    # su80's integral presentation passes degrees 1-2 of the default budget
+    # and fails degree 3; certifying it first took about 27 s
+    certified = _count_calls(monkeypatch, normal_words, "certificate")
+    extra = ["--compute-missing"] if command == "report" else []
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, command, "--family", "su", "--rank", "80", "--coeffs", "integer", *extra
+    )
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (3, "")
+    assert err == "error: degree 3 needs 252960 basis symbols/rows, over the budget of 200000\n"
+    assert certified == []
 
 
 @pytest.mark.parametrize("command", ["compute", "verify", "series"])

@@ -4,6 +4,7 @@ The incremental engines are cross-checked against the full word-basis
 elimination in ``oracles.py`` on every instance small enough to enumerate.
 """
 
+import copy
 import gc
 import hashlib
 import json
@@ -115,6 +116,36 @@ def test_relation_degrees_are_the_relations_own():
             ]
             for p in presentations:
                 assert p.relation_degrees == tuple(r.degree() for r in p.relations), (family, rank)
+
+
+def test_each_presentation_codes_its_relations_once_and_its_routes_only_read_them():
+    """Index words that decode to the relations' words, with ints for integral values.
+
+    Every checked catalog presentation in both domains, and one rational
+    relation with a coefficient 1/2, which is coded only when first read.
+    The certificate and the engine leave the coded relations as they were.
+    """
+    alg = FreeGradedAlgebra([("x", 1), ("y", 1)])
+    x, y = alg.gen("x"), alg.gen("y")
+    half = RingPresentation(alg, [x * y - Fraction(1, 2) * (y * x)])
+    assert "coded_relations" not in vars(half)
+    assert half.coded_relations == ({(0, 1): 1, (1, 0): Fraction(-1, 2)},)
+    presentations = [half]
+    for family, ranks in DEFAULT_CHECKED_RANKS.items():
+        for rank in ranks:
+            entry = catalog_entry(family, rank)
+            presentations += [entry.expected_rational, expected_integral_presentation(family, rank)]
+    for p in presentations:
+        coded = p.coded_relations
+        names = p.algebra.names
+        decoded = [{tuple(names[g] for g in w): c for w, c in poly.items()} for poly in coded]
+        assert decoded == [r.terms for r in p.relations]
+        for c in (c for poly in coded for c in poly.values()):
+            assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+        before = copy.deepcopy(coded)
+        normal_words.certificate(p)
+        p.engine().report(6)
+        assert p.coded_relations is coded and coded == before
 
 
 def test_uea_requires_lie_axioms():

@@ -4,7 +4,13 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from loopalg.linalg import FractionFreeEliminator, FractionRREF, coker_normalize, rref_normalize
+from loopalg.linalg import (
+    FractionFreeEliminator,
+    FractionRREF,
+    add_multiple,
+    coker_normalize,
+    rref_normalize,
+)
 
 from oracles import dense_integer, dense_rank, dense_rank_mod_p, dense_smith_invariants
 
@@ -24,6 +30,38 @@ def _image(result, row):
         for g, x in result.expansions[c].items():
             image[g] += v * x
     return image
+
+
+@st.composite
+def multiply_adds(draw):
+    """``out``, ``c`` and ``terms`` on keys 0..5, ints and Fractions mixed.
+
+    Unless ``c`` is 0, some keys of ``out`` are set to cancel ``c`` times
+    ``terms`` exactly.
+    """
+    scalars = st.one_of(
+        st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    )
+    keys = st.integers(0, 5)
+    out = draw(st.dictionaries(keys, scalars.filter(bool), max_size=6))
+    terms = draw(st.dictionaries(keys, scalars.filter(bool), max_size=6))
+    c = draw(scalars)
+    for k in draw(st.sets(st.sampled_from(sorted(terms)))) if terms else ():
+        out[k] = -c * terms[k] or out.get(k, 1)
+    return out, c, terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(multiply_adds())
+@example(({0: 1, 1: Fraction(1, 2)}, Fraction(-1, 2), {1: 1, 2: 3}))
+def test_add_multiple_is_the_dense_sum_and_stores_no_zero(case):
+    out, c, terms = case
+    want = [out.get(k, 0) + c * terms.get(k, 0) for k in range(6)]
+    before = dict(terms)
+    add_multiple(out, c, terms)
+    assert [out.get(k, 0) for k in range(6)] == want
+    assert all(out.values())
+    assert terms == before
 
 
 @settings(max_examples=200, deadline=None)

@@ -389,10 +389,9 @@ def test_an_80_letter_word_normalizes_without_deep_recursion():
     alg = FreeGradedAlgebra([("x", 1), ("y", 1)])
     x, y = alg.gen("x"), alg.gen("y")
     p = RingPresentation(alg, [y * x - x * y], domain="integer")
-    relations = normal_words._relations(p)
-    weights, _ = normal_words._weights(p, [poly for _, poly in relations])
+    weights, _ = normal_words._weights(p)
     rules = normal_words._Rules(weights)
-    assert normal_words._interreduce(p, relations, rules) is None
+    assert normal_words._interreduce(p, rules) is None
     assert rules.tails == {(1, 0): {(0, 1): 1}}
     word = {(1,) * 40 + (0,) * 40: 1}
     want = {(0,) * 40 + (1,) * 40: 1}
@@ -402,11 +401,10 @@ def test_an_80_letter_word_normalizes_without_deep_recursion():
 
 def _assert_the_rules_are_the_naive_ones(p):
     """The leading words in order, the tails and the failure of :func:`naive_interreduce`."""
-    relations = normal_words._relations(p)
-    weights, _ = normal_words._weights(p, [poly for _, poly in relations])
-    tails, failure = naive_interreduce(p, relations, weights)
+    weights, _ = normal_words._weights(p)
+    tails, failure = naive_interreduce(p, zip(p.relation_degrees, p.coded_relations), weights)
     rules = normal_words._Rules(weights)
-    assert normal_words._interreduce(p, relations, rules) == failure
+    assert normal_words._interreduce(p, rules) == failure
     assert list(rules.tails) == list(tails) and rules.tails == tails
     cert = normal_words._certify(p)
     assert cert.leading == tuple(tails)

@@ -87,3 +87,25 @@ def test_package_has_no_float_arithmetic():
         and node.func.id == "float"
     ]
     assert floats == []
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """Every imported name is read in its module; ``__init__`` re-exports its names."""
+    unread = []
+    for path, tree in _package_trees():
+        if path.name == "__init__.py":
+            continue
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in read:
+                        unread.append(f"{path}:{node.lineno} {name}")
+    assert unread == []
