@@ -33,8 +33,10 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 from . import __version__, catalog as cat, normal_words
 from .enveloping import (
@@ -110,9 +112,10 @@ def _integral_presentation(cfg: RunConfig) -> RingPresentation:
 
 @functools.lru_cache(maxsize=256)  # every cache hit is cross-checked against the series
 def _expected_pbw(family: LieFamily, rank: int, degree: int) -> tuple:
-    """The pipeline's generator and relation degrees, and by PBW its series, before any build."""
-    gens, rels = presentation_degrees(rank, cat.exponents(family, rank))
-    return tuple(gens), tuple(rels), pbw_series_of_degrees(gens, degree)
+    """The pipeline's generator degrees, relation counts and PBW series, before any build."""
+    gens, rels = presentation_degrees(rank, cat.exponents(family, rank), degree)
+    # read-only, as every caller shares the cached result
+    return tuple(gens), MappingProxyType(rels), pbw_series_of_degrees(gens, degree)
 
 
 def _refuse_over_budget(cfg: RunConfig, integral: RingPresentation | None = None) -> None:
@@ -128,7 +131,7 @@ def _refuse_over_budget(cfg: RunConfig, integral: RingPresentation | None = None
     """
     gens, rels, pbw = _expected_pbw(cfg.family, cfg.rank, cfg.degree)
     if integral is not None:
-        gens, rels = [d for _, d in integral.generators], integral.relation_degrees
+        gens, rels = [d for _, d in integral.generators], Counter(integral.relation_degrees)
     check_torsion_free_budget(cfg.degree, cfg.budget, gens, rels, list(pbw))
 
 
@@ -163,16 +166,17 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
     # verify eliminates, its independent route; compute answers from
     # certified normal words where the certificate holds
     answer = engine_report if verify else normal_words.report
+    if cfg.coeffs != "integer":
+        # before the integral presentation too, whose relations grow as rank²
+        _refuse_over_budget(cfg)
     integral = None if cfg.coeffs == "rational" else _integral_presentation(cfg)
+    report = None
     if cfg.coeffs == "integer":
         # the integral route needs nothing from the pipeline, so it answers
         # first; compute refuses before the certificate, verify's engine itself
         if not verify:
             _refuse_over_budget(cfg, integral)
         report = timed("graded_smith", answer, integral, n, cfg.budget)
-    else:
-        report = None
-        _refuse_over_budget(cfg)
     if cfg.coeffs == "integer" and not verify:
         # the report reads only the PBW series, and by PBW that needs only
         # the degrees of the Lie basis, which the exponents give
@@ -269,7 +273,8 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
                 defined = f", defined: {', '.join(cert.defined)}" if cert.defined else ""
                 print(
                     f"route {domain}: normal words, {len(cert.leading)} rules,"
-                    f" {cert.overlaps} overlaps resolved, {cert.rewrites} words rewritten{defined}",
+                    f" {cert.overlaps} overlaps resolved, {cert.swapped} swapped,"
+                    f" {cert.rewrites} words rewritten{defined}",
                     file=sys.stderr,
                 )
                 continue

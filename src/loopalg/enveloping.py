@@ -35,10 +35,11 @@ on words of generator indices, integral coefficients as ``int``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import linalg, series
 from .linalg import add_multiple
@@ -71,29 +72,36 @@ def check_budget(degree: int, budget: int | None, *sizes: int) -> None:
 
 
 def degree_size(
-    degree: int, gens: list[int], rels: Sequence[int], sizes: list[int], torsion: list[int]
+    degree: int, gens: Sequence[int], rels: Mapping[int, int], sizes: list[int], torsion: list[int]
 ) -> tuple[int, int]:
     """The symbols and rows of one degree of the quotient engine.
 
-    ``gens`` and ``rels`` are the generator and relation degrees, ``sizes[e]``
-    counts the generators of the lower component ``A_e`` and ``torsion[e]``
-    its torsion generators: symbols = Σ_g |A_{d-g}| and rows = Σ_g
-    torsion_{d-g} + Σ_r |A_{d-r}|, every relation row counted, zero or not.
-    The engine and :func:`loopalg.normal_words.report` both count with it,
-    so the two routes refuse a request alike.
+    ``gens`` lists the generator degrees and ``rels`` maps a degree to the
+    number of relations of that degree; ``sizes[e]`` counts the generators
+    of the lower component ``A_e`` and ``torsion[e]`` its torsion
+    generators: symbols = Σ_g |A_{d-g}| and rows = Σ_g torsion_{d-g} +
+    Σ_r |A_{d-r}|, every relation row counted, zero or not.  The engine and
+    :func:`loopalg.normal_words.report` both count with it, so the two
+    routes refuse a request alike.
     """
     lower = [degree - g for g in gens if g <= degree]
-    rows = sum(torsion[e] for e in lower) + sum(sizes[degree - r] for r in rels if r <= degree)
+    rows = sum(torsion[e] for e in lower)
+    rows += sum(n * sizes[degree - r] for r, n in rels.items() if r <= degree)
     return sum(sizes[e] for e in lower), rows
 
 
 def check_torsion_free_budget(
-    max_degree: int, budget: int | None, gens: Sequence[int], rels: Sequence[int], sizes: list[int]
+    max_degree: int,
+    budget: int | None,
+    gens: Sequence[int],
+    rels: Mapping[int, int],
+    sizes: list[int],
 ) -> None:
     """Refuse degrees 1 .. ``max_degree`` of a torsion-free quotient as the engine would.
 
-    ``sizes[e]`` is the rank of component e, and :func:`degree_size` counts
-    each degree's symbols and rows from it.
+    ``sizes[e]`` is the rank of component e and ``rels`` counts the
+    relations of each degree; :func:`degree_size` counts each degree's
+    symbols and rows from them.
     """
     no_torsion = [0] * (max_degree + 1)
     for d in range(1, max_degree + 1):
@@ -280,7 +288,7 @@ class GradedQuotient:
         self._gen_degrees = [d for _, d in presentation.generators]
         integer = presentation.domain == "integer"
         self._relations = tuple(zip(presentation.relation_degrees, presentation.coded_relations))
-        self._rel_degrees = presentation.relation_degrees
+        self._rel_counts = Counter(presentation.relation_degrees)
         self._eliminate = _integer_eliminate if integer else linalg.rref_normalize
         self._invariants: list[list[int]] = [[0]]
         self._torsion: list[dict[int, int]] = [{}]
@@ -325,7 +333,7 @@ class GradedQuotient:
     def _build(self, degree: int, budget: int | None) -> None:
         sizes = [len(inv) for inv in self._invariants]
         torsion = [len(t) for t in self._torsion]
-        symbols, rows = degree_size(degree, self._gen_degrees, self._rel_degrees, sizes, torsion)
+        symbols, rows = degree_size(degree, self._gen_degrees, self._rel_counts, sizes, torsion)
         check_budget(degree, budget, symbols, rows)
         offsets: dict[int, int] = {}
         nsym = 0
@@ -385,6 +393,25 @@ def uea_pairs(degrees: Sequence[int]) -> Iterator[tuple[int, int]]:
     for i, degree in enumerate(degrees):
         for j in range(i if degree % 2 else i + 1, len(degrees)):
             yield i, j
+
+
+def uea_pair_degrees(degrees: Sequence[int], max_degree: int) -> dict[int, int]:
+    """How many pairs of :func:`uea_pairs` have each degree up to ``max_degree``.
+
+    A convolution of the counts of each basis degree, cut at ``max_degree``,
+    so the pairs are never listed: two distinct degrees pair in every way,
+    and ``n`` elements of one degree make ``n (n - 1) / 2`` pairs, and ``n``
+    more, their squares, when that degree is odd.
+    """
+    counts = Counter(d for d in degrees if d < max_degree)
+    pairs: Counter[int] = Counter()
+    for d, n in counts.items():
+        for e, m in counts.items():
+            if d < e and d + e <= max_degree:
+                pairs[d + e] += n * m
+        if 2 * d <= max_degree:
+            pairs[2 * d] += n * (n - 1) // 2 + (n if d % 2 else 0)
+    return {d: n for d, n in pairs.items() if n}  # one even element pairs with nothing
 
 
 def uea_presentation(L) -> RingPresentation:

@@ -119,15 +119,19 @@ class Polynomial:
         return first
 
     def content_normalized(self):
-        """Scale to primitive integer coefficients with a positive leading term."""
+        """Scale to primitive integer coefficients with a positive leading term.
+
+        The scale is found on integers: clear the denominators, then divide
+        by the content of the numerators, each coefficient a ``Fraction``.
+        """
         if not self.terms:
             return self
-        coeffs = self.terms.values()
-        scale = Fraction(lcm(*(c.denominator for c in coeffs)))
-        scale /= gcd(*((c * scale).numerator for c in coeffs))
-        if self.terms[min(self.terms)] < 0:
-            scale = -scale
-        return type(self)(self.algebra, {k: c * scale for k, c in self.terms.items()})
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        cleared = {k: c.numerator * (den // c.denominator) for k, c in self.terms.items()}
+        content = gcd(*cleared.values())
+        if cleared[min(cleared)] < 0:
+            content = -content
+        return type(self)(self.algebra, {k: Fraction(n // content) for k, n in cleared.items()})
 
 
 class GeneratorSet:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .catalog import CatalogEntry
-from .enveloping import RingPresentation, uea_pairs, uea_presentation
+from .enveloping import RingPresentation, uea_pair_degrees, uea_presentation
 from .homotopy_lie import HomotopyLieAlgebra, brackets_from_d1
 from .minimal_model import MinimalModel, build_minimal_model
 
@@ -38,13 +38,18 @@ def rational_pipeline(entry: CatalogEntry) -> PipelineResult:
     )
 
 
-def presentation_degrees(rank: int, exponents: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The generator and relation degrees of the pipeline's presentation, before any build.
+def presentation_degrees(
+    rank: int, exponents: Sequence[int], max_degree: int
+) -> tuple[list[int], dict[int, int]]:
+    """The pipeline presentation's generator degrees and relations per degree, before any build.
 
     The minimal model has ``rank`` even generators of degree 2 and one odd
     generator of degree 2e - 1 per exponent e (its relation has degree 2e);
     the Lie basis is dual to them one degree lower, in that order, and
-    :func:`uea_pairs` names the pairs that carry a relation.
+    :func:`~loopalg.enveloping.uea_pairs` names the pairs that carry a
+    relation.  Relations are counted per degree up to ``max_degree`` by
+    :func:`~loopalg.enveloping.uea_pair_degrees`, which lists no pair, so
+    the count costs O(degrees²), not O(rank²).
     """
     gens = [1] * rank + [2 * e - 2 for e in exponents]
-    return gens, [gens[i] + gens[j] for i, j in uea_pairs(gens)]
+    return gens, uea_pair_degrees(gens, max_degree)

@@ -26,9 +26,10 @@ on the quadratic part of the differential), one basis pair at a time, and
 recursions tying power sums to elementary symmetric functions; under the
 substitution ``y_i = e_i(t_1..t_m)`` both produce the power sum
 ``t_1^k + ... + t_m^k``.
-:func:`naive_normal_form` rewrites with a max-first scan, and
+:func:`naive_normal_form` rewrites with a max-first scan,
 :func:`naive_interreduce` re-normalizes every pending relation after each
-new rule.  :func:`graded_dimension` is no oracle but a shorthand for one
+new rule, and :func:`naive_resolve` rewrites every overlap of the leading
+words to normal form, with no shortcut for overlaps that resolve by swaps.  :func:`graded_dimension` is no oracle but a shorthand for one
 degree of the package's engine.
 """
 
@@ -635,3 +636,29 @@ def naive_interreduce(presentation: RingPresentation, relations: Iterable, weigh
             tails[lead] = {w: -c * inv for w, c in pivot.items() if w != lead}
             pending = [q for q in pending if q is not pivot]
     return tails, None
+
+
+def naive_resolve(tails: dict, weights: list[int]):
+    """Rewrite every overlap of the leading words of ``tails`` to normal form.
+
+    Every pair of leading words ``u``, ``v`` whose last ``k`` and first
+    ``k`` letters agree, with ``k`` shorter than both, is an overlap; it
+    resolves when the difference of its two one-step rewrites has
+    :func:`naive_normal_form` zero.  No overlap is taken on trust.  Returns
+    the first overlap word that does not resolve, or None, and the number
+    of overlaps resolved before it.
+    """
+    resolved = 0
+    for u, v in product(tails, repeat=2):
+        for k in range(1, min(len(u), len(v))):
+            if u[-k:] != v[:k]:
+                continue
+            diff: dict = {}
+            for t, c in tails[u].items():
+                diff[t + v[k:]] = diff.get(t + v[k:], 0) + c
+            for t, c in tails[v].items():
+                diff[u[:-k] + t] = diff.get(u[:-k] + t, 0) - c
+            if naive_normal_form(tails, weights, diff):
+                return u + v[k:], resolved
+            resolved += 1
+    return None, resolved

@@ -255,6 +255,23 @@ def test_a_rational_request_is_refused_in_any_degree_before_anything_is_built(
     assert built == []
 
 
+@pytest.mark.parametrize("command", ["compute", "verify", "series"])
+def test_a_large_rank_is_refused_without_listing_its_relations(
+    cache_dir, capsys, monkeypatch, command
+):
+    # su2000's pipeline has 8,000,000 relations and its integral presentation
+    # as many; the refusal counts them per degree up to degree 2, builds
+    # neither, and took 1.9 s and 318 MB when it listed every pair
+    built = _count_calls(monkeypatch, cli.cat, "expected_integral_presentation")
+    cli._expected_pbw.cache_clear()
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--family", "su", "--rank", "2000")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == "error: degree 2 needs 4000001 basis symbols/rows, over the budget of 200000\n"
+    assert built == []
+
+
 def test_a_rational_compute_builds_only_the_degree_four_form(cache_dir, capsys, monkeypatch):
     """su10's forms run to degree 22; the model and brackets read the degree-4 one alone."""
     catalog_entry.cache_clear()

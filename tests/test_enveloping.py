@@ -10,10 +10,12 @@ import hashlib
 import json
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopalg import linalg, normal_words
 from loopalg.catalog import (
@@ -35,6 +37,8 @@ from loopalg.enveloping import (
     pbw_series_of_degrees,
     relation_string,
     series_equal,
+    uea_pair_degrees,
+    uea_pairs,
     uea_presentation,
 )
 from loopalg.families import LieFamily
@@ -82,12 +86,27 @@ def test_uea_presentation_su3_relations():
 
 
 def test_presentation_degrees_match_the_built_presentation():
-    """The degrees the budget reads before any build are the pipeline's own, in order."""
+    """The degrees the budget reads before any build are the pipeline's own.
+
+    The generator degrees in order, and the relations counted per degree up
+    to each cut, the last past every relation.
+    """
     configs = [(f, r) for f, ranks in DEFAULT_CHECKED_RANKS.items() for r in ranks]
     for family, rank in configs + [(LieFamily.SU, 6), (LieFamily.SO_EVEN, 5)]:
         p = rational_pipeline(catalog_entry(family, rank)).presentation
-        built = [d for _, d in p.generators], [r.degree() for r in p.relations]
-        assert presentation_degrees(rank, exponents(family, rank)) == built, (family, rank)
+        for cut in (1, 2, 3, 7, 12, 100):
+            rels = Counter(d for d in p.relation_degrees if d <= cut)
+            built = [d for _, d in p.generators], rels
+            got = presentation_degrees(rank, exponents(family, rank), cut)
+            assert got == built, (family, rank, cut)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 6), max_size=12), st.integers(0, 14))
+def test_pair_degrees_count_the_pairs_without_listing_them(degrees, max_degree):
+    pairs = Counter(degrees[i] + degrees[j] for i, j in uea_pairs(degrees))
+    want = {d: n for d, n in pairs.items() if d <= max_degree}
+    assert uea_pair_degrees(degrees, max_degree) == want
 
 
 def test_pbw_series_from_the_exponents_is_the_built_lie_algebras():
@@ -100,7 +119,7 @@ def test_pbw_series_from_the_exponents_is_the_built_lie_algebras():
     ]
     ring_deep = [(LieFamily.SU, 7, 10), (LieFamily.SU, 6, 12), (LieFamily.E6, 6, 16)]
     for family, rank, n in configs + ring_deep:
-        gens, _ = presentation_degrees(rank, exponents(family, rank))
+        gens, _ = presentation_degrees(rank, exponents(family, rank), n)
         built = pbw_series(rational_pipeline(catalog_entry(family, rank)).lie_algebra, n)
         assert pbw_series_of_degrees(gens, n) == built, (family, rank, n)
 

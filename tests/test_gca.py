@@ -1,7 +1,7 @@
 """Polynomial core: graded-commutative signs, Leibniz, the free algebra, exactness."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -288,3 +288,35 @@ def test_content_normalized_is_primitive_and_idempotent(p, numerator, denominato
     # a nonzero rational multiple of the input
     assert norm == p * (norm.terms[lead] / p.terms[lead])
     assert p.algebra.zero().content_normalized().is_zero()
+
+
+def _content_normalized_by_fraction_products(p):
+    """The terms ``content_normalized`` gave when it scaled by a ``Fraction``."""
+    coeffs = p.terms.values()
+    scale = Fraction(lcm(*(c.denominator for c in coeffs)))
+    scale /= gcd(*((c * scale).numerator for c in coeffs))
+    if p.terms[min(p.terms)] < 0:
+        scale = -scale
+    return {k: c * scale for k, c in p.terms.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(homogeneous_elements(), free_elements()),
+    st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 12)), min_size=3, max_size=3),
+    st.booleans(),
+)
+def test_content_normalized_on_integers_equals_the_fraction_products(p, coeffs, as_int):
+    """Every coefficient's value and type, on Fraction and on int coefficients, in a fresh element."""
+    terms = {k: Fraction(n, d) for k, (n, d) in zip(p.terms, coeffs) if n}
+    if as_int:
+        terms = {k: c.numerator for k, c in terms.items()}
+    if not terms:
+        return
+    p = type(p)(p.algebra, terms)  # no conversion, so int coefficients stay ints
+    want = _content_normalized_by_fraction_products(p)
+    norm = p.content_normalized()
+    assert norm.terms == want
+    assert all(type(c) is Fraction for c in norm.terms.values())
+    assert type(norm) is type(p) and norm is not p and norm.terms is not p.terms
+    assert p.terms == terms

@@ -32,6 +32,14 @@ def _image(result, row):
     return image
 
 
+# built once, as _ENTRY below is: hypothesis validates each new strategy
+# object on its first draw
+_SCALAR = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=3)
+)
+_SPARSE = st.dictionaries(st.integers(0, 5), _SCALAR.filter(bool), max_size=6)
+
+
 @st.composite
 def multiply_adds(draw):
     """``out``, ``c`` and ``terms`` on keys 0..5, ints and Fractions mixed.
@@ -39,13 +47,9 @@ def multiply_adds(draw):
     Unless ``c`` is 0, some keys of ``out`` are set to cancel ``c`` times
     ``terms`` exactly.
     """
-    scalars = st.one_of(
-        st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=3)
-    )
-    keys = st.integers(0, 5)
-    out = draw(st.dictionaries(keys, scalars.filter(bool), max_size=6))
-    terms = draw(st.dictionaries(keys, scalars.filter(bool), max_size=6))
-    c = draw(scalars)
+    out = draw(_SPARSE)
+    terms = draw(_SPARSE)
+    c = draw(_SCALAR)
     for k in draw(st.sets(st.sampled_from(sorted(terms)))) if terms else ():
         out[k] = -c * terms[k] or out.get(k, 1)
     return out, c, terms

@@ -32,6 +32,7 @@ from oracles import (
     brute_smith,
     naive_interreduce,
     naive_normal_form,
+    naive_resolve,
     split_report,
 )
 
@@ -218,11 +219,12 @@ def test_verbose_names_the_route(tmp_path, capsys):
         return [line for line in lines if not line.startswith("timing ")]
 
     assert stderr("--family", "su", "--rank", "3", "--coeffs", "integer") == [
-        "route integer: normal words, 18 rules, 38 overlaps resolved, 115 words rewritten"
+        "route integer: normal words, 18 rules, 38 overlaps resolved, 22 swapped,"
+        " 37 words rewritten"
     ]
     assert stderr("--family", "g2", "--coeffs", "integer") == [
-        "route integer: normal words, 9 rules, 12 overlaps resolved, 49 words rewritten,"
-        " defined: y2"
+        "route integer: normal words, 9 rules, 12 overlaps resolved, 5 swapped,"
+        " 32 words rewritten, defined: y2"
     ]
     lines = stderr("--family", "f4", "--coeffs", "integer")
     assert lines[0] == "route integer: engine (leading coefficient -9 on y1.y1)"
@@ -400,7 +402,13 @@ def test_an_80_letter_word_normalizes_without_deep_recursion():
 
 
 def _assert_the_rules_are_the_naive_ones(p):
-    """The leading words in order, the tails and the failure of :func:`naive_interreduce`."""
+    """The naive rules and the lemma-free outcome of :func:`naive_resolve`; the certificate.
+
+    The leading words in order, the tails and the failure are those of
+    :func:`naive_interreduce`.  The certificate holds exactly when every
+    overlap rewrites to zero, and then both resolved every overlap; a
+    failing certificate may name another overlap than the oracle's.
+    """
     weights, _ = normal_words._weights(p)
     tails, failure = naive_interreduce(p, zip(p.relation_degrees, p.coded_relations), weights)
     rules = normal_words._Rules(weights)
@@ -408,10 +416,16 @@ def _assert_the_rules_are_the_naive_ones(p):
     assert list(rules.tails) == list(tails) and rules.tails == tails
     cert = normal_words._certify(p)
     assert cert.leading == tuple(tails)
-    if failure is not None or cert.failure is None:
+    if failure is not None:
         assert cert.failure == failure
+        return cert
+    unresolved, overlaps = naive_resolve(tails, weights)
+    if unresolved is None:
+        assert (cert.failure, cert.overlaps) == (None, overlaps)
     else:
         assert cert.failure.startswith("overlap ")
+    assert 0 <= cert.swapped <= cert.overlaps
+    return cert
 
 
 @pytest.mark.parametrize("domain, seed", [("rational", 7401), ("integer", 7402)])
@@ -433,22 +447,96 @@ def test_the_row_reduced_interreduction_equals_the_naive_one_on_every_catalog_co
 # words rewritten by each certificate of the ring-deep workload:
 # (family, rank, domain) -> Certificate.rewrites
 RING_DEEP_REWRITES = {
-    ("su", 7, "rational"): 1651,
-    ("su", 7, "integer"): 1651,
-    ("su", 6, "rational"): 1023,
-    ("su", 6, "integer"): 1023,
-    ("e6", 6, "rational"): 1023,
-    ("e6", 6, "integer"): 1135,
+    ("su", 7, "rational"): 329,
+    ("su", 7, "integer"): 329,
+    ("su", 6, "rational"): 218,
+    ("su", 6, "integer"): 218,
+    ("e6", 6, "rational"): 188,
+    ("e6", 6, "integer"): 330,
+}
+
+# overlaps of those certificates that resolve by swap rules alone:
+# (family, rank, domain) -> Certificate.swapped
+RING_DEEP_SWAPPED = {
+    ("su", 7, "rational"): 350,
+    ("su", 7, "integer"): 350,
+    ("su", 6, "rational"): 215,
+    ("su", 6, "integer"): 215,
+    ("e6", 6, "rational"): 225,
+    ("e6", 6, "integer"): 215,
 }
 
 
 def test_the_ring_deep_certificates_rewrite_pinned_word_counts():
-    got = {}
+    """The words each ring-deep certificate rewrites, and the overlaps it swaps."""
+    rewrites, swapped = {}, {}
     for family, rank, _ in RING_DEEP:
         shown = (
             rational_pipeline(catalog_entry(family, rank)).presentation,
             expected_integral_presentation(family, rank),
         )
         for p in shown:
-            got[(family.slug, rank, p.domain)] = normal_words._certify(p).rewrites
-    assert got == RING_DEEP_REWRITES
+            cert = normal_words._certify(p)
+            rewrites[(family.slug, rank, p.domain)] = cert.rewrites
+            swapped[(family.slug, rank, p.domain)] = cert.swapped
+    assert (rewrites, swapped) == (RING_DEEP_REWRITES, RING_DEEP_SWAPPED)
+
+
+def _pbw_like_presentation(rng, domain):
+    """PBW-type rules ``g h -> ±h g + [g, h]`` on three odd letters and two central even ones.
+
+    ``a``, ``b``, ``c`` have degree 1 and ``z``, ``w`` degree 2.  Each pair
+    gets its rule; most signs are the graded ones and the rest are flipped.  Half the brackets of two odd letters are
+    combinations of ``z`` and ``w``, every other bracket is zero, and an odd
+    letter sometimes squares to a multiple of ``z``.
+    """
+    gens = [("a", 1), ("b", 1), ("c", 1), ("z", 2), ("w", 2)]
+    alg = FreeGradedAlgebra(gens)
+    relations = []
+    for i, (x, dx) in enumerate(gens):
+        for y, dy in gens[i + 1 :]:
+            sign = -1 if dx * dy % 2 else 1
+            if rng.random() < 0.06:
+                sign = -sign
+            terms = {(y, x): Fraction(1), (x, y): Fraction(-sign)}
+            if dx + dy == 2 and rng.random() < 0.5:
+                for central in rng.sample(["z", "w"], k=rng.randint(1, 2)):
+                    terms[(central,)] = Fraction(rng.choice([-2, -1, 1, 2]))
+            relations.append(alg.element(terms))
+        if dx == 1 and rng.random() < 0.2:
+            relations.append(alg.element({(x, x): Fraction(1), ("z",): Fraction(rng.choice([-1, 1]))}))
+    return RingPresentation(alg, relations, domain=domain)
+
+
+@pytest.mark.parametrize("domain, seed", [("rational", 7501), ("integer", 7502)])
+def test_the_certificate_agrees_with_the_lemma_free_oracle_on_pbw_like_presentations(domain, seed):
+    """Swap rules, central letters and sign mismatches, with and without the lemma.
+
+    Every outcome is met: certificates that hold with some overlaps swapped
+    and some rewritten, and certificates that fail after some swaps.
+    """
+    rng = random.Random(seed)
+    held = failed = 0
+    for _ in range(80):
+        cert = _assert_the_rules_are_the_naive_ones(_pbw_like_presentation(rng, domain))
+        if cert.failure is None:
+            held += 0 < cert.swapped < cert.overlaps
+        else:
+            failed += cert.swapped > 0
+    assert held >= 20 and failed >= 5, (held, failed)
+
+
+@pytest.mark.parametrize("domain", ["rational", "integer"])
+def test_a_planted_sign_mismatch_is_rewritten_and_does_not_resolve(domain):
+    """``a b -> b a + z`` with ``z c -> -c z``: c passes ``b a`` with sign 1 and ``z`` with -1.
+
+    So the overlap ``a b c`` is no swap, and rewriting it leaves ``-2 c z``.
+    With ``z c -> c z`` every sign agrees and the overlap is swapped.
+    """
+    alg = FreeGradedAlgebra([("c", 1), ("b", 1), ("a", 1), ("z", 2)])
+    a, b, c, z = (alg.gen(name) for name in "abcz")
+    # (sign of z c -> c z, failure, overlaps resolved, overlaps swapped)
+    for sign, *want in ((-1, "overlap a.b.c does not resolve", 0, 0), (1, None, 1, 1)):
+        relations = [a * b - b * a - z, b * c - c * b, a * c - c * a, z * c - sign * (c * z)]
+        cert = _assert_the_rules_are_the_naive_ones(RingPresentation(alg, relations, domain=domain))
+        assert [cert.failure, cert.overlaps, cert.swapped] == want
