@@ -38,8 +38,6 @@ from .symmetric import invariant_indices, invariant_polynomials, variable_algebr
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    family: LieFamily
-    rank: int
     weyl_order: int
     cohomology: CohomologyPresentation
     odd_names: tuple[str, ...]
@@ -368,8 +366,6 @@ def expected_integral_presentation(family: LieFamily, rank: int) -> RingPresenta
 def catalog_entry(family: LieFamily, rank: int) -> CatalogEntry:
     validate_rank(family, rank)
     return CatalogEntry(
-        family=family,
-        rank=rank,
         weyl_order=weyl_order(family, rank),
         cohomology=cohomology_presentation(family, rank),
         odd_names=_odd_names(family, rank),

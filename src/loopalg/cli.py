@@ -15,13 +15,10 @@ Reports carry only checks that can fail: ``torsion_free_check`` over Z and
 ``verify``'s cross-checks (the Lie axioms guard ``uea_presentation``).
 
 Exit codes: 0 pass, 1 check failure, 2 usage/config error, 3 budget
-exceeded.  Every degree is checked against the PBW dimensions before any
-work: on the pipeline's degrees for a rational or both request and
-``series``, on the integral presentation's for an integer ``compute`` or
-``report``.  An integer ``verify`` eliminates first, so its engine refuses
-it, in every degree, before any other build.  ``--budget`` also bounds
-``verify``'s commutative quotient: over it, both quotient checks are
-``"skipped"``.
+exceeded.  A request is refused before any build, in every degree where the
+engine would refuse a presentation it answers (:func:`_refuse_over_budget`).
+``--budget`` also bounds ``verify``'s commutative quotient: over it, both
+quotient checks are ``"skipped"``.
 """
 
 from __future__ import annotations
@@ -43,7 +40,8 @@ from .enveloping import (
     BudgetExceededError,
     DEFAULT_WORD_BUDGET,
     RingPresentation,
-    check_torsion_free_budget,
+    check_budget,
+    degree_size,
     engine_report,
     graded_dimensions,
     pbw_series,
@@ -73,7 +71,6 @@ class RunConfig:
     fmt: str = "text"
     out: str | None = None
     budget: int = DEFAULT_WORD_BUDGET
-    inject_torsion: bool = False
     cache_dir: str | None = None
     verbose: bool = False
 
@@ -102,14 +99,6 @@ class UsageError(Exception):
     pass
 
 
-def _integral_presentation(cfg: RunConfig) -> RingPresentation:
-    p = cat.expected_integral_presentation(cfg.family, cfg.rank)
-    if cfg.inject_torsion:
-        doubled = [2 * p.relations[0]] + list(p.relations[1:])
-        p = RingPresentation(p.algebra, doubled, domain="integer")
-    return p
-
-
 @functools.lru_cache(maxsize=256)  # every cache hit is cross-checked against the series
 def _expected_pbw(family: LieFamily, rank: int, degree: int) -> tuple:
     """The pipeline's generator degrees, relation counts and PBW series, before any build."""
@@ -119,33 +108,31 @@ def _expected_pbw(family: LieFamily, rank: int, degree: int) -> tuple:
 
 
 def _refuse_over_budget(cfg: RunConfig, integral: RingPresentation | None = None) -> None:
-    """Refuse in every degree where the route would, before it runs.
+    """Refuse, in every degree, where the engine would on the presentation answered.
 
-    A rational or both request, and ``series``, reads the pipeline first.
-    Its presentation is U(L), so its dimensions are the PBW series of the
-    Lie basis degrees.  Both rational routes, normal words and the engine,
-    check :func:`degree_size` on those dimensions, so this check refuses at
-    the same degree with the same numbers.  An ``integral`` presentation is
-    torsion free with the same ranks, so its routes refuse on its generator
-    and relation degrees with those ranks, as this check then does.
+    That is the pipeline's, whose degrees the exponents give, or ``integral``.
+    Both rings are torsion free with the PBW series as ranks, so
+    :func:`degree_size` on those degrees and ranks gives the engine's sizes.
     """
     gens, rels, pbw = _expected_pbw(cfg.family, cfg.rank, cfg.degree)
     if integral is not None:
         gens, rels = [d for _, d in integral.generators], Counter(integral.relation_degrees)
-    check_torsion_free_budget(cfg.degree, cfg.budget, gens, rels, list(pbw))
+    ranks, no_torsion = list(pbw), [0] * (cfg.degree + 1)
+    for d in range(1, cfg.degree + 1):
+        check_budget(d, cfg.budget, *degree_size(d, gens, rels, ranks, no_torsion))
 
 
 def build_report(cfg: RunConfig, verify: bool = False) -> dict:
     """The compute report; ``verify`` adds the cross-checks and their ``failures``.
 
     The rational dimensions are computed unless ``coeffs`` is integer and the
-    integral Smith report unless it is rational, so verify's default ``both``
-    runs the two, the rational route first.  An integer request runs the
-    integral route first.  ``poincare`` holds the rational dimensions when
-    they were computed and the PBW series otherwise.  An integer compute
-    takes that series from the exponents (by PBW it reads only the Lie basis
-    degrees) and builds neither the catalog entry nor the pipeline, which
-    ``verify`` builds in every domain because its checks read them.
+    integral Smith report unless it is rational, the rational route first.
+    Each presentation answered is refused over the budget before any build.
+    ``poincare`` holds the rational dimensions when they were computed and
+    the PBW series otherwise.  An integer compute takes that series from the
+    exponents (by PBW it reads only the Lie basis degrees) and builds neither
+    the catalog entry nor the pipeline, which ``verify`` builds in every
+    domain because its checks read them.
     """
     n = cfg.degree
     checks: dict[str, object] = {}
@@ -169,23 +156,17 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
     if cfg.coeffs != "integer":
         # before the integral presentation too, whose relations grow as rank²
         _refuse_over_budget(cfg)
-    integral = None if cfg.coeffs == "rational" else _integral_presentation(cfg)
-    report = None
-    if cfg.coeffs == "integer":
-        # the integral route needs nothing from the pipeline, so it answers
-        # first; compute refuses before the certificate, verify's engine itself
-        if not verify:
-            _refuse_over_budget(cfg, integral)
-        report = timed("graded_smith", answer, integral, n, cfg.budget)
+    integral = None
+    if cfg.coeffs != "rational":
+        integral = cat.expected_integral_presentation(cfg.family, cfg.rank)
+        _refuse_over_budget(cfg, integral)
     if cfg.coeffs == "integer" and not verify:
-        # the report reads only the PBW series, and by PBW that needs only
-        # the degrees of the Lie basis, which the exponents give
         pbw = _expected_pbw(cfg.family, cfg.rank, n)[2]
     else:
         entry = cat.catalog_entry(cfg.family, cfg.rank)
         pipe = timed("pipeline", rational_pipeline, entry)
-        pbw = pbw_series(pipe.lie_algebra, n)
     if verify:
+        pbw = pbw_series(pipe.lie_algebra, n)
         got = {k: dict(v) for k, v in pipe.lie_algebra.brackets.items()}
         want = {k: dict(v) for k, v in entry.expected_brackets.items()}
         record(
@@ -208,9 +189,10 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
                 f"quotient total {total} != weyl order {entry.weyl_order}",
             )
 
-    poincare = list(pbw)
     engines: list[tuple[str, RingPresentation]] = []
-    if cfg.coeffs != "integer":
+    if cfg.coeffs == "integer":
+        poincare = list(pbw)
+    else:
         engines.append(("rational", pipe.presentation))
         uea_report = timed("graded_dimension", answer, pipe.presentation, n, cfg.budget)
         uea_dims = PoincareSeries(uea_report.ranks())
@@ -242,8 +224,7 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
     else:
         shown = integral
         engines.append(("integer", shown))
-        if report is None:  # a both request, after its rational route
-            report = timed("graded_smith", answer, shown, n, cfg.budget)
+        report = timed("graded_smith", answer, shown, n, cfg.budget)
         ranks = list(report.ranks())
         torsion = [list(t) for t in report.torsion_lists()]
         record("torsion_free_check", report.torsion_free(), f"torsion {torsion}")
@@ -487,12 +468,6 @@ def _parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="print stage timings and per-degree engine work to stderr",
             )
-        if name == "verify":
-            p.add_argument(
-                "--inject-torsion",
-                action="store_true",
-                help="self-test hook: double one integral relation so torsion appears",
-            )
         if name == "report":
             p.add_argument(
                 "--compute-missing",
@@ -521,8 +496,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     if args.budget <= 0:
         raise UsageError("--budget must be positive")
     coeffs = getattr(args, "coeffs", None)
-    if getattr(args, "inject_torsion", False) and coeffs == "rational":
-        raise UsageError("--inject-torsion needs the integral check: --coeffs integer or both")
     if args.command == "verify":
         coeffs = coeffs or "both"
     else:
@@ -535,7 +508,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         fmt=args.fmt,
         out=args.out,
         budget=args.budget,
-        inject_torsion=getattr(args, "inject_torsion", False),
         cache_dir=args.cache_dir,
         verbose=getattr(args, "verbose", False),
     )

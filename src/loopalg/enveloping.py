@@ -23,10 +23,10 @@ dimensions as elimination over the full word basis.
 
 A presentation keeps one engine, and each read names its budget: a degree
 already built is checked again, so a smaller budget refuses as a fresh engine
-would.  :func:`degree_size` is the one size rule, shared with the
-normal-word route.  A presentation also codes its relations once for both
-routes, on first read: :attr:`RingPresentation.coded_relations` writes each
-on words of generator indices, integral coefficients as ``int``.
+would.  :func:`degree_size` is the one size rule.  A presentation also
+codes its relations once for both routes, on first read:
+:attr:`RingPresentation.coded_relations` writes each on words of generator
+indices, integral coefficients as ``int``.
 
 ``compute`` reaches the engine, through :func:`engine_report`, only where
 :mod:`loopalg.normal_words` cannot certify the presentation's normal words;
@@ -80,32 +80,12 @@ def degree_size(
     number of relations of that degree; ``sizes[e]`` counts the generators
     of the lower component ``A_e`` and ``torsion[e]`` its torsion
     generators: symbols = Σ_g |A_{d-g}| and rows = Σ_g torsion_{d-g} +
-    Σ_r |A_{d-r}|, every relation row counted, zero or not.  The engine and
-    :func:`loopalg.normal_words.report` both count with it, so the two
-    routes refuse a request alike.
+    Σ_r |A_{d-r}|, every relation row counted, zero or not.
     """
     lower = [degree - g for g in gens if g <= degree]
     rows = sum(torsion[e] for e in lower)
     rows += sum(n * sizes[degree - r] for r, n in rels.items() if r <= degree)
     return sum(sizes[e] for e in lower), rows
-
-
-def check_torsion_free_budget(
-    max_degree: int,
-    budget: int | None,
-    gens: Sequence[int],
-    rels: Mapping[int, int],
-    sizes: list[int],
-) -> None:
-    """Refuse degrees 1 .. ``max_degree`` of a torsion-free quotient as the engine would.
-
-    ``sizes[e]`` is the rank of component e and ``rels`` counts the
-    relations of each degree; :func:`degree_size` counts each degree's
-    symbols and rows from them.
-    """
-    no_torsion = [0] * (max_degree + 1)
-    for d in range(1, max_degree + 1):
-        check_budget(d, budget, *degree_size(d, gens, rels, sizes, no_torsion))
 
 
 class NcElement(Polynomial):

@@ -70,16 +70,15 @@ depends on the word alone (its leftmost rewrite gives smaller words), so a
 polynomial's normal form is the sum of its words' forms, each kept in a
 memo that lives until the next rule is added.  :func:`report` answers from the
 certificate: it counts the normal words degree by degree with an automaton
-of the leading words, whose states are at most their total length, and
-checks every degree against the budget with :func:`enveloping.degree_size`
-before answering, as the engine does.  Where the certificate fails (a
+of the leading words, whose states are at most their total length.  The
+caller refuses over the budget beforehand.  Where the certificate fails (a
 non-unit leading coefficient over Z, or an overlap that does not resolve)
 it answers by :func:`enveloping.engine_report` instead, which eliminates.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -87,7 +86,6 @@ from .enveloping import (
     DEFAULT_WORD_BUDGET,
     GradedSmithReport,
     RingPresentation,
-    check_torsion_free_budget,
     engine_report,
 )
 from .gca import Scalar
@@ -417,15 +415,11 @@ def report(
     """Degrees 0 .. ``max_degree`` of ``p``: normal-word counts, or elimination.
 
     With the certificate, every rank is a normal-word count and every
-    torsion list is empty; each degree is first checked against ``budget``
-    by :func:`enveloping.check_torsion_free_budget` on those ranks, so a
-    refusal names the degree, size and budget the engine would.  Without it
-    the answer is :func:`enveloping.engine_report`.
+    torsion list is empty.  Without it the answer is
+    :func:`enveloping.engine_report`, which refuses over ``budget``.
     """
     cert = certificate(p)
     if cert.failure is not None:
         return engine_report(p, max_degree, budget)
-    gens = [d for _, d in p.generators]
-    counts = normal_word_counts(cert.leading, gens, max_degree)
-    check_torsion_free_budget(max_degree, budget, gens, Counter(p.relation_degrees), counts)
+    counts = normal_word_counts(cert.leading, [d for _, d in p.generators], max_degree)
     return GradedSmithReport.free(counts)

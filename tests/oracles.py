@@ -367,6 +367,11 @@ def invariant_factors(orders: Iterable[int]) -> tuple[int, ...]:
     return tuple(chain)
 
 
+def with_torsion(p: RingPresentation) -> RingPresentation:
+    """The integral presentation ``p`` with its first relation doubled, planting 2-torsion."""
+    return RingPresentation(p.algebra, [2 * p.relations[0], *p.relations[1:]], domain="integer")
+
+
 def split_report(p: RingPresentation, max_degree: int) -> GradedSmithReport:
     """The degree components of ``p`` from its core's engine and the polynomial factor.
 

@@ -22,6 +22,8 @@ from loopalg.enveloping import BudgetExceededError, engine_report
 from loopalg.families import LieFamily
 from loopalg.pipeline import rational_pipeline
 
+from oracles import with_torsion
+
 
 @pytest.fixture()
 def cache_dir(tmp_path, monkeypatch):
@@ -129,9 +131,8 @@ def test_budget_refuses_degree_two_before_anything_is_built(
     # degree 2), refused before su10's catalog entry is built
     built = _count_calls(monkeypatch, cli.cat, "catalog_entry")
     cases = [(("--coeffs", "rational"), "50"), (("--coeffs", "integer"), "100")]
-    if command == "verify":  # both, its default, runs the rational route first
-        cases += [((), "50"), (("--inject-torsion",), "50")]
-        cases += [(("--coeffs", "integer", "--inject-torsion"), "100")]
+    if command == "verify":  # both, its default, refuses on the rational shape first
+        cases += [((), "50")]
     for options, budget in cases:
         start = time.perf_counter()
         argv = ("--family", "su", "--rank", "10", *options, "--budget", budget)
@@ -156,6 +157,20 @@ def test_integer_requests_are_refused_by_their_route_before_the_catalog_build(
     assert (code, out) == (3, "")
     assert err == "error: degree 3 needs 816 basis symbols/rows, over the budget of 150\n"
     assert built == []
+
+
+def test_verify_refuses_on_its_integral_shape_before_the_rational_build(
+    cache_dir, capsys, monkeypatch
+):
+    # so-odd3's rational shape peaks at 85 symbols/rows through degree 10 and
+    # its integral one at 121, so verify's default both fits the rational
+    # refusal and is refused on the integral presentation before any build
+    built = _count_calls(monkeypatch, cli.cat, "catalog_entry")
+    piped = _count_calls(monkeypatch, cli, "rational_pipeline")
+    code, out, err = run(capsys, "verify", "--family", "so-odd", "--rank", "3", "--budget", "120")
+    assert (code, out) == (3, "")
+    assert err == "error: degree 10 needs 121 basis symbols/rows, over the budget of 120\n"
+    assert (built, piped) == ([], [])
 
 
 INTEGER_GOLDEN = {
@@ -191,32 +206,32 @@ def _refusal(check, *args):
 
 
 def test_the_early_budget_check_refuses_as_the_route_would():
-    """Every degree up to the default, counted from the degrees alone, against both routes.
+    """Every degree up to the default, counted from the degrees alone, against the engine.
 
-    A both request runs the rational route first, so it refuses as that
-    route does, whether normal words or the engine answer; an integer
-    request is checked on its integral presentation's degrees, and refuses
-    as that presentation's routes do.  The budgets are each size the engine
-    met, and one less, so every degree that can refuse first is reached.
+    Each presentation a request answers (the pipeline's for a rational or
+    both request, the integral one for an integer or both request) is
+    refused where its engine would refuse it.  The budgets are each size
+    the engine met, and one less, so every degree that can refuse first is
+    reached.
     """
     refused = set()
     for family, ranks in DEFAULT_CHECKED_RANKS.items():
         n = default_max_degree(family)
         for rank in ranks:
             pipeline = rational_pipeline(catalog_entry(family, rank)).presentation
-            integral = cli._integral_presentation(cli.RunConfig(family, rank, "integer"))
+            integral = cli.cat.expected_integral_presentation(family, rank)
             for p, requests, given in (
                 (pipeline, ("rational", "both"), ()),
-                (integral, ("integer",), (integral,)),
+                (integral, ("integer", "both"), (integral,)),
             ):
                 engine_report(p, n, None)
                 sizes = {s for w in p.engine().work[1:] for s in (w.symbols, w.rows)}
                 for budget in sorted({1} | sizes | {s - 1 for s in sizes if s > 1}):
-                    want = _refusal(normal_words.report, p, n, budget)
-                    assert _refusal(engine_report, p, n, budget) == want, (family, rank, budget)
+                    want = _refusal(engine_report, p, n, budget)
                     for coeffs in requests:
                         cfg = cli.RunConfig(family, rank, coeffs, budget=budget)
-                        assert _refusal(cli._refuse_over_budget, cfg, *given) == want
+                        got = _refusal(cli._refuse_over_budget, cfg, *given)
+                        assert got == want, (family, rank, coeffs, budget)
                     refused.add(None if want is None else want[0])
     # each degree up to the deepest default is the first refused somewhere
     assert refused == {None, *range(1, 13)}
@@ -295,7 +310,6 @@ def test_the_cache_key_reads_only_the_identity_and_the_version(monkeypatch):
         "fmt": "json",
         "out": "report.json",
         "budget": 7,
-        "inject_torsion": True,
         "cache_dir": "elsewhere",
         "verbose": True,
     }
@@ -437,18 +451,12 @@ def test_verbose_names_the_quotient_route_and_leaves_the_report_alone(cache_dir,
     assert "quotient degree" not in err and "timing quotient" not in err
 
 
-def test_verify_inject_torsion_fails_with_named_check(cache_dir, capsys):
-    code, out, _ = run(
-        capsys,
-        "verify",
-        "--family",
-        "su",
-        "--rank",
-        "2",
-        "--inject-torsion",
-        "--format",
-        "json",
+def test_verify_fails_a_planted_torsion_with_the_named_check(cache_dir, capsys, monkeypatch):
+    original = cli.cat.expected_integral_presentation
+    monkeypatch.setattr(
+        cli.cat, "expected_integral_presentation", lambda *args: with_torsion(original(*args))
     )
+    code, out, _ = run(capsys, "verify", "--family", "su", "--rank", "2", "--format", "json")
     assert code == 1
     doc = json.loads(out)
     assert doc["checks"]["torsion_free_check"] is False
@@ -469,12 +477,6 @@ def test_usage_errors(cache_dir, capsys):
         capsys, "compute", "--family", "su", "--rank", "1", "--max-degree", "10000000000000"
     )
     assert code == 2 and "--max-degree" in err
-    # the torsion hook needs the integral check it is meant to fail
-    code, out, err = run(
-        capsys, "verify", "--family", "g2", "--inject-torsion", "--coeffs", "rational",
-        "--max-degree", "2",
-    )
-    assert (code, out) == (2, "") and "--inject-torsion" in err
     # series compares the rational PBW and splitting series: it takes no --coeffs
     code, out, err = run(capsys, "series", "--family", "su", "--rank", "3", "--coeffs", "integer")
     assert (code, out) == (2, "") and "--coeffs" in err

@@ -26,7 +26,6 @@ from loopalg.catalog import (
     expected_integral_presentation,
     expected_rational_presentation,
 )
-from loopalg.cli import RunConfig, _integral_presentation
 from loopalg.enveloping import (
     BudgetExceededError,
     FreeGradedAlgebra,
@@ -54,6 +53,7 @@ from oracles import (
     graded_dimension,
     invariant_factors,
     split_report,
+    with_torsion,
 )
 
 
@@ -586,7 +586,7 @@ def test_split_route_matches_the_unsplit_engine_at_every_checked_rank():
 
 @pytest.mark.parametrize("family, rank", [(LieFamily.SU, 2), (LieFamily.G2, 2), (LieFamily.F4, 4)])
 def test_split_route_matches_the_unsplit_engine_with_injected_torsion(family, rank):
-    p = _integral_presentation(RunConfig(family, rank, coeffs="integer", inject_torsion=True))
+    p = with_torsion(expected_integral_presentation(family, rank))
     n = default_max_degree(family)
     got = split_report(p, n)
     assert got == p.engine().report(n)

@@ -2,8 +2,9 @@
 
 Where the diamond-lemma certificate holds, the normal-word counts must be
 the graded dimensions over Q and the free ranks over Z with no torsion, and
-``normal_words.report`` must answer, refuse and print exactly as the
-engine does.  Where it fails, the answer is the engine's.
+``normal_words.report`` must answer and print exactly as the engine does,
+and a request refuse alike on both routes.  Where it fails, the answer is
+the engine's.
 """
 
 import hashlib
@@ -22,7 +23,6 @@ from loopalg.catalog import (
     default_max_degree,
     expected_integral_presentation,
 )
-from loopalg.cli import RunConfig, _integral_presentation
 from loopalg.enveloping import FreeGradedAlgebra, RingPresentation
 from loopalg.families import LieFamily
 from loopalg.pipeline import rational_pipeline
@@ -34,6 +34,7 @@ from oracles import (
     naive_normal_form,
     naive_resolve,
     split_report,
+    with_torsion,
 )
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -133,7 +134,7 @@ def test_the_certificate_is_memoized_on_the_presentation():
 
 
 def test_doubled_relation_does_not_certify_and_still_shows_its_torsion():
-    p = _integral_presentation(RunConfig(LieFamily.SU, 2, coeffs="integer", inject_torsion=True))
+    p = with_torsion(expected_integral_presentation(LieFamily.SU, 2))
     assert normal_words.certificate(p).failure == "leading coefficient 2 on x1.x1"
     got = normal_words.report(p, 10, None)
     assert not got.torsion_free()
