@@ -398,8 +398,11 @@ def uea_presentation(L) -> RingPresentation:
     """Universal enveloping presentation of a graded Lie algebra.
 
     One relation per unordered basis pair (including x = x for odd x):
-    ``x y - (-1)^{deg x deg y} y x - [x, y]``, content-normalized.
+    ``x y - (-1)^{deg x deg y} y x - [x, y]``, content-normalized.  It is
+    refused unless L passes ``graded_lie_axioms_check`` and the
+    presentation's certificate holds, which over Q is the Jacobi identity.
     """
+    from . import normal_words
     from .homotopy_lie import graded_lie_axioms_check
 
     if not graded_lie_axioms_check(L):
@@ -415,7 +418,10 @@ def uea_presentation(L) -> RingPresentation:
         for z, c in L.brackets.get((x.name, y.name), {}).items():
             terms[(z,)] = -c
         relations.append(NcElement(algebra, terms).content_normalized())
-    return RingPresentation(algebra, relations, domain="rational")
+    p = RingPresentation(algebra, relations, domain="rational")
+    if normal_words.certificate(p).failure is not None:
+        raise ValueError("graded Lie axiom check failed")
+    return p
 
 
 def graded_dimensions(

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .linalg import add_multiple
 from .minimal_model import MinimalModel
 
 
@@ -121,9 +120,11 @@ def brackets_from_d1(
 
 
 def graded_lie_axioms_check(L: HomotopyLieAlgebra) -> bool:
-    """Graded antisymmetry, degree additivity and the graded Jacobi identity."""
-    brackets, empty = L.brackets, {}
-    partners: dict[str, set[str]] = {b.name: set() for b in L.basis}
+    """Graded antisymmetry and degree additivity, which ``uea_presentation`` cannot see.
+
+    It reads one order of each pair; its normal-word certificate proves Jacobi.
+    """
+    brackets = L.brackets
     # every stored bracket is nonzero, so a pair stored one way only fails
     for (x, y), xy in brackets.items():
         dx, dy = L.degree(x), L.degree(y)
@@ -132,24 +133,4 @@ def graded_lie_axioms_check(L: HomotopyLieAlgebra) -> bool:
         sign = 1 if dx * dy % 2 else -1
         if brackets.get((y, x)) != {z: sign * c for z, c in xy.items()}:
             return False
-        partners[x].add(y)
-    # Jacobi in Leibniz form: [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|} [y,[x,z]];
-    # a triple with [y,z], [x,y] and [x,z] all zero has every term zero
-    names = [b.name for b in L.basis]
-    for x in names:
-        for y in names:
-            xy = brackets.get((x, y), empty)
-            sign = -1 if (L.degree(x) * L.degree(y)) % 2 else 1
-            for z in names if xy else partners[x] | partners[y]:
-                yz, xz = brackets.get((y, z), empty), brackets.get((x, z), empty)
-                left: Bracket = {}
-                for t, c in yz.items():
-                    add_multiple(left, c, brackets.get((x, t), empty))
-                right: Bracket = {}
-                for t, c in xy.items():
-                    add_multiple(right, c, brackets.get((t, z), empty))
-                for t, c in xz.items():
-                    add_multiple(right, sign * c, brackets.get((y, t), empty))
-                if left != right:
-                    return False
     return True

@@ -31,7 +31,7 @@ Three workhorses live here:
 So each ring has one elimination: Q :class:`FractionRREF`, F_p
 :class:`FractionFreeEliminator`, Z :func:`coker_normalize`.  One sparse
 ``out += c * terms``, :func:`add_multiple`, serves their reductions, the
-quotient engine, the normal-word certificate and the Jacobi check.
+quotient engine and the normal-word certificate.
 """
 
 from __future__ import annotations

@@ -18,8 +18,8 @@ which would change the ideal.  A certified integral presentation is then a
 free Z-module in every degree, torsion free with the normal-word counts as
 ranks, and a certified rational one has those counts as dimensions.
 
-The weights do a Tietze move where a length order would lead with a
-non-unit.  A generator ``g`` is *defined* by the first relation
+Over Z the weights do a Tietze move where a length order would lead with
+a non-unit.  A generator ``g`` is *defined* by the first relation
 ``±g + (words without g)`` whose other coefficients are all non-units; it
 weighs one more than the heaviest of those words, so that relation rewrites
 ``g`` away, as the saturation relation ``y2 - 72 y1.y1`` does for e6 over
@@ -29,7 +29,8 @@ coefficient defines nothing: a length order already solves it, and moving
 ``x1.x1 - y1`` would turn ``2 y1.y3`` into a leading ``2 x1.x1.y3``).  Any
 positive weights give an admissible order (a proper prefix weighs less, so
 two words of equal weight first differ inside both), and every check above
-stays, so a weight can only cost a fallback, never a wrong answer.
+stays, so a weight can only cost a fallback, never a wrong answer.  Over
+Q every coefficient is a unit, so every generator weighs 1 (see below).
 
 Most rules of a PBW presentation are graded commutators, and their
 overlaps resolve by a fixed chain of swaps, which :func:`certificate` takes
@@ -52,12 +53,17 @@ Each arrow is a chain of rewrites, so the overlap is resolvable, which is
 all the lemma asks of it.  Every other overlap is rewritten as before, and
 when all of those resolve every ambiguity is resolvable and the rules are
 confluent; so the outcome is the one rewriting every overlap gives, though
-a failure may name a later overlap.  On the rules ``x y -> ±y x + [x, y]``
-of an enveloping algebra, resolving ``x y z`` is the graded Jacobi identity
-of that triple (Bergman, §3), so a certificate that holds proves Jacobi.  A
-swapped triple still does: ``[a, c] = [b, c] = 0`` and ``c`` commutes, with
-the graded sign, with every term of ``[a, b]`` (or the mirror), so each of
-the three double brackets vanishes and the identity holds term by term.
+a failure may name a later overlap.
+
+Over Q the interreduced rules of an enveloping algebra are exactly
+``x y -> ±y x + [x, y]``, and resolving ``x y z`` is the graded Jacobi
+identity of that triple (Bergman, §3), so the certificate holds exactly
+when Jacobi does; it is :func:`~loopalg.enveloping.uea_presentation`'s
+Jacobi check.  A Tietze move would break that: defining ``z`` by
+``2 x.x - z`` passes ``[x, x] = z``, ``[x, z] = w``.  A swapped triple still satisfies Jacobi:
+``[a, c] = [b, c] = 0`` and ``c`` commutes, with the graded sign, with
+every term of ``[a, b]`` (or the mirror), so each of the three double
+brackets vanishes and the identity holds term by term.
 
 :func:`certificate` interreduces and resolves the overlaps, memoized on the
 presentation.  It reads the relations as the presentation codes them once
@@ -120,13 +126,16 @@ class Certificate:
 def _weights(p: RingPresentation) -> tuple[list[int], tuple[str, ...]]:
     """The generator weights of the word order and the names of the generators defined.
 
-    ``g`` is defined by the first relation holding it only as the word
-    ``g``, with coefficient ±1, and no other coefficient ±1.  Generators are
-    taken by increasing degree, ties in declaration order, so a defining
-    relation's longer words only hold generators already weighed.
+    Over Z, ``g`` is defined by the first relation holding it only as the
+    word ``g``, with coefficient ±1, and no other coefficient ±1; over Q
+    none is.  Generators are taken by increasing degree, ties in
+    declaration order, so a defining relation's longer words only hold
+    generators already weighed.
     """
     degrees = [d for _, d in p.generators]
     weights = [1] * len(degrees)
+    if p.domain == "rational":
+        return weights, ()
     defined = []
     for g in sorted(range(len(degrees)), key=degrees.__getitem__):
         for poly in p.coded_relations:

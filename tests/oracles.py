@@ -30,7 +30,8 @@ substitution ``y_i = e_i(t_1..t_m)`` both produce the power sum
 :func:`naive_interreduce` re-normalizes every pending relation after each
 new rule, and :func:`naive_resolve` rewrites every overlap of the leading
 words to normal form, with no shortcut for overlaps that resolve by swaps.  :func:`graded_dimension` is no oracle but a shorthand for one
-degree of the package's engine.
+degree of the package's engine, and :func:`force_the_engine` none but a
+way to send ``compute`` to that engine.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from itertools import permutations, product
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from loopalg import enveloping
+from loopalg import catalog, cli, enveloping, normal_words, pipeline
 from loopalg.enveloping import (
     FreeGradedAlgebra,
     GradedSmithReport,
@@ -99,6 +100,32 @@ def dense_integer(rows, ncols: int) -> list[list[int]]:
         for c, v in row.items():
             dense[i][c] = int(v * scale)
     return dense
+
+
+def force_the_engine(monkeypatch) -> None:
+    """Fail the certificate of every presentation ``compute`` answers, so it eliminates.
+
+    The failing certificate is set on the pipeline's presentation and on the
+    integral one as they leave ``rational_pipeline`` and
+    ``expected_integral_presentation``, after ``uea_presentation`` has
+    proved the Jacobi identity by the real one.  The pipeline is read from
+    its module at call time, so a tracer installed afterwards still sees it.
+    """
+    forced = normal_words.Certificate((), 0, "forced")
+    integral = catalog.expected_integral_presentation
+
+    def pipeline_of(entry):
+        result = pipeline.rational_pipeline(entry)
+        result.presentation._certificate = forced
+        return result
+
+    def integral_of(family, rank):
+        p = integral(family, rank)
+        p._certificate = forced
+        return p
+
+    monkeypatch.setattr(cli, "rational_pipeline", pipeline_of)
+    monkeypatch.setattr(catalog, "expected_integral_presentation", integral_of)
 
 
 def brute_graded_dimension(presentation: RingPresentation, degree: int) -> int:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from loopalg import catalog, cli, enveloping, minimal_model, normal_words, symmetric
+from loopalg import catalog, cli, enveloping, minimal_model, symmetric
 from loopalg.catalog import (
     catalog_entry,
     cohomology_presentation,
@@ -17,7 +17,7 @@ from loopalg.catalog import (
 )
 from loopalg.families import LieFamily
 from loopalg.pipeline import rational_pipeline
-from oracles import graded_dimension
+from oracles import force_the_engine, graded_dimension
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -120,8 +120,7 @@ def test_traced_cli_compute_eliminates_the_core_through_the_traced_engines(
     presentation's.  su3 certifies its normal words, so the certificate is
     forced to fail and ``compute`` falls back to the engine.
     """
-    forced = normal_words.Certificate((), 0, "forced")
-    monkeypatch.setattr(normal_words, "certificate", lambda p: forced)
+    force_the_engine(monkeypatch)
     tracer = _tracing(monkeypatch).Tracer()
     argv = ["compute", "--family", "su", "--rank", "3", "--coeffs", coeffs]
     argv += ["--cache-dir", str(tmp_path), "--out", str(tmp_path / "out")]

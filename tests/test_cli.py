@@ -22,7 +22,7 @@ from loopalg.enveloping import BudgetExceededError, engine_report
 from loopalg.families import LieFamily
 from loopalg.pipeline import rational_pipeline
 
-from oracles import with_torsion
+from oracles import force_the_engine, with_torsion
 
 
 @pytest.fixture()
@@ -99,12 +99,18 @@ def _count_calls(monkeypatch, module, name: str) -> list:
 
 @pytest.mark.parametrize("command", ["compute", "verify"])
 def test_each_check_runs_once_per_request(cache_dir, capsys, monkeypatch, command):
-    """The Lie axioms guard the enveloping presentation once; d^2 = 0 is not rechecked."""
+    """The Lie axioms guard the enveloping presentation once; d^2 = 0 is not rechecked.
+
+    The Jacobi identity is the pipeline presentation's certificate, made
+    once and read again by ``compute``'s route from the memo.
+    """
     axioms = _count_calls(monkeypatch, homotopy_lie, "graded_lie_axioms_check")
     square = _count_calls(monkeypatch, minimal_model, "derivation_square_check")
+    certified = _count_calls(monkeypatch, normal_words, "_certify")
     code, _, _ = run(capsys, command, "--family", "su", "--rank", "3")
     assert code == 0
     assert (len(axioms), len(square)) == (1, 0)
+    assert [p.domain for (p,) in certified] == ["rational"]
 
 
 @pytest.mark.parametrize("command", ["compute", "verify", "series"])
@@ -351,8 +357,7 @@ def test_verbose_names_each_degree_of_the_engine_after_the_timings(
 
     monkeypatch.setattr(linalg.FractionRREF, "add_row", spy)
     # su3 certifies, so force the engine route whose lines this test reads
-    forced = normal_words.Certificate((), 0, "forced")
-    monkeypatch.setattr(normal_words, "certificate", lambda p: forced)
+    force_the_engine(monkeypatch)
     args = ("compute", "--family", "su", "--rank", "2", "--format", "json")
     code, out, err = run(capsys, *args, "--verbose")
     assert code == 0

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loopalg import normal_words
 from loopalg.catalog import DEFAULT_CHECKED_RANKS, catalog_entry
+from loopalg.enveloping import FreeGradedAlgebra, RingPresentation, uea_presentation
 from loopalg.families import LieFamily
 from loopalg.gca import Derivation, GradedAlgebra
 from loopalg.homotopy_lie import (
@@ -249,11 +251,21 @@ def _random_lie_table(data):
     return HomotopyLieAlgebra(basis, table)
 
 
+def _refused(L: HomotopyLieAlgebra) -> bool:
+    """Whether :func:`uea_presentation` refuses ``L`` as no graded Lie algebra."""
+    try:
+        uea_presentation(L)
+    except ValueError as error:
+        assert str(error) == "graded Lie axiom check failed"
+        return True
+    return False
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_the_axiom_check_agrees_with_the_full_loop(data):
     L = _random_lie_table(data)
-    assert graded_lie_axioms_check(L) == lie_axioms_full_loop(L)
+    assert _refused(L) == (not lie_axioms_full_loop(L))
 
 
 def test_the_axiom_check_agrees_with_the_full_loop_on_planted_jacobi_faults():
@@ -266,9 +278,26 @@ def test_the_axiom_check_agrees_with_the_full_loop_on_planted_jacobi_faults():
     ]
     table = {("x", "x"): {"z": 2}, ("x", "y"): {"z": 1}, ("y", "x"): {"z": 1}}
     nilpotent = HomotopyLieAlgebra(basis, table)
-    assert graded_lie_axioms_check(nilpotent) and lie_axioms_full_loop(nilpotent)
+    assert not _refused(nilpotent) and lie_axioms_full_loop(nilpotent)
     # [x, z] = w, [z, x] = -w: antisymmetric and degree-correct, but
     # [y, [x, x]] = 2 [y, z] = 0 while Jacobi asks for 2 [[y, x], x] = 2 [z, x]
     broken = HomotopyLieAlgebra(basis, {**table, ("x", "z"): {"w": 1}, ("z", "x"): {"w": -1}})
-    assert not graded_lie_axioms_check(broken)
+    assert graded_lie_axioms_check(broken)  # the certificate refuses it, not the table check
+    assert _refused(broken)
     assert not lie_axioms_full_loop(broken)
+
+
+def test_a_jacobi_fault_is_refused_though_a_bracket_could_define_a_generator():
+    """[x, x] = z and [x, z] = w break Jacobi: [x, [x, x]] = [x, z] = w, not 0.
+
+    The relation ``2 x.x - z`` must not define ``z`` over Q, which would
+    rewrite ``z`` away and leave a certificate that holds.
+    """
+    basis = [LieBasisElement(name, d, "g" + name) for name, d in (("x", 1), ("z", 2), ("w", 3))]
+    table = {("x", "x"): {"z": 1}, ("x", "z"): {"w": 1}, ("z", "x"): {"w": -1}}
+    L = HomotopyLieAlgebra(basis, table)
+    assert graded_lie_axioms_check(L) and not lie_axioms_full_loop(L)
+    assert _refused(L)
+    alg = FreeGradedAlgebra([("x", 1), ("z", 2)])
+    p = RingPresentation(alg, [alg.element({("x", "x"): 2, ("z",): -1})], domain="rational")
+    assert normal_words.certificate(p).defined == ()
