@@ -23,13 +23,14 @@ doubled class ``2 y_j`` (j >= n) as a single generator ``Y{j}``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from typing import Callable
 
 from . import series as series_mod
-from .enveloping import FreeGradedAlgebra, NcElement, RingPresentation
+from .enveloping import FreeGradedAlgebra, NcElement, RingPresentation, uea_pair_degrees
 from .families import EXCEPTIONAL_EXPONENTS, LieFamily, validate_rank
 from .minimal_model import CohomologyPresentation
 from .series import PoincareSeries
@@ -292,17 +293,75 @@ def _so_even_core(alg: FreeGradedAlgebra, x: list[str], n: int) -> list[NcElemen
     return rels
 
 
+# the exceptional central classes y_k, of degree 2k, and the core relations
+# beyond degree 2 per degree, as the builders below write them
+_INTEGRAL_CENTRAL = {
+    LieFamily.G2: (1, 2, 5),
+    LieFamily.F4: (1, 2, 3, 5, 7, 11),
+    LieFamily.E6: (1, 2, 3, 4, 5, 7, 8, 11),
+}
+_INTEGRAL_CORE_ABOVE_TWO = {
+    LieFamily.G2: {4: 2},
+    LieFamily.F4: {4: 1, 6: 2},
+    LieFamily.E6: {4: 2, 6: 2},
+}
+
+
+def _integral_central(family: LieFamily, n: int) -> list[tuple[str, int]]:
+    """The central classes of the integral presentation, names and degrees, in order."""
+    if family is LieFamily.SU:
+        return [(f"y{i}", 2 * i) for i in range(1, n + 1)]
+    if family is LieFamily.SP:
+        return [(f"y{i}", 4 * i - 2) for i in range(2, n + 1)]
+    if family is LieFamily.SO_ODD:
+        return [(f"y{i}", 2 * i) for i in range(1, 2 * n)]
+    if family is LieFamily.SO_EVEN:
+        y = [(f"y{i}", 2 * i) for i in range(1, n - 1)]
+        y += [("wp", 2 * (n - 1)), ("wm", 2 * (n - 1))]
+        return y + [(f"Y{j}", 2 * j) for j in range(n, 2 * n - 1)]
+    return [(f"y{k}", 2 * k) for k in _INTEGRAL_CENTRAL[family]]
+
+
+def integral_presentation_degrees(
+    family: LieFamily, rank: int, max_degree: int
+) -> tuple[list[int], dict[int, int]]:
+    """The integral presentation's generator degrees and relations per degree, before any build.
+
+    As :func:`~loopalg.pipeline.presentation_degrees` does for the
+    pipeline's presentation: the generators are the ``rank`` degree-1
+    classes, then the central ones, and the relations are counted per
+    degree up to ``max_degree``, never listed, so the count costs
+    O(rank + degrees²), not O(rank²).  Every family's core relates the
+    degree-1 classes in degree 2, one square per class (type C one fewer)
+    and one anticommutator per pair; types B and D add one relation in each
+    degree 4i, i < rank, and the exceptional cores theirs above degree 2.
+    :func:`_presentation` then adds a commutator of each degree-1 class with
+    each central class, and one per pair of central classes, which
+    :func:`~loopalg.enveloping.uea_pair_degrees` counts, their degrees
+    being even.
+    """
+    validate_rank(family, rank)
+    central = [d for _, d in _integral_central(family, rank)]
+    squares = rank - 1 if family is LieFamily.SP else rank
+    rels = Counter({2: squares + rank * (rank - 1) // 2})
+    if family in (LieFamily.SO_ODD, LieFamily.SO_EVEN):
+        rels.update(4 * i for i in range(1, rank))
+    rels.update(_INTEGRAL_CORE_ABOVE_TWO.get(family, {}))
+    rels.update({d + 1: rank * m for d, m in Counter(central).items()})
+    rels.update(uea_pair_degrees(central, max_degree))
+    return [1] * rank + central, {d: m for d, m in rels.items() if m and d <= max_degree}
+
+
 def expected_integral_presentation(family: LieFamily, rank: int) -> RingPresentation:
     validate_rank(family, rank)
     n = rank
     x = [f"x{i}" for i in range(1, n + 1)]
+    y = _integral_central(family, n)
 
     if family is LieFamily.SU:
-        y = [(f"y{i}", 2 * i) for i in range(1, n + 1)]
         return _presentation(x, y, lambda alg: _clifford(alg, x, 2 * alg.gen("y1")), "integer")
 
     if family is LieFamily.SP:
-        y = [(f"y{i}", 4 * i - 2) for i in range(2, n + 1)]
         return _presentation(x, y, lambda alg: _equal_squares(alg, x), "integer")
 
     if family is LieFamily.SO_ODD:
@@ -310,12 +369,9 @@ def expected_integral_presentation(family: LieFamily, rank: int) -> RingPresenta
         def so_odd_core(alg: FreeGradedAlgebra) -> list[NcElement]:
             return _type_bd(alg, x) + [_so_odd_y_relation(alg, i, n) for i in range(1, n)]
 
-        return _presentation(x, [(f"y{i}", 2 * i) for i in range(1, 2 * n)], so_odd_core, "integer")
+        return _presentation(x, y, so_odd_core, "integer")
 
     if family is LieFamily.SO_EVEN:
-        y = [(f"y{i}", 2 * i) for i in range(1, n - 1)]
-        y += [("wp", 2 * (n - 1)), ("wm", 2 * (n - 1))]
-        y += [(f"Y{j}", 2 * j) for j in range(n, 2 * n - 1)]
         return _presentation(x, y, lambda alg: _so_even_core(alg, x, n), "integer")
 
     if family is LieFamily.G2:
@@ -329,7 +385,7 @@ def expected_integral_presentation(family: LieFamily, rank: int) -> RingPresenta
                 g("y2") - 2 * g("y1") * g("y1"),
             ]
 
-        return _presentation(x, [("y1", 2), ("y2", 4), ("y5", 10)], g2_core, "integer")
+        return _presentation(x, y, g2_core, "integer")
 
     if family is LieFamily.F4:
 
@@ -343,7 +399,6 @@ def expected_integral_presentation(family: LieFamily, rank: int) -> RingPresenta
             rels.append(g("y3") - g("y1") * g("y2"))
             return rels
 
-        y = [("y1", 2), ("y2", 4), ("y3", 6), ("y5", 10), ("y7", 14), ("y11", 22)]
         return _presentation(x, y, f4_core, "integer")
 
     def e6_core(alg: FreeGradedAlgebra) -> list[NcElement]:
@@ -357,8 +412,6 @@ def expected_integral_presentation(family: LieFamily, rank: int) -> RingPresenta
         rels.append(g("y3") - 4 * g("y1") * g("y2"))
         return rels
 
-    y = [("y1", 2), ("y2", 4), ("y3", 6), ("y4", 8)]
-    y += [("y5", 10), ("y7", 14), ("y8", 16), ("y11", 22)]
     return _presentation(x, y, e6_core, "integer")
 
 

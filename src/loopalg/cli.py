@@ -14,9 +14,17 @@ engine each presentation keeps (:func:`loopalg.enveloping.engine_report`).
 Reports carry only checks that can fail: ``torsion_free_check`` over Z and
 ``verify``'s cross-checks (the Lie axioms guard ``uea_presentation``).
 
+One process builds each configuration's pipeline (with its catalog entry)
+and integral presentation once, on the first request that reads them, and
+keeps at most ``MEMO_CONFIGURATIONS`` (16) configurations, the least
+recently read dropped first; later requests reuse their certificates and
+engines, and ``--verbose`` names each memo read a hit or a miss.
+
 Exit codes: 0 pass, 1 check failure, 2 usage/config error, 3 budget
 exceeded.  A request is refused before any build, in every degree where the
-engine would refuse a presentation it answers (:func:`_refuse_over_budget`).
+engine would refuse a presentation it answers (:func:`_refuse_over_budget`),
+counted from the family data: an integer request never builds an integral
+presentation over the budget.
 ``--budget`` also bounds ``verify``'s commutative quotient: over it, both
 quotient checks are ``"skipped"``.
 """
@@ -30,7 +38,6 @@ import json
 import os
 import sys
 import time
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -51,7 +58,7 @@ from .enveloping import (
 )
 from .families import FIXED_RANK, LieFamily, validate_rank
 from .minimal_model import is_regular, quotient_dimensions
-from .pipeline import presentation_degrees, rational_pipeline
+from .pipeline import PipelineResult, presentation_degrees, rational_pipeline
 from .series import PoincareSeries
 
 SCHEMA_VERSION = 2
@@ -107,19 +114,48 @@ def _expected_pbw(family: LieFamily, rank: int, degree: int) -> tuple:
     return tuple(gens), MappingProxyType(rels), pbw_series_of_degrees(gens, degree)
 
 
-def _refuse_over_budget(cfg: RunConfig, integral: RingPresentation | None = None) -> None:
+def _refuse_over_budget(cfg: RunConfig, integral: bool = False) -> None:
     """Refuse, in every degree, where the engine would on the presentation answered.
 
-    That is the pipeline's, whose degrees the exponents give, or ``integral``.
+    That is the pipeline's or, with ``integral``, the catalog's integral
+    one; neither is built, their degrees are counted from the family data.
     Both rings are torsion free with the PBW series as ranks, so
     :func:`degree_size` on those degrees and ranks gives the engine's sizes.
     """
     gens, rels, pbw = _expected_pbw(cfg.family, cfg.rank, cfg.degree)
-    if integral is not None:
-        gens, rels = [d for _, d in integral.generators], Counter(integral.relation_degrees)
+    if integral:
+        gens, rels = cat.integral_presentation_degrees(cfg.family, cfg.rank, cfg.degree)
     ranks, no_torsion = list(pbw), [0] * (cfg.degree + 1)
     for d in range(1, cfg.degree + 1):
         check_budget(d, cfg.budget, *degree_size(d, gens, rels, ranks, no_torsion))
+
+
+# configurations whose pipeline and integral presentation one process keeps,
+# with their certificates and engines: the 13 of DEFAULT_CHECKED_RANKS fit,
+# and one su20 configuration holds about 1.6 MB.  The builders are read from
+# their modules at call time, so a builder rebound there builds every miss.
+MEMO_CONFIGURATIONS = 16
+
+
+@functools.lru_cache(maxsize=MEMO_CONFIGURATIONS)
+def _rational(family: LieFamily, rank: int) -> tuple[cat.CatalogEntry, PipelineResult]:
+    """The catalog entry and the pipeline built on it, once per process."""
+    entry = cat.catalog_entry(family, rank)
+    return entry, rational_pipeline(entry)
+
+
+@functools.lru_cache(maxsize=MEMO_CONFIGURATIONS)
+def _integral(family: LieFamily, rank: int) -> RingPresentation:
+    """The catalog's integral presentation, once per process."""
+    return cat.expected_integral_presentation(family, rank)
+
+
+def _recall(name: str, memo, cfg: RunConfig, recalled: dict[str, str]):
+    """``memo``'s object for ``cfg``; ``recalled[name]`` says whether it was held."""
+    hits = memo.cache_info().hits
+    found = memo(cfg.family, cfg.rank)
+    recalled[name] = "hit" if memo.cache_info().hits > hits else "miss"
+    return found
 
 
 def build_report(cfg: RunConfig, verify: bool = False) -> dict:
@@ -127,7 +163,8 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
 
     The rational dimensions are computed unless ``coeffs`` is integer and the
     integral Smith report unless it is rational, the rational route first.
-    Each presentation answered is refused over the budget before any build.
+    Each presentation answered is refused over the budget before any build,
+    and each is read through the process's memo.
     ``poincare`` holds the rational dimensions when they were computed and
     the PBW series otherwise.  An integer compute takes that series from the
     exponents (by PBW it reads only the Lie basis degrees) and builds neither
@@ -154,17 +191,15 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
     # certified normal words where the certificate holds
     answer = engine_report if verify else normal_words.report
     if cfg.coeffs != "integer":
-        # before the integral presentation too, whose relations grow as rank²
         _refuse_over_budget(cfg)
-    integral = None
     if cfg.coeffs != "rational":
-        integral = cat.expected_integral_presentation(cfg.family, cfg.rank)
-        _refuse_over_budget(cfg, integral)
+        _refuse_over_budget(cfg, integral=True)
+    recalled: dict[str, str] = {}
     if cfg.coeffs == "integer" and not verify:
         pbw = _expected_pbw(cfg.family, cfg.rank, n)[2]
     else:
-        entry = cat.catalog_entry(cfg.family, cfg.rank)
-        pipe = timed("pipeline", rational_pipeline, entry)
+        entry, pipe = timed("pipeline", _recall, "pipeline", _rational, cfg, recalled)
+    integral = None if cfg.coeffs == "rational" else _recall("integral", _integral, cfg, recalled)
     if verify:
         pbw = pbw_series(pipe.lie_algebra, n)
         got = {k: dict(v) for k, v in pipe.lie_algebra.brackets.items()}
@@ -238,6 +273,8 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
     if cfg.verbose:
         for stage, seconds in timings.items():
             print(f"timing {stage}: {seconds:.3f}s", file=sys.stderr)
+        for name, outcome in recalled.items():
+            print(f"memo {name}: {outcome}", file=sys.stderr)
         if verify:
             quotient_work = entry.cohomology.quotient_work  # None over the budget
             route = "skipped (over the budget)" if quotient_work is None else quotient_work.route
@@ -288,8 +325,7 @@ def build_series_report(cfg: RunConfig) -> dict:
     It reads the pipeline, so every degree obeys the budget first.
     """
     _refuse_over_budget(cfg)
-    entry = cat.catalog_entry(cfg.family, cfg.rank)
-    pipe = rational_pipeline(entry)
+    pipe = _rational(cfg.family, cfg.rank)[1]
     n = cfg.degree
     return {
         "family": cfg.family.slug,

@@ -110,6 +110,8 @@ def force_the_engine(monkeypatch) -> None:
     ``expected_integral_presentation``, after ``uea_presentation`` has
     proved the Jacobi identity by the real one.  The pipeline is read from
     its module at call time, so a tracer installed afterwards still sees it.
+    The request memos are emptied, so every later request builds through
+    the forced builders instead of reading a certified presentation.
     """
     forced = normal_words.Certificate((), 0, "forced")
     integral = catalog.expected_integral_presentation
@@ -126,6 +128,13 @@ def force_the_engine(monkeypatch) -> None:
 
     monkeypatch.setattr(cli, "rational_pipeline", pipeline_of)
     monkeypatch.setattr(catalog, "expected_integral_presentation", integral_of)
+    empty_request_memos()
+
+
+def empty_request_memos() -> None:
+    """Drop every configuration the command line's memos keep, as a fresh process starts."""
+    cli._rational.cache_clear()
+    cli._integral.cache_clear()
 
 
 def brute_graded_dimension(presentation: RingPresentation, degree: int) -> int:

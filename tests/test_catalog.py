@@ -1,5 +1,7 @@
 """Catalog data: exponents, series, expected presentations, bounds."""
 
+from collections import Counter
+
 import pytest
 
 from loopalg import catalog
@@ -10,11 +12,12 @@ from loopalg.catalog import (
     expected_integral_presentation,
     expected_rational_presentation,
     exponents,
+    integral_presentation_degrees,
     splitting_series,
     weyl_order,
 )
 from loopalg.enveloping import graded_dimensions, pbw_series, relation_string, series_equal
-from loopalg.families import LieFamily
+from loopalg.families import FIXED_RANK, LieFamily
 from loopalg.pipeline import rational_pipeline
 
 
@@ -92,6 +95,25 @@ def test_expected_integral_shapes():
     e6 = expected_integral_presentation(LieFamily.E6, 6)
     rendered = {relation_string(r) for r in e6.relations}
     assert "1*x1.x1 - 12*y1" in rendered
+
+
+def test_integral_presentation_degrees_match_the_built_presentation():
+    """The integral degrees the budget reads before any build are the presentation's own.
+
+    Every checked configuration and every classical rank up to 12: the
+    generator degrees in order, and the relations counted per degree up to
+    each cut, the last past every relation.
+    """
+    configs = [(f, r) for f, ranks in DEFAULT_CHECKED_RANKS.items() for r in ranks]
+    for family in LieFamily:
+        if family not in FIXED_RANK:
+            configs += [(family, r) for r in range(3 if family is LieFamily.SO_EVEN else 1, 13)]
+    for family, rank in configs:
+        p = expected_integral_presentation(family, rank)
+        for cut in (0, 1, 2, 3, 4, 7, 10, 16, 100):
+            rels = Counter(d for d in p.relation_degrees if d <= cut)
+            built = [d for _, d in p.generators], rels
+            assert integral_presentation_degrees(family, rank, cut) == built, (family, rank, cut)
 
 
 def test_so_odd_uniform_relations():

@@ -1,6 +1,7 @@
 """Command line contract: subcommands, exit codes, determinism, cache."""
 
 import json
+import random
 import re
 import sys
 import time
@@ -22,7 +23,7 @@ from loopalg.enveloping import BudgetExceededError, engine_report
 from loopalg.families import LieFamily
 from loopalg.pipeline import rational_pipeline
 
-from oracles import force_the_engine, with_torsion
+from oracles import empty_request_memos, force_the_engine, with_torsion
 
 
 @pytest.fixture()
@@ -228,7 +229,7 @@ def test_the_early_budget_check_refuses_as_the_route_would():
             integral = cli.cat.expected_integral_presentation(family, rank)
             for p, requests, given in (
                 (pipeline, ("rational", "both"), ()),
-                (integral, ("integer", "both"), (integral,)),
+                (integral, ("integer", "both"), (True,)),
             ):
                 engine_report(p, n, None)
                 sizes = {s for w in p.engine().work[1:] for s in (w.symbols, w.rows)}
@@ -291,6 +292,114 @@ def test_a_large_rank_is_refused_without_listing_its_relations(
     assert (code, out) == (3, "")
     assert err == "error: degree 2 needs 4000001 basis symbols/rows, over the budget of 200000\n"
     assert built == []
+
+
+SU2000 = ("--family", "su", "--rank", "2000")
+
+
+@pytest.mark.parametrize(
+    "request_argv, refusal",
+    [
+        (("compute", *SU2000), "degree 2 needs 4000001"),
+        (("report", "--compute-missing", *SU2000), "degree 2 needs 4000001"),
+        (("verify", *SU2000), "degree 2 needs 4000001"),
+        (("compute", "--family", "so-even", "--rank", "300"), "degree 3 needs 13455600"),
+    ],
+)
+def test_a_large_rank_integer_request_is_refused_from_its_counts(
+    cache_dir, capsys, monkeypatch, request_argv, refusal
+):
+    # su2000's integral presentation has 8,000,000 relations, and building
+    # them before the refusal ran for over a minute; the refusal counts them
+    # per degree from the family data and builds nothing
+    built = _count_calls(monkeypatch, cli.cat, "expected_integral_presentation")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *request_argv, "--coeffs", "integer")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (3, "")
+    assert err == f"error: {refusal} basis symbols/rows, over the budget of 200000\n"
+    assert built == []
+
+
+def _request_stream(seed: int) -> list[tuple[str, ...]]:
+    """Every command on every checked configuration, shuffled by ``seed``.
+
+    Each is asked in each domain (``verify`` also in both) under the
+    default budget and under two small ones that refuse many of them.
+    """
+    stream = []
+    for family, ranks in DEFAULT_CHECKED_RANKS.items():
+        for rank in ranks:
+            config = ("--family", family.slug, "--rank", str(rank), "--format", "json")
+            for budget in ("200000", "100", "30"):
+                stream.append(("series", *config, "--budget", budget))
+                stream.append(("verify", *config, "--budget", budget))
+                for coeffs in ("rational", "integer"):
+                    for command in (("compute",), ("report", "--compute-missing"), ("verify",)):
+                        stream.append((*command, *config, "--coeffs", coeffs, "--budget", budget))
+    random.Random(seed).shuffle(stream)
+    return stream
+
+
+def test_a_request_answers_alike_whatever_the_process_answered_before(tmp_path, capsys):
+    """One process answers a shuffled stream as fresh processes answer each request.
+
+    The stream runs once with the memos kept between requests, and once
+    with the memos and the catalog emptied before each request; each run
+    has its own cache directory.  Exit codes, stdout and stderr agree
+    request by request, among them small-budget refusals of configurations
+    that the process already built under the default budget.
+    """
+    stream = _request_stream(seed=30)
+
+    def answer(argv, cache):
+        code = main([*argv, "--cache-dir", str(tmp_path / cache)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    kept = [answer(argv, "kept") for argv in stream]
+    fresh = []
+    for argv in stream:
+        empty_request_memos()
+        catalog_entry.cache_clear()
+        fresh.append(answer(argv, "fresh"))
+    for argv, got, want in zip(stream, kept, fresh):
+        assert got == want, argv
+    answered, refused_after_an_answer = set(), 0
+    for argv, (code, _, _) in zip(stream, kept):
+        config = argv[argv.index("--family") + 1], argv[argv.index("--rank") + 1]
+        refused_after_an_answer += code == 3 and config in answered
+        if code == 0:
+            answered.add(config)
+    assert refused_after_an_answer > 50
+    assert {code for code, _, _ in kept} == {0, 3}
+
+
+def test_verbose_names_what_the_memos_held(cache_dir, capsys):
+    """Each object a request read is named a miss the first time and a hit after."""
+
+    def memo_lines(*argv):
+        code, _, err = run(capsys, *argv, "--family", "su", "--rank", "3", "--verbose")
+        assert code == 0
+        return [line for line in err.splitlines() if line.startswith("memo ")]
+
+    assert memo_lines("compute", "--coeffs", "integer") == ["memo integral: miss"]
+    assert memo_lines("compute", "--coeffs", "rational") == ["memo pipeline: miss"]
+    assert memo_lines("verify") == ["memo pipeline: hit", "memo integral: hit"]
+    # a cached report reads neither, and names neither
+    assert memo_lines("report") == []
+    empty_request_memos()
+    assert memo_lines("verify", "--coeffs", "integer") == [
+        "memo pipeline: miss",
+        "memo integral: miss",
+    ]
+
+
+def test_the_memos_keep_a_bounded_number_of_configurations(cache_dir, capsys):
+    for rank in range(1, cli.MEMO_CONFIGURATIONS + 6):
+        argv = ("compute", "--family", "su", "--rank", str(rank), "--max-degree", "2")
+        assert run(capsys, *argv)[0] == 0
+    assert cli._rational.cache_info().currsize == cli.MEMO_CONFIGURATIONS
 
 
 def test_a_rational_compute_builds_only_the_degree_four_form(cache_dir, capsys, monkeypatch):
@@ -364,10 +473,13 @@ def test_verbose_names_each_degree_of_the_engine_after_the_timings(
     lines = err.splitlines()
     timings = [line for line in lines if line.startswith("timing ")]
     assert timings and lines[: len(timings)] == timings
-    # the route comes first, then its engine lines
-    assert lines[len(timings)] == "route rational: engine (forced)"
+    # the memo's outcome comes first, then the route, then its engine lines
+    assert lines[len(timings) : len(timings) + 2] == [
+        "memo pipeline: miss",
+        "route rational: engine (forced)",
+    ]
     pattern = re.compile(r"engine rational degree (\d+): symbols (\d+) rows (\d+) rank (\d+)")
-    work = [pattern.fullmatch(line) for line in lines[len(timings) + 1 :]]
+    work = [pattern.fullmatch(line) for line in lines[len(timings) + 2 :]]
     assert all(work)
     assert [int(m[1]) for m in work] == list(range(1, default_max_degree(LieFamily.SU) + 1))
     # every row of every degree went through the eliminator, and the ranks add up

@@ -216,16 +216,21 @@ def test_verbose_names_the_route(tmp_path, capsys):
         return [line for line in lines if not line.startswith("timing ")]
 
     assert stderr("--family", "su", "--rank", "3", "--coeffs", "integer") == [
+        "memo integral: miss",
         "route integer: normal words, 18 rules, 38 overlaps resolved, 22 swapped,"
         " 37 words rewritten"
     ]
     assert stderr("--family", "g2", "--coeffs", "integer") == [
+        "memo integral: miss",
         "route integer: normal words, 9 rules, 12 overlaps resolved, 5 swapped,"
         " 32 words rewritten, defined: y2"
     ]
     lines = stderr("--family", "f4", "--coeffs", "integer")
-    assert lines[0] == "route integer: engine (leading coefficient -9 on y1.y1)"
-    assert [line.split(":")[0] for line in lines[1:]] == [
+    assert lines[:2] == [
+        "memo integral: miss",
+        "route integer: engine (leading coefficient -9 on y1.y1)",
+    ]
+    assert [line.split(":")[0] for line in lines[2:]] == [
         f"engine integer degree {d}" for d in range(1, 7)
     ]
 
