@@ -207,8 +207,12 @@ def _type_bd(alg: FreeGradedAlgebra, names: list[str]) -> list[NcElement]:
 def expected_rational_presentation(family: LieFamily, rank: int) -> RingPresentation:
     validate_rank(family, rank)
     a = [f"a{i}" for i in range(1, rank + 1)]
+    # the classes dual to the odd generators, one of degree 2e - 2 per
+    # exponent e, but b1: the degree-1 classes generate degree 2
+    names = _dual_names(family, rank)
+    indices, exps = invariant_indices(family, rank), exponents(family, rank)
+    b = [(names[f"v{k}"], 2 * e - 2) for k, e in zip(indices, exps)][1:]
     if family is LieFamily.SU:
-        b = [(f"b{k}", 2 * k) for k in range(2, rank + 1)]
         # everything equals a1^2; the first relation, a1^2 = a1^2, is dropped
         return _presentation(
             a, b, lambda alg: _clifford(alg, a, alg.gen("a1") ** 2)[1:], "rational"
@@ -223,12 +227,11 @@ def expected_rational_presentation(family: LieFamily, rank: int) -> RingPresenta
                 g("a1") * g("a2") + g("a2") * g("a1") - g("a1") * g("a1"),
             ]
 
-        return _presentation(a, [("b5", 10)], g2_core, "rational")
+        return _presentation(a, b, g2_core, "rational")
 
     if family is LieFamily.E6:
         # five classes a1..a5 pairing like type A, one class a anticommuting
         a = a[:5]
-        b = [("b4", 8), ("b5", 10), ("b7", 14), ("b8", 16), ("b11", 22)]
 
         def e6_core(alg: FreeGradedAlgebra) -> list[NcElement]:
             g = alg.gen
@@ -236,12 +239,6 @@ def expected_rational_presentation(family: LieFamily, rank: int) -> RingPresenta
 
         return _presentation(a + ["a"], b, e6_core, "rational")
 
-    if family is LieFamily.SO_EVEN:
-        b = [(f"b{k}", 4 * k - 2) for k in range(2, rank)] + [(f"b{rank}", 2 * rank - 2)]
-    elif family is LieFamily.F4:
-        b = [("b5", 10), ("b7", 14), ("b11", 22)]
-    else:
-        b = [(f"b{k}", 4 * k - 2) for k in range(2, rank + 1)]
     return _presentation(a, b, lambda alg: _equal_squares(alg, a), "rational")
 
 
@@ -415,7 +412,15 @@ def expected_integral_presentation(family: LieFamily, rank: int) -> RingPresenta
     return _presentation(x, y, e6_core, "integer")
 
 
-@lru_cache(maxsize=None)
+# configurations whose built objects one process keeps: the catalog entries
+# here, with each expected presentation's engine, and the command line's
+# pipelines and integral presentations, with their certificates and engines.
+# The 13 of DEFAULT_CHECKED_RANKS fit, and one su20 configuration holds
+# about 1.6 MB.
+MEMO_CONFIGURATIONS = 16
+
+
+@lru_cache(maxsize=MEMO_CONFIGURATIONS)
 def catalog_entry(family: LieFamily, rank: int) -> CatalogEntry:
     validate_rank(family, rank)
     return CatalogEntry(

@@ -16,15 +16,17 @@ Reports carry only checks that can fail: ``torsion_free_check`` over Z and
 
 One process builds each configuration's pipeline (with its catalog entry)
 and integral presentation once, on the first request that reads them, and
-keeps at most ``MEMO_CONFIGURATIONS`` (16) configurations, the least
-recently read dropped first; later requests reuse their certificates and
-engines, and ``--verbose`` names each memo read a hit or a miss.
+keeps at most ``catalog.MEMO_CONFIGURATIONS`` (16) configurations, the
+least recently read dropped first, as the catalog keeps its entries; later
+requests reuse their certificates and engines, and ``--verbose`` names each
+memo read a hit or a miss.
 
 Exit codes: 0 pass, 1 check failure, 2 usage/config error, 3 budget
 exceeded.  A request is refused before any build, in every degree where the
 engine would refuse a presentation it answers (:func:`_refuse_over_budget`),
 counted from the family data: an integer request never builds an integral
-presentation over the budget.
+presentation over the budget, and a rank over the budget is refused at once,
+in degree 1.
 ``--budget`` also bounds ``verify``'s commutative quotient: over it, both
 quotient checks are ``"skipped"``.
 """
@@ -121,7 +123,11 @@ def _refuse_over_budget(cfg: RunConfig, integral: bool = False) -> None:
     one; neither is built, their degrees are counted from the family data.
     Both rings are torsion free with the PBW series as ranks, so
     :func:`degree_size` on those degrees and ranks gives the engine's sizes.
+    Degree 1 of either holds the ``rank`` degree-1 generators and no
+    relation, so it is checked first, before any count grows with the rank.
     """
+    if cfg.degree >= 1:
+        check_budget(1, cfg.budget, cfg.rank)
     gens, rels, pbw = _expected_pbw(cfg.family, cfg.rank, cfg.degree)
     if integral:
         gens, rels = cat.integral_presentation_degrees(cfg.family, cfg.rank, cfg.degree)
@@ -130,21 +136,16 @@ def _refuse_over_budget(cfg: RunConfig, integral: bool = False) -> None:
         check_budget(d, cfg.budget, *degree_size(d, gens, rels, ranks, no_torsion))
 
 
-# configurations whose pipeline and integral presentation one process keeps,
-# with their certificates and engines: the 13 of DEFAULT_CHECKED_RANKS fit,
-# and one su20 configuration holds about 1.6 MB.  The builders are read from
-# their modules at call time, so a builder rebound there builds every miss.
-MEMO_CONFIGURATIONS = 16
-
-
-@functools.lru_cache(maxsize=MEMO_CONFIGURATIONS)
+# The builders are read from their modules at call time, so a builder
+# rebound there builds every miss.
+@functools.lru_cache(maxsize=cat.MEMO_CONFIGURATIONS)
 def _rational(family: LieFamily, rank: int) -> tuple[cat.CatalogEntry, PipelineResult]:
     """The catalog entry and the pipeline built on it, once per process."""
     entry = cat.catalog_entry(family, rank)
     return entry, rational_pipeline(entry)
 
 
-@functools.lru_cache(maxsize=MEMO_CONFIGURATIONS)
+@functools.lru_cache(maxsize=cat.MEMO_CONFIGURATIONS)
 def _integral(family: LieFamily, rank: int) -> RingPresentation:
     """The catalog's integral presentation, once per process."""
     return cat.expected_integral_presentation(family, rank)

@@ -75,33 +75,21 @@ class HomotopyLieAlgebra:
         return self._degree[name]
 
 
-def _default_dual_name(name: str) -> str:
-    if name.startswith("u"):
-        return "a" + name[1:]
-    if name.startswith("v"):
-        return "b" + name[1:]
-    return name + "'"
+def dual_basis(m: MinimalModel, names: Mapping[str, str]) -> tuple[LieBasisElement, ...]:
+    """One basis element per model generator, named by ``names``, degree shifted down by one."""
+    return tuple(
+        LieBasisElement(name=names[gen_name], degree=degree - 1, dual_to=gen_name)
+        for gen_name, degree in m.algebra.generators
+    )
 
 
-def dual_basis(
-    m: MinimalModel, names: Mapping[str, str] | None = None
-) -> tuple[LieBasisElement, ...]:
-    """One basis element per model generator, degree shifted down by one."""
-    out = []
-    for gen_name, degree in m.algebra.generators:
-        dual = names[gen_name] if names else _default_dual_name(gen_name)
-        out.append(LieBasisElement(name=dual, degree=degree - 1, dual_to=gen_name))
-    return tuple(out)
-
-
-def brackets_from_d1(
-    m: MinimalModel, dual_names: Mapping[str, str] | None = None
-) -> HomotopyLieAlgebra:
+def brackets_from_d1(m: MinimalModel, dual_names: Mapping[str, str]) -> HomotopyLieAlgebra:
     """Lie algebra on the dual basis with brackets read off the model's d1.
 
-    One pass over the terms of d1 (see the module docstring); brackets not
-    forced by d1 are zero.  Pairs come in basis order and each bracket's
-    values in the order of d1, which the model builds in generator order.
+    ``dual_names`` names the dual of each model generator.  One pass over
+    the terms of d1 (see the module docstring); brackets not forced by d1
+    are zero.  Pairs come in basis order and each bracket's values in the
+    order of d1, which the model builds in generator order.
     """
     basis = dual_basis(m, dual_names)
     odd = [d % 2 for _, d in m.algebra.generators]

@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from operator import mul
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from . import linalg
 from .enveloping import DEFAULT_WORD_BUDGET, check_budget
@@ -111,7 +111,6 @@ class MinimalModel:
     where it is nonzero: the degree-4 relations."""
 
     algebra: GradedAlgebra
-    even_names: tuple[str, ...]
     odd_names: tuple[str, ...]
     d1: Mapping[str, GcaElement]
     presentation: CohomologyPresentation
@@ -314,32 +313,20 @@ def is_regular(c: CohomologyPresentation, dims: PoincareSeries) -> bool:
     return dims.coefficient(socle + 1) == 0 and dims.coefficient(socle + 2) == 0
 
 
-def build_minimal_model(
-    c: CohomologyPresentation,
-    odd_names: list[str] | None = None,
-    check_regular: bool = True,
-) -> MinimalModel:
+def build_minimal_model(c: CohomologyPresentation, odd_names: Sequence[str]) -> MinimalModel:
     """Minimal model with one odd generator per relation, d(v_j) = P_j.
 
-    Reads only the degree-4 relations, which make up d1.
+    Reads only the degree-4 relations, which make up d1.  The relations are
+    taken to form a regular sequence, which is not checked here:
+    :func:`regular_sequence_check` and :func:`is_regular` test it.
     """
-    if check_regular and not regular_sequence_check(c):
-        raise ValueError("relations do not form a regular sequence")
-    even = list(c.algebra.generators)
     degrees = c.relation_degrees
-    if odd_names is None:
-        odd_names = [f"v{j}" for j in range(1, len(degrees) + 1)]
     if len(odd_names) != len(degrees):
         raise ValueError("need one odd generator name per relation")
-    algebra = GradedAlgebra(even + [(name, d - 1) for name, d in zip(odd_names, degrees)])
+    odd = [(name, d - 1) for name, d in zip(odd_names, degrees)]
+    algebra = GradedAlgebra(list(c.algebra.generators) + odd)
     d1 = {v: _padded(algebra, c.relation(j)) for j, v in enumerate(odd_names) if degrees[j] == 4}
-    return MinimalModel(
-        algebra=algebra,
-        even_names=tuple(n for n, _ in even),
-        odd_names=tuple(odd_names),
-        d1=d1,
-        presentation=c,
-    )
+    return MinimalModel(algebra=algebra, odd_names=tuple(odd_names), d1=d1, presentation=c)
 
 
 def derivation_square_check(m: MinimalModel) -> bool:

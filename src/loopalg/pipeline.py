@@ -2,10 +2,9 @@
 
 cohomology presentation -> minimal model -> quadratic part -> homotopy Lie
 algebra -> enveloping presentation, reading only the degree-4 invariant
-forms, which make up d1.  The regular-sequence precondition of
-the cohomology presentation is not checked here: ``verify`` checks it from
-the commutative quotient it builds anyway (when that quotient fits the
-budget), and ``build_minimal_model`` checks it when called on its own.
+forms, which make up d1.  No step of it checks that the cohomology
+relations form a regular sequence: ``verify`` checks that from the
+commutative quotient it builds anyway (when that quotient fits the budget).
 """
 
 from __future__ import annotations
@@ -27,9 +26,7 @@ class PipelineResult:
 
 
 def rational_pipeline(entry: CatalogEntry) -> PipelineResult:
-    model = build_minimal_model(
-        entry.cohomology, odd_names=list(entry.odd_names), check_regular=False
-    )
+    model = build_minimal_model(entry.cohomology, entry.odd_names)
     lie = brackets_from_d1(model, entry.dual_names)
     return PipelineResult(
         model=model,

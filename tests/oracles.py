@@ -528,7 +528,7 @@ def pairing(w: GcaElement, args: Sequence[LieBasisElement]) -> Fraction:
 
 
 def pairing_brackets(
-    m: MinimalModel, differential: Derivation, dual_names: Mapping[str, str] | None = None
+    m: MinimalModel, differential: Derivation, dual_names: Mapping[str, str]
 ) -> HomotopyLieAlgebra:
     """The brackets ``<v ; s[x, y]> = (-1)^{deg y + 1} <d1 v ; s x, s y>``, pair by pair.
 

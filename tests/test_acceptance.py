@@ -80,9 +80,7 @@ def test_criterion_1_bracket_reproduction():
         for family, rank in FAMILIES:
             entry = catalog_entry(family, rank)
             start = time.perf_counter()
-            model = build_minimal_model(
-                entry.cohomology, odd_names=list(entry.odd_names), check_regular=False
-            )
+            model = build_minimal_model(entry.cohomology, entry.odd_names)
             lie = brackets_from_d1(model, entry.dual_names)
             elapsed = time.perf_counter() - start
             got = {pair: dict(combo) for pair, combo in lie.brackets.items()}
@@ -228,11 +226,11 @@ def test_criterion_8_structural_property_suite():
         # bracket invariance under a non-quadratic perturbation of d: the
         # model of a presentation whose d(v2) gains a cubic term
         entry = catalog_entry(LieFamily.SU, 2)
-        model = build_minimal_model(entry.cohomology, odd_names=["v1", "v2"])
+        model = build_minimal_model(entry.cohomology, ["v1", "v2"])
         c_alg = entry.cohomology.algebra
         p1, p2 = entry.cohomology.relations
         twisted = CohomologyPresentation(c_alg, [p1, p2 + c_alg.gen("u1") ** 2 * c_alg.gen("u2")])
-        perturbed = build_minimal_model(twisted, odd_names=["v1", "v2"], check_regular=False)
+        perturbed = build_minimal_model(twisted, ["v1", "v2"])
         assert perturbed.differential().image_of("v2") != model.differential().image_of("v2")
         assert (
             brackets_from_d1(model, entry.dual_names).brackets

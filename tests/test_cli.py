@@ -396,10 +396,30 @@ def test_verbose_names_what_the_memos_held(cache_dir, capsys):
 
 
 def test_the_memos_keep_a_bounded_number_of_configurations(cache_dir, capsys):
-    for rank in range(1, cli.MEMO_CONFIGURATIONS + 6):
-        argv = ("compute", "--family", "su", "--rank", str(rank), "--max-degree", "2")
-        assert run(capsys, *argv)[0] == 0
-    assert cli._rational.cache_info().currsize == cli.MEMO_CONFIGURATIONS
+    bound = cli.cat.MEMO_CONFIGURATIONS
+    for rank in range(1, bound + 6):
+        for coeffs in ("rational", "integer"):
+            argv = ("--family", "su", "--rank", str(rank), "--max-degree", "2")
+            assert run(capsys, "compute", *argv, "--coeffs", coeffs)[0] == 0
+    for memo in (cli._rational, cli._integral, catalog_entry):
+        assert memo.cache_info().currsize == bound, memo
+
+
+@pytest.mark.parametrize(
+    "request_argv",
+    [("compute",), ("compute", "--coeffs", "integer"), ("verify",), ("series",)],
+)
+def test_a_rank_over_the_budget_is_refused_at_once_in_degree_one(
+    cache_dir, capsys, request_argv
+):
+    # su20000000's PBW series folds in 20,000,000 odd factors, and counting
+    # it before the refusal did not end within 40 s; degree 1 holds just the
+    # rank's generators, so it is refused first
+    start = time.perf_counter()
+    code, out, err = run(capsys, *request_argv, "--family", "su", "--rank", "20000000")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (3, "")
+    assert err == "error: degree 1 needs 20000000 basis symbols/rows, over the budget of 200000\n"
 
 
 def test_a_rational_compute_builds_only_the_degree_four_form(cache_dir, capsys, monkeypatch):

@@ -24,9 +24,7 @@ from oracles import lie_axioms_full_loop, pairing, pairing_brackets, quadratic_p
 
 def model_for(family, rank):
     entry = catalog_entry(family, rank)
-    return build_minimal_model(
-        entry.cohomology, odd_names=list(entry.odd_names), check_regular=False
-    ), entry
+    return build_minimal_model(entry.cohomology, entry.odd_names), entry
 
 
 def test_dual_basis_su3():
@@ -148,31 +146,18 @@ def test_brackets_ignore_higher_order_differential_terms():
     from loopalg.minimal_model import CohomologyPresentation
 
     entry = catalog_entry(LieFamily.SU, 2)
-    model = build_minimal_model(entry.cohomology, odd_names=["v1", "v2"])
+    model = build_minimal_model(entry.cohomology, ["v1", "v2"])
     alg = entry.cohomology.algebra
     u1, u2 = alg.gen("u1"), alg.gen("u2")
     p1, p2 = entry.cohomology.relations
     twisted = CohomologyPresentation(alg, [p1, p2 + u1 * u1 * u2])
-    perturbed = build_minimal_model(twisted, odd_names=["v1", "v2"], check_regular=False)
+    perturbed = build_minimal_model(twisted, ["v1", "v2"])
     # d(v2) differs by the cubic term, d1 does not
     assert perturbed.differential().image_of("v2") != model.differential().image_of("v2")
     assert perturbed.d1 == model.d1
     base = brackets_from_d1(model, entry.dual_names)
     twisted = brackets_from_d1(perturbed, entry.dual_names)
     assert base.brackets == twisted.brackets
-
-
-def test_default_dual_names():
-    from loopalg.minimal_model import CohomologyPresentation
-
-    u_alg = GradedAlgebra([("u1", 2)])
-    coh = CohomologyPresentation(u_alg, [u_alg.gen("u1") ** 2])
-    model = build_minimal_model(coh)
-    basis = dual_basis(model)
-    assert [(b.name, b.degree, b.dual_to) for b in basis] == [
-        ("a1", 1, "u1"),
-        ("b1", 2, "v1"),
-    ]
 
 
 def _ordered(L):
@@ -210,12 +195,13 @@ def test_sparse_brackets_equal_the_pairing_on_random_quadratic_differentials(dat
     differential = Derivation(alg, images)
     model = MinimalModel(
         algebra=alg,
-        even_names=tuple(n for n, d in alg.generators if d % 2 == 0),
         odd_names=tuple(n for n, d in alg.generators if d % 2),
         d1={n: e for n, e in quadratic_part(differential).images().items() if e},
         presentation=None,
     )
-    assert _ordered(brackets_from_d1(model)) == _ordered(pairing_brackets(model, differential))
+    names = {n: f"{n}*" for n in alg.names}
+    got = brackets_from_d1(model, names)
+    assert _ordered(got) == _ordered(pairing_brackets(model, differential, names))
 
 
 def _random_lie_table(data):

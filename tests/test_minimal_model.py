@@ -27,26 +27,31 @@ def presentation(family, rank):
     return catalog_entry(family, rank).cohomology
 
 
+def model_of(family, rank):
+    entry = catalog_entry(family, rank)
+    return build_minimal_model(entry.cohomology, entry.odd_names)
+
+
 def test_su3_model_degrees():
-    model = build_minimal_model(presentation(LieFamily.SU, 2))
+    model = model_of(LieFamily.SU, 2)
     degrees = dict(model.algebra.generators)
     assert degrees["v1"] == 3 and degrees["v2"] == 5
 
 
 def test_so5_model_degrees():
-    model = build_minimal_model(presentation(LieFamily.SO_ODD, 2))
+    model = model_of(LieFamily.SO_ODD, 2)
     degrees = dict(model.algebra.generators)
     assert degrees["v1"] == 3 and degrees["v2"] == 7
 
 
 def test_so6_model_degrees():
-    model = build_minimal_model(presentation(LieFamily.SO_EVEN, 3))
+    model = model_of(LieFamily.SO_EVEN, 3)
     degrees = dict(model.algebra.generators)
     assert (degrees["v1"], degrees["v2"], degrees["v3"]) == (3, 7, 5)
 
 
 def test_quadratic_part_su3():
-    model = build_minimal_model(presentation(LieFamily.SU, 2))
+    model = model_of(LieFamily.SU, 2)
     d1 = quadratic_part(model.differential())
     alg = model.algebra
     u1, u2 = alg.gen("u1"), alg.gen("u2")
@@ -55,7 +60,7 @@ def test_quadratic_part_su3():
 
 
 def test_quadratic_part_so_odd():
-    model = build_minimal_model(presentation(LieFamily.SO_ODD, 2))
+    model = model_of(LieFamily.SO_ODD, 2)
     d1 = quadratic_part(model.differential())
     alg = model.algebra
     assert d1.image_of("v1") == alg.gen("u1") ** 2 + alg.gen("u2") ** 2
@@ -63,10 +68,7 @@ def test_quadratic_part_so_odd():
 
 
 def test_quadratic_part_f4():
-    entry = catalog_entry(LieFamily.F4, 4)
-    model = build_minimal_model(
-        entry.cohomology, odd_names=list(entry.odd_names), check_regular=False
-    )
+    model = model_of(LieFamily.F4, 4)
     d1 = quadratic_part(model.differential())
     alg = model.algebra
     expected = alg.zero()
@@ -84,10 +86,7 @@ RING_DEEP = [(LieFamily.SU, 7), (LieFamily.SU, 6), (LieFamily.E6, 6)]
 def test_d1_is_the_quadratic_part_of_the_full_differential():
     configs = [(f, r) for f, ranks in DEFAULT_CHECKED_RANKS.items() for r in ranks] + RING_DEEP
     for family, rank in configs:
-        entry = catalog_entry(family, rank)
-        model = build_minimal_model(
-            entry.cohomology, odd_names=list(entry.odd_names), check_regular=False
-        )
+        model = model_of(family, rank)
         d1 = quadratic_part(model.differential())
         assert model.d1 == {n: e for n, e in d1.images().items() if e}, (family, rank)
         assert len(model.d1) == 1, (family, rank)  # exponent 2 occurs once
@@ -105,7 +104,7 @@ def test_a_form_is_built_on_its_first_read_and_checked_against_its_degree():
 
     c = CohomologyPresentation(alg, degrees=[4, 6, 6], build=build)
     assert (c.socle_degree(), built) == (10, [])
-    model = build_minimal_model(c, check_regular=False)
+    model = build_minimal_model(c, ["v1", "v2", "v3"])
     assert model.d1 == {"v1": model.algebra.element({(2, 0, 0, 0, 0): 1, (0, 2, 0, 0, 0): 1})}
     assert c.relation(0) == forms[0] and built == [0]  # kept, not built again
     with pytest.raises(ValueError, match="^relation 1 has degree 4, declared 6$"):
@@ -129,7 +128,7 @@ def test_catalog_models_have_square_zero_differential():
         (LieFamily.SO_EVEN, 3),
         (LieFamily.G2, 2),
     ]:
-        model = build_minimal_model(presentation(family, rank))
+        model = model_of(family, rank)
         assert derivation_square_check(model)
 
 
@@ -309,14 +308,15 @@ def test_regular_sequence_count_mismatch():
         regular_sequence_check(single)
 
 
-def test_build_rejects_non_regular_by_default():
+def test_a_non_regular_presentation_still_builds():
+    """The builder does not test regularity; regular_sequence_check does."""
     alg = GradedAlgebra([("u1", 2), ("u2", 2)])
     u1, u2 = alg.gen("u1"), alg.gen("u2")
     bad = CohomologyPresentation(alg, [u1 * u1, u1 * u2])
-    with pytest.raises(ValueError):
-        build_minimal_model(bad)
-    model = build_minimal_model(bad, check_regular=False)
+    model = build_minimal_model(bad, ["v1", "v2"])
     assert dict(model.algebra.generators)["v1"] == 3
+    with pytest.raises(ValueError, match="^need one odd generator name per relation$"):
+        build_minimal_model(bad, ["v1"])
 
 
 def test_presentation_validation():

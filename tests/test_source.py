@@ -109,3 +109,30 @@ def test_no_module_imports_a_name_it_never_reads():
                     if name not in read:
                         unread.append(f"{path}:{node.lineno} {name}")
     assert unread == []
+
+
+def test_every_memo_of_the_package_is_bounded():
+    """A process serving a long request stream holds a bounded number of results.
+
+    Each ``lru_cache`` names a finite ``maxsize``; ``functools.cache``
+    (unbounded) is allowed only on a function of no parameter, which holds
+    one result.
+    """
+    unbounded = []
+    for path, tree in _package_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for decorator in node.decorator_list:
+                call = decorator if isinstance(decorator, ast.Call) else None
+                name = ast.unparse(call.func if call else decorator).rpartition(".")[2]
+                if name == "lru_cache" and call:
+                    sizes = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+                    bounded = not any(ast.unparse(size) == "None" for size in sizes)
+                elif name == "cache":
+                    bounded = not ast.unparse(node.args)
+                else:
+                    continue
+                if not bounded:
+                    unbounded.append(f"{path}:{node.lineno} {node.name}")
+    assert unbounded == []
