@@ -7,8 +7,9 @@ Lie group:
   forms, each built on its first read) feeding the minimal-model pipeline;
 * the exponents, which place the loop-space generators in degrees 2k - 2;
 * the expected rational and integral Pontrjagin presentations, with tensor
-  factors encoded as explicit centrality relations;
-* the expected Lie bracket table on the degree-1 classes.
+  factors encoded as explicit centrality relations, the expected Lie
+  bracket table on the degree-1 classes and the rational pipeline, each
+  built on its first read and kept by the entry.
 
 Every expected presentation is built by ``_presentation``: the family's core
 relations on the degree-1 classes, then the commutators that make each even
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 from typing import Callable
 
@@ -39,12 +40,31 @@ from .symmetric import invariant_indices, invariant_polynomials, variable_algebr
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One configuration; a property builds on first read, by the builder its module then holds."""
+
+    family: LieFamily
+    rank: int
     weyl_order: int
     cohomology: CohomologyPresentation
     odd_names: tuple[str, ...]
     dual_names: dict[str, str]
-    expected_rational: RingPresentation
-    expected_brackets: dict[tuple[str, str], dict[str, int]]
+
+    @cached_property
+    def expected_rational(self) -> RingPresentation:
+        return expected_rational_presentation(self.family, self.rank)
+
+    @cached_property
+    def expected_brackets(self) -> dict[tuple[str, str], dict[str, int]]:
+        return _expected_brackets(self.family, self.rank)
+
+    @cached_property
+    def pipeline(self):
+        from . import pipeline  # it imports this module
+        return pipeline.rational_pipeline(self)
+
+    @cached_property
+    def integral(self) -> RingPresentation:
+        return expected_integral_presentation(self.family, self.rank)
 
 
 # ranks exercised by the default verification sweep; word counts at the
@@ -412,11 +432,10 @@ def expected_integral_presentation(family: LieFamily, rank: int) -> RingPresenta
     return _presentation(x, y, e6_core, "integer")
 
 
-# configurations whose built objects one process keeps: the catalog entries
-# here, with each expected presentation's engine, and the command line's
-# pipelines and integral presentations, with their certificates and engines.
-# The 13 of DEFAULT_CHECKED_RANKS fit, and one su20 configuration holds
-# about 1.6 MB.
+# configurations whose built objects one process keeps: the catalog entries,
+# each with what it has built (expected presentations, pipeline, integral
+# presentation) and their certificates and engines.  The 13 of
+# DEFAULT_CHECKED_RANKS fit, and one su20 configuration holds about 1.6 MB.
 MEMO_CONFIGURATIONS = 16
 
 
@@ -424,10 +443,10 @@ MEMO_CONFIGURATIONS = 16
 def catalog_entry(family: LieFamily, rank: int) -> CatalogEntry:
     validate_rank(family, rank)
     return CatalogEntry(
+        family=family,
+        rank=rank,
         weyl_order=weyl_order(family, rank),
         cohomology=cohomology_presentation(family, rank),
         odd_names=_odd_names(family, rank),
         dual_names=_dual_names(family, rank),
-        expected_rational=expected_rational_presentation(family, rank),
-        expected_brackets=_expected_brackets(family, rank),
     )

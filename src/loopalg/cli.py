@@ -14,12 +14,11 @@ engine each presentation keeps (:func:`loopalg.enveloping.engine_report`).
 Reports carry only checks that can fail: ``torsion_free_check`` over Z and
 ``verify``'s cross-checks (the Lie axioms guard ``uea_presentation``).
 
-One process builds each configuration's pipeline (with its catalog entry)
-and integral presentation once, on the first request that reads them, and
-keeps at most ``catalog.MEMO_CONFIGURATIONS`` (16) configurations, the
-least recently read dropped first, as the catalog keeps its entries; later
-requests reuse their certificates and engines, and ``--verbose`` names each
-memo read a hit or a miss.
+One process keeps each configuration in one memo, ``catalog.catalog_entry``, of
+at most ``catalog.MEMO_CONFIGURATIONS`` (16) entries, the least recently read
+dropped first.  An entry builds its pipeline and integral presentation on the
+first request that reads them; later requests reuse them with their
+certificates and engines, and ``--verbose`` names each read a hit or a miss.
 
 Exit codes: 0 pass, 1 check failure, 2 usage/config error, 3 budget
 exceeded.  A request is refused before any build, in every degree where the
@@ -60,7 +59,7 @@ from .enveloping import (
 )
 from .families import FIXED_RANK, LieFamily, validate_rank
 from .minimal_model import is_regular, quotient_dimensions
-from .pipeline import PipelineResult, presentation_degrees, rational_pipeline
+from .pipeline import presentation_degrees
 from .series import PoincareSeries
 
 SCHEMA_VERSION = 2
@@ -136,27 +135,10 @@ def _refuse_over_budget(cfg: RunConfig, integral: bool = False) -> None:
         check_budget(d, cfg.budget, *degree_size(d, gens, rels, ranks, no_torsion))
 
 
-# The builders are read from their modules at call time, so a builder
-# rebound there builds every miss.
-@functools.lru_cache(maxsize=cat.MEMO_CONFIGURATIONS)
-def _rational(family: LieFamily, rank: int) -> tuple[cat.CatalogEntry, PipelineResult]:
-    """The catalog entry and the pipeline built on it, once per process."""
-    entry = cat.catalog_entry(family, rank)
-    return entry, rational_pipeline(entry)
-
-
-@functools.lru_cache(maxsize=cat.MEMO_CONFIGURATIONS)
-def _integral(family: LieFamily, rank: int) -> RingPresentation:
-    """The catalog's integral presentation, once per process."""
-    return cat.expected_integral_presentation(family, rank)
-
-
-def _recall(name: str, memo, cfg: RunConfig, recalled: dict[str, str]):
-    """``memo``'s object for ``cfg``; ``recalled[name]`` says whether it was held."""
-    hits = memo.cache_info().hits
-    found = memo(cfg.family, cfg.rank)
-    recalled[name] = "hit" if memo.cache_info().hits > hits else "miss"
-    return found
+def _recall(name: str, entry: cat.CatalogEntry, recalled: dict[str, str]):
+    """``entry``'s object ``name``; ``recalled[name]`` says whether the entry held it."""
+    recalled[name] = "hit" if name in vars(entry) else "miss"
+    return getattr(entry, name)
 
 
 def build_report(cfg: RunConfig, verify: bool = False) -> dict:
@@ -164,13 +146,13 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
 
     The rational dimensions are computed unless ``coeffs`` is integer and the
     integral Smith report unless it is rational, the rational route first.
-    Each presentation answered is refused over the budget before any build,
-    and each is read through the process's memo.
+    Each presentation answered is refused over the budget before the
+    catalog entry is read, and each is read from that entry.
     ``poincare`` holds the rational dimensions when they were computed and
     the PBW series otherwise.  An integer compute takes that series from the
-    exponents (by PBW it reads only the Lie basis degrees) and builds neither
-    the catalog entry nor the pipeline, which ``verify`` builds in every
-    domain because its checks read them.
+    exponents (by PBW it reads only the Lie basis degrees) and builds nothing
+    rational; ``verify`` reads the pipeline in every domain because its
+    checks read it.
     """
     n = cfg.degree
     checks: dict[str, object] = {}
@@ -195,12 +177,13 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
         _refuse_over_budget(cfg)
     if cfg.coeffs != "rational":
         _refuse_over_budget(cfg, integral=True)
+    entry = cat.catalog_entry(cfg.family, cfg.rank)
     recalled: dict[str, str] = {}
     if cfg.coeffs == "integer" and not verify:
         pbw = _expected_pbw(cfg.family, cfg.rank, n)[2]
     else:
-        entry, pipe = timed("pipeline", _recall, "pipeline", _rational, cfg, recalled)
-    integral = None if cfg.coeffs == "rational" else _recall("integral", _integral, cfg, recalled)
+        pipe = timed("pipeline", _recall, "pipeline", entry, recalled)
+    integral = None if cfg.coeffs == "rational" else _recall("integral", entry, recalled)
     if verify:
         pbw = pbw_series(pipe.lie_algebra, n)
         got = {k: dict(v) for k, v in pipe.lie_algebra.brackets.items()}
@@ -326,7 +309,7 @@ def build_series_report(cfg: RunConfig) -> dict:
     It reads the pipeline, so every degree obeys the budget first.
     """
     _refuse_over_budget(cfg)
-    pipe = _rational(cfg.family, cfg.rank)[1]
+    pipe = cat.catalog_entry(cfg.family, cfg.rank).pipeline
     n = cfg.degree
     return {
         "family": cfg.family.slug,

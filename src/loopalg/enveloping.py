@@ -63,12 +63,11 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-def check_budget(degree: int, budget: int | None, *sizes: int) -> None:
-    """Raise :class:`BudgetExceededError` at the first size over ``budget`` (None: no cap)."""
-    if budget is not None:
-        for size in sizes:
-            if size > budget:
-                raise BudgetExceededError(degree, size, budget)
+def check_budget(degree: int, budget: int, *sizes: int) -> None:
+    """Raise :class:`BudgetExceededError` at the first size over ``budget``."""
+    for size in sizes:
+        if size > budget:
+            raise BudgetExceededError(degree, size, budget)
 
 
 def degree_size(
@@ -277,17 +276,16 @@ class GradedQuotient:
         self._entries: list[SmithEntry] = [SmithEntry(0, 1, ())]
         self.work: list[DegreeWork] = [DegreeWork(0, 0, 0)]
 
-    def report(self, max_degree: int, budget: int | None = None) -> GradedSmithReport:
-        """Degrees 0 .. ``max_degree``, each checked against ``budget`` (None: no cap).
+    def report(self, max_degree: int, budget: int = DEFAULT_WORD_BUDGET) -> GradedSmithReport:
+        """Degrees 0 .. ``max_degree``, each checked against ``budget``.
 
         A built degree is checked from ``work``, a new one before any of its
         rows is built, so a refusal names what a fresh engine would.  Each
         degree's :class:`SmithEntry` is built once, with the degree, and a
         read slices them.
         """
-        if budget is not None:
-            for degree in range(1, min(max_degree + 1, len(self.work))):
-                check_budget(degree, budget, self.work[degree].symbols, self.work[degree].rows)
+        for degree in range(1, min(max_degree + 1, len(self.work))):
+            check_budget(degree, budget, self.work[degree].symbols, self.work[degree].rows)
         for degree in range(len(self.work), max_degree + 1):
             self._build(degree, budget)
         return GradedSmithReport(tuple(self._entries[: max_degree + 1]))
@@ -310,7 +308,7 @@ class GradedQuotient:
                     del out[g]
         return out
 
-    def _build(self, degree: int, budget: int | None) -> None:
+    def _build(self, degree: int, budget: int) -> None:
         sizes = [len(inv) for inv in self._invariants]
         torsion = [len(t) for t in self._torsion]
         symbols, rows = degree_size(degree, self._gen_degrees, self._rel_counts, sizes, torsion)
@@ -425,7 +423,7 @@ def uea_presentation(L) -> RingPresentation:
 
 
 def graded_dimensions(
-    p: RingPresentation, max_degree: int, budget: int | None = DEFAULT_WORD_BUDGET
+    p: RingPresentation, max_degree: int, budget: int = DEFAULT_WORD_BUDGET
 ) -> PoincareSeries:
     if p.domain != "rational":
         raise ValueError("graded_dimensions expects a rational presentation")
@@ -449,7 +447,7 @@ def pbw_series_of_degrees(degrees: Sequence[int], max_degree: int) -> PoincareSe
 
 
 def graded_smith_report(
-    p: RingPresentation, max_degree: int, budget: int | None = DEFAULT_WORD_BUDGET
+    p: RingPresentation, max_degree: int, budget: int = DEFAULT_WORD_BUDGET
 ) -> GradedSmithReport:
     if p.domain != "integer":
         raise ValueError("graded_smith_report expects an integer presentation")
@@ -457,7 +455,7 @@ def graded_smith_report(
 
 
 def engine_report(
-    p: RingPresentation, max_degree: int, budget: int | None = DEFAULT_WORD_BUDGET
+    p: RingPresentation, max_degree: int, budget: int = DEFAULT_WORD_BUDGET
 ) -> GradedSmithReport:
     """The engine's degrees 0 .. ``max_degree`` of ``p`` in its own domain.
 

@@ -153,7 +153,7 @@ class QuotientWork:
 
 
 def quotient_dimensions(
-    c: CohomologyPresentation, max_degree: int, budget: int | None = DEFAULT_WORD_BUDGET
+    c: CohomologyPresentation, max_degree: int, budget: int = DEFAULT_WORD_BUDGET
 ) -> PoincareSeries:
     """Graded dimensions of the commutative quotient, by exact rank counts.
 
@@ -187,7 +187,7 @@ def quotient_dimensions(
     ranked: list[RankedDegree] = []
     if len(degrees) != n:
         route = "degreewise (relation count differs from variable count)"
-    elif budget is not None and max(sizes[top], rows(top)) > budget:
+    elif max(sizes[top], rows(top)) > budget:
         route = f"degreewise (degree {top} over the budget)"
     else:
         ranked.append(_top_degree_certificate(c, top))

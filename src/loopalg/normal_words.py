@@ -419,7 +419,7 @@ def normal_word_counts(leading: tuple[Word, ...], degrees: list[int], max_degree
 
 
 def report(
-    p: RingPresentation, max_degree: int, budget: int | None = DEFAULT_WORD_BUDGET
+    p: RingPresentation, max_degree: int, budget: int = DEFAULT_WORD_BUDGET
 ) -> GradedSmithReport:
     """Degrees 0 .. ``max_degree`` of ``p``: normal-word counts, or elimination.
 

@@ -1,4 +1,8 @@
-"""Every test starts from empty request memos, as a fresh process does."""
+"""Every test starts from an empty catalog memo, as a fresh process does.
+
+The memo holds each configuration the process keeps, with the pipeline,
+integral presentation, certificates and engines its entry has built.
+"""
 
 import pytest
 

@@ -41,7 +41,7 @@ from itertools import permutations, product
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from loopalg import catalog, cli, enveloping, normal_words, pipeline
+from loopalg import catalog, enveloping, normal_words, pipeline
 from loopalg.enveloping import (
     FreeGradedAlgebra,
     GradedSmithReport,
@@ -108,16 +108,17 @@ def force_the_engine(monkeypatch) -> None:
     The failing certificate is set on the pipeline's presentation and on the
     integral one as they leave ``rational_pipeline`` and
     ``expected_integral_presentation``, after ``uea_presentation`` has
-    proved the Jacobi identity by the real one.  The pipeline is read from
-    its module at call time, so a tracer installed afterwards still sees it.
-    The request memos are emptied, so every later request builds through
-    the forced builders instead of reading a certified presentation.
+    proved the Jacobi identity by the real one.  Both are replaced in their
+    modules, where the catalog entry reads them at call time, so a tracer
+    installed afterwards wraps the forced builders.  The catalog memo is
+    emptied, so every later request builds through them instead of reading
+    a certified presentation.
     """
     forced = normal_words.Certificate((), 0, "forced")
-    integral = catalog.expected_integral_presentation
+    rational, integral = pipeline.rational_pipeline, catalog.expected_integral_presentation
 
     def pipeline_of(entry):
-        result = pipeline.rational_pipeline(entry)
+        result = rational(entry)
         result.presentation._certificate = forced
         return result
 
@@ -126,15 +127,14 @@ def force_the_engine(monkeypatch) -> None:
         p._certificate = forced
         return p
 
-    monkeypatch.setattr(cli, "rational_pipeline", pipeline_of)
+    monkeypatch.setattr(pipeline, "rational_pipeline", pipeline_of)
     monkeypatch.setattr(catalog, "expected_integral_presentation", integral_of)
     empty_request_memos()
 
 
 def empty_request_memos() -> None:
-    """Drop every configuration the command line's memos keep, as a fresh process starts."""
-    cli._rational.cache_clear()
-    cli._integral.cache_clear()
+    """Drop every configuration the process keeps, as a fresh process starts."""
+    catalog.catalog_entry.cache_clear()
 
 
 def brute_graded_dimension(presentation: RingPresentation, degree: int) -> int:
@@ -345,7 +345,7 @@ def graded_commutative_dimensions(p: RingPresentation, max_degree: int) -> list[
             if x != y or dx % 2:
                 rels.append(g(x) * g(y) - (-1) ** (dx * dy) * (g(y) * g(x)))
     quotient = RingPresentation(p.algebra, rels, domain="rational")
-    return list(graded_dimensions(quotient, max_degree, None))
+    return list(graded_dimensions(quotient, max_degree))
 
 
 def _commutator_partner(relation: NcElement, z: str) -> str | None:

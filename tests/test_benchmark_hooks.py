@@ -162,7 +162,6 @@ def test_the_benchmark_setup_builds_no_invariant_form(monkeypatch, capsys):
     for module in (symmetric, catalog):
         monkeypatch.setattr(module, "invariant_polynomials", spy)
     monkeypatch.setattr(sys, "path", list(sys.path))
-    catalog_entry.cache_clear()
     exec(run.SETUP_CODE.format(src=str(PERFBENCH.parent / "src"), configs=configs), {})
     capsys.readouterr()
     assert {LieFamily.E6.slug, LieFamily.SU.slug} <= {f for f, _ in configs}

@@ -184,7 +184,6 @@ def test_a_catalog_entry_builds_no_invariant_form(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(catalog, "invariant_polynomials", spy)
-    catalog_entry.cache_clear()
     configs = [(f, r) for f, ranks in DEFAULT_CHECKED_RANKS.items() for r in ranks]
     entries = [catalog_entry(f, r) for f, r in configs + [(LieFamily.SU, 12)]]
     assert calls == []

@@ -1,5 +1,6 @@
 """Command line contract: subcommands, exit codes, determinism, cache."""
 
+import gc
 import json
 import random
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import loopalg
-from loopalg import cli, homotopy_lie, linalg, minimal_model, normal_words, symmetric
+from loopalg import cli, homotopy_lie, linalg, minimal_model, normal_words, pipeline, symmetric
 from loopalg.catalog import (
     DEFAULT_CHECKED_RANKS,
     catalog_entry,
@@ -166,18 +167,27 @@ def test_integer_requests_are_refused_by_their_route_before_the_catalog_build(
     assert built == []
 
 
+def _rational_builds(monkeypatch) -> dict[str, list]:
+    """Count the builds of the rational objects: the catalog's expected
+    presentation, the pipeline and the invariant forms."""
+    return {
+        "expected": _count_calls(monkeypatch, cli.cat, "expected_rational_presentation"),
+        "pipeline": _count_calls(monkeypatch, pipeline, "rational_pipeline"),
+        "forms": _count_calls(monkeypatch, symmetric, "invariant_polynomials"),
+    }
+
+
 def test_verify_refuses_on_its_integral_shape_before_the_rational_build(
     cache_dir, capsys, monkeypatch
 ):
     # so-odd3's rational shape peaks at 85 symbols/rows through degree 10 and
     # its integral one at 121, so verify's default both fits the rational
     # refusal and is refused on the integral presentation before any build
-    built = _count_calls(monkeypatch, cli.cat, "catalog_entry")
-    piped = _count_calls(monkeypatch, cli, "rational_pipeline")
+    built = _rational_builds(monkeypatch)
     code, out, err = run(capsys, "verify", "--family", "so-odd", "--rank", "3", "--budget", "120")
     assert (code, out) == (3, "")
     assert err == "error: degree 10 needs 121 basis symbols/rows, over the budget of 120\n"
-    assert (built, piped) == ([], [])
+    assert built == {"expected": [], "pipeline": [], "forms": []}
 
 
 INTEGER_GOLDEN = {
@@ -189,19 +199,23 @@ INTEGER_GOLDEN = {
 
 @pytest.mark.parametrize("config", INTEGER_GOLDEN)
 def test_integer_requests_build_nothing_rational(cache_dir, capsys, monkeypatch, config):
-    """An integer compute reads its PBW series from the exponents; verify still builds."""
-    built = _count_calls(monkeypatch, cli.cat, "catalog_entry")
-    piped = _count_calls(monkeypatch, cli, "rational_pipeline")
+    """An integer compute reads its PBW series from the exponents and the
+    catalog entry's integral presentation, whose rational parts stay
+    unbuilt; verify builds one pipeline."""
+    built = _rational_builds(monkeypatch)
     argv = (*INTEGER_GOLDEN[config], "--coeffs", "integer", "--format", "json")
     golden = (GOLDEN / f"compute-{config}-integer.json").read_text()
     assert run(capsys, "compute", *argv) == (0, golden, "")
     for entry in cache_dir.glob("*.json"):
         entry.unlink()  # so report --compute-missing computes
     assert run(capsys, "report", "--compute-missing", *argv) == (0, golden, "")
-    assert (built, piped) == ([], [])
+    assert built == {"expected": [], "pipeline": [], "forms": []}
     code, _, _ = run(capsys, "verify", *argv)
     assert code == 0
-    assert (len(built), len(piped)) == (1, 1)
+    # its checks read the pipeline and the forms, but over Z no expected
+    # rational presentation
+    assert (built["expected"], len(built["pipeline"])) == ([], 1)
+    assert built["forms"]
 
 
 def _refusal(check, *args):
@@ -231,7 +245,7 @@ def test_the_early_budget_check_refuses_as_the_route_would():
                 (pipeline, ("rational", "both"), ()),
                 (integral, ("integer", "both"), (True,)),
             ):
-                engine_report(p, n, None)
+                engine_report(p, n)
                 sizes = {s for w in p.engine().work[1:] for s in (w.symbols, w.rows)}
                 for budget in sorted({1} | sizes | {s - 1 for s in sizes if s > 1}):
                     want = _refusal(engine_report, p, n, budget)
@@ -395,14 +409,32 @@ def test_verbose_names_what_the_memos_held(cache_dir, capsys):
     ]
 
 
-def test_the_memos_keep_a_bounded_number_of_configurations(cache_dir, capsys):
-    bound = cli.cat.MEMO_CONFIGURATIONS
-    for rank in range(1, bound + 6):
-        for coeffs in ("rational", "integer"):
-            argv = ("--family", "su", "--rank", str(rank), "--max-degree", "2")
-            assert run(capsys, "compute", *argv, "--coeffs", coeffs)[0] == 0
-    for memo in (cli._rational, cli._integral, catalog_entry):
-        assert memo.cache_info().currsize == bound, memo
+def test_the_process_keeps_a_bounded_number_of_configurations(cache_dir, capsys):
+    """Configurations read again and again stay as few as the memo's bound.
+
+    su1-su15 are computed, then again after each of four new ranks, so a
+    memo that the rereads keep refreshing and one that they do not part
+    ways; after the stream no more catalog entries are alive than the bound.
+    """
+
+    def compute(rank):
+        argv = ("--family", "su", "--rank", str(rank), "--max-degree", "2")
+        assert run(capsys, "compute", *argv)[0] == 0
+
+    def live_entries():
+        gc.collect()
+        return [o for o in gc.get_objects() if isinstance(o, cli.cat.CatalogEntry)]
+
+    before = live_entries()
+    kept = range(1, 16)
+    for rank in kept:
+        compute(rank)
+    for rank in range(16, 20):
+        compute(rank)
+        for kept_rank in kept:
+            compute(kept_rank)
+    alive = [e for e in live_entries() if not any(e is b for b in before)]
+    assert len(alive) <= cli.cat.MEMO_CONFIGURATIONS
 
 
 @pytest.mark.parametrize(
@@ -424,7 +456,6 @@ def test_a_rank_over_the_budget_is_refused_at_once_in_degree_one(
 
 def test_a_rational_compute_builds_only_the_degree_four_form(cache_dir, capsys, monkeypatch):
     """su10's forms run to degree 22; the model and brackets read the degree-4 one alone."""
-    catalog_entry.cache_clear()
     forms = _count_calls(monkeypatch, symmetric, "invariant_polynomials")
     start = time.perf_counter()
     code, out, err = run(

@@ -552,7 +552,7 @@ def test_split_route_matches_the_unsplit_engine_on_random_presentations(domain, 
         added = [f"c{k}" for k in range(len(degrees))]
         assert [c for c in added if c in kept] == (added[-1:] if doubled else [])
         got = split_report(p, 6)
-        assert got == p.engine().report(6) == normal_words.report(p, 6, None)
+        assert got == p.engine().report(6) == normal_words.report(p, 6)
         torsion_seen += not got.torsion_free()
     assert torsion_seen > 0 or domain == "rational"
 

@@ -86,7 +86,7 @@ def test_certified_counts_match_the_oracles_on_random_presentations(domain, seed
         p = _random_presentation(rng, domain)
         holds = normal_words.certificate(p).failure is None
         certified += holds
-        got = normal_words.report(p, 5, None)
+        got = normal_words.report(p, 5)
         for d in range(6):
             if domain == "rational":
                 want = (brute_graded_dimension(p, d), [])
@@ -118,7 +118,7 @@ def test_certified_counts_equal_the_split_route_on_every_catalog_configuration()
             assert cert.failure is None and cert.overlaps > 0, label
         if p.domain == "integer":
             defined[family] = cert.defined
-        assert normal_words.report(p, n, None) == split_report(p, n), label
+        assert normal_words.report(p, n) == split_report(p, n), label
     assert defined[LieFamily.G2] == ("y2",)
     assert defined[LieFamily.E6] == ("y2", "y3")
 
@@ -132,7 +132,7 @@ def test_the_certificate_is_memoized_on_the_presentation():
 def test_doubled_relation_does_not_certify_and_still_shows_its_torsion():
     p = with_torsion(expected_integral_presentation(LieFamily.SU, 2))
     assert normal_words.certificate(p).failure == "leading coefficient 2 on x1.x1"
-    got = normal_words.report(p, 10, None)
+    got = normal_words.report(p, 10)
     assert not got.torsion_free()
     assert got == p.engine().report(10)
 
@@ -150,7 +150,7 @@ def test_a_non_confluent_presentation_falls_back(domain):
     cert = normal_words.certificate(p)
     assert cert.failure == "overlap y.x.y.x.y does not resolve"
     assert normal_words.normal_word_counts(cert.leading, [1, 1], 5)[5] == 21
-    got = normal_words.report(p, 5, None)
+    got = normal_words.report(p, 5)
     assert got == p.engine().report(5)
     assert got.entries[5].rank == brute_graded_dimension(p, 5) == 20
 
@@ -297,7 +297,7 @@ def test_a_defined_generator_certifies_and_matches_the_oracles(domain, seed):
         defined += not units
         alone += len(first) == 1
         certified += cert.failure is None and not units
-        got = normal_words.report(p, 5, None)
+        got = normal_words.report(p, 5)
         for d in range(6):
             if domain == "rational":
                 want = (brute_graded_dimension(p, d), [])
