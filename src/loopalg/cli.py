@@ -25,7 +25,8 @@ exceeded.  A request is refused before any build, in every degree where the
 engine would refuse a presentation it answers (:func:`_refuse_over_budget`),
 counted from the family data: an integer request never builds an integral
 presentation over the budget, and a rank over the budget is refused at once,
-in degree 1.
+in degree 1, by ``report`` too before it reads the cache: a cached entry
+whose rank is over ``--budget`` is not served.
 ``--budget`` also bounds ``verify``'s commutative quotient: over it, both
 quotient checks are ``"skipped"``.
 """
@@ -39,6 +40,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -107,12 +109,25 @@ class UsageError(Exception):
     pass
 
 
+def _counts(degrees: list[int], max_degree: int) -> dict[int, int]:
+    """How many of ``degrees`` fall in each degree up to ``max_degree``."""
+    return Counter(d for d in degrees if d <= max_degree)
+
+
 @functools.lru_cache(maxsize=256)  # every cache hit is cross-checked against the series
 def _expected_pbw(family: LieFamily, rank: int, degree: int) -> tuple:
-    """The pipeline's generator degrees, relation counts and PBW series, before any build."""
+    """The pipeline's generators and relations per degree up to ``degree``, and its
+    PBW series, before any build: an entry's size does not grow with the rank."""
     gens, rels = presentation_degrees(rank, cat.exponents(family, rank), degree)
     # read-only, as every caller shares the cached result
-    return tuple(gens), MappingProxyType(rels), pbw_series_of_degrees(gens, degree)
+    counts = MappingProxyType(_counts(gens, degree))
+    return counts, MappingProxyType(rels), pbw_series_of_degrees(gens, degree)
+
+
+def _refuse_rank_over_budget(cfg: RunConfig) -> None:
+    """Refuse in degree 1, which holds the ``rank`` generators of degree 1 and no relation."""
+    if cfg.degree >= 1:
+        check_budget(1, cfg.budget, cfg.rank)
 
 
 def _refuse_over_budget(cfg: RunConfig, integral: bool = False) -> None:
@@ -122,14 +137,13 @@ def _refuse_over_budget(cfg: RunConfig, integral: bool = False) -> None:
     one; neither is built, their degrees are counted from the family data.
     Both rings are torsion free with the PBW series as ranks, so
     :func:`degree_size` on those degrees and ranks gives the engine's sizes.
-    Degree 1 of either holds the ``rank`` degree-1 generators and no
-    relation, so it is checked first, before any count grows with the rank.
+    Degree 1 is checked first, by :func:`_refuse_rank_over_budget`.
     """
-    if cfg.degree >= 1:
-        check_budget(1, cfg.budget, cfg.rank)
+    _refuse_rank_over_budget(cfg)
     gens, rels, pbw = _expected_pbw(cfg.family, cfg.rank, cfg.degree)
     if integral:
-        gens, rels = cat.integral_presentation_degrees(cfg.family, cfg.rank, cfg.degree)
+        degrees, rels = cat.integral_presentation_degrees(cfg.family, cfg.rank, cfg.degree)
+        gens = _counts(degrees, cfg.degree)
     ranks, no_torsion = list(pbw), [0] * (cfg.degree + 1)
     for d in range(1, cfg.degree + 1):
         check_budget(d, cfg.budget, *degree_size(d, gens, rels, ranks, no_torsion))
@@ -549,6 +563,7 @@ def main(argv: list[str] | None = None) -> int:
             emit(cfg, doc)
             return 1 if doc["failures"] else 0
         if args.command == "report":
+            _refuse_rank_over_budget(cfg)
             doc = cache_load(cfg)
             if doc is not None:
                 emit(cfg, doc)

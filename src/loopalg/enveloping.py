@@ -1,7 +1,7 @@
 """Finitely presented graded associative algebras and their graded sizes.
 
 The free associative algebra :class:`FreeGradedAlgebra` (elements
-:class:`NcElement`, keyed by words of generator names, multiplied by
+:class:`NcElement`, keyed by words of generator indices, multiplied by
 concatenation) shares its generator set, linear structure and grading with
 the graded-commutative algebra through the core in :mod:`loopalg.gca`.
 The main objects are :class:`RingPresentation` (generators plus homogeneous
@@ -23,10 +23,10 @@ dimensions as elimination over the full word basis.
 
 A presentation keeps one engine, and each read names its budget: a degree
 already built is checked again, so a smaller budget refuses as a fresh engine
-would.  :func:`degree_size` is the one size rule.  A presentation also
-codes its relations once for both routes, on first read:
-:attr:`RingPresentation.coded_relations` writes each on words of generator
-indices, integral coefficients as ``int``.
+would.  :func:`degree_size` is the one size rule.  A relation is written
+once, in the one form both routes read: its terms, on words of generator
+indices with integral coefficients as ``int``.  Only :func:`relation_string`
+reads the names, to render it.
 
 ``compute`` reaches the engine, through :func:`engine_report`, only where
 :mod:`loopalg.normal_words` cannot certify the presentation's normal words;
@@ -38,7 +38,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import linalg, series
@@ -46,7 +45,8 @@ from .linalg import add_multiple
 from .gca import GeneratorSet, Polynomial, Scalar
 from .series import PoincareSeries
 
-Word = tuple[str, ...]
+Word = tuple[int, ...]  # generator indices
+Counts = Mapping[int, int]  # degree -> how many generators or relations
 
 DEFAULT_WORD_BUDGET = 200_000
 
@@ -71,24 +71,24 @@ def check_budget(degree: int, budget: int, *sizes: int) -> None:
 
 
 def degree_size(
-    degree: int, gens: Sequence[int], rels: Mapping[int, int], sizes: list[int], torsion: list[int]
+    degree: int, gens: Counts, rels: Counts, sizes: list[int], torsion: list[int]
 ) -> tuple[int, int]:
     """The symbols and rows of one degree of the quotient engine.
 
-    ``gens`` lists the generator degrees and ``rels`` maps a degree to the
-    number of relations of that degree; ``sizes[e]`` counts the generators
-    of the lower component ``A_e`` and ``torsion[e]`` its torsion
-    generators: symbols = Σ_g |A_{d-g}| and rows = Σ_g torsion_{d-g} +
-    Σ_r |A_{d-r}|, every relation row counted, zero or not.
+    ``gens`` and ``rels`` map a degree to how many generators and relations
+    have it, up to ``degree``; ``sizes[e]`` counts the generators of the
+    lower component ``A_e`` and ``torsion[e]`` its torsion generators:
+    symbols = Σ_g |A_{d-g}| and rows = Σ_g torsion_{d-g} + Σ_r |A_{d-r}|,
+    every relation row counted, zero or not.
     """
-    lower = [degree - g for g in gens if g <= degree]
-    rows = sum(torsion[e] for e in lower)
+    lower = [(degree - g, n) for g, n in gens.items() if g <= degree]
+    rows = sum(n * torsion[e] for e, n in lower)
     rows += sum(n * sizes[degree - r] for r, n in rels.items() if r <= degree)
-    return sum(sizes[e] for e in lower), rows
+    return sum(n * sizes[e] for e, n in lower), rows
 
 
 class NcElement(Polynomial):
-    """A noncommutative polynomial: word -> coefficient, zeros dropped."""
+    """A noncommutative polynomial: word of generator indices -> coefficient, zeros dropped."""
 
     __slots__ = ()
 
@@ -96,46 +96,48 @@ class NcElement(Polynomial):
         if isinstance(other, (int, Fraction)):
             return self._scaled(other)
         self._check_compatible(other)
-        acc: dict[Word, Fraction] = {}
+        acc: dict[Word, Scalar] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = w1 + w2
-                acc[w] = acc.get(w, Fraction(0)) + c1 * c2
+                acc[w] = acc.get(w, 0) + c1 * c2
         return NcElement(self.algebra, acc)
 
     def __repr__(self) -> str:
-        return relation_string(self) if self.terms else "0"
+        return relation_string(self)
 
 
 class FreeGradedAlgebra(GeneratorSet):
-    """Free associative algebra on named generators; monomials are words of names."""
+    """Free associative algebra on named generators; monomials are words of generator indices."""
 
     __slots__ = ()
     element_class = NcElement
 
     def key_of(self, letters) -> Word:
-        return tuple(self._gens[g][0] for g in letters)
+        return tuple(letters)
 
     def key_degrees(self, words: Iterable[Word]) -> Iterator[int]:
-        degree_of = dict(self._gens).__getitem__
+        degree_of = self._degrees.__getitem__
         return (sum(map(degree_of, word)) for word in words)
 
 
 def relation_string(element: NcElement) -> str:
-    """Serialize as integer-coefficient terms "c*g1.g2", words in lex order."""
-    norm = element.content_normalized()
-    if not norm.terms:
+    """Serialize content-normalized as terms "c*g1.g2", the first positive.
+
+    Each word is read through ``algebra.names``, and the terms are ordered
+    by those name words, whose order is not the order of the index words
+    (``a1.a10`` precedes ``a1.a2``).
+    """
+    names = element.algebra.names
+    norm = element.content_normalized().terms
+    terms = sorted((tuple(map(names.__getitem__, w)), c) for w, c in norm.items())
+    if not terms:
         return "0"
-    parts = []
-    for _, word in sorted(zip(norm.algebra.key_degrees(norm.terms), norm.terms)):
-        c = norm.terms[word]
-        body = ".".join(word) if word else "1"
-        text = f"{abs(int(c))}*{body}"
-        if not parts:
-            parts.append(text if c > 0 else f"-{text}")
-        else:
-            parts.append(f"+ {text}" if c > 0 else f"- {text}")
-    return " ".join(parts)
+    positive = terms[0][1] > 0
+    return " ".join(
+        ("" if i == 0 else "+ " if (c > 0) == positive else "- ") + f"{abs(c)}*{'.'.join(w) or '1'}"
+        for i, (w, c) in enumerate(terms)
+    )
 
 
 class RingPresentation:
@@ -181,22 +183,6 @@ class RingPresentation:
     @property
     def generators(self) -> tuple[tuple[str, int], ...]:
         return self.algebra.generators
-
-    @cached_property
-    def coded_relations(self) -> tuple[dict[tuple[int, ...], Scalar], ...]:
-        """Each relation on words of generator indices, integral coefficients as ints.
-
-        Built on first read; the engine and the normal-word certificate share
-        it and only read it.
-        """
-        index = {name: i for i, name in enumerate(self.algebra.names)}
-        return tuple(
-            {
-                tuple(map(index.__getitem__, w)): c.numerator if c.denominator == 1 else c
-                for w, c in r.terms.items()
-            }
-            for r in self.relations
-        )
 
     def engine(self) -> "GradedQuotient":
         """The presentation's one quotient engine, memoized; reads name their budget."""
@@ -266,7 +252,8 @@ class GradedQuotient:
     def __init__(self, presentation: RingPresentation):
         self._gen_degrees = [d for _, d in presentation.generators]
         integer = presentation.domain == "integer"
-        self._relations = tuple(zip(presentation.relation_degrees, presentation.coded_relations))
+        self._relations = tuple(zip(presentation.relation_degrees, presentation.relations))
+        self._gen_counts = Counter(self._gen_degrees)
         self._rel_counts = Counter(presentation.relation_degrees)
         self._eliminate = _integer_eliminate if integer else linalg.rref_normalize
         self._invariants: list[list[int]] = [[0]]
@@ -311,7 +298,7 @@ class GradedQuotient:
     def _build(self, degree: int, budget: int) -> None:
         sizes = [len(inv) for inv in self._invariants]
         torsion = [len(t) for t in self._torsion]
-        symbols, rows = degree_size(degree, self._gen_degrees, self._rel_counts, sizes, torsion)
+        symbols, rows = degree_size(degree, self._gen_counts, self._rel_counts, sizes, torsion)
         check_budget(degree, budget, symbols, rows)
         offsets: dict[int, int] = {}
         nsym = 0
@@ -335,13 +322,13 @@ class GradedQuotient:
         for g, base in offsets.items():
             for w, s in self._torsion[degree - self._gen_degrees[g]].items():
                 yield {base + w: s}
-        for rel_degree, terms in self._relations:
+        for rel_degree, relation in self._relations:
             lower = degree - rel_degree
             if lower < 0:
                 continue
             for w in range(len(self._invariants[lower])):
                 row: dict[int, Scalar] = {}
-                for word, coeff in terms.items():
+                for word, coeff in relation.terms.items():
                     vec = {w: coeff}
                     deg = lower
                     for g in reversed(word[1:]):
@@ -411,10 +398,10 @@ def uea_presentation(L) -> RingPresentation:
         x, y = L.basis[i], L.basis[j]
         sign = -1 if (x.degree * y.degree) % 2 else 1
         # x y - sign y x, which is 2 x x for odd x = y, then - [x, y]
-        terms: dict[Word, Fraction] = {(x.name, y.name): Fraction(1)}
-        terms[(y.name, x.name)] = terms.get((y.name, x.name), 0) - sign
+        terms: dict[Word, Scalar] = {(i, j): 1}
+        terms[(j, i)] = terms.get((j, i), 0) - sign
         for z, c in L.brackets.get((x.name, y.name), {}).items():
-            terms[(z,)] = -c
+            terms[(algebra.index(z),)] = -c
         relations.append(NcElement(algebra, terms).content_normalized())
     p = RingPresentation(algebra, relations, domain="rational")
     if normal_words.certificate(p).failure is not None:

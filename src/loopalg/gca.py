@@ -2,8 +2,9 @@
 
 Two algebras share one core here.  A :class:`GeneratorSet` holds the
 ordered ``(name, degree)`` generators; a :class:`Polynomial` is a map from
-keys to exact rational coefficients (`fractions.Fraction`; no floating
-point appears anywhere in this package) with the linear structure and the
+keys to exact coefficients, each an ``int`` while integral and a
+`fractions.Fraction` otherwise (:func:`loopalg.linalg.exact`; no floating
+point appears anywhere in this package), with the linear structure and the
 grading.  A concrete algebra fixes only its keys and how two keys multiply:
 
 * :class:`GradedAlgebra` / :class:`GcaElement` -- the free graded-commutative
@@ -11,7 +12,7 @@ grading.  A concrete algebra fixes only its keys and how two keys multiply:
   generators commute and carry arbitrary exponents, odd-degree generators
   square to zero and anticommute among themselves (Koszul signs).
 * the free associative algebra of :mod:`loopalg.enveloping`, whose keys are
-  words of generator names and whose product is concatenation.
+  words of generator indices and whose product is concatenation.
 
 The declaration order of the generators fixes the canonical key of every
 monomial, so every operation is deterministic and elements can be compared
@@ -23,18 +24,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+
+from .linalg import Scalar, exact
 
 Monomial = tuple[int, ...]
-Scalar = Union[int, Fraction]
-
-
-def _as_fraction(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -46,16 +40,16 @@ class Polynomial:
     """A key-to-coefficient map over a :class:`GeneratorSet`.
 
     Immutable by convention; all operations return fresh elements of the same
-    class.  Zero coefficients are never stored.  Subclasses define the
-    product of two elements in ``__mul__``, which hands scalars to
-    :meth:`_scaled`.
+    class.  Zero coefficients are never stored, integral ones are ``int``s.
+    Subclasses define the product of two elements in ``__mul__``, which
+    hands scalars to :meth:`_scaled`.
     """
 
     __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: "GeneratorSet", terms: Mapping[Hashable, Fraction]):
+    def __init__(self, algebra: "GeneratorSet", terms: Mapping[Hashable, Scalar]):
         self.algebra = algebra
-        self.terms = {k: c for k, c in terms.items() if c != 0}
+        self.terms = {k: exact(c) for k, c in terms.items() if c}
 
     def _check_compatible(self, other: "Polynomial") -> None:
         if not self.algebra.same_generators(other.algebra):
@@ -67,7 +61,7 @@ class Polynomial:
         self._check_compatible(other)
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + c
+            terms[k] = terms.get(k, 0) + c
         return type(self)(self.algebra, terms)
 
     def __sub__(self, other):
@@ -76,8 +70,7 @@ class Polynomial:
     def __neg__(self):
         return type(self)(self.algebra, {k: -c for k, c in self.terms.items()})
 
-    def _scaled(self, scalar: Scalar):
-        c = _as_fraction(scalar)
+    def _scaled(self, c: Scalar):
         return type(self)(self.algebra, {k: v * c for k, v in self.terms.items()})
 
     def __rmul__(self, scalar: Scalar):
@@ -121,8 +114,9 @@ class Polynomial:
     def content_normalized(self):
         """Scale to primitive integer coefficients with a positive leading term.
 
-        The scale is found on integers: clear the denominators, then divide
-        by the content of the numerators, each coefficient a ``Fraction``.
+        The leading term is the one of the smallest key.  The scale is found
+        on integers: clear the denominators, then divide by the content of
+        the numerators, each coefficient an ``int``.
         """
         if not self.terms:
             return self
@@ -131,7 +125,7 @@ class Polynomial:
         content = gcd(*cleared.values())
         if cleared[min(cleared)] < 0:
             content = -content
-        return type(self)(self.algebra, {k: Fraction(n // content) for k, n in cleared.items()})
+        return type(self)(self.algebra, {k: n // content for k, n in cleared.items()})
 
 
 class GeneratorSet:
@@ -142,7 +136,7 @@ class GeneratorSet:
     :meth:`key_of` and their degrees through :meth:`key_degrees`.
     """
 
-    __slots__ = ("_gens", "_index", "_degrees")
+    __slots__ = ("_gens", "_names", "_index", "_degrees")
     element_class: type[Polynomial]
 
     def __init__(self, generators: Iterable[tuple[str, int]]):
@@ -154,7 +148,8 @@ class GeneratorSet:
             if degree <= 0:
                 raise ValueError(f"generator {name!r} has non-positive degree {degree}")
         self._gens = gens
-        self._index = {name: i for i, (name, _) in enumerate(gens)}
+        self._names = tuple(names)
+        self._index = {name: i for i, name in enumerate(names)}
         self._degrees = tuple(d for _, d in gens)
 
     @property
@@ -163,7 +158,7 @@ class GeneratorSet:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self._gens)
+        return self._names
 
     def __len__(self) -> int:
         return len(self._gens)
@@ -191,13 +186,15 @@ class GeneratorSet:
         return self.element_class(self, {})
 
     def one(self):
-        return self.element_class(self, {self.key_of(()): Fraction(1)})
+        return self.element_class(self, {self.key_of(()): 1})
 
     def gen(self, name: str):
-        return self.element_class(self, {self.key_of((self.index(name),)): Fraction(1)})
+        return self.element_class(self, {self.key_of((self.index(name),)): 1})
 
     def element(self, terms: Mapping[Hashable, Scalar]):
-        return self.element_class(self, {tuple(k): _as_fraction(c) for k, c in terms.items()})
+        if not all(isinstance(c, (int, Fraction)) for c in terms.values()):
+            raise TypeError("coefficients must be int or Fraction")
+        return self.element_class(self, {tuple(k): c for k, c in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +211,14 @@ class GcaElement(Polynomial):
         if isinstance(other, (int, Fraction)):
             return self._scaled(other)
         self._check_compatible(other)
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, Scalar] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 hit = self.algebra._mul_monomials(m1, m2)
                 if hit is None:
                     continue
                 sign, mono = hit
-                acc[mono] = acc.get(mono, Fraction(0)) + sign * c1 * c2
+                acc[mono] = acc.get(mono, 0) + sign * c1 * c2
         return GcaElement(self.algebra, acc)
 
     def letters(self, mono: Monomial) -> list[int]:
@@ -353,8 +350,8 @@ class Derivation:
                 image = self._images[g]
                 if not image.is_zero():
                     sign = -1 if prefix_degree % 2 else 1
-                    left = GcaElement(alg, {alg.key_of(letters[:pos]): Fraction(1)})
-                    right = GcaElement(alg, {alg.key_of(letters[pos + 1 :]): Fraction(1)})
+                    left = GcaElement(alg, {alg.key_of(letters[:pos]): 1})
+                    right = GcaElement(alg, {alg.key_of(letters[pos + 1 :]): 1})
                     result = result + left * image * right * (sign * coeff)
                 prefix_degree += degrees[g]
         return result

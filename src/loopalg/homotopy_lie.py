@@ -27,9 +27,9 @@ two arguments, and the model does not build them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .linalg import Scalar, exact
 from .minimal_model import MinimalModel
 
 
@@ -40,14 +40,14 @@ class LieBasisElement:
     dual_to: str
 
 
-Bracket = dict[str, Fraction]
+Bracket = dict[str, Scalar]
 
 
 class HomotopyLieAlgebra:
     """A graded vector space with sparsely stored brackets.
 
-    ``brackets[(x, y)]`` maps basis names to coefficients; a missing pair
-    means the bracket vanishes.
+    ``brackets[(x, y)]`` maps basis names to coefficients, each an ``int``
+    while it is integral; a missing pair means the bracket vanishes.
     """
 
     def __init__(
@@ -63,7 +63,7 @@ class HomotopyLieAlgebra:
         for (x, y), combo in brackets.items():
             if x not in self._degree or y not in self._degree:
                 raise ValueError(f"bracket on unknown basis elements ({x}, {y})")
-            kept = {z: Fraction(c) for z, c in combo.items() if c}
+            kept = {z: exact(c) for z, c in combo.items() if c}
             for z in kept:
                 if z not in self._degree:
                     raise ValueError(f"bracket value on unknown basis element {z}")

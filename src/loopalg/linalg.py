@@ -2,7 +2,7 @@
 
 Every scalar is an ``int`` while it is integral and a ``fractions.Fraction``
 only where a non-unit pivot or a non-integral input forces one; no float
-ever appears.
+ever appears; :func:`exact` is that rule, here and in :mod:`loopalg.gca`.
 
 Three workhorses live here:
 
@@ -55,8 +55,8 @@ def add_multiple(out: dict, c: Scalar, terms: Mapping) -> None:
             out.pop(k, None)
 
 
-def _exact(value: Scalar) -> Scalar:
-    """An integral Fraction as an int; any other value unchanged."""
+def exact(value: Scalar) -> Scalar:
+    """An integral Fraction as an int, any other value unchanged: the rule for stored terms."""
     if type(value) is Fraction and value.denominator == 1:
         return value.numerator
     return value
@@ -107,7 +107,7 @@ class FractionRREF:
         lead = reduced[pivot]
         # a unit pivot is its own inverse, so its row stays integral
         inv = lead if lead in (1, -1) else Fraction(1) / lead
-        self._insert(pivot, {c: _exact(v * inv) for c, v in reduced.items()})
+        self._insert(pivot, {c: exact(v * inv) for c, v in reduced.items()})
         return True
 
     def _insert(self, pivot: int, row: QRow) -> None:
@@ -127,7 +127,7 @@ class FractionRREF:
                 if nv:
                     if c not in other:
                         holders[c].add(p)
-                    other[c] = _exact(nv)
+                    other[c] = exact(nv)
                 else:
                     # coeff and v are nonzero, so c was in other
                     del other[c]

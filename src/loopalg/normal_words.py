@@ -66,10 +66,10 @@ every term of ``[a, b]`` (or the mirror), so each of the three double
 brackets vanishes and the identity holds term by term.
 
 :func:`certificate` interreduces and resolves the overlaps, memoized on the
-presentation.  It reads the relations as the presentation codes them once
-for both routes (:attr:`~loopalg.enveloping.RingPresentation.coded_relations`,
-words of generator indices) and adds polynomials by
-:func:`linalg.add_multiple`.  Each relation is reduced once by the rules of
+presentation.  It reads each relation's terms as the presentation holds
+them, on words of generator indices, which the engine reads too, and never
+changes them; it adds polynomials by :func:`linalg.add_multiple` into dicts
+of its own.  Each relation is reduced once by the rules of
 lower degree; a degree's relations are then row-reduced on each new leading
 word, the only word of their degree a new rule rewrites.  A word's normal form
 depends on the word alone (its leftmost rewrite gives smaller words), so a
@@ -92,12 +92,11 @@ from .enveloping import (
     DEFAULT_WORD_BUDGET,
     GradedSmithReport,
     RingPresentation,
+    Word,
     engine_report,
 )
-from .gca import Scalar
-from .linalg import add_multiple
+from .linalg import Scalar, add_multiple
 
-Word = tuple[int, ...]  # generator indices
 Poly = dict[Word, Scalar]
 
 
@@ -138,7 +137,7 @@ def _weights(p: RingPresentation) -> tuple[list[int], tuple[str, ...]]:
         return weights, ()
     defined = []
     for g in sorted(range(len(degrees)), key=degrees.__getitem__):
-        for poly in p.coded_relations:
+        for poly in (r.terms for r in p.relations):
             if poly.get((g,)) not in (1, -1):
                 continue
             others = [w for w in poly if w != (g,)]
@@ -253,8 +252,8 @@ def _interreduce(p: RingPresentation, rules: _Rules) -> str | None:
     """
     integer = p.domain == "integer"
     by_degree: dict[int, list[Poly]] = {}
-    for degree, poly in zip(p.relation_degrees, p.coded_relations):
-        by_degree.setdefault(degree, []).append(poly)
+    for degree, r in zip(p.relation_degrees, p.relations):
+        by_degree.setdefault(degree, []).append(r.terms)
     for degree in sorted(by_degree):
         pending = [q for q in map(rules.normal_form, by_degree[degree]) if q]
         # a row operation brings in only words of its pivot, smaller than its

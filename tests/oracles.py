@@ -56,17 +56,23 @@ from loopalg.minimal_model import CohomologyPresentation, MinimalModel
 from loopalg.series import pbw_coefficients
 
 
-def words_of_degree(presentation: RingPresentation, degree: int) -> list[tuple[str, ...]]:
-    gens = presentation.generators
-    out: list[tuple[str, ...]] = []
+def element_of_names(algebra: FreeGradedAlgebra, terms: Mapping) -> NcElement:
+    """The element whose terms are ``terms`` with each word of names read as generator indices."""
+    return algebra.element({tuple(map(algebra.index, w)): c for w, c in terms.items()})
 
-    def extend(prefix: tuple[str, ...], remaining: int) -> None:
+
+def words_of_degree(presentation: RingPresentation, degree: int) -> list[tuple[int, ...]]:
+    """Every word of generator indices of total degree ``degree``."""
+    gens = presentation.generators
+    out: list[tuple[int, ...]] = []
+
+    def extend(prefix: tuple[int, ...], remaining: int) -> None:
         if remaining == 0:
             out.append(prefix)
             return
-        for name, d in gens:
+        for g, (_, d) in enumerate(gens):
             if d <= remaining:
-                extend(prefix + (name,), remaining - d)
+                extend(prefix + (g,), remaining - d)
 
     extend((), degree)
     return out
@@ -348,7 +354,7 @@ def graded_commutative_dimensions(p: RingPresentation, max_degree: int) -> list[
     return list(graded_dimensions(quotient, max_degree))
 
 
-def _commutator_partner(relation: NcElement, z: str) -> str | None:
+def _commutator_partner(relation: NcElement, z: int) -> int | None:
     """The generator ``g`` when ``relation`` is ``±(z g - g z)`` with ``g != z``, else None."""
     terms = relation.terms
     if len(terms) != 2:
@@ -371,23 +377,26 @@ def central_split(p: RingPresentation) -> tuple[RingPresentation, tuple[int, ...
     generators commute with everything and meet no other relation, and the
     polynomial factor is a free module.
     """
-    touching: dict[str, list[NcElement]] = {name: [] for name in p.algebra.names}
+    touching: dict[int, list[NcElement]] = {g: [] for g in range(len(p.algebra))}
     for r in p.relations:
-        for name in {name for word in r.terms for name in word}:
-            touching[name].append(r)
+        for g in {g for word in r.terms for g in word}:
+            touching[g].append(r)
     central = set()
-    for z, degree in p.generators:
+    for z, (_, degree) in enumerate(p.generators):
         partners = [_commutator_partner(r, z) for r in touching[z]]
         others = set(touching) - {z}
         if degree % 2 == 0 and len(partners) == len(others) and set(partners) == others:
             central.add(z)
-    algebra = FreeGradedAlgebra([(n, d) for n, d in p.generators if n not in central])
+    kept = [g for g in range(len(p.algebra)) if g not in central]
+    algebra = FreeGradedAlgebra([p.generators[g] for g in kept])
+    # the core's generators are numbered afresh, in their order
+    new = {g: i for i, g in enumerate(kept)}
     relations = [
-        NcElement(algebra, r.terms)
+        NcElement(algebra, {tuple(map(new.__getitem__, w)): c for w, c in r.terms.items()})
         for r in p.relations
-        if not any(name in central for word in r.terms for name in word)
+        if not any(g in central for word in r.terms for g in word)
     ]
-    degrees = tuple(d for n, d in p.generators if n in central)
+    degrees = tuple(d for g, (_, d) in enumerate(p.generators) if g in central)
     return RingPresentation(algebra, relations, p.domain), degrees
 
 

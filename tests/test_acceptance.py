@@ -245,10 +245,12 @@ def test_criterion_8_structural_property_suite():
         for _ in range(100):
             order = names[:]
             rng.shuffle(order)
+            alg = FreeGradedAlgebra([(n, degrees[n]) for n in order])
+            relabel = [alg.index(n) for n in names]
             shuffled = RingPresentation(
-                FreeGradedAlgebra([(n, degrees[n]) for n in order]),
+                alg,
                 [
-                    FreeGradedAlgebra([(n, degrees[n]) for n in order]).element(r.terms)
+                    alg.element({tuple(relabel[g] for g in w): c for w, c in r.terms.items()})
                     for r in base.relations
                 ],
             )

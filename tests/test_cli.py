@@ -6,6 +6,7 @@ import random
 import re
 import sys
 import time
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -454,6 +455,50 @@ def test_a_rank_over_the_budget_is_refused_at_once_in_degree_one(
     assert err == "error: degree 1 needs 20000000 basis symbols/rows, over the budget of 200000\n"
 
 
+@pytest.mark.parametrize("compute_missing", [(), ("--compute-missing",)])
+def test_report_refuses_a_rank_over_the_budget_before_it_reads_the_cache(
+    cache_dir, capsys, monkeypatch, compute_missing
+):
+    # reading a cached entry checks it against the PBW series, which for
+    # su20000000 folds in 20,000,000 odd factors (su2000000 took 17 s and
+    # 232 MB); degree 1 is refused first, as every other subcommand does,
+    # so a well-formed entry planted for the configuration is never read
+    cfg = cli.RunConfig(LieFamily.SU, 20_000_000)
+    body = {"generators": [], "relations": [], "poincare": [1], "ranks": [], "torsion": []}
+    cache_dir.mkdir()
+    entry = cache_dir / f"{cfg.cache_key()}.json"
+    entry.write_text(cli.render_json({**cfg.identity(), **body, "checks": {}}))
+    monkeypatch.setattr(cli, "cache_load", lambda cfg: pytest.fail("the cache was read"))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "report", *compute_missing, "--family", "su", "--rank", "20000000")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (3, "")
+    assert err == "error: degree 1 needs 20000000 basis symbols/rows, over the budget of 200000\n"
+    assert entry.exists()
+
+
+def test_the_pbw_memo_does_not_grow_with_the_rank(cache_dir, capsys):
+    # an entry held one degree per generator, 4.6 MB for an su100000 rank
+    # refused in degree 2; it keeps counts per degree up to the entry's degree
+    cli._expected_pbw.cache_clear()
+    argv = ("compute", "--family", "su", "--max-degree", "2", "--rank")
+    assert run(capsys, *argv, "999")[0] == 3
+    held = {}
+    tracemalloc.start()
+    try:
+        for rank in (1_000, 20_000, 40_000):
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            assert run(capsys, *argv, str(rank))[0] == 3
+            gc.collect()
+            held[rank] = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert cli._expected_pbw.cache_info().currsize == 4
+    assert max(held.values()) < 20_000, held
+    assert held[40_000] - held[1_000] < 2_000, held
+
+
 def test_a_rational_compute_builds_only_the_degree_four_form(cache_dir, capsys, monkeypatch):
     """su10's forms run to degree 22; the model and brackets read the degree-4 one alone."""
     forms = _count_calls(monkeypatch, symmetric, "invariant_polynomials")
@@ -899,6 +944,8 @@ GOLDEN_REPORTS = {
     "compute-f4-integer-anticommute": "compute --family f4 --coeffs integer",
     "compute-e6-rational": "compute --family e6 --coeffs rational",
     "compute-e6-integer": "compute --family e6 --coeffs integer",
+    "compute-su10-rational": "compute --family su --rank 10 --coeffs rational",
+    "compute-su10-integer": "compute --family su --rank 10 --coeffs integer",
     "verify-su3": "verify --family su --rank 3",
     "verify-f4": "verify --family f4",
     "verify-e6": "verify --family e6",

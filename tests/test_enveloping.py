@@ -137,34 +137,59 @@ def test_relation_degrees_are_the_relations_own():
                 assert p.relation_degrees == tuple(r.degree() for r in p.relations), (family, rank)
 
 
-def test_each_presentation_codes_its_relations_once_and_its_routes_only_read_them():
-    """Index words that decode to the relations' words, with ints for integral values.
+def test_each_relation_is_held_in_one_form_that_its_routes_leave_unchanged():
+    """Relations hold index words, with ints for integral values, and no second copy.
 
-    Every checked catalog presentation in both domains, and one rational
-    relation with a coefficient 1/2, which is coded only when first read.
-    The certificate and the engine leave the coded relations as they were.
+    Every checked catalog presentation in both domains and every pipeline
+    presentation, and one rational relation with a coefficient 1/2, which
+    stays a ``Fraction``.  The certificate and the engine read each
+    relation's terms and leave them as they were.
     """
     alg = FreeGradedAlgebra([("x", 1), ("y", 1)])
     x, y = alg.gen("x"), alg.gen("y")
     half = RingPresentation(alg, [x * y - Fraction(1, 2) * (y * x)])
-    assert "coded_relations" not in vars(half)
-    assert half.coded_relations == ({(0, 1): 1, (1, 0): Fraction(-1, 2)},)
+    assert half.relations[0].terms == {(0, 1): 1, (1, 0): Fraction(-1, 2)}
+    assert not hasattr(half, "coded_relations")
     presentations = [half]
     for family, ranks in DEFAULT_CHECKED_RANKS.items():
         for rank in ranks:
             entry = catalog_entry(family, rank)
-            presentations += [entry.expected_rational, expected_integral_presentation(family, rank)]
+            presentations += [entry.expected_rational, entry.integral, entry.pipeline.presentation]
     for p in presentations:
-        coded = p.coded_relations
-        names = p.algebra.names
-        decoded = [{tuple(names[g] for g in w): c for w, c in poly.items()} for poly in coded]
-        assert decoded == [r.terms for r in p.relations]
-        for c in (c for poly in coded for c in poly.values()):
-            assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
-        before = copy.deepcopy(coded)
+        held = [r.terms for r in p.relations]
+        before = copy.deepcopy(held)
         normal_words.certificate(p)
         p.engine().report(6)
-        assert p.coded_relations is coded and coded == before
+        assert all(r.terms is terms for r, terms in zip(p.relations, held))
+        assert held == before
+
+
+def _assert_one_form(poly, key_ok):
+    """Every key passes ``key_ok`` and every integral coefficient is an ``int``."""
+    assert poly.terms
+    for key, c in poly.terms.items():
+        assert type(key) is tuple and key_ok(key), key
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction), c
+
+
+def test_every_polynomial_the_package_builds_holds_ints_and_index_words():
+    """The catalog presentations in both domains, the pipeline presentations,
+    the invariant forms, d1 and the brackets of every checked configuration."""
+    for family, ranks in DEFAULT_CHECKED_RANKS.items():
+        for rank in ranks:
+            entry = catalog_entry(family, rank)
+            pipe = entry.pipeline
+            for p in (entry.expected_rational, entry.integral, pipe.presentation):
+                n = len(p.algebra)
+                for r in p.relations:
+                    _assert_one_form(r, lambda w: all(type(g) is int and 0 <= g < n for g in w))
+            model = pipe.model
+            for form in (*entry.cohomology.relations, *model.d1.values()):
+                n = len(form.algebra)
+                _assert_one_form(form, lambda m: len(m) == n and all(type(e) is int for e in m))
+            for combo in pipe.lie_algebra.brackets.values():
+                for c in combo.values():
+                    assert type(c) is (int if Fraction(c).denominator == 1 else Fraction), c
 
 
 def test_uea_requires_lie_axioms():
@@ -374,9 +399,9 @@ def _random_presentation(rng, domain):
             if remaining == 0:
                 words.append(prefix)
                 return
-            for name, d in gens:
+            for g, (_, d) in enumerate(gens):
                 if d <= remaining:
-                    wordgen(prefix + (name,), remaining - d)
+                    wordgen(prefix + (g,), remaining - d)
 
         wordgen((), degree)
         terms = {}
@@ -416,7 +441,11 @@ def test_relabeling_invariance_of_dimensions():
         order = names[:]
         rng.shuffle(order)
         alg = FreeGradedAlgebra([(n, degrees[n]) for n in order])
-        rels = [alg.element(r.terms) for r in base.relations]
+        relabel = [alg.index(n) for n in names]
+        rels = [
+            alg.element({tuple(relabel[g] for g in w): c for w, c in r.terms.items()})
+            for r in base.relations
+        ]
         shuffled = RingPresentation(alg, rels)
         for d in range(8):
             assert graded_dimension(shuffled, d) == graded_dimension(base, d)

@@ -229,7 +229,20 @@ def test_leibniz_rule(p, q):
 def test_integer_inputs_stay_integral(p, q):
     product = p * q
     for coeff in product.terms.values():
-        assert coeff.denominator == 1
+        assert type(coeff) is int
+
+
+@settings(max_examples=120, deadline=None)
+@given(homogeneous_elements(), st.integers(min_value=1, max_value=6))
+def test_an_integral_fraction_is_stored_as_an_int(p, denominator):
+    """A sum of fractions that is integral is held as an ``int``, the one rule of linalg."""
+    part = p * Fraction(1, denominator)
+    total = part
+    for _ in range(denominator - 1):
+        total = total + part
+    assert total == p
+    assert all(type(c) is int for c in total.terms.values())
+    assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in part.terms.values())
 
 
 # -- the free associative algebra on the same core ------------------------------
@@ -268,7 +281,7 @@ def test_free_distributivity(p, q, r):
 @given(free_elements(), free_elements())
 def test_free_integer_inputs_stay_integral(p, q):
     for coeff in (p * q - 3 * q).terms.values():
-        assert coeff.denominator == 1
+        assert type(coeff) is int
 
 
 @settings(max_examples=120, deadline=None)
@@ -286,7 +299,7 @@ def test_content_normalized_is_primitive_and_idempotent(p, numerator, denominato
     lead = min(norm.terms)
     assert norm.terms[lead] > 0
     # a nonzero rational multiple of the input
-    assert norm == p * (norm.terms[lead] / p.terms[lead])
+    assert norm == p * Fraction(norm.terms[lead], p.terms[lead])
     assert p.algebra.zero().content_normalized().is_zero()
 
 
@@ -307,7 +320,8 @@ def _content_normalized_by_fraction_products(p):
     st.booleans(),
 )
 def test_content_normalized_on_integers_equals_the_fraction_products(p, coeffs, as_int):
-    """Every coefficient's value and type, on Fraction and on int coefficients, in a fresh element."""
+    """Every coefficient's value, and its type ``int``, on Fraction and on int coefficients,
+    in a fresh element."""
     terms = {k: Fraction(n, d) for k, (n, d) in zip(p.terms, coeffs) if n}
     if as_int:
         terms = {k: c.numerator for k, c in terms.items()}
@@ -317,6 +331,6 @@ def test_content_normalized_on_integers_equals_the_fraction_products(p, coeffs, 
     want = _content_normalized_by_fraction_products(p)
     norm = p.content_normalized()
     assert norm.terms == want
-    assert all(type(c) is Fraction for c in norm.terms.values())
+    assert all(type(c) is int for c in norm.terms.values())
     assert type(norm) is type(p) and norm is not p and norm.terms is not p.terms
     assert p.terms == terms
