@@ -19,6 +19,10 @@ at most ``catalog.MEMO_CONFIGURATIONS`` (16) entries, the least recently read
 dropped first.  An entry builds its pipeline and integral presentation on the
 first request that reads them; later requests reuse them with their
 certificates and engines, and ``--verbose`` names each read a hit or a miss.
+A presentation also keeps its rendered relations and a certificate its
+normal-word automaton, so a request answered again renders no relation and
+builds no automaton.  A ``compute`` request renders its JSON once: that text
+is what a ``--format json`` request writes and what the cache stores.
 
 Exit codes: 0 pass, 1 check failure, 2 usage/config error, 3 budget
 exceeded.  A request is refused before any build, in every degree where the
@@ -56,7 +60,6 @@ from .enveloping import (
     graded_dimensions,
     pbw_series,
     pbw_series_of_degrees,
-    relation_string,
     series_equal,
 )
 from .families import FIXED_RANK, LieFamily, validate_rank
@@ -306,7 +309,7 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
     doc = {
         **cfg.identity(),
         "generators": [{"name": name, "degree": d} for name, d in shown.generators],
-        "relations": [relation_string(r) for r in shown.relations],
+        "relations": list(shown.relation_strings()),
         "poincare": poincare,
         "ranks": ranks,
         "torsion": torsion,
@@ -386,13 +389,13 @@ def cache_directory(cfg: RunConfig) -> Path:
     return Path.home() / ".cache" / "loopalg"
 
 
-def cache_store(cfg: RunConfig, doc: dict) -> Path:
-    """Write the entry into the existing cache directory through a temporary
-    file, so readers never see half of it."""
+def cache_store(cfg: RunConfig, text: str) -> Path:
+    """Write the entry, a report's JSON ``text``, into the existing cache
+    directory through a temporary file, so readers never see half of it."""
     path = cache_directory(cfg) / f"{cfg.cache_key()}.json"
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(render_json(doc))
+        tmp.write_text(text)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -458,8 +461,11 @@ def cache_load(cfg: RunConfig) -> dict | None:
     return None
 
 
-def emit(cfg: RunConfig, doc: dict) -> None:
-    text = render_json(doc) if cfg.fmt == "json" else render_text(doc)
+def render(cfg: RunConfig, doc: dict) -> str:
+    return render_json(doc) if cfg.fmt == "json" else render_text(doc)
+
+
+def emit(cfg: RunConfig, text: str) -> None:
     if cfg.out:
         Path(cfg.out).write_text(text)
     else:
@@ -556,17 +562,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _config_from(args)
         if args.command == "series":
-            emit(cfg, build_series_report(cfg))
+            emit(cfg, render(cfg, build_series_report(cfg)))
             return 0
         if args.command == "verify":
             doc = build_report(cfg, verify=True)
-            emit(cfg, doc)
+            emit(cfg, render(cfg, doc))
             return 1 if doc["failures"] else 0
         if args.command == "report":
             _refuse_rank_over_budget(cfg)
             doc = cache_load(cfg)
             if doc is not None:
-                emit(cfg, doc)
+                emit(cfg, render(cfg, doc))
                 return 0
             if not args.compute_missing:
                 raise UsageError(
@@ -575,11 +581,13 @@ def main(argv: list[str] | None = None) -> int:
                 )
         # compute, or report --compute-missing on a miss: an unusable cache
         # directory fails before the work, and the entry is written only once
-        # the report was delivered
+        # the report was delivered; the JSON is rendered once, for the cache
+        # and for a JSON request
         cache_directory(cfg).mkdir(parents=True, exist_ok=True)
         doc = build_report(cfg)
-        emit(cfg, doc)
-        cache_store(cfg, doc)
+        text = render_json(doc)
+        emit(cfg, text if cfg.fmt == "json" else render_text(doc))
+        cache_store(cfg, text)
         return 0
     except BudgetExceededError as err:
         print(f"error: {err}", file=sys.stderr)

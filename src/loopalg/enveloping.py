@@ -26,7 +26,8 @@ already built is checked again, so a smaller budget refuses as a fresh engine
 would.  :func:`degree_size` is the one size rule.  A relation is written
 once, in the one form both routes read: its terms, on words of generator
 indices with integral coefficients as ``int``.  Only :func:`relation_string`
-reads the names, to render it.
+reads the names, to render it; a presentation renders its relations on the
+first read of :meth:`RingPresentation.relation_strings` and keeps them.
 
 ``compute`` reaches the engine, through :func:`engine_report`, only where
 :mod:`loopalg.normal_words` cannot certify the presentation's normal words;
@@ -146,6 +147,8 @@ class RingPresentation:
     ``domain`` is "rational" or "integer"; integer presentations must have
     integral relation coefficients (they are never silently rescaled).
     ``relation_degrees`` holds the degree of each relation, in order.
+    The engine, the rendered relations and the normal-words certificate are
+    made on first read and kept.
     """
 
     def __init__(
@@ -177,6 +180,7 @@ class RingPresentation:
         self.relation_degrees = tuple(degrees)
         self.domain = domain
         self._engine: GradedQuotient | None = None
+        self._strings: tuple[str, ...] | None = None
         # the normal_words certificate once it has been checked
         self._certificate = None
 
@@ -189,6 +193,12 @@ class RingPresentation:
         if self._engine is None:
             self._engine = GradedQuotient(self)
         return self._engine
+
+    def relation_strings(self) -> tuple[str, ...]:
+        """Each relation rendered by :func:`relation_string`, in order, memoized."""
+        if self._strings is None:
+            self._strings = tuple(map(relation_string, self.relations))
+        return self._strings
 
 
 # ---------------------------------------------------------------------------

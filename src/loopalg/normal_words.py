@@ -75,8 +75,10 @@ word, the only word of their degree a new rule rewrites.  A word's normal form
 depends on the word alone (its leftmost rewrite gives smaller words), so a
 polynomial's normal form is the sum of its words' forms, each kept in a
 memo that lives until the next rule is added.  :func:`report` answers from the
-certificate: it counts the normal words degree by degree with an automaton
+certificate: it counts the normal words degree by degree with the automaton
 of the leading words, whose states are at most their total length.  The
+certificate builds that automaton on its first count and keeps it, so a
+presentation read again, as the catalog entry's are, only counts.  The
 caller refuses over the budget beforehand.  Where the certificate fails (a
 non-unit leading coefficient over Z, or an overlap that does not resolve)
 it answers by :func:`enveloping.engine_report` instead, which eliminates.
@@ -87,6 +89,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Sequence
 
 from .enveloping import (
     DEFAULT_WORD_BUDGET,
@@ -111,7 +115,8 @@ class Certificate:
     defining relation.  ``rewrites`` counts the words whose normal form
     needed a rewrite, a measure of the certificate's work.  ``swapped``
     counts the overlaps among ``overlaps`` that resolved by swap rules
-    alone, with no rewrite.
+    alone, with no rewrite.  ``degrees`` holds the generator degrees of the
+    presentation, which :meth:`counts` reads.
     """
 
     leading: tuple[Word, ...]
@@ -120,6 +125,16 @@ class Certificate:
     defined: tuple[str, ...] = ()
     rewrites: int = 0
     swapped: int = 0
+    degrees: tuple[int, ...] = ()
+
+    @cached_property
+    def automaton(self) -> tuple[list[list[int]], list[bool]]:
+        """The automaton of the leading words, built on first read and kept."""
+        return _automaton(self.leading, len(self.degrees))
+
+    def counts(self, max_degree: int) -> list[int]:
+        """:func:`normal_word_counts` of the leading words, on the kept automaton."""
+        return _count(*self.automaton, self.degrees, max_degree)
 
 
 def _weights(p: RingPresentation) -> tuple[list[int], tuple[str, ...]]:
@@ -326,11 +341,12 @@ def _swapped(tails: dict[Word, Poly], swaps: dict[Word, int], u: Word, v: Word) 
 
 def _certify(p: RingPresentation) -> Certificate:
     weights, defined = _weights(p)
+    degrees = tuple(d for _, d in p.generators)
     rules = _Rules(weights)
     failure = _interreduce(p, rules)
     leading = tuple(rules.tails)
     if failure is not None:
-        return Certificate(leading, 0, failure, defined, rules.rewrites)
+        return Certificate(leading, 0, failure, defined, rules.rewrites, degrees=degrees)
     # every overlap A B C of leading words A B and B C, with A, B, C nonempty
     starting: dict[Word, list[Word]] = {}
     for v in leading:
@@ -350,10 +366,10 @@ def _certify(p: RingPresentation) -> Certificate:
                     if rules.normal_form(diff):
                         failure = f"overlap {_name(p, u + rest)} does not resolve"
                         return Certificate(
-                            leading, resolved, failure, defined, rules.rewrites, swapped
+                            leading, resolved, failure, defined, rules.rewrites, swapped, degrees
                         )
                 resolved += 1
-    return Certificate(leading, resolved, None, defined, rules.rewrites, swapped)
+    return Certificate(leading, resolved, None, defined, rules.rewrites, swapped, degrees)
 
 
 def certificate(p: RingPresentation) -> Certificate:
@@ -363,12 +379,11 @@ def certificate(p: RingPresentation) -> Certificate:
     return p._certificate
 
 
-def normal_word_counts(leading: tuple[Word, ...], degrees: list[int], max_degree: int) -> list[int]:
-    """How many words of each degree 0 .. ``max_degree`` contain no leading word.
+def _automaton(leading: tuple[Word, ...], generators: int) -> tuple[list[list[int]], list[bool]]:
+    """The Aho-Corasick automaton of the leading words on ``generators`` letters.
 
-    ``degrees[g]`` is the degree of generator ``g``.  The words are read
-    through the Aho-Corasick automaton of the leading words: its states are
-    the prefixes of leading words, and a state is dead once the word read so
+    Its states are the prefixes of leading words; ``step[state][g]`` is the
+    state after reading ``g``, and a state is ``dead`` once the word read so
     far ends in a leading word.
     """
     children: list[dict[int, int]] = [{}]
@@ -382,8 +397,8 @@ def normal_word_counts(leading: tuple[Word, ...], degrees: list[int], max_degree
                 dead.append(False)
             node = children[node][g]
         dead[node] = True
-    gens = range(len(degrees))
-    step = [[0] * len(degrees) for _ in children]
+    gens = range(generators)
+    step = [[0] * generators for _ in children]
     fail = [0] * len(children)
     queue = deque()
     for g in gens:
@@ -402,19 +417,38 @@ def normal_word_counts(leading: tuple[Word, ...], degrees: list[int], max_degree
                 fail[child] = step[fail[node]][g]
                 step[node][g] = child
                 queue.append(child)
+    return step, dead
+
+
+def _count(
+    step: list[list[int]], dead: list[bool], degrees: Sequence[int], max_degree: int
+) -> list[int]:
+    """How many words of each degree 0 .. ``max_degree`` the automaton reads to no dead state."""
+    gens = range(len(degrees))
     layers: list[dict[int, int]] = [{} for _ in range(max_degree + 1)]
     layers[0][0] = 1
     counts = []
     for d, layer in enumerate(layers):
         counts.append(sum(layer.values()))
         for state, count in layer.items():
+            row = step[state]
             for g in gens:
                 e = d + degrees[g]
-                target = step[state][g]
+                target = row[g]
                 if e <= max_degree and not dead[target]:
                     layers[e][target] = layers[e].get(target, 0) + count
         layers[d] = {}
     return counts
+
+
+def normal_word_counts(leading: tuple[Word, ...], degrees: list[int], max_degree: int) -> list[int]:
+    """How many words of each degree 0 .. ``max_degree`` contain no leading word.
+
+    ``degrees[g]`` is the degree of generator ``g``.  The words are read
+    through the Aho-Corasick automaton of the leading words, built here;
+    :meth:`Certificate.counts` reads the one its certificate keeps.
+    """
+    return _count(*_automaton(leading, len(degrees)), degrees, max_degree)
 
 
 def report(
@@ -429,5 +463,4 @@ def report(
     cert = certificate(p)
     if cert.failure is not None:
         return engine_report(p, max_degree, budget)
-    counts = normal_word_counts(cert.leading, [d for _, d in p.generators], max_degree)
-    return GradedSmithReport.free(counts)
+    return GradedSmithReport.free(cert.counts(max_degree))

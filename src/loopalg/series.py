@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -72,14 +74,18 @@ def multiply_by_one_minus(coeffs: Sequence[int], k: int, max_degree: int) -> lis
 def pbw_coefficients(
     odd_degrees: Iterable[int], even_degrees: Iterable[int], max_degree: int
 ) -> list[int]:
-    """Coefficients of prod (1 + t^odd) * prod 1/(1 - t^even), truncated."""
+    """Coefficients of prod (1 + t^odd) * prod 1/(1 - t^even), truncated.
+
+    The ``k`` odd generators of one degree ``d`` give ``(1 + t^d)^k``, whose
+    coefficient of ``t^(d i)`` is ``C(k, i)``: one product per distinct odd
+    degree, so the cost does not grow with how many generators share it.
+    """
     out = [1] + [0] * max_degree
-    for d in odd_degrees:
-        factor = [0] * (max_degree + 1)
-        factor[0] = 1
-        if d <= max_degree:
-            factor[d] = 1
-        out = poly_mul_trunc(out, factor, max_degree)
+    for d, k in Counter(odd_degrees).items():
+        row = [0] * (max_degree + 1)
+        for i in range(min(k, max_degree // d) + 1):
+            row[d * i] = math.comb(k, i)
+        out = poly_mul_trunc(row, out, max_degree)
     for d in even_degrees:
         out = divide_by_one_minus(out, d, max_degree)
     return out

@@ -16,7 +16,9 @@ compares presentations as rings, not by their ranks.
 :func:`split_report` checks a structure rather than an elimination: most
 catalog presentations are a small core tensored with a polynomial ring on
 central even generators, and their sizes are the core's convolved with the
-polynomial factor's, over Q and over Z.
+polynomial factor's, over Q and over Z.  :func:`pbw_by_generator` folds
+the PBW series one factor per generator, in place, where
+``series.pbw_coefficients`` folds one binomial row per distinct odd degree.
 
 The homotopy Lie algebra has its own references: :func:`pairing_brackets`
 reads the brackets through the full permutation pairing (with Koszul signs,
@@ -415,6 +417,20 @@ def invariant_factors(orders: Iterable[int]) -> tuple[int, ...]:
 def with_torsion(p: RingPresentation) -> RingPresentation:
     """The integral presentation ``p`` with its first relation doubled, planting 2-torsion."""
     return RingPresentation(p.algebra, [2 * p.relations[0], *p.relations[1:]], domain="integer")
+
+
+def pbw_by_generator(
+    odd_degrees: Sequence[int], even_degrees: Sequence[int], max_degree: int
+) -> list[int]:
+    """prod (1 + t^odd) * prod 1/(1 - t^even) up to ``max_degree``, one factor per generator."""
+    out = [1] + [0] * max_degree
+    for d in odd_degrees:
+        for i in range(max_degree, d - 1, -1):
+            out[i] += out[i - d]
+    for d in even_degrees:
+        for i in range(d, max_degree + 1):
+            out[i] += out[i - d]
+    return out
 
 
 def split_report(p: RingPresentation, max_degree: int) -> GradedSmithReport:

@@ -2,8 +2,10 @@
 
 import gc
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -13,7 +15,16 @@ from pathlib import Path
 import pytest
 
 import loopalg
-from loopalg import cli, homotopy_lie, linalg, minimal_model, normal_words, pipeline, symmetric
+from loopalg import (
+    cli,
+    enveloping,
+    homotopy_lie,
+    linalg,
+    minimal_model,
+    normal_words,
+    pipeline,
+    symmetric,
+)
 from loopalg.catalog import (
     DEFAULT_CHECKED_RANKS,
     catalog_entry,
@@ -436,6 +447,52 @@ def test_the_process_keeps_a_bounded_number_of_configurations(cache_dir, capsys)
             compute(kept_rank)
     alive = [e for e in live_entries() if not any(e is b for b in before)]
     assert len(alive) <= cli.cat.MEMO_CONFIGURATIONS
+
+
+# the configurations of the ring-deep benchmark workload
+RING_DEEP = [("su", "7", "10"), ("su", "6", "12"), ("e6", "6", "16")]
+
+
+@pytest.mark.parametrize("coeffs", ["rational", "integer"])
+@pytest.mark.parametrize("family, rank, degree", RING_DEEP)
+def test_a_compute_asked_again_renders_and_builds_nothing_its_configuration_holds(
+    tmp_path, capsys, monkeypatch, family, rank, degree, coeffs
+):
+    """A second compute renders no relation, builds no automaton and renders one JSON.
+
+    The presentation keeps its rendered relations and its certificate the
+    automaton of its leading words; the JSON text a request renders is both
+    its output and its cache entry.  The first answer, the second and a
+    fresh process's agree byte for byte, output and cache entry alike.
+    """
+    argv = ["compute", "--family", family, "--rank", rank, "--max-degree", degree]
+    argv += ["--coeffs", coeffs, "--format", "json"]
+    spies = [
+        _count_calls(monkeypatch, enveloping, "relation_string"),
+        _count_calls(monkeypatch, normal_words, "_automaton"),
+        _count_calls(monkeypatch, cli, "render_json"),
+    ]
+
+    def answer(cache):
+        for calls in spies:
+            calls.clear()
+        assert main([*argv, "--cache-dir", str(tmp_path / cache)]) == 0
+        (entry,) = (tmp_path / cache).iterdir()
+        return capsys.readouterr().out.encode(), entry.read_bytes(), [len(c) for c in spies]
+
+    first_out, first_entry, first_calls = answer("first")
+    second_out, second_entry, second_calls = answer("second")
+    assert first_calls[0] > 0 and first_calls[1:] == [1, 1]
+    assert second_calls == [0, 0, 1]
+    fresh = subprocess.run(
+        [sys.executable, "-m", "loopalg.cli", *argv, "--cache-dir", str(tmp_path / "fresh")],
+        capture_output=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(loopalg.__file__).parents[1])},
+    )
+    (fresh_entry,) = (tmp_path / "fresh").iterdir()
+    assert first_out == second_out == fresh.stdout == first_entry
+    assert first_entry == second_entry == fresh_entry.read_bytes()
 
 
 @pytest.mark.parametrize(
