@@ -30,7 +30,7 @@ from .enveloping import (
     uea_presentation,
 )
 from .families import LieFamily
-from .gca import Derivation, GcaElement, GradedAlgebra
+from .gca import GcaElement, GradedAlgebra
 from .homotopy_lie import (
     HomotopyLieAlgebra,
     LieBasisElement,
@@ -47,6 +47,6 @@ from .minimal_model import (
     regular_sequence_check,
 )
 from .pipeline import PipelineResult, rational_pipeline
-from .symmetric import elementary_symmetric, invariant_polynomials
+from .symmetric import invariant_polynomials
 
 __version__ = "0.1.0"

@@ -262,20 +262,18 @@ def expected_rational_presentation(family: LieFamily, rank: int) -> RingPresenta
     return _presentation(a, b, lambda alg: _equal_squares(alg, a), "rational")
 
 
-def _so_odd_y_relation(alg: FreeGradedAlgebra, i: int, n: int) -> NcElement:
-    """y_i^2 + 2 sum_{k<=min(i, n-1-i)} (-1)^k y_{i-k} y_{i+k}
-    + sum_{k=n-i}^{i} (-1)^k y_{i-k} y_{i+k}, with y_0 = 1."""
+def _y_relation(
+    alg: FreeGradedAlgebra, head: NcElement, i: int, two_y: Callable[[int], NcElement]
+) -> NcElement:
+    """``head`` + sum_{k=1..i} (-1)^k y_{i-k} (2y)_{i+k}, with y_0 = 1.
 
-    def y(j: int) -> NcElement:
-        return alg.one() if j == 0 else alg.gen(f"y{j}")
-
-    rel = y(i) * y(i)
-    for k in range(1, min(i, n - 1 - i) + 1):
-        sign = -1 if k % 2 else 1
-        rel = rel + 2 * sign * (y(i - k) * y(i + k))
-    for k in range(max(1, n - i), i + 1):
-        sign = -1 if k % 2 else 1
-        rel = rel + sign * (y(i - k) * y(i + k))
+    ``head`` is y_i^2 but in type D's last relation, and ``two_y(j)`` writes
+    the class 2 y_j in the family's generators.
+    """
+    rel = head
+    for k in range(1, i + 1):
+        y = alg.one() if k == i else alg.gen(f"y{i - k}")
+        rel = rel + (-1) ** k * (y * two_y(i + k))
     return rel
 
 
@@ -283,30 +281,16 @@ def _so_even_core(alg: FreeGradedAlgebra, x: list[str], n: int) -> list[NcElemen
     g = alg.gen
 
     def two_y(j: int) -> NcElement:
-        # the class 2 y_j written in the chosen generators
-        if j == 0:
-            return 2 * alg.one()
+        # the class 2 y_j written in the chosen generators; j >= 2 here
         if j <= n - 2:
             return 2 * g(f"y{j}")
         if j == n - 1:
             return g("wp") + g("wm")
         return g(f"Y{j}")
 
-    def y_plain(j: int) -> NcElement:
-        return alg.one() if j == 0 else g(f"y{j}")
-
     rels = _type_bd(alg, x)
-    for i in range(1, n - 1):
-        rel = y_plain(i) * y_plain(i)
-        for k in range(1, i + 1):
-            sign = -1 if k % 2 else 1
-            rel = rel + sign * (y_plain(i - k) * two_y(i + k))
-        rels.append(rel)
-    final = g("wp") * g("wm")
-    for k in range(1, n):
-        sign = -1 if k % 2 else 1
-        final = final + sign * (y_plain(n - 1 - k) * two_y(n - 1 + k))
-    rels.append(final)
+    rels += [_y_relation(alg, g(f"y{i}") ** 2, i, two_y) for i in range(1, n - 1)]
+    rels.append(_y_relation(alg, g("wp") * g("wm"), n - 1, two_y))
     return rels
 
 
@@ -384,7 +368,14 @@ def expected_integral_presentation(family: LieFamily, rank: int) -> RingPresenta
     if family is LieFamily.SO_ODD:
 
         def so_odd_core(alg: FreeGradedAlgebra) -> list[NcElement]:
-            return _type_bd(alg, x) + [_so_odd_y_relation(alg, i, n) for i in range(1, n)]
+            g = alg.gen
+
+            def two_y(j: int) -> NcElement:
+                # how the relations write the class 2 y_j: 2 y_j below n, y_j from n on
+                return 2 * g(f"y{j}") if j < n else g(f"y{j}")
+
+            rels = _type_bd(alg, x)
+            return rels + [_y_relation(alg, g(f"y{i}") ** 2, i, two_y) for i in range(1, n)]
 
         return _presentation(x, y, so_odd_core, "integer")
 
@@ -434,8 +425,9 @@ def expected_integral_presentation(family: LieFamily, rank: int) -> RingPresenta
 
 # configurations whose built objects one process keeps: the catalog entries,
 # each with what it has built (expected presentations, pipeline, integral
-# presentation) and their certificates and engines.  The 13 of
-# DEFAULT_CHECKED_RANKS fit, and one su20 configuration holds about 1.6 MB.
+# presentation) and their certificates, automata and engines.  The 13 of
+# DEFAULT_CHECKED_RANKS fit; one su20 configuration computed in both domains
+# at degree 8 holds about 2.1 MB.
 MEMO_CONFIGURATIONS = 16
 
 

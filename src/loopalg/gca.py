@@ -16,7 +16,10 @@ grading.  A concrete algebra fixes only its keys and how two keys multiply:
 
 The declaration order of the generators fixes the canonical key of every
 monomial, so every operation is deterministic and elements can be compared
-literally.
+literally.  No path of the package multiplies two :class:`GcaElement`
+objects: the invariant forms are expanded term by term and the minimal
+model is checked by its shape, so the graded-commutative product serves the
+tests.
 """
 
 from __future__ import annotations
@@ -300,61 +303,3 @@ class GradedAlgebra(GeneratorSet):
                     sign = -sign
         return sign, tuple(a + b for a, b in zip(m1, m2))
 
-
-class Derivation:
-    """A degree +1 derivation, determined by its images on generators.
-
-    The image of a degree-``k`` generator must be homogeneous of degree
-    ``k + 1`` (the zero element is allowed); the extension to products follows
-    the graded Leibniz rule.
-    """
-
-    degree_shift = 1
-
-    def __init__(self, algebra: GradedAlgebra, images: Mapping[str, GcaElement]):
-        self.algebra = algebra
-        table: list[GcaElement] = [algebra.zero() for _ in range(len(algebra))]
-        for name, image in images.items():
-            i = algebra.index(name)
-            if not algebra.same_generators(image.algebra):
-                raise ValueError("mismatched generator sets")
-            if not image.is_zero():
-                try:
-                    degree = image.degree()
-                except ValueError:
-                    raise ValueError(f"image of {name!r} is not homogeneous") from None
-                expected = algebra.generators[i][1] + self.degree_shift
-                if degree != expected:
-                    raise ValueError(f"image of {name!r} has degree {degree}, expected {expected}")
-            table[i] = image
-        self._images = table
-
-    def image_of(self, name: str) -> GcaElement:
-        return self._images[self.algebra.index(name)]
-
-    def images(self) -> dict[str, GcaElement]:
-        return {name: self._images[i] for i, (name, _) in enumerate(self.algebra.generators)}
-
-    def __call__(self, element: GcaElement) -> GcaElement:
-        if not self.algebra.same_generators(element.algebra):
-            raise ValueError("unknown generator: element lives over a different algebra")
-        alg = self.algebra
-        result = alg.zero()
-        degrees = [d for _, d in alg.generators]
-        for mono, coeff in element.terms.items():
-            letters = element.letters(mono)
-            if all(self._images[g].is_zero() for g in letters):
-                continue
-            prefix_degree = 0
-            for pos, g in enumerate(letters):
-                image = self._images[g]
-                if not image.is_zero():
-                    sign = -1 if prefix_degree % 2 else 1
-                    left = GcaElement(alg, {alg.key_of(letters[:pos]): 1})
-                    right = GcaElement(alg, {alg.key_of(letters[pos + 1 :]): 1})
-                    result = result + left * image * right * (sign * coeff)
-                prefix_degree += degrees[g]
-        return result
-
-    def squares_to_zero(self) -> bool:
-        return all(self(self._images[i]).is_zero() for i in range(len(self.algebra)))

@@ -5,7 +5,9 @@ minimal model is ``Q[u] (x) Lambda(v_1..v_k)`` with ``deg v_j = deg P_j - 1``
 and differential ``d(u_i) = 0``, ``d(v_j) = P_j``.  A relation of degree
 2k has word length k, so a :class:`MinimalModel` carries d1, the quadratic
 part the Lie algebra reads, from the degree-4 relations alone; the others
-are built on their first read.  The regular-sequence property itself is
+are built on their first read.  No full differential is built: d^2 = 0
+follows from the model's shape, which :func:`derivation_square_check`
+reads without a form.  The regular-sequence property itself is
 checked by dimension counting of the commutative quotient A, which reads
 every form and also yields the graded dimensions of the cohomology.
 
@@ -49,7 +51,7 @@ from typing import Callable, Mapping, Sequence
 
 from . import linalg
 from .enveloping import DEFAULT_WORD_BUDGET, check_budget
-from .gca import Derivation, GcaElement, GradedAlgebra
+from .gca import GcaElement, GradedAlgebra
 from .series import PoincareSeries, complete_intersection_coefficients
 
 # the prime of the rank pass that the certificate checks; below 2**30, so
@@ -114,11 +116,6 @@ class MinimalModel:
     odd_names: tuple[str, ...]
     d1: Mapping[str, GcaElement]
     presentation: CohomologyPresentation
-
-    def differential(self) -> Derivation:
-        """The full differential, d(u_i) = 0 and d(v_j) = P_j, from every form."""
-        forms = zip(self.odd_names, self.presentation.relations)
-        return Derivation(self.algebra, {v: _padded(self.algebra, p) for v, p in forms})
 
 
 def _padded(algebra: GradedAlgebra, form: GcaElement) -> GcaElement:
@@ -330,5 +327,17 @@ def build_minimal_model(c: CohomologyPresentation, odd_names: Sequence[str]) -> 
 
 
 def derivation_square_check(m: MinimalModel) -> bool:
-    """True iff d(d(g)) = 0 for every generator of the model."""
-    return m.differential().squares_to_zero()
+    """True iff the model has the shape on which d(d(g)) = 0 for every generator g.
+
+    The shape: the presentation's degree-2 u, in order, then one v_j of degree
+    deg P_j - 1 per form, named by ``odd_names``, with d1 on those v alone.
+    Proof: d kills every u, so d(P_j) = 0 by the Leibniz rule, and d(d(v_j)) =
+    d(P_j).  Reads generator lists and degrees only, never a form.
+    """
+    c = m.presentation
+    odd = tuple((v, d - 1) for v, d in zip(m.odd_names, c.relation_degrees))
+    return (
+        len(m.odd_names) == len(c.relation_degrees)
+        and m.algebra.generators == c.algebra.generators + odd
+        and set(m.d1) <= set(m.odd_names)
+    )

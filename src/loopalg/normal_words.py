@@ -133,7 +133,10 @@ class Certificate:
         return _automaton(self.leading, len(self.degrees))
 
     def counts(self, max_degree: int) -> list[int]:
-        """:func:`normal_word_counts` of the leading words, on the kept automaton."""
+        """How many words of each degree 0 .. ``max_degree`` contain no leading word.
+
+        The words are read through the kept automaton of the leading words.
+        """
         return _count(*self.automaton, self.degrees, max_degree)
 
 
@@ -439,16 +442,6 @@ def _count(
                     layers[e][target] = layers[e].get(target, 0) + count
         layers[d] = {}
     return counts
-
-
-def normal_word_counts(leading: tuple[Word, ...], degrees: list[int], max_degree: int) -> list[int]:
-    """How many words of each degree 0 .. ``max_degree`` contain no leading word.
-
-    ``degrees[g]`` is the degree of generator ``g``.  The words are read
-    through the Aho-Corasick automaton of the leading words, built here;
-    :meth:`Certificate.counts` reads the one its certificate keeps.
-    """
-    return _count(*_automaton(leading, len(degrees)), degrees, max_degree)
 
 
 def report(

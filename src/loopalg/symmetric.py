@@ -1,12 +1,13 @@
-"""Elementary symmetric polynomials and the Weyl-invariant forms per family.
+"""The Weyl-invariant forms per family.
 
 ``invariant_polynomials`` gives, for each Lie family, the invariant forms
 whose vanishing presents the rational cohomology of the complete flag
 manifold (in the reduced variable set, after eliminating the linear
-relation where one exists).  Every form but type D's Euler class is a
-weighted power sum ``sum of w * l^e`` over one Weyl orbit of linear forms:
-a per-family table lists the ``(w, l)``, and one kernel expands the sum by
-the multinomial theorem on int coefficients.
+relation where one exists).  Type D's Euler class is the single monomial
+``u_1 ... u_n``.  Every other form is a weighted power sum ``sum of w *
+l^e`` over one Weyl orbit of linear forms: a per-family table lists the
+``(w, l)``, and one kernel expands the sum by the multinomial theorem on
+int coefficients.  No form is built from products of elements.
 """
 
 from __future__ import annotations
@@ -17,22 +18,6 @@ from math import factorial, lcm
 
 from .families import EXCEPTIONAL_EXPONENTS, LieFamily, validate_rank
 from .gca import GcaElement, GradedAlgebra, Monomial, Scalar
-
-
-def elementary_symmetric(k: int, variables: list[GcaElement]) -> GcaElement:
-    """The k-th elementary symmetric polynomial of the given elements."""
-    if not variables:
-        raise ValueError("need at least one variable")
-    if k < 1 or k > len(variables):
-        raise ValueError(f"k = {k} out of range for {len(variables)} variables")
-    algebra = variables[0].algebra
-    total = algebra.zero()
-    for subset in combinations(variables, k):
-        term = algebra.one()
-        for v in subset:
-            term = term * v
-        total = total + term
-    return total
 
 
 def variable_algebra(family: LieFamily, rank: int) -> GradedAlgebra:
@@ -68,7 +53,7 @@ def invariant_polynomials(
         raise ValueError(f"invalid invariant index {k} for {family.slug} rank {rank}")
     alg = algebra if algebra is not None else variable_algebra(family, rank)
     if family is LieFamily.SO_EVEN and k == rank:
-        return elementary_symmetric(rank, [alg.gen(f"u{i}") for i in range(1, rank + 1)])
+        return alg.element({alg.key_of([alg.index(f"u{i}") for i in range(1, rank + 1)]): 1})
     return _power_sum(alg, *_weights(family, rank, k))
 
 

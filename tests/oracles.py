@@ -24,9 +24,12 @@ The homotopy Lie algebra has its own references: :func:`pairing_brackets`
 reads the brackets through the full permutation pairing (with Koszul signs,
 on the quadratic part of the differential), one basis pair at a time, and
 :func:`lie_axioms_full_loop` checks the graded Lie axioms on every triple.
+A differential is a map from generator names to images;
+:func:`differential` builds a model's from every form.
 :func:`newton_sigma` and :func:`recursion_p` are the two classical
 recursions tying power sums to elementary symmetric functions; under the
-substitution ``y_i = e_i(t_1..t_m)`` both produce the power sum
+substitution ``y_i = e_i(t_1..t_m)``, each e_i a sum of products
+(:func:`elementary_symmetric`), both produce the power sum
 ``t_1^k + ... + t_m^k``.
 :func:`naive_normal_form` rewrites with a max-first scan,
 :func:`naive_interreduce` re-normalizes every pending relation after each
@@ -39,7 +42,7 @@ way to send ``compute`` to that engine.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -52,7 +55,7 @@ from loopalg.enveloping import (
     SmithEntry,
     graded_dimensions,
 )
-from loopalg.gca import Derivation, GcaElement, GradedAlgebra, Polynomial
+from loopalg.gca import GcaElement, GradedAlgebra, Polynomial
 from loopalg.homotopy_lie import HomotopyLieAlgebra, LieBasisElement, dual_basis
 from loopalg.minimal_model import CohomologyPresentation, MinimalModel
 from loopalg.series import pbw_coefficients
@@ -474,12 +477,42 @@ def koszul_sign(permutation: Sequence[int], degrees: Sequence[int]) -> int:
     return sign
 
 
-def quadratic_part(d: Derivation) -> Derivation:
-    """Word-length-2 component of a differential on every generator."""
-    images = {}
-    for name, image in d.images().items():
-        images[name] = GcaElement(d.algebra, {k: c for k, c in image.terms.items() if sum(k) == 2})
-    return Derivation(d.algebra, images)
+def differential(m: MinimalModel) -> dict[str, GcaElement]:
+    """The image of every generator of ``m`` under d: zero on each u, P_j on v_j.
+
+    Each form is read from the presentation and padded with zero exponents
+    on the v, by hand rather than by the package's own padding.
+    """
+    alg = m.algebra
+    images = {name: alg.zero() for name in alg.names}
+    pad = (0,) * len(m.odd_names)
+    for v, form in zip(m.odd_names, m.presentation.relations):
+        images[v] = GcaElement(alg, {k + pad: c for k, c in form.terms.items()})
+    return images
+
+
+def quadratic_part(images: Mapping[str, GcaElement]) -> dict[str, GcaElement]:
+    """Word-length-2 component of a differential's image on every generator."""
+    return {
+        name: GcaElement(image.algebra, {k: c for k, c in image.terms.items() if sum(k) == 2})
+        for name, image in images.items()
+    }
+
+
+def elementary_symmetric(k: int, variables: list[GcaElement]) -> GcaElement:
+    """The k-th elementary symmetric polynomial of the given elements, by products."""
+    if not variables:
+        raise ValueError("need at least one variable")
+    if k < 1 or k > len(variables):
+        raise ValueError(f"k = {k} out of range for {len(variables)} variables")
+    algebra = variables[0].algebra
+    total = algebra.zero()
+    for subset in combinations(variables, k):
+        term = algebra.one()
+        for v in subset:
+            term = term * v
+        total = total + term
+    return total
 
 
 def is_homogeneous(p: Polynomial) -> bool:
@@ -553,17 +586,16 @@ def pairing(w: GcaElement, args: Sequence[LieBasisElement]) -> Fraction:
 
 
 def pairing_brackets(
-    m: MinimalModel, differential: Derivation, dual_names: Mapping[str, str]
+    m: MinimalModel, images: Mapping[str, GcaElement], dual_names: Mapping[str, str]
 ) -> HomotopyLieAlgebra:
     """The brackets ``<v ; s[x, y]> = (-1)^{deg y + 1} <d1 v ; s x, s y>``, pair by pair.
 
-    d1 is the quadratic part of the full ``differential`` on ``m``'s
-    generators, not the model's own ``d1``.
+    d1 is the quadratic part of the differential whose image on each of
+    ``m``'s generators ``images`` gives, not the model's own ``d1``.
     """
     basis = dual_basis(m, dual_names)
     dual_of = {b.dual_to: b.name for b in basis}
-    d1 = quadratic_part(differential)
-    images = {name: d1.image_of(name) for name, _ in m.algebra.generators}
+    images = quadratic_part(images)
     brackets = {}
     for x in basis:
         for y in basis:

@@ -35,9 +35,16 @@ from loopalg.minimal_model import (
     quotient_dimensions,
 )
 from loopalg.pipeline import rational_pipeline
-from loopalg.symmetric import elementary_symmetric, invariant_polynomials
+from loopalg.symmetric import invariant_polynomials
 
-from oracles import graded_commutative_dimensions, graded_dimension, newton_sigma, recursion_p
+from oracles import (
+    differential,
+    elementary_symmetric,
+    graded_commutative_dimensions,
+    graded_dimension,
+    newton_sigma,
+    recursion_p,
+)
 
 FAMILIES = [
     (LieFamily.SU, 1),
@@ -231,7 +238,7 @@ def test_criterion_8_structural_property_suite():
         p1, p2 = entry.cohomology.relations
         twisted = CohomologyPresentation(c_alg, [p1, p2 + c_alg.gen("u1") ** 2 * c_alg.gen("u2")])
         perturbed = build_minimal_model(twisted, ["v1", "v2"])
-        assert perturbed.differential().image_of("v2") != model.differential().image_of("v2")
+        assert differential(perturbed)["v2"] != differential(model)["v2"]
         assert (
             brackets_from_d1(model, entry.dual_names).brackets
             == brackets_from_d1(perturbed, entry.dual_names).brackets

@@ -1,6 +1,8 @@
 """Catalog data: exponents, series, expected presentations, bounds."""
 
+import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -191,3 +193,20 @@ def test_a_catalog_entry_builds_no_invariant_form(monkeypatch):
     su12 = entries[-1].cohomology
     assert su12.relation(0) is su12.relation(0)
     assert calls == [(LieFamily.SU, 12, 1)]
+
+
+BD_RELATIONS = Path(__file__).resolve().parent / "golden" / "integral-relations-bd.json"
+
+
+def test_type_bd_integral_relations_match_the_fixture():
+    """The y relations of types B and D, one builder for both, keep their strings.
+
+    The fixture holds ``relation_strings()`` of so-odd 1-10 and so-even 3-10,
+    written with ``json.dumps(..., indent=1)`` by the two builders it replaced.
+    """
+    got = {
+        f"{family.slug}/{rank}": list(expected_integral_presentation(family, rank).relation_strings())
+        for family, ranks in ((LieFamily.SO_ODD, range(1, 11)), (LieFamily.SO_EVEN, range(3, 11)))
+        for rank in ranks
+    }
+    assert got == json.loads(BD_RELATIONS.read_text())

@@ -127,6 +127,34 @@ def test_each_check_runs_once_per_request(cache_dir, capsys, monkeypatch, comman
     assert [p.domain for (p,) in certified] == ["rational"]
 
 
+def test_no_request_multiplies_two_elements_of_the_model_algebra(cache_dir, capsys, monkeypatch):
+    """The forms are expanded term by term and d^2 = 0 is read off the model's shape.
+
+    Over every checked configuration, from an empty memo: the catalog entry,
+    its pipeline, ``compute`` in both domains and ``verify``; then su10's
+    ``compute`` in both domains.
+    """
+    from loopalg.gca import GcaElement
+
+    calls = []
+    original = GcaElement.__mul__
+
+    def spy(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(GcaElement, "__mul__", spy)
+    configs = [(f, r) for f, ranks in DEFAULT_CHECKED_RANKS.items() for r in ranks]
+    for family, rank in configs:
+        catalog_entry(family, rank).pipeline
+        args = ("--family", family.slug, "--rank", str(rank))
+        for argv in (("compute", *args), ("compute", *args, "--coeffs", "integer"), ("verify", *args)):
+            assert run(capsys, *argv)[0] == 0, argv
+    for coeffs in ("rational", "integer"):
+        assert run(capsys, "compute", "--family", "su", "--rank", "10", "--coeffs", coeffs)[0] == 0
+    assert calls == []
+
+
 @pytest.mark.parametrize("command", ["compute", "verify", "series"])
 def test_budget_refuses_degree_one_before_anything_is_built(cache_dir, capsys, command):
     # degree 1 needs su12's 12 generators, which the budget refuses at once,
@@ -1015,6 +1043,7 @@ GOLDEN_FIXTURE = {"compute-f4-integer-anticommute": "compute-f4-integer"}
 def test_every_golden_fixture_is_read_by_a_test():
     """No fixture outlives the report it pinned."""
     read = {*(GOLDEN_FIXTURE.get(n, n) for n in GOLDEN_REPORTS), "invariant-forms", "normal-forms"}
+    read.add("integral-relations-bd")  # test_catalog.py
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(f"{name}.json" for name in read)
 
 

@@ -1,4 +1,4 @@
-"""Polynomial core: graded-commutative signs, Leibniz, the free algebra, exactness."""
+"""Polynomial core: graded-commutative signs, the free algebra, exactness."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopalg.enveloping import FreeGradedAlgebra
-from loopalg.gca import Derivation, GradedAlgebra
+from loopalg.gca import GradedAlgebra
 
 from oracles import is_homogeneous, koszul_sign, recursive_monomials_of_degree
 
@@ -78,58 +78,6 @@ def test_koszul_sign_length_mismatch():
         koszul_sign([0, 1], [3])
 
 
-def su3_model():
-    # two even generators and the quadratic invariant as a differential image
-    alg = algebra(("u1", 2), ("u2", 2), ("v1", 3), ("v2", 5))
-    u1, u2 = alg.gen("u1"), alg.gen("u2")
-    d = Derivation(
-        alg,
-        {
-            "v1": u1 * u1 + u2 * u2 + (u1 + u2) ** 2,
-            "v2": u1**3 + u2**3 - (u1 + u2) ** 3,
-        },
-    )
-    return alg, d
-
-
-def test_derivation_on_generator_expands():
-    alg, d = su3_model()
-    u1, u2 = alg.gen("u1"), alg.gen("u2")
-    assert d(alg.gen("v1")) == 2 * u1**2 + 2 * u2**2 + 2 * (u1 * u2)
-    assert d(alg.gen("u1")).is_zero()
-    assert d(alg.gen("u2")).is_zero()
-
-
-def test_derivation_of_odd_square_is_zero():
-    alg, d = su3_model()
-    v1 = alg.gen("v1")
-    assert d(v1 * v1).is_zero()
-
-
-def test_derivation_square_zero_on_polynomial_images():
-    alg, d = su3_model()
-    assert d.squares_to_zero()
-
-
-def test_derivation_square_nonzero_on_corrupted_model():
-    # deg v1 = 4 (even), deg v2 = 3: d(v1) = u1 v2, d(v2) = u1^2
-    alg = algebra(("u1", 2), ("v1", 4), ("v2", 3))
-    u1 = alg.gen("u1")
-    d = Derivation(alg, {"v1": u1 * alg.gen("v2"), "v2": u1 * u1})
-    # expansion oracle: d(d(v1)) = u1 * d(v2) = u1^3
-    assert d(d(alg.gen("v1"))) == u1**3
-    assert not d.squares_to_zero()
-
-
-def test_derivation_image_degree_validation():
-    alg = algebra(("u", 2), ("v", 3))
-    u, v = alg.gen("u"), alg.gen("v")
-    with pytest.raises(ValueError, match="^image of 'v' has degree 2, expected 4$"):
-        Derivation(alg, {"v": u})
-    with pytest.raises(ValueError, match="^image of 'v' is not homogeneous$"):
-        Derivation(alg, {"v": u * u + u * v})
-
-
 @pytest.mark.parametrize("kind", [GradedAlgebra, FreeGradedAlgebra])
 def test_degree_reads_every_term(kind):
     """One degree for a homogeneous element, None for zero, an error otherwise."""
@@ -142,14 +90,6 @@ def test_degree_reads_every_term(kind):
         assert not is_homogeneous(p)
         with pytest.raises(ValueError, match="^element is not homogeneous$"):
             p.degree()
-
-
-def test_derivation_unknown_element_algebra():
-    alg = algebra(("u", 2), ("v", 3))
-    other = algebra(("w", 2))
-    d = Derivation(alg, {"v": alg.gen("u") ** 2})
-    with pytest.raises(ValueError):
-        d(other.gen("w"))
 
 
 # -- randomized properties ----------------------------------------------------
@@ -206,22 +146,6 @@ def test_graded_commutativity(p, q):
 @given(homogeneous_elements(), homogeneous_elements(), homogeneous_elements())
 def test_associativity(p, q, r):
     assert (p * q) * r == p * (q * r)
-
-
-@settings(max_examples=120, deadline=None)
-@given(homogeneous_elements(), homogeneous_elements())
-def test_leibniz_rule(p, q):
-    u1 = ALG.gen("u1")
-    d = Derivation(
-        ALG,
-        {
-            "v1": u1 * u1,
-            "v2": ALG.gen("u2") * ALG.gen("u3"),
-            "u3": u1 * ALG.gen("v1"),
-        },
-    )
-    sign = -1 if p.degree() % 2 else 1
-    assert d(p * q) == d(p) * q + sign * (p * d(q))
 
 
 @settings(max_examples=120, deadline=None)

@@ -1,11 +1,13 @@
 """Minimal models, quadratic parts, and the commutative quotient counts."""
 
+import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopalg import linalg, minimal_model
+from loopalg import catalog, linalg, minimal_model, symmetric
 from loopalg.catalog import DEFAULT_CHECKED_RANKS, catalog_entry
 from loopalg.enveloping import BudgetExceededError
 from loopalg.families import LieFamily
@@ -19,7 +21,7 @@ from loopalg.minimal_model import (
     regular_sequence_check,
 )
 from loopalg.series import complete_intersection_coefficients
-from oracles import brute_commutative_dimension, exponent_tuples, quadratic_part
+from oracles import brute_commutative_dimension, differential, exponent_tuples, quadratic_part
 from test_acceptance import FAMILIES
 
 
@@ -52,31 +54,31 @@ def test_so6_model_degrees():
 
 def test_quadratic_part_su3():
     model = model_of(LieFamily.SU, 2)
-    d1 = quadratic_part(model.differential())
+    d1 = quadratic_part(differential(model))
     alg = model.algebra
     u1, u2 = alg.gen("u1"), alg.gen("u2")
-    assert d1.image_of("v1") == 2 * u1**2 + 2 * u2**2 + 2 * (u1 * u2)
-    assert d1.image_of("v2").is_zero()
+    assert d1["v1"] == 2 * u1**2 + 2 * u2**2 + 2 * (u1 * u2)
+    assert d1["v2"].is_zero()
 
 
 def test_quadratic_part_so_odd():
     model = model_of(LieFamily.SO_ODD, 2)
-    d1 = quadratic_part(model.differential())
+    d1 = quadratic_part(differential(model))
     alg = model.algebra
-    assert d1.image_of("v1") == alg.gen("u1") ** 2 + alg.gen("u2") ** 2
-    assert d1.image_of("v2").is_zero()
+    assert d1["v1"] == alg.gen("u1") ** 2 + alg.gen("u2") ** 2
+    assert d1["v2"].is_zero()
 
 
 def test_quadratic_part_f4():
     model = model_of(LieFamily.F4, 4)
-    d1 = quadratic_part(model.differential())
+    d1 = quadratic_part(differential(model))
     alg = model.algebra
     expected = alg.zero()
     for i in range(1, 5):
         expected = expected + 3 * alg.gen(f"u{i}") ** 2
-    assert d1.image_of("v2") == expected
+    assert d1["v2"] == expected
     for name in ("v6", "v8", "v12"):
-        assert d1.image_of(name).is_zero()
+        assert d1[name].is_zero()
 
 
 # ring-deep's configurations in perfbench/workloads.py
@@ -87,8 +89,8 @@ def test_d1_is_the_quadratic_part_of_the_full_differential():
     configs = [(f, r) for f, ranks in DEFAULT_CHECKED_RANKS.items() for r in ranks] + RING_DEEP
     for family, rank in configs:
         model = model_of(family, rank)
-        d1 = quadratic_part(model.differential())
-        assert model.d1 == {n: e for n, e in d1.images().items() if e}, (family, rank)
+        d1 = quadratic_part(differential(model))
+        assert model.d1 == {n: e for n, e in d1.items() if e}, (family, rank)
         assert len(model.d1) == 1, (family, rank)  # exponent 2 occurs once
 
 
@@ -130,6 +132,47 @@ def test_catalog_models_have_square_zero_differential():
     ]:
         model = model_of(family, rank)
         assert derivation_square_check(model)
+        # the reason it holds: every image lies in Q[u], on which d is zero
+        odd = range(len(model.presentation.algebra), len(model.algebra))
+        for image in differential(model).values():
+            assert all(not mono[i] for mono in image.terms for i in odd), (family, rank)
+
+
+def test_the_square_check_reads_false_off_each_broken_shape():
+    """Out-of-order or missing u, a v of the wrong degree or name, d1 off the v."""
+    model = model_of(LieFamily.SU, 2)
+    assert derivation_square_check(model)
+    u, v = [("u1", 2), ("u2", 2)], [("v1", 3), ("v2", 5)]
+    u1 = model.algebra.gen("u1")
+    broken = [
+        replace(model, algebra=GradedAlgebra(u[::-1] + v)),  # the u out of order
+        replace(model, algebra=GradedAlgebra(u[:1] + v)),  # a u missing
+        replace(model, algebra=GradedAlgebra(u + [("v1", 3), ("v2", 7)])),  # a v's degree
+        replace(model, algebra=GradedAlgebra(u + [("v1", 3), ("w2", 5)])),  # a v's name
+        replace(model, algebra=GradedAlgebra(u + v[:1]), odd_names=("v1",)),  # a v short
+        replace(model, d1={**model.d1, "u1": u1 * u1}),  # d1 on a u
+        replace(model, d1={"w": u1 * u1}),  # d1 on no generator
+    ]
+    assert [derivation_square_check(m) for m in broken] == [False] * len(broken)
+
+
+def test_the_square_check_builds_no_form(monkeypatch):
+    """su10's model holds one form, its degree-4 relation; the check reads no other."""
+    calls = []
+    original = symmetric.invariant_polynomials
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (symmetric, catalog):
+        monkeypatch.setattr(module, "invariant_polynomials", spy)
+    model = model_of(LieFamily.SU, 10)
+    assert len(calls) == 1
+    start = time.perf_counter()
+    assert derivation_square_check(model)
+    assert time.perf_counter() - start < 0.1
+    assert len(calls) == 1
 
 
 def test_quotient_dimensions_su3():

@@ -9,9 +9,9 @@ import pytest
 from loopalg.catalog import cohomology_presentation
 from loopalg.families import LieFamily
 from loopalg.gca import GradedAlgebra
-from loopalg.symmetric import elementary_symmetric, invariant_indices, invariant_polynomials
+from loopalg.symmetric import invariant_indices, invariant_polynomials
 
-from oracles import is_homogeneous, newton_sigma, recursion_p
+from oracles import elementary_symmetric, is_homogeneous, newton_sigma, recursion_p
 
 
 def t_algebra(m):
@@ -32,6 +32,16 @@ def test_elementary_symmetric_range_errors():
         elementary_symmetric(3, [alg.gen("t1"), alg.gen("t2")])
     with pytest.raises(ValueError):
         elementary_symmetric(0, [alg.gen("t1")])
+
+
+@pytest.mark.parametrize("rank", range(3, 9))
+def test_the_euler_class_is_the_top_elementary_symmetric_polynomial(rank):
+    """Type D's top form, built as one monomial, equals e_n(u) taken by products."""
+    alg = GradedAlgebra([(f"u{i}", 2) for i in range(1, rank + 1)])
+    u = [alg.gen(f"u{i}") for i in range(1, rank + 1)]
+    euler = invariant_polynomials(LieFamily.SO_EVEN, rank, rank, alg)
+    assert euler == elementary_symmetric(rank, u)
+    assert all(type(c) is int for c in euler.terms.values())
 
 
 def free_y(k):
