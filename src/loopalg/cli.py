@@ -7,12 +7,15 @@ the package version; an entry without the fields and types a compute report
 writes, or with numbers off the PBW series, is a miss, recomputed by
 ``report --compute-missing``.
 
+A request is one pass (:func:`build_report`): it is refused over the
+budget, then each requested domain is answered once, rational first.
 ``compute`` and ``report`` answer from certified normal words
 (:mod:`loopalg.normal_words`) and eliminate only where the certificate
 fails; ``verify`` eliminates in both domains, its independent route, on the
-engine each presentation keeps (:func:`loopalg.enveloping.engine_report`).
-Reports carry only checks that can fail: ``torsion_free_check`` over Z and
-``verify``'s cross-checks (the Lie axioms guard ``uea_presentation``).
+engine each presentation keeps (:func:`loopalg.enveloping.engine_report`),
+and runs each domain's cross-checks right after its answer.  Reports carry
+only checks that can fail: ``torsion_free_check`` over Z and ``verify``'s
+cross-checks (the Lie axioms guard ``uea_presentation``).
 
 One process keeps each configuration in one memo, ``catalog.catalog_entry``, of
 at most ``catalog.MEMO_CONFIGURATIONS`` (16) entries, the least recently read
@@ -27,10 +30,12 @@ is what a ``--format json`` request writes and what the cache stores.
 Exit codes: 0 pass, 1 check failure, 2 usage/config error, 3 budget
 exceeded.  A request is refused before any build, in every degree where the
 engine would refuse a presentation it answers (:func:`_refuse_over_budget`),
-counted from the family data: an integer request never builds an integral
-presentation over the budget, and a rank over the budget is refused at once,
-in degree 1, by ``report`` too before it reads the cache: a cached entry
-whose rank is over ``--budget`` is not served.
+on sizes counted from the family data and kept with the PBW series in one
+memo, :func:`_shape`, so a request asked again counts nothing: an integer
+request never builds an integral presentation over the budget, and a rank
+over the budget is refused at once, in degree 1, by ``report`` too before
+it reads the cache: a cached entry whose rank is over ``--budget`` is not
+served.
 ``--budget`` also bounds ``verify``'s commutative quotient: over it, both
 quotient checks are ``"skipped"``.
 """
@@ -47,7 +52,6 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from types import MappingProxyType
 
 from . import __version__, catalog as cat, normal_words
 from .enveloping import (
@@ -60,12 +64,10 @@ from .enveloping import (
     graded_dimensions,
     pbw_series,
     pbw_series_of_degrees,
-    series_equal,
 )
 from .families import FIXED_RANK, LieFamily, validate_rank
 from .minimal_model import is_regular, quotient_dimensions
 from .pipeline import presentation_degrees
-from .series import PoincareSeries
 
 SCHEMA_VERSION = 2
 
@@ -112,19 +114,24 @@ class UsageError(Exception):
     pass
 
 
-def _counts(degrees: list[int], max_degree: int) -> dict[int, int]:
-    """How many of ``degrees`` fall in each degree up to ``max_degree``."""
-    return Counter(d for d in degrees if d <= max_degree)
-
-
 @functools.lru_cache(maxsize=256)  # every cache hit is cross-checked against the series
-def _expected_pbw(family: LieFamily, rank: int, degree: int) -> tuple:
-    """The pipeline's generators and relations per degree up to ``degree``, and its
-    PBW series, before any build: an entry's size does not grow with the rank."""
+def _shape(family: LieFamily, rank: int, degree: int, integral: bool) -> tuple:
+    """The PBW series up to ``degree``, and the engine's symbols and rows in
+    each degree 1 .. ``degree`` of the presentation answered, before any build.
+
+    That is the pipeline's or, with ``integral``, the catalog's integral
+    one; neither is built, their degrees are counted from the family data,
+    so an entry's size does not grow with the rank.  Both rings are torsion
+    free with the PBW series as ranks, so :func:`degree_size` on those
+    degrees and ranks gives the engine's sizes.
+    """
     gens, rels = presentation_degrees(rank, cat.exponents(family, rank), degree)
-    # read-only, as every caller shares the cached result
-    counts = MappingProxyType(_counts(gens, degree))
-    return counts, MappingProxyType(rels), pbw_series_of_degrees(gens, degree)
+    pbw = tuple(pbw_series_of_degrees(gens, degree))
+    if integral:
+        gens, rels = cat.integral_presentation_degrees(family, rank, degree)
+    counts, no_torsion = Counter(gens), [0] * (degree + 1)
+    sizes = tuple(degree_size(d, counts, rels, pbw, no_torsion) for d in range(1, degree + 1))
+    return pbw, sizes
 
 
 def _refuse_rank_over_budget(cfg: RunConfig) -> None:
@@ -136,20 +143,13 @@ def _refuse_rank_over_budget(cfg: RunConfig) -> None:
 def _refuse_over_budget(cfg: RunConfig, integral: bool = False) -> None:
     """Refuse, in every degree, where the engine would on the presentation answered.
 
-    That is the pipeline's or, with ``integral``, the catalog's integral
-    one; neither is built, their degrees are counted from the family data.
-    Both rings are torsion free with the PBW series as ranks, so
-    :func:`degree_size` on those degrees and ranks gives the engine's sizes.
-    Degree 1 is checked first, by :func:`_refuse_rank_over_budget`.
+    Degree 1 is checked first, by :func:`_refuse_rank_over_budget`, so a
+    rank over the budget is refused before its shape is counted; the other
+    degrees read their sizes from :func:`_shape`.
     """
     _refuse_rank_over_budget(cfg)
-    gens, rels, pbw = _expected_pbw(cfg.family, cfg.rank, cfg.degree)
-    if integral:
-        degrees, rels = cat.integral_presentation_degrees(cfg.family, cfg.rank, cfg.degree)
-        gens = _counts(degrees, cfg.degree)
-    ranks, no_torsion = list(pbw), [0] * (cfg.degree + 1)
-    for d in range(1, cfg.degree + 1):
-        check_budget(d, cfg.budget, *degree_size(d, gens, rels, ranks, no_torsion))
+    for d, sizes in enumerate(_shape(cfg.family, cfg.rank, cfg.degree, integral)[1], 1):
+        check_budget(d, cfg.budget, *sizes)
 
 
 def _recall(name: str, entry: cat.CatalogEntry, recalled: dict[str, str]):
@@ -161,17 +161,18 @@ def _recall(name: str, entry: cat.CatalogEntry, recalled: dict[str, str]):
 def build_report(cfg: RunConfig, verify: bool = False) -> dict:
     """The compute report; ``verify`` adds the cross-checks and their ``failures``.
 
-    The rational dimensions are computed unless ``coeffs`` is integer and the
-    integral Smith report unless it is rational, the rational route first.
-    Each presentation answered is refused over the budget before the
-    catalog entry is read, and each is read from that entry.
-    ``poincare`` holds the rational dimensions when they were computed and
-    the PBW series otherwise.  An integer compute takes that series from the
-    exponents (by PBW it reads only the Lie basis degrees) and builds nothing
-    rational; ``verify`` reads the pipeline in every domain because its
-    checks read it.
+    One pass: each presentation answered is refused over the budget, then
+    the catalog entry is read, then each requested domain is answered once,
+    the rational one first, each followed by the ``verify`` checks that read
+    its answer.  ``compute`` answers from certified normal words, ``verify``
+    by elimination, its independent route.  ``poincare`` holds the rational
+    dimensions when they were computed and the PBW series otherwise: an
+    integer compute reads that series from the memoized shape and builds
+    nothing rational, while ``verify`` reads the pipeline in every domain,
+    because its checks read it.
     """
     n = cfg.degree
+    rational, integral = cfg.coeffs != "integer", cfg.coeffs != "rational"
     checks: dict[str, object] = {}
     failures: dict[str, str] = {}
     timings: dict[str, float] = {}
@@ -187,29 +188,21 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
         timings[stage] = time.perf_counter() - t0
         return result
 
-    # verify eliminates, its independent route; compute answers from
-    # certified normal words where the certificate holds
-    answer = engine_report if verify else normal_words.report
-    if cfg.coeffs != "integer":
+    if rational:
         _refuse_over_budget(cfg)
-    if cfg.coeffs != "rational":
+    if integral:
         _refuse_over_budget(cfg, integral=True)
     entry = cat.catalog_entry(cfg.family, cfg.rank)
     recalled: dict[str, str] = {}
-    if cfg.coeffs == "integer" and not verify:
-        pbw = _expected_pbw(cfg.family, cfg.rank, n)[2]
-    else:
+    answer = engine_report if verify else normal_words.report
+    if rational or verify:
         pipe = timed("pipeline", _recall, "pipeline", entry, recalled)
-    integral = None if cfg.coeffs == "rational" else _recall("integral", entry, recalled)
     if verify:
-        pbw = pbw_series(pipe.lie_algebra, n)
+        pbw = list(pbw_series(pipe.lie_algebra, n))
         got = {k: dict(v) for k, v in pipe.lie_algebra.brackets.items()}
         want = {k: dict(v) for k, v in entry.expected_brackets.items()}
-        record(
-            "brackets_match_expected",
-            got == want,
-            "computed bracket table differs from the catalog table",
-        )
+        differs = "computed bracket table differs from the catalog table"
+        record("brackets_match_expected", got == want, differs)
         socle = entry.cohomology.socle_degree()
         try:
             dims = timed("quotient", quotient_dimensions, entry.cohomology, socle + 2, cfg.budget)
@@ -218,58 +211,36 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
             checks["regular_sequence_check"] = checks["cohomology_weyl_order"] = "skipped"
         else:
             record("regular_sequence_check", is_regular(entry.cohomology, dims))
-            total = sum(dims.prefix(socle))
-            record(
-                "cohomology_weyl_order",
-                total == entry.weyl_order,
-                f"quotient total {total} != weyl order {entry.weyl_order}",
-            )
+            total, order = sum(dims.prefix(socle)), entry.weyl_order
+            detail = f"quotient total {total} != weyl order {order}"
+            record("cohomology_weyl_order", total == order, detail)
+    else:  # the series the refusal counted, which needs no build
+        pbw = list(_shape(cfg.family, cfg.rank, n, integral)[0])
 
     engines: list[tuple[str, RingPresentation]] = []
-    if cfg.coeffs == "integer":
-        poincare = list(pbw)
-    else:
+    poincare, ranks, torsion = pbw, [], []
+    if rational:
         engines.append(("rational", pipe.presentation))
-        uea_report = timed("graded_dimension", answer, pipe.presentation, n, cfg.budget)
-        uea_dims = PoincareSeries(uea_report.ranks())
-        poincare = list(uea_dims)
+        poincare = list(timed("graded_dimension", answer, pipe.presentation, n, cfg.budget).ranks())
         if verify:
             # the catalog's expected presentation, independent of the pipeline's
-            expected_dims = graded_dimensions(entry.expected_rational, n, cfg.budget)
-            split = cat.splitting_series(cfg.family, cfg.rank, n)
-            record(
-                "uea_matches_expected_rational",
-                series_equal(uea_dims, expected_dims, n),
-                f"pipeline {list(uea_dims)} vs expected {list(expected_dims)}",
-            )
-            record(
-                "pbw_matches_uea",
-                series_equal(pbw, uea_dims, n),
-                f"pbw {list(pbw)} vs linear algebra {list(uea_dims)}",
-            )
-            record(
-                "pbw_matches_splitting",
-                series_equal(pbw, split, n),
-                f"pbw {list(pbw)} vs splitting {list(split)}",
-            )
-
-    ranks: list[int] = []
-    torsion: list[list[int]] = []
-    if integral is None:
-        shown = entry.expected_rational
-    else:
-        shown = integral
+            expected = list(graded_dimensions(entry.expected_rational, n, cfg.budget))
+            split = list(cat.splitting_series(cfg.family, cfg.rank, n))
+            detail = f"pipeline {poincare} vs expected {expected}"
+            record("uea_matches_expected_rational", poincare == expected, detail)
+            record("pbw_matches_uea", pbw == poincare, f"pbw {pbw} vs linear algebra {poincare}")
+            record("pbw_matches_splitting", pbw == split, f"pbw {pbw} vs splitting {split}")
+    if integral:
+        shown = _recall("integral", entry, recalled)
         engines.append(("integer", shown))
         report = timed("graded_smith", answer, shown, n, cfg.budget)
         ranks = list(report.ranks())
         torsion = [list(t) for t in report.torsion_lists()]
         record("torsion_free_check", report.torsion_free(), f"torsion {torsion}")
         if verify:
-            record(
-                "smith_ranks_match_rational",
-                ranks == list(pbw.prefix(n)),
-                f"ranks {ranks} vs rational {list(pbw.prefix(n))}",
-            )
+            record("smith_ranks_match_rational", ranks == pbw, f"ranks {ranks} vs rational {pbw}")
+    else:
+        shown = entry.expected_rational
 
     if cfg.verbose:
         for stage, seconds in timings.items():
@@ -437,6 +408,8 @@ def cache_load(cfg: RunConfig) -> dict | None:
     path = cache_directory(cfg) / f"{cfg.cache_key()}.json"
     if not path.exists():
         return None
+    # the shape the integer or rational refusal reads
+    shape = cfg.family, cfg.rank, cfg.degree, cfg.coeffs == "integer"
     try:
         doc = json.loads(path.read_text())
         if not isinstance(doc, dict):
@@ -447,7 +420,7 @@ def cache_load(cfg: RunConfig) -> dict | None:
             problem = "not the fields of a compute report"
         elif not all(valid(doc[k]) for k, valid in _REPORT_BODY.items()):
             problem = "a field of the wrong type"
-        elif doc["poincare"] != (pbw := list(_expected_pbw(cfg.family, cfg.rank, cfg.degree)[2])):
+        elif doc["poincare"] != (pbw := list(_shape(*shape)[0])):
             problem = "poincare differs from the PBW series"
         elif doc["ranks"] != (pbw if cfg.coeffs == "integer" else []):
             problem = "ranks differ from the PBW series"

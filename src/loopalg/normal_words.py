@@ -77,8 +77,9 @@ polynomial's normal form is the sum of its words' forms, each kept in a
 memo that lives until the next rule is added.  :func:`report` answers from the
 certificate: it counts the normal words degree by degree with the automaton
 of the leading words, whose states are at most their total length.  The
-certificate builds that automaton on its first count and keeps it, so a
-presentation read again, as the catalog entry's are, only counts.  The
+certificate builds that automaton on its first count and keeps it with the
+longest count list it has made, so a presentation read again, as the
+catalog entry's are, counts only past the degrees it has counted.  The
 caller refuses over the budget beforehand.  Where the certificate fails (a
 non-unit leading coefficient over Z, or an overlap that does not resolve)
 it answers by :func:`enveloping.engine_report` instead, which eliminates.
@@ -87,7 +88,7 @@ it answers by :func:`enveloping.engine_report` instead, which eliminates.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -126,6 +127,8 @@ class Certificate:
     rewrites: int = 0
     swapped: int = 0
     degrees: tuple[int, ...] = ()
+    # the longest count list made so far, which every shorter one is a prefix of
+    _counted: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
 
     @cached_property
     def automaton(self) -> tuple[list[list[int]], list[bool]]:
@@ -136,8 +139,13 @@ class Certificate:
         """How many words of each degree 0 .. ``max_degree`` contain no leading word.
 
         The words are read through the kept automaton of the leading words.
+        A degree's count does not depend on how far the count runs, so the
+        longest list counted is kept and a request to the same or a lower
+        degree is a slice of it.
         """
-        return _count(*self.automaton, self.degrees, max_degree)
+        if len(self._counted) <= max_degree:
+            self._counted[:] = _count(*self.automaton, self.degrees, max_degree)
+        return self._counted[: max_degree + 1]
 
 
 def _weights(p: RingPresentation) -> tuple[list[int], tuple[str, ...]]:

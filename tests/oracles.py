@@ -46,7 +46,7 @@ from itertools import combinations, permutations, product
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from loopalg import catalog, enveloping, normal_words, pipeline
+from loopalg import catalog, cli, enveloping, normal_words, pipeline
 from loopalg.enveloping import (
     FreeGradedAlgebra,
     GradedSmithReport,
@@ -144,8 +144,9 @@ def force_the_engine(monkeypatch) -> None:
 
 
 def empty_request_memos() -> None:
-    """Drop every configuration the process keeps, as a fresh process starts."""
+    """Drop every configuration and shape the process keeps, as a fresh process starts."""
     catalog.catalog_entry.cache_clear()
+    cli._shape.cache_clear()
 
 
 def brute_graded_dimension(presentation: RingPresentation, degree: int) -> int:

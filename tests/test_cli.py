@@ -32,9 +32,11 @@ from loopalg.catalog import (
     splitting_series,
 )
 from loopalg.cli import main
-from loopalg.enveloping import BudgetExceededError, engine_report
+from loopalg.enveloping import BudgetExceededError, RingPresentation, engine_report
 from loopalg.families import LieFamily
 from loopalg.pipeline import rational_pipeline
+from loopalg.series import PoincareSeries
+from loopalg.symmetric import invariant_polynomials
 
 from oracles import empty_request_memos, force_the_engine, with_torsion
 
@@ -339,7 +341,7 @@ def test_a_large_rank_is_refused_without_listing_its_relations(
     # as many; the refusal counts them per degree up to degree 2, builds
     # neither, and took 1.9 s and 318 MB when it listed every pair
     built = _count_calls(monkeypatch, cli.cat, "expected_integral_presentation")
-    cli._expected_pbw.cache_clear()
+    cli._shape.cache_clear()
     start = time.perf_counter()
     code, out, err = run(capsys, command, "--family", "su", "--rank", "2000")
     assert time.perf_counter() - start < 1
@@ -486,18 +488,21 @@ RING_DEEP = [("su", "7", "10"), ("su", "6", "12"), ("e6", "6", "16")]
 def test_a_compute_asked_again_renders_and_builds_nothing_its_configuration_holds(
     tmp_path, capsys, monkeypatch, family, rank, degree, coeffs
 ):
-    """A second compute renders no relation, builds no automaton and renders one JSON.
+    """A second compute renders no relation, builds no automaton, counts no
+    word and renders one JSON.
 
     The presentation keeps its rendered relations and its certificate the
-    automaton of its leading words; the JSON text a request renders is both
-    its output and its cache entry.  The first answer, the second and a
-    fresh process's agree byte for byte, output and cache entry alike.
+    automaton of its leading words and its longest word counts; the JSON
+    text a request renders is both its output and its cache entry.  The
+    first answer, the second and a fresh process's agree byte for byte,
+    output and cache entry alike.
     """
     argv = ["compute", "--family", family, "--rank", rank, "--max-degree", degree]
     argv += ["--coeffs", coeffs, "--format", "json"]
     spies = [
         _count_calls(monkeypatch, enveloping, "relation_string"),
         _count_calls(monkeypatch, normal_words, "_automaton"),
+        _count_calls(monkeypatch, normal_words, "_count"),
         _count_calls(monkeypatch, cli, "render_json"),
     ]
 
@@ -510,8 +515,8 @@ def test_a_compute_asked_again_renders_and_builds_nothing_its_configuration_hold
 
     first_out, first_entry, first_calls = answer("first")
     second_out, second_entry, second_calls = answer("second")
-    assert first_calls[0] > 0 and first_calls[1:] == [1, 1]
-    assert second_calls == [0, 0, 1]
+    assert first_calls[0] > 0 and first_calls[1:] == [1, 1, 1]
+    assert second_calls == [0, 0, 0, 1]
     fresh = subprocess.run(
         [sys.executable, "-m", "loopalg.cli", *argv, "--cache-dir", str(tmp_path / "fresh")],
         capture_output=True,
@@ -521,6 +526,18 @@ def test_a_compute_asked_again_renders_and_builds_nothing_its_configuration_hold
     (fresh_entry,) = (tmp_path / "fresh").iterdir()
     assert first_out == second_out == fresh.stdout == first_entry
     assert first_entry == second_entry == fresh_entry.read_bytes()
+
+
+@pytest.mark.parametrize("coeffs", ["rational", "integer"])
+def test_a_request_asked_again_recounts_no_size(cache_dir, capsys, monkeypatch, coeffs):
+    """The refusal reads its sizes from the memoized shape, counted on the first request."""
+    counted = _count_calls(monkeypatch, cli, "degree_size")
+    argv = ("compute", "--family", "su", "--rank", "3", "--coeffs", coeffs)
+    assert run(capsys, *argv)[0] == 0
+    assert len(counted) == default_max_degree(LieFamily.SU)
+    counted.clear()
+    assert run(capsys, *argv)[0] == 0
+    assert counted == []
 
 
 @pytest.mark.parametrize(
@@ -565,7 +582,7 @@ def test_report_refuses_a_rank_over_the_budget_before_it_reads_the_cache(
 def test_the_pbw_memo_does_not_grow_with_the_rank(cache_dir, capsys):
     # an entry held one degree per generator, 4.6 MB for an su100000 rank
     # refused in degree 2; it keeps counts per degree up to the entry's degree
-    cli._expected_pbw.cache_clear()
+    cli._shape.cache_clear()
     argv = ("compute", "--family", "su", "--max-degree", "2", "--rank")
     assert run(capsys, *argv, "999")[0] == 3
     held = {}
@@ -579,7 +596,7 @@ def test_the_pbw_memo_does_not_grow_with_the_rank(cache_dir, capsys):
             held[rank] = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert cli._expected_pbw.cache_info().currsize == 4
+    assert cli._shape.cache_info().currsize == 4
     assert max(held.values()) < 20_000, held
     assert held[40_000] - held[1_000] < 2_000, held
 
@@ -759,6 +776,102 @@ def test_verify_fails_a_planted_torsion_with_the_named_check(cache_dir, capsys, 
     doc = json.loads(out)
     assert doc["checks"]["torsion_free_check"] is False
     assert "torsion_free_check" in doc["failures"]
+
+
+def _bumped(series, *_):
+    """``series`` with its degree-3 coefficient one higher."""
+    coefficients = list(series)
+    coefficients[3] += 1
+    return PoincareSeries(tuple(coefficients))
+
+
+def _dropped(index: int):
+    """A change that drops relation ``index`` from a presentation."""
+
+    def drop(p, *_):
+        kept = list(p.relations)
+        del kept[index]
+        return RingPresentation(p.algebra, kept, domain=p.domain)
+
+    return drop
+
+
+def _not_regular(form, family, rank, k, algebra):
+    """su3's degree-6 form replaced by the degree-4 one times u1, so P1 divides it."""
+    return form if k != 2 else invariant_polynomials(family, rank, 1, algebra) * algebra.gen("u1")
+
+
+SU3_PBW = "[1, 3, 4, 4, 5, 7, 9, 11, 13, 15, 17]"
+SU3_PBW_BUMPED = "[1, 3, 4, 5, 5, 7, 9, 11, 13, 15, 17]"
+# with b2.b3 - b3.b2 (or y2.y3 - y3.y2) dropped, degree 10 holds both orders of the pair
+SU3_ABOVE = "[1, 3, 4, 4, 5, 7, 9, 11, 13, 15, 18]"
+
+# one fault per verify cross-check, planted in a builder or a name cli reads:
+# (module, name, change of its result, the failures verify reports for su3)
+PLANTED_FAULTS = {
+    "brackets": (
+        cli.cat,
+        "_expected_brackets",
+        lambda table, *_: {k: {b: 2 * c for b, c in v.items()} for k, v in table.items()},
+        {"brackets_match_expected": "computed bracket table differs from the catalog table"},
+    ),
+    "weyl order": (
+        cli.cat,
+        "weyl_order",
+        lambda order, *_: order + 1,
+        {"cohomology_weyl_order": "quotient total 24 != weyl order 25"},
+    ),
+    "regular sequence": (
+        cli.cat,
+        "invariant_polynomials",
+        _not_regular,
+        {
+            "regular_sequence_check": "mismatch",
+            "cohomology_weyl_order": "quotient total 40 != weyl order 24",
+        },
+    ),
+    "expected rational": (
+        cli.cat,
+        "expected_rational_presentation",
+        _dropped(-1),
+        {"uea_matches_expected_rational": f"pipeline {SU3_PBW} vs expected {SU3_ABOVE}"},
+    ),
+    "splitting": (
+        cli.cat,
+        "splitting_series",
+        _bumped,
+        {"pbw_matches_splitting": f"pbw {SU3_PBW} vs splitting {SU3_PBW_BUMPED}"},
+    ),
+    "pbw": (
+        cli,
+        "pbw_series",
+        _bumped,
+        {
+            "pbw_matches_uea": f"pbw {SU3_PBW_BUMPED} vs linear algebra {SU3_PBW}",
+            "pbw_matches_splitting": f"pbw {SU3_PBW_BUMPED} vs splitting {SU3_PBW}",
+            "smith_ranks_match_rational": f"ranks {SU3_PBW} vs rational {SU3_PBW_BUMPED}",
+        },
+    ),
+    "centrality": (
+        cli.cat,
+        "expected_integral_presentation",
+        _dropped(-1),  # 1*y2.y3 - 1*y3.y2
+        {"smith_ranks_match_rational": f"ranks {SU3_ABOVE} vs rational {SU3_PBW}"},
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", PLANTED_FAULTS)
+def test_each_verify_cross_check_fails_on_its_own(cache_dir, capsys, monkeypatch, fault):
+    """A fault in one builder fails exactly the checks that read it, each with its detail."""
+    module, name, change, want = PLANTED_FAULTS[fault]
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: change(original(*args), *args))
+    code, out, err = run(capsys, "verify", "--family", "su", "--rank", "3", "--format", "json")
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    assert doc["failures"] == want
+    assert {check for check, ok in doc["checks"].items() if ok is not True} == set(want)
 
 
 def test_usage_errors(cache_dir, capsys):
