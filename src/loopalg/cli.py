@@ -22,10 +22,12 @@ at most ``catalog.MEMO_CONFIGURATIONS`` (16) entries, the least recently read
 dropped first.  An entry builds its pipeline and integral presentation on the
 first request that reads them; later requests reuse them with their
 certificates and engines, and ``--verbose`` names each read a hit or a miss.
-A presentation also keeps its rendered relations and a certificate its
-normal-word automaton, so a request answered again renders no relation and
-builds no automaton.  A ``compute`` request renders its JSON once: that text
-is what a ``--format json`` request writes and what the cache stores.
+A presentation also keeps its rendered relations, a certificate its
+normal-word automaton and the cohomology presentation its quotient
+certificate, so a request answered again renders no relation, builds no
+automaton and ranks no quotient row.  A ``compute`` request renders its
+JSON once: that text is what a ``--format json`` request writes and what
+the cache stores.
 
 Exit codes: 0 pass, 1 check failure, 2 usage/config error, 3 budget
 exceeded.  A request is refused before any build, in every degree where the
@@ -203,14 +205,22 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
         want = {k: dict(v) for k, v in entry.expected_brackets.items()}
         differs = "computed bracket table differs from the catalog table"
         record("brackets_match_expected", got == want, differs)
-        socle = entry.cohomology.socle_degree()
+        cohomology = entry.cohomology
+        socle, held = cohomology.socle_degree(), cohomology.holds_certificate()
         try:
-            dims = timed("quotient", quotient_dimensions, entry.cohomology, socle + 2, cfg.budget)
+            dims = timed("quotient", quotient_dimensions, cohomology, socle + 2, cfg.budget)
         except BudgetExceededError:
             # refused before any elimination: the quotient is over the budget
             checks["regular_sequence_check"] = checks["cohomology_weyl_order"] = "skipped"
         else:
-            record("regular_sequence_check", is_regular(entry.cohomology, dims))
+            # within the budget a catalog quotient's route is its certificate
+            recalled["quotient"] = "hit" if held else "miss"
+            left = dims.coefficient(socle + 1), dims.coefficient(socle + 2)
+            detail = (
+                f"quotient dimension {left[0]} in degree {socle + 1} and {left[1]}"
+                f" in degree {socle + 2}, both must be 0"
+            )
+            record("regular_sequence_check", is_regular(cohomology, dims), detail)
             total, order = sum(dims.prefix(socle)), entry.weyl_order
             detail = f"quotient total {total} != weyl order {order}"
             record("cohomology_weyl_order", total == order, detail)
@@ -248,7 +258,7 @@ def build_report(cfg: RunConfig, verify: bool = False) -> dict:
         for name, outcome in recalled.items():
             print(f"memo {name}: {outcome}", file=sys.stderr)
         if verify:
-            quotient_work = entry.cohomology.quotient_work  # None over the budget
+            quotient_work = cohomology.quotient_work  # None over the budget
             route = "skipped (over the budget)" if quotient_work is None else quotient_work.route
             print(f"route quotient: {route}", file=sys.stderr)
             for w in () if quotient_work is None else quotient_work.ranked:

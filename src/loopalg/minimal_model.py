@@ -40,6 +40,13 @@ exact elimination, :class:`~loopalg.linalg.FractionRREF`.  The F_p rank is
 :class:`~loopalg.linalg.FractionFreeEliminator`.  Each call leaves a
 :class:`QuotientWork` on the presentation: the route that answered and, per
 rank taken, the rows built, the rows left out and the rank-raising rows.
+
+The top-degree certificate depends on the forms and the prime alone, so a
+presentation ranks it once per prime and keeps the :class:`RankedDegree`;
+every later call reads it, the budget having picked the route first, and
+records the same work as the first.  A catalog entry owns its presentation,
+so ``catalog.MEMO_CONFIGURATIONS`` bounds what is kept.  The degreewise
+ranks over Q are not kept.
 """
 
 from __future__ import annotations
@@ -64,7 +71,9 @@ class CohomologyPresentation:
 
     Given ``degrees`` and ``build`` instead of the forms ``relations``, form j
     is made by ``build(j)`` on its first read, checked against ``degrees[j]``
-    and kept; ``relation_degrees`` and the socle degree read no form.
+    and kept; ``relation_degrees`` and the socle degree read no form.  The
+    top-degree certificate is ranked on the first call of
+    :func:`quotient_dimensions` that tries it and kept, keyed by the prime.
     """
 
     def __init__(self, algebra: GradedAlgebra, relations=None, degrees=(), build=None):
@@ -79,7 +88,10 @@ class CohomologyPresentation:
         self.relation_degrees = tuple(degrees)
         self._build: Callable[[int], GcaElement] = build
         self._forms: dict[int, GcaElement] = {}
-        # set by each quotient_dimensions call; None when it raised
+        # the top-degree certificate per prime, ranked by the first call that tries it
+        self._certificates: dict[int, RankedDegree] = {}
+        # set by each quotient_dimensions call, the same whether its certificate
+        # was ranked or read; None when it raised
         self.quotient_work: QuotientWork | None = None
 
     def _degree(self, r: GcaElement) -> int:
@@ -105,6 +117,10 @@ class CohomologyPresentation:
 
     def socle_degree(self) -> int:
         return sum(d - 2 for d in self.relation_degrees)
+
+    def holds_certificate(self) -> bool:
+        """Whether the top-degree certificate mod ``CERTIFICATE_PRIME`` is kept."""
+        return CERTIFICATE_PRIME in self._certificates
 
 
 @dataclass(frozen=True)
@@ -158,8 +174,9 @@ def quotient_dimensions(
     of the matrix whose rows expand monomial * P_j over the degree-d basis.
     With as many relations as variables, one F_p rank of degree socle + 2 is
     tried first: where it is full, the answer is the complete-intersection
-    series in every degree (see the module docstring).  Otherwise each
-    degree is ranked over Q by :class:`~loopalg.linalg.FractionRREF`.
+    series in every degree (see the module docstring).  That rank is taken
+    once per prime and kept on ``c``.  Otherwise each degree is ranked over
+    Q by :class:`~loopalg.linalg.FractionRREF`.
     A degree up to ``max_degree`` with more monomials or rows than
     ``budget`` raises :class:`~loopalg.enveloping.BudgetExceededError`
     before any elimination; a degree socle + 2 over ``budget`` only skips
@@ -187,7 +204,10 @@ def quotient_dimensions(
     elif max(sizes[top], rows(top)) > budget:
         route = f"degreewise (degree {top} over the budget)"
     else:
-        ranked.append(_top_degree_certificate(c, top))
+        prime = CERTIFICATE_PRIME
+        if prime not in c._certificates:
+            c._certificates[prime] = _top_degree_certificate(c, top, prime)
+        ranked.append(c._certificates[prime])
         if ranked[0].rank == ranked[0].monomials:
             c.quotient_work = QuotientWork("top-degree certificate", tuple(ranked))
             series = complete_intersection_coefficients(degrees, n, max_degree)
@@ -233,8 +253,8 @@ def _coded(c: CohomologyPresentation, max_degree: int, wanted) -> tuple[dict, li
     return basis, relations
 
 
-def _top_degree_certificate(c: CohomologyPresentation, top: int) -> RankedDegree:
-    """Rank the degree-``top`` rows over F_p, leaving out the Koszul rows.
+def _top_degree_certificate(c: CohomologyPresentation, top: int, prime: int) -> RankedDegree:
+    """Rank the degree-``top`` rows mod ``prime``, leaving out the Koszul rows.
 
     The row m * P_j is left out when m is a multiple of the leading monomial
     of an earlier relation P_i (see the module docstring).  Stops adding
@@ -248,7 +268,7 @@ def _top_degree_certificate(c: CohomologyPresentation, top: int) -> RankedDegree
     monomials = basis[top]
     index = {m: i for i, m in enumerate(monomials)}
     full = len(monomials)
-    elim = linalg.FractionFreeEliminator(CERTIFICATE_PRIME)
+    elim = linalg.FractionFreeEliminator(prime)
     rows = skipped = 0
     earlier: list[tuple[int, int]] = []
     for e, terms in relations:

@@ -441,12 +441,23 @@ def test_verbose_names_what_the_memos_held(cache_dir, capsys):
 
     assert memo_lines("compute", "--coeffs", "integer") == ["memo integral: miss"]
     assert memo_lines("compute", "--coeffs", "rational") == ["memo pipeline: miss"]
-    assert memo_lines("verify") == ["memo pipeline: hit", "memo integral: hit"]
-    # a cached report reads neither, and names neither
+    # no compute ranks the quotient's certificate; the first verify does
+    assert memo_lines("verify") == [
+        "memo pipeline: hit",
+        "memo quotient: miss",
+        "memo integral: hit",
+    ]
+    assert memo_lines("verify") == [
+        "memo pipeline: hit",
+        "memo quotient: hit",
+        "memo integral: hit",
+    ]
+    # a cached report reads none, and names none
     assert memo_lines("report") == []
     empty_request_memos()
     assert memo_lines("verify", "--coeffs", "integer") == [
         "memo pipeline: miss",
+        "memo quotient: miss",
         "memo integral: miss",
     ]
 
@@ -764,6 +775,27 @@ def test_verbose_names_the_quotient_route_and_leaves_the_report_alone(cache_dir,
     assert code == 0
     assert "route quotient: skipped (over the budget)" in err.splitlines()
     assert "quotient degree" not in err and "timing quotient" not in err
+    assert "memo quotient" not in err
+
+
+def test_a_second_verify_reads_the_kept_certificate(cache_dir, capsys, monkeypatch):
+    """su4's quotient is ranked by the first verify; the second reads it and
+    prints the same report."""
+    rows = []
+    add_row = linalg.FractionFreeEliminator.add_row
+
+    def counted(eliminator, row):
+        rows.append(row)
+        return add_row(eliminator, row)
+
+    monkeypatch.setattr(linalg.FractionFreeEliminator, "add_row", counted)
+    args = ("verify", "--family", "su", "--rank", "4")
+    first = run(capsys, *args)
+    # the criterion keeps 408 of su4's degree-22 rows
+    assert first[0] == 0 and len(rows) == 408
+    rows.clear()
+    assert run(capsys, *args) == first
+    assert rows == []
 
 
 def test_verify_fails_a_planted_torsion_with_the_named_check(cache_dir, capsys, monkeypatch):
@@ -826,7 +858,9 @@ PLANTED_FAULTS = {
         "invariant_polynomials",
         _not_regular,
         {
-            "regular_sequence_check": "mismatch",
+            "regular_sequence_check": (
+                "quotient dimension 0 in degree 13 and 8 in degree 14, both must be 0"
+            ),
             "cohomology_weyl_order": "quotient total 40 != weyl order 24",
         },
     ),

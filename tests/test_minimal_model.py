@@ -282,9 +282,13 @@ def test_uncertified_degrees_fall_back_to_the_exact_route(monkeypatch):
     # the degree-6 certificate fails mod 3, then degrees 0, 2, 4 and 6 are
     # ranked over Q
     assert spy.routes == [3, "exact", "exact", "exact", "exact"]
+    work = good.quotient_work
     spy.routes.clear()
     assert regular_sequence_check(good)
-    assert spy.routes == [3, "exact", "exact", "exact", "exact"]
+    # the failed certificate is kept, so only the degrees over Q are ranked
+    # again, and the call records the same work
+    assert spy.routes == ["exact"] * 4
+    assert good.quotient_work == work
     # with fewer relations than variables there is no certificate
     spy.routes.clear()
     assert list(quotient_dimensions(CohomologyPresentation(alg, [u1 * u2]), 4)) == [1, 0, 2, 0, 2]
@@ -556,18 +560,23 @@ def test_the_quotient_records_its_route_and_every_rank(monkeypatch):
     coh = presentation(LieFamily.SU, 3)
     socle = coh.socle_degree()
     quotient_dimensions(coh, socle - 2)
-    assert coh.quotient_work.route == "top-degree certificate"
-    assert [(w.degree, w.field) for w in coh.quotient_work.ranked] == [(socle + 2, "F_p")]
+    certified = coh.quotient_work
+    assert certified.route == "top-degree certificate"
+    assert [(w.degree, w.field) for w in certified.ranked] == [(socle + 2, "F_p")]
+    assert spy.rows == certified.ranked[0].rows
+    # the budget picks the route before the kept certificate is read
     quotient_dimensions(coh, socle, budget=40)
     assert coh.quotient_work.route == "degreewise (degree 14 over the budget)"
     # the Q ranks of every degree, every row built
     assert [w.degree for w in coh.quotient_work.ranked] == list(range(0, socle + 1, 2))
     assert {w.field for w in coh.quotient_work.ranked} == {"Q"}
     assert {w.skipped for w in coh.quotient_work.ranked} == {0}
+    # the certificate the first call ranked is read, not ranked again, and
+    # recorded as it was
     spy.rows = 0
     quotient_dimensions(coh, socle)
-    assert coh.quotient_work.route == "top-degree certificate"
-    assert spy.rows == coh.quotient_work.ranked[0].rows
+    assert coh.quotient_work == certified
+    assert spy.rows == 0
     # a call that raises leaves no record, not the previous call's
     with pytest.raises(BudgetExceededError):
         quotient_dimensions(coh, socle, budget=1)
@@ -641,3 +650,18 @@ def test_the_pruned_certificate_agrees_with_every_row_mod_p(c):
     every_row = brute_commutative_dimension(c, top, prime=minimal_model.CERTIFICATE_PRIME) == 0
     assert (certificate.rank == certificate.monomials) == every_row
     assert dims == [brute_commutative_dimension(c, d) for d in range(top + 1)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(integer_square_presentations())
+def test_a_second_call_reads_the_kept_certificate(c):
+    top = c.socle_degree() + 2
+    first = quotient_dimensions(c, top)
+    work = c.quotient_work
+    assert c.holds_certificate()
+    with pytest.MonkeyPatch.context() as mp:
+        spy = RowSpy(mp)
+        assert quotient_dimensions(c, top) == first
+    # the same record, the certificate held or failed, and no F_p row ranked
+    assert c.quotient_work == work
+    assert spy.rows == 0
