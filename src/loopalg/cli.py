@@ -27,7 +27,10 @@ normal-word automaton and the cohomology presentation its quotient
 certificate, so a request answered again renders no relation, builds no
 automaton and ranks no quotient row.  A ``compute`` request renders its
 JSON once: that text is what a ``--format json`` request writes and what
-the cache stores.
+the cache stores.  ``--out`` is written over in place and a regular file
+cut to the report's length (:func:`emit`); a cache entry that already holds
+the report's bytes is left alone, and any other is replaced whole through a
+temporary file (:func:`cache_store`).
 
 Exit codes: 0 pass, 1 check failure, 2 usage/config error, 3 budget
 exceeded.  A request is refused before any build, in every degree where the
@@ -49,6 +52,7 @@ import functools
 import hashlib
 import json
 import os
+import stat
 import sys
 import time
 from collections import Counter
@@ -371,15 +375,27 @@ def cache_directory(cfg: RunConfig) -> Path:
 
 
 def cache_store(cfg: RunConfig, text: str) -> Path:
-    """Write the entry, a report's JSON ``text``, into the existing cache
-    directory through a temporary file, so readers never see half of it."""
+    """Store a report's JSON ``text`` as its entry in the existing cache directory.
+
+    An entry that already holds these bytes is left alone.  Otherwise the
+    bytes go to a temporary file renamed over the entry, so readers never
+    see half of it; the temporary file is removed only when the rename did
+    not happen.
+    """
     path = cache_directory(cfg) / f"{cfg.cache_key()}.json"
+    data = text.encode("ascii")
+    try:
+        if path.read_bytes() == data:
+            return path
+    except OSError:  # no entry yet, or one that cannot be read: replace it
+        pass
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        tmp.write_bytes(data)
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -416,8 +432,6 @@ def cache_load(cfg: RunConfig) -> dict | None:
     rational one's are empty) or that shows torsion.
     """
     path = cache_directory(cfg) / f"{cfg.cache_key()}.json"
-    if not path.exists():
-        return None
     # the shape the integer or rational refusal reads
     shape = cfg.family, cfg.rank, cfg.degree, cfg.coeffs == "integer"
     try:
@@ -438,6 +452,8 @@ def cache_load(cfg: RunConfig) -> dict | None:
             problem = "torsion in a torsion-free ring"
         else:
             return doc
+    except FileNotFoundError:  # no entry: a miss without a warning
+        return None
     except (OSError, ValueError, RecursionError) as err:
         problem = str(err)
     print(f"warning: ignoring cache entry {path}: {problem}", file=sys.stderr)
@@ -449,10 +465,19 @@ def render(cfg: RunConfig, doc: dict) -> str:
 
 
 def emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        Path(cfg.out).write_text(text)
-    else:
+    """Write the report to stdout, or its ASCII bytes over those of ``--out``.
+
+    A regular file is then cut to the report's length; a device or a pipe
+    (``/dev/null``, a terminal) is written to and never cut.
+    """
+    if not cfg.out:
         sys.stdout.write(text)
+        return
+    data = text.encode("ascii")
+    with open(os.open(cfg.out, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as out:
+        out.write(data)
+        if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+            out.truncate()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command line contract: subcommands, exit codes, determinism, cache."""
 
+import errno
 import gc
 import json
 import os
@@ -1131,6 +1132,73 @@ def test_failed_out_leaves_no_cache_entry(cache_dir, tmp_path, capsys):
     assert list(cache_dir.glob("*.json")) == []
     code, _, err = run(capsys, "report", "--family", "su", "--rank", "2")
     assert code == 2 and "cached" in err
+
+
+def test_out_is_written_over_and_cut_to_the_report(cache_dir, tmp_path, capsys):
+    """A report written over a longer one leaves exactly its own bytes."""
+    target = tmp_path / "report.out"
+    long = ("compute", "--family", "su", "--rank", "4", "--format", "json")
+    short = ("compute", "--family", "su", "--rank", "1")
+    for first, second in ((long, short), (short, long)):
+        assert run(capsys, *first, "--out", str(target)) == (0, "", "")
+        assert run(capsys, *second, "--out", str(target)) == (0, "", "")
+        _, fresh, _ = run(capsys, *second)
+        assert target.read_bytes() == fresh.encode()
+
+
+def test_out_to_a_device_is_written_and_never_cut(cache_dir, capsys):
+    code, out, err = run(capsys, "compute", "--family", "su", "--rank", "2", "--out", os.devnull)
+    assert (code, out, err) == (0, "", "")
+
+
+def test_read_only_out_is_a_config_error(cache_dir, tmp_path, capsys, monkeypatch):
+    """An ``--out`` that cannot be opened for writing keeps its bytes and leaves no entry."""
+    target = tmp_path / "read-only.txt"
+    target.write_text("kept\n")
+    target.chmod(0o444)
+    if os.access(target, os.W_OK):
+        # a privileged user writes past the mode bits: refuse as the kernel would
+        real_open = os.open
+
+        def refuse(path, flags, *args):
+            if os.fspath(path) == str(target) and flags & os.O_WRONLY:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(target))
+            return real_open(path, flags, *args)
+
+        monkeypatch.setattr(os, "open", refuse)
+    code, out, err = run(capsys, "compute", "--family", "su", "--rank", "2", "--out", str(target))
+    assert (code, out) == (2, "") and err.startswith("error: ") and "Traceback" not in err
+    assert target.read_text() == "kept\n"
+    assert list(cache_dir.glob("*.json")) == []
+
+
+def test_a_cache_entry_holding_the_report_is_left_alone(cache_dir, capsys, monkeypatch):
+    """A compute asked again renames nothing over its entry, which keeps its inode."""
+    args = ("compute", "--family", "su", "--rank", "3", "--format", "json")
+    _, fresh, _ = run(capsys, *args)
+    (entry,) = cache_dir.iterdir()
+    inode = entry.stat().st_ino
+    replaced = []
+    monkeypatch.setattr(os, "replace", lambda *paths: replaced.append(paths))
+    assert run(capsys, *args) == (0, fresh, "")
+    assert replaced == [] and entry.stat().st_ino == inode
+    assert list(cache_dir.iterdir()) == [entry] and entry.read_text() == fresh
+
+
+def test_a_cache_entry_that_is_a_directory_is_a_config_error(cache_dir, capsys):
+    cfg = cli.RunConfig(LieFamily.SU, 2)
+    entry = cache_dir / f"{cfg.cache_key()}.json"
+    entry.mkdir(parents=True)
+    args = ("--family", "su", "--rank", "2", "--format", "json")
+    _, fresh, _ = run(capsys, "compute", *args, "--cache-dir", str(cache_dir.parent / "other"))
+    for request in (("compute",), ("report", "--compute-missing")):
+        code, out, err = run(capsys, *request, *args)
+        # the report is delivered before the entry cannot be stored
+        assert (code, out) == (2, fresh) and "Traceback" not in err, request
+        assert err.splitlines()[-1].startswith("error: "), request
+    code, out, err = run(capsys, "report", *args)
+    assert (code, out) == (2, "") and "ignoring cache entry" in err and "Traceback" not in err
+    assert list(cache_dir.iterdir()) == [entry] and entry.is_dir()
 
 
 VERIFY_ONLY_CHECKS = {
